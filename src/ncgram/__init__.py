@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import BudgetError, RotationUndefined, ShapeError
 from .gram import ExactMatrix, build_gram, determinant, rank
-from .kernels import BACKEND, INTEGER_BACKEND
+from .kernels import INTEGER_BACKEND
 from .partitions import (
     Composition,
     Corner,
@@ -68,7 +68,6 @@ from .formulas import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "INTEGER_BACKEND",
     "BudgetError",
     "Composition",

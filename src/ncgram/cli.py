@@ -15,8 +15,10 @@ Exit codes: 0 success, 1 verification/law failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -110,9 +112,17 @@ def _read_cache(path: str) -> dict[str, str]:
 
 
 def _append_cache(path: str, key: str, det: str) -> None:
-    line = json.dumps({"key": key, "det": det, "ts": int(time.time())})
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+    """Append one entry in a single write on an O_APPEND descriptor, so
+    concurrent writers cannot interleave parts of their lines."""
+    line = json.dumps({"key": key, "det": det, "ts": int(time.time())}) + "\n"
+    data = line.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        written = os.write(fd, data)
+    finally:
+        os.close(fd)
+    if written != len(data):
+        raise OSError(f"cache: short write to {path} ({written} of {len(data)} bytes)")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +175,7 @@ def cmd_gram(cfg: JobConfig) -> int:
             if cfg.N == "symbolic":
                 result["det"] = list(value.coeffs)
             else:
-                result["det"] = str(value)
+                result["det"] = _decimal_text(value)
                 if cache_key is not None:
                     _append_cache(cfg.cache_path, cache_key, result["det"])
 
@@ -188,7 +198,7 @@ def cmd_recursion(cfg: JobConfig) -> int:
     }
     if cfg.verify:
         direct = determinant(build_gram(cfg.n, PartitionClass.NONCROSSING, cfg.N))
-        result["direct"] = str(direct)
+        result["direct"] = _decimal_text(direct)
         result["status"] = "ok" if value == direct else "mismatch"
         _emit(result, cfg.fmt)
         return EXIT_OK if value == direct else EXIT_VERIFY
@@ -196,10 +206,19 @@ def cmd_recursion(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
+def _decimal_text(value: int) -> str:
+    """Decimal digits of an integer of any length.
+
+    str() refuses integers past 4300 digits (sys.int_max_str_digits);
+    Decimal converts exactly and is not subject to that limit.
+    """
+    return str(decimal.Decimal(value))
+
+
 def _fraction_text(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return str(value)
+        return _decimal_text(value.numerator)
+    return f"{_decimal_text(value.numerator)}/{_decimal_text(value.denominator)}"
 
 
 def cmd_laws(cfg: JobConfig) -> int:

@@ -14,7 +14,13 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import BudgetError, ShapeError
-from .partitions import Partition, PartitionClass, compose, enumerate_partitions, involution
+from .partitions import (
+    PairForest,
+    Partition,
+    PartitionClass,
+    block_forest,
+    enumerate_partitions,
+)
 from .polynomials import IntPolynomial
 
 #: Hard cap on elimination size; beyond this the cubic big-int work is no
@@ -95,14 +101,19 @@ def build_gram(
     if N is not None and N < 1:
         raise ValueError("N must be positive")
     parts = list(enumerate_partitions(points, cls))
-    duals = [involution(q) for q in parts]
+    # rl(q*, p) is the component count of the pair graph: p on top, q
+    # below, every point i glued to i'. It is symmetric in p and q.
+    uppers = [block_forest(p.rgs) for p in parts]
+    lowers = [block_forest(p.rgs, points) for p in parts]
+    blocks = [p.block_count for p in parts]
     size = len(parts)
     exps = [[0] * size for _ in range(size)]
-    for a, p in enumerate(parts):
+    for a in range(size):
+        row = exps[a]
         for b in range(a, size):
-            rl = compose(duals[b], p).remaining_loops
-            exps[a][b] = rl
-            exps[b][a] = rl
+            forest = PairForest(uppers[a], lowers[b], blocks[a] + blocks[b])
+            forest.glue(0, points, points)
+            row[b] = exps[b][a] = forest.components
     if N is None:
         rows = tuple(
             tuple(IntPolynomial((0,) * e + (1,)) for e in row) for row in exps
@@ -176,5 +187,6 @@ def _interpolate_integer_poly(xs: list[int], ys: list[int]) -> IntPolynomial:
             new[i] -= c * xs[k]
         new[0] += coef[k]
         poly = new
-    assert all(c.denominator == 1 for c in poly), "interpolation left ℤ[X]"
+    if any(c.denominator != 1 for c in poly):
+        raise ArithmeticError("interpolation left ℤ[X]")
     return IntPolynomial(int(c) for c in poly)

@@ -263,6 +263,48 @@ def involution(p: Partition) -> Partition:
     return Partition(p.lower, p.upper, _canonical(merged))
 
 
+def block_forest(rgs: Sequence[int], offset: int = 0) -> list[int]:
+    """One partition as a union-find forest: each point's parent is the
+    first point of its block, with nodes numbered from `offset`."""
+    first: dict[int, int] = {}
+    return [first.setdefault(b, pos + offset) for pos, b in enumerate(rgs)]
+
+
+class PairForest:
+    """Union-find over the points of two partitions drawn one above the other.
+
+    This is the package's one loop-count kernel: composition, the pair and
+    cut graphs, the flaw test and both matrix builders run on it. The nodes
+    are the points of the upper partition followed by those of the lower
+    one, each given as a `block_forest`, so the forest starts with one
+    component per block. `glue` adds edges between the two rows and
+    `components` counts what is left connected.
+    """
+
+    __slots__ = ("parent", "components")
+
+    def __init__(self, upper: Sequence[int], lower: Sequence[int], blocks: int) -> None:
+        self.parent = [*upper, *lower]
+        self.components = blocks
+
+    def find(self, x: int) -> int:
+        """Root of node x, halving the path on the way."""
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def glue(self, first: int, second: int, count: int) -> None:
+        """Join node first + i to node second + i for i = 0..count-1."""
+        parent, find = self.parent, self.find
+        for i in range(count):
+            rx, ry = find(first + i), find(second + i)
+            if rx != ry:
+                parent[ry] = rx
+                self.components -= 1
+
+
 def compose(t: Partition, s: Partition) -> Composition:
     """Vertical composition t ∘ s (s on top), with loop count.
 
@@ -276,39 +318,14 @@ def compose(t: Partition, s: Partition) -> Composition:
         )
     k, l, m = s.upper, s.lower, t.lower
     # Node layout: 0..k+l-1 = points of s, k+l..k+2l+m-1 = points of t.
-    parent = list(range(k + l + l + m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    first_s: dict[int, int] = {}
-    for pos, b in enumerate(s.rgs):
-        if b in first_s:
-            union(first_s[b], pos)
-        else:
-            first_s[b] = pos
-    first_t: dict[int, int] = {}
-    for pos, b in enumerate(t.rgs):
-        if b in first_t:
-            union(first_t[b] + k + l, pos + k + l)
-        else:
-            first_t[b] = pos
-    for i in range(l):
-        union(k + i, k + l + i)  # glue s-lower to t-upper
-
-    outer = list(range(k)) + list(range(k + l + l, k + l + l + m))
-    result = Partition(k, m, _canonical(find(x) for x in outer))
-    outer_roots = {find(x) for x in outer}
-    middle_roots = {find(x) for x in range(k, k + l + l)}
-    return Composition(result, len(middle_roots - outer_roots))
+    forest = PairForest(
+        block_forest(s.rgs), block_forest(t.rgs, k + l), s.block_count + t.block_count
+    )
+    forest.glue(k, k + l, l)  # s-lower to t-upper
+    outer = [forest.find(x) for x in range(k)]
+    outer += [forest.find(x) for x in range(k + l + l, k + l + l + m)]
+    result = Partition(k, m, _canonical(outer))
+    return Composition(result, forest.components - len(set(outer)))
 
 
 def rotate(p: Partition, corner: Corner) -> Partition:

@@ -19,7 +19,14 @@ from fractions import Fraction
 
 from .errors import ShapeError
 from .gram import ExactMatrix
-from .partitions import Partition, PartitionClass, _canonical, enumerate_partitions
+from .partitions import (
+    PairForest,
+    Partition,
+    PartitionClass,
+    _canonical,
+    block_forest,
+    enumerate_partitions,
+)
 from .polynomials import beraha
 
 
@@ -49,7 +56,7 @@ class PairGraph:
 class CutGraph:
     """PairGraph with the vertical edges (i, i'), i ≤ s+1, erased."""
 
-    base: PairGraph
+    n: int
     r: int
     ids: tuple[int, ...]
 
@@ -58,35 +65,7 @@ class CutGraph:
         return len(set(self.ids))
 
     def comp(self, i: int, primed: bool = False) -> int:
-        return self.ids[self.base.n + i - 1 if primed else i - 1]
-
-
-def _component_ids(p: Partition, q: Partition, skip_verticals: int) -> tuple[int, ...]:
-    """Union-find closure over the 2n nodes; verticals (i,i') start at i > skip."""
-    n = p.lower
-    parent = list(range(2 * n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for offset, part in ((0, p), (n, q)):
-        first: dict[int, int] = {}
-        for pos, b in enumerate(part.rgs):
-            if b in first:
-                union(first[b] + offset, pos + offset)
-            else:
-                first[b] = pos
-    for i in range(skip_verticals, n):
-        union(i, n + i)
-    return _canonical(find(x) for x in range(2 * n))
+        return self.ids[self.n + i - 1 if primed else i - 1]
 
 
 def _check_pair(p: Partition, q: Partition) -> int:
@@ -97,19 +76,61 @@ def _check_pair(p: Partition, q: Partition) -> int:
     return p.lower
 
 
+def _check_level(n: int, r: int, what: str) -> None:
+    if not 0 <= r < n:
+        raise ValueError(f"{what} level r={r} out of range for n={n}")
+
+
+def _forest(p: Partition, q: Partition, n: int) -> PairForest:
+    """p on nodes 0..n-1, q on nodes n..2n-1, no vertical edges yet."""
+    return PairForest(
+        block_forest(p.rgs), block_forest(q.rgs, n), p.block_count + q.block_count
+    )
+
+
+def _glue_cut(forest: PairForest, n: int, r: int) -> None:
+    """Add the verticals (i, i') with i > s+1: the cut graph of level r."""
+    s = r // 2
+    forest.glue(s + 1, n + s + 1, n - s - 1)
+
+
+def _flawed(forest: PairForest, n: int, r: int) -> bool:
+    """Read the level-r flaw pattern off a forest glued as a cut graph."""
+    s = r // 2
+    find = forest.find
+    tops = [find(i) for i in range(s + 1)]
+    bots = [find(n + i) for i in range(s + 1)]
+    joined = s + r % 2  # i ~ i' is required for i ≤ s, and for s+1 at odd r
+    return (
+        len(set(tops)) != s + 1
+        or len(set(bots)) != s + 1
+        or tops[:joined] != bots[:joined]
+    )
+
+
+def _level_components(forest: PairForest, n: int, r: int) -> int | None:
+    """The single pass behind e_r: glue the cut graph, read the flaw
+    pattern, glue the remaining verticals and count. None on a flaw."""
+    _glue_cut(forest, n, r)
+    if r and _flawed(forest, n, r):
+        return None
+    forest.glue(0, n, r // 2 + 1)
+    return forest.components
+
+
 def pair_graph(p: Partition, q: Partition) -> PairGraph:
     n = _check_pair(p, q)
-    return PairGraph(n=n, p=p, q=q, ids=_component_ids(p, q, 0))
+    forest = _forest(p, q, n)
+    forest.glue(0, n, n)
+    return PairGraph(n=n, p=p, q=q, ids=_canonical(forest.find(x) for x in range(2 * n)))
 
 
 def cut_graph(p: Partition, q: Partition, r: int) -> CutGraph:
     n = _check_pair(p, q)
-    if not 0 <= r < n:
-        raise ValueError(f"cut level r={r} out of range for n={n}")
-    s = r // 2
-    return CutGraph(
-        base=pair_graph(p, q), r=r, ids=_component_ids(p, q, s + 1)
-    )
+    _check_level(n, r, "cut")
+    forest = _forest(p, q, n)
+    _glue_cut(forest, n, r)
+    return CutGraph(n=n, r=r, ids=_canonical(forest.find(x) for x in range(2 * n)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,59 +197,66 @@ def has_r_flaw(p: Partition, q: Partition, r: int) -> bool:
     (s+1)'. Level 0 never has flaws.
     """
     n = _check_pair(p, q)
-    if not 0 <= r < n:
-        raise ValueError(f"flaw level r={r} out of range for n={n}")
+    _check_level(n, r, "flaw")
     if r == 0:
         return False
-    s = r // 2
-    g = cut_graph(p, q, r)
-    tops = [g.comp(i) for i in range(1, s + 2)]
-    if len(set(tops)) != s + 1:
-        return True
-    bots = [g.comp(i, primed=True) for i in range(1, s + 2)]
-    if len(set(bots)) != s + 1:
-        return True
-    for i in range(s):
-        if tops[i] != bots[i]:
-            return True
-    if r % 2 == 1 and tops[s] != bots[s]:
-        return True
-    return False
+    forest = _forest(p, q, n)
+    _glue_cut(forest, n, r)
+    return _flawed(forest, n, r)
 
 
 def e_r(p: Partition, q: Partition, r: int, N: int) -> int:
     """Level-r matrix entry: 0 on flawed pairs, else N^(components of the pair graph)."""
     if N < 1:
         raise ValueError("N must be positive")
-    if has_r_flaw(p, q, r):
-        return 0
-    return N ** pair_graph(p, q).component_count
+    n = _check_pair(p, q)
+    _check_level(n, r, "flaw")
+    components = _level_components(_forest(p, q, n), n, r)
+    return 0 if components is None else N**components
+
+
+def _level_matrix(n: int, r: int, N: int, labels: tuple[Partition, ...]) -> ExactMatrix:
+    """e_r over labels × labels, one kernel pass per pair.
+
+    e_r is symmetric under p ↔ q (swapping the rows of the pair graph
+    swaps tops with bottoms in the flaw pattern), so only the upper
+    triangle is computed and then mirrored.
+    """
+    uppers = [block_forest(p.rgs) for p in labels]
+    lowers = [block_forest(p.rgs, n) for p in labels]
+    blocks = [p.block_count for p in labels]
+    powers = [N**c for c in range(2 * n + 1)]
+    size = len(labels)
+    rows = [[0] * size for _ in range(size)]
+    for a in range(size):
+        row = rows[a]
+        for b in range(a, size):
+            forest = PairForest(uppers[a], lowers[b], blocks[a] + blocks[b])
+            components = _level_components(forest, n, r)
+            if components is not None:
+                row[b] = rows[b][a] = powers[components]
+    entries = tuple(tuple(row) for row in rows)
+    return ExactMatrix(entries=entries, row_labels=labels, col_labels=labels)
+
+
+def _check_level_matrix(n: int, r: int, N: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    _check_level(n, r, "level")
+    if N < 1:
+        raise ValueError("N must be positive")
 
 
 def build_A(n: int, r: int, N: int) -> ExactMatrix:
     """The level-r matrix over W(n,r), Y(n,r) rows/columns listed first."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= r < n:
-        raise ValueError(f"level r={r} out of range for n={n}")
-    labels = tuple(y_stratum(n, r) + w_stratum(n, r + 1))
-    entries = tuple(
-        tuple(e_r(p, q, r, N) for q in labels) for p in labels
-    )
-    return ExactMatrix(entries=entries, row_labels=labels, col_labels=labels)
+    _check_level_matrix(n, r, N)
+    return _level_matrix(n, r, N, tuple(y_stratum(n, r) + w_stratum(n, r + 1)))
 
 
 def build_B(n: int, r: int, N: int) -> ExactMatrix:
     """The corner block of build_A: rows and columns restricted to Y(n,r)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= r < n:
-        raise ValueError(f"level r={r} out of range for n={n}")
-    labels = tuple(y_stratum(n, r))
-    entries = tuple(
-        tuple(e_r(p, q, r, N) for q in labels) for p in labels
-    )
-    return ExactMatrix(entries=entries, row_labels=labels, col_labels=labels)
+    _check_level_matrix(n, r, N)
+    return _level_matrix(n, r, N, tuple(y_stratum(n, r)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import decimal
 import json
+import os
+import sys
+from fractions import Fraction
 
 import pytest
 
+from ncgram import cli
 from ncgram.cli import main
+from ncgram.tutte import recursion_det
 
 
 def run(capsys, *argv):
@@ -125,6 +131,17 @@ def test_recursion_verify_agrees(capsys):
     assert payload["det"] == payload["direct"]
 
 
+def test_recursion_prints_values_past_the_str_digit_limit(capsys):
+    # the 9-point numerator has 9405 digits, past str()'s default 4300
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "recursion", "--points", "9", "--param", "4")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    num, _, den = json.loads(out)["det"].partition("/")
+    value = Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1")))
+    assert value == recursion_det(9, 4)
+
+
 def test_recursion_rejects_parameter_three(capsys):
     code, _, err = run(capsys, "recursion", "--points", "4", "--param", "3")
     assert code == 2
@@ -199,6 +216,23 @@ def test_corrupted_trailing_cache_line_is_ignored(tmp_path, capsys):
     assert json.loads(out)["det"] == "48"
     assert "corrupted" in err
     assert "cache hit" in err
+
+
+def test_cache_append_is_one_write_per_entry(tmp_path, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    writes = []
+    real_write = os.write
+
+    def counting_write(fd, data):
+        writes.append(len(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(cli.os, "write", counting_write)
+    dets = ["1" * 9000, "2" * 9000]  # each line is longer than 8 KiB
+    cli._append_cache(str(cache), "gram:nc:7:4", dets[0])
+    cli._append_cache(str(cache), "gram:nc:7:5", dets[1])
+    assert len(writes) == 2 and min(writes) > 8192
+    assert cli._read_cache(str(cache)) == {"gram:nc:7:4": dets[0], "gram:nc:7:5": dets[1]}
 
 
 def test_cache_ignores_symbolic_jobs(tmp_path, capsys):

@@ -100,6 +100,14 @@ def test_interpolation_route_matches_direct_polynomial_route():
         assert _det_by_interpolation(m) == determinant(m)
 
 
+def test_interpolation_outside_integer_polynomials_raises():
+    # the interpolant of (1, 0), (2, 0), (3, 1) is (x - 1)(x - 2)/2
+    from ncgram.gram import _interpolate_integer_poly
+
+    with pytest.raises(ArithmeticError, match="ℤ"):
+        _interpolate_integer_poly([1, 2, 3], [0, 0, 1])
+
+
 def test_leading_principal_minors_positive_for_large_parameter():
     for N in (4, 5):
         for n in range(1, 6):

@@ -1,5 +1,5 @@
 """Fraction-free elimination kernels, checked against rational Gaussian
-elimination and across the compiled/pure backends."""
+elimination and through the exact-entry dispatch."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from ncgram import kernels
-from ncgram._kernels_py import det_bareiss, rank_echelon
+from ncgram.kernels import det_bareiss, rank_echelon
 
 
 def det_by_fractions(rows: list[list[int]]) -> Fraction:
@@ -109,22 +109,11 @@ def test_backend_dispatch_agrees_with_pure_python():
         assert kernels.rank_exact([row[:] for row in m]) == rank_echelon([row[:] for row in m])
 
 
-def test_compiled_backend_parity_if_present():
-    try:
-        from ncgram import _kernels
-    except ImportError:
-        return  # pure-Python install; dispatch test above still covers it
-    rng = random.Random(19)
-    for n in (2, 4, 6):
-        m = random_matrix(rng, n)
-        assert _kernels.det_bareiss([row[:] for row in m]) == det_bareiss(
-            [row[:] for row in m]
-        )
-        assert _kernels.rank_echelon([row[:] for row in m]) == rank_echelon(
-            [row[:] for row in m]
-        )
-
-
 def test_reported_backend_is_consistent():
-    assert kernels.BACKEND in {"python", "cython"}
-    assert kernels.INTEGER_BACKEND.startswith(kernels.BACKEND)
+    try:
+        import gmpy2  # noqa: F401
+    except ImportError:
+        expected = "python"
+    else:
+        expected = "python+gmpy2"
+    assert kernels.INTEGER_BACKEND == expected

@@ -6,6 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncgram.gram import build_gram, determinant
 from ncgram.partitions import Partition, PartitionClass, compose, enumerate_partitions, involution
@@ -83,6 +85,44 @@ def connectivity_oracle(p: Partition, q: Partition, keep_from: int):
                     stack.append(w)
         comp += 1
     return comp, seen
+
+
+def oracle_flaw(p: Partition, q: Partition, r: int) -> bool:
+    """The level-r flaw pattern read off the BFS components of the cut graph."""
+    if r == 0:
+        return False
+    n, s = p.lower, r // 2
+    _, seen = connectivity_oracle(p, q, s + 2)
+    tops = [seen[i] for i in range(s + 1)]
+    bots = [seen[n + i] for i in range(s + 1)]
+    if len(set(tops)) < s + 1 or len(set(bots)) < s + 1:
+        return True
+    if any(seen[i] != seen[n + i] for i in range(s)):
+        return True
+    return r % 2 == 1 and seen[s] != seen[n + s]
+
+
+def oracle_entry(p: Partition, q: Partition, r: int, N: int) -> int:
+    """e_r(p, q) from the BFS oracle: 0 on a flaw, else N^(components)."""
+    if oracle_flaw(p, q, r):
+        return 0
+    return N ** connectivity_oracle(p, q, 1)[0]
+
+
+@st.composite
+def partition_pairs(draw, max_points: int = 8):
+    """Two random (0, n) partitions, any class, with a level r < n."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+
+    def partition() -> Partition:
+        rgs, top = [], 0
+        for _ in range(n):
+            v = draw(st.integers(min_value=0, max_value=top))
+            rgs.append(v)
+            top = max(top, v + 1)
+        return Partition(0, n, tuple(rgs))
+
+    return partition(), partition(), draw(st.integers(min_value=0, max_value=n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +212,43 @@ def test_flaw_against_connectivity_oracle():
     for n in (3, 4, 5):
         ps = enumerate_partitions(n, NC)
         for r in range(n):
-            s = r // 2
             for p in ps:
                 for q in ps:
-                    _, seen = connectivity_oracle(p, q, s + 2)
-                    flaw = False
-                    tops = [seen[i] for i in range(s + 1)]
-                    bots = [seen[n + i] for i in range(s + 1)]
-                    if len(set(tops)) < s + 1 or len(set(bots)) < s + 1:
-                        flaw = True
-                    if any(seen[i] != seen[n + i] for i in range(s)):
-                        flaw = True
-                    if r % 2 == 1 and seen[s] != seen[n + s]:
-                        flaw = True
-                    if r == 0:
-                        flaw = False
-                    assert has_r_flaw(p, q, r) == flaw
+                    assert has_r_flaw(p, q, r) == oracle_flaw(p, q, r)
+
+
+@given(partition_pairs())
+def test_kernel_loop_counts_match_oracle_on_random_pairs(pair):
+    p, q, r = pair
+    n, s = p.lower, r // 2
+    full, _ = connectivity_oracle(p, q, 1)
+    assert pair_graph(p, q).component_count == full
+    assert compose(involution(q), p).remaining_loops == full
+    assert cut_graph(p, q, r).component_count == connectivity_oracle(p, q, s + 2)[0]
+    assert has_r_flaw(p, q, r) == oracle_flaw(p, q, r)
+    assert e_r(p, q, r, 3) == oracle_entry(p, q, r, 3)
+
+
+def test_level_matrices_match_oracle_entry_for_entry():
+    N = 4
+    for n in range(1, 7):
+        for r in range(n):
+            for build in (build_A, build_B):
+                m = build(n, r, N)
+                for i, p in enumerate(m.row_labels):
+                    for j, q in enumerate(m.col_labels):
+                        assert m.entry(i, j) == oracle_entry(p, q, r, N)
+
+
+def test_gram_matrices_match_oracle_entry_for_entry():
+    N = 3
+    for cls in PartitionClass:
+        for n in range(1, 7):
+            m = build_gram(n, cls, N)
+            assert m.row_labels == tuple(enumerate_partitions(n, cls))
+            for i, p in enumerate(m.row_labels):
+                for j, q in enumerate(m.col_labels):
+                    assert m.entry(i, j) == N ** connectivity_oracle(p, q, 1)[0]
 
 
 def test_entry_examples():
