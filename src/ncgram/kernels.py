@@ -5,6 +5,13 @@ gmpy2.mpz, IntPolynomial), where // is exact division by construction of
 the Bareiss recurrence. Everything is exact arithmetic over ℤ (or ℤ[X] for
 polynomial entries).
 
+Every Gram and level matrix is symmetric, and a Bareiss step without a
+row swap keeps the trailing block symmetric. `det_bareiss` detects a
+symmetric input and then updates only the upper triangle, about half the
+big-integer work. A zero pivot would need a row swap, which breaks the
+symmetry: the kernel then restores the lower triangle from the upper one
+once and finishes on the general, row-swapping path.
+
 gmpy2 is an optional accelerator: when it imports, plain-int matrices are
 wrapped in mpz, which makes the O(n³) big-int multiplications inside
 Bareiss several times faster. Inputs and outputs stay Python ints either
@@ -24,16 +31,32 @@ INTEGER_BACKEND = "python" + ("+gmpy2" if _mpz is not None else "")
 def det_bareiss(rows):
     """Determinant by Bareiss one-step fraction-free elimination.
 
-    Mutates ``rows`` (pass a fresh copy). Pivots by row swap on a zero
-    pivot; every division is exact.
+    Mutates ``rows`` (pass a fresh copy). Every division is exact.
+
+    Symmetric input (checked once, entry for entry) stays symmetric in the
+    trailing block while no rows are swapped, so each step updates only
+    the entries on or above the diagonal and reads the multiplier a_ik
+    from the pivot row as a_ki; the lower triangle goes stale. On a zero
+    pivot the trailing upper triangle is mirrored into the lower one once,
+    and elimination continues on the general path, which pivots by row
+    swap. Other input takes the general path from the start.
     """
     n = len(rows)
     if n == 0:
         return 1
+    symmetric = all(
+        rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n)
+    )
     sign = 1
     prev = None  # becomes the previous pivot after the first sweep
     for k in range(n - 1):
         if not rows[k][k]:
+            if symmetric:
+                for i in range(k + 1, n):
+                    ri = rows[i]
+                    for j in range(k, i):
+                        ri[j] = rows[j][i]
+                symmetric = False
             for i in range(k + 1, n):
                 if rows[i][k]:
                     rows[k], rows[i] = rows[i], rows[k]
@@ -45,20 +68,23 @@ def det_bareiss(rows):
         rk = rows[k]
         for i in range(k + 1, n):
             ri = rows[i]
-            aik = ri[k]
+            if symmetric:
+                aik, lo = rk[i], i
+            else:
+                aik, lo = ri[k], k + 1
             if aik:
                 if prev is None:
-                    for j in range(k + 1, n):
+                    for j in range(lo, n):
                         ri[j] = pivot * ri[j] - aik * rk[j]
                 else:
-                    for j in range(k + 1, n):
+                    for j in range(lo, n):
                         ri[j] = (pivot * ri[j] - aik * rk[j]) // prev
             else:
                 if prev is None:
-                    for j in range(k + 1, n):
+                    for j in range(lo, n):
                         ri[j] = pivot * ri[j]
                 else:
-                    for j in range(k + 1, n):
+                    for j in range(lo, n):
                         ri[j] = (pivot * ri[j]) // prev
         prev = pivot
     d = rows[n - 1][n - 1]

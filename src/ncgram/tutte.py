@@ -250,7 +250,14 @@ def _check_level_matrix(n: int, r: int, N: int) -> None:
 def build_A(n: int, r: int, N: int) -> ExactMatrix:
     """The level-r matrix over W(n,r), Y(n,r) rows/columns listed first."""
     _check_level_matrix(n, r, N)
-    return _level_matrix(n, r, N, tuple(y_stratum(n, r) + w_stratum(n, r + 1)))
+    # W(n,r+1) ⊆ W(n,r), so one pass splits W(n,r) into Y(n,r) and W(n,r+1).
+    y, w = [], []
+    for p in enumerate_partitions(n, PartitionClass.NONCROSSING):
+        if in_W(p, r + 1):
+            w.append(p)
+        elif in_W(p, r):
+            y.append(p)
+    return _level_matrix(n, r, N, tuple(y + w))
 
 
 def build_B(n: int, r: int, N: int) -> ExactMatrix:

@@ -6,8 +6,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ncgram import kernels
+from ncgram.gram import build_gram, determinant
 from ncgram.kernels import det_bareiss, rank_echelon
+from ncgram.partitions import PartitionClass
 
 
 def det_by_fractions(rows: list[list[int]]) -> Fraction:
@@ -81,6 +86,53 @@ def test_intermediate_values_stay_integral_on_large_entries():
     m = random_matrix(rng, 6, lo=-10**6, hi=10**6)
     expected = det_by_fractions([row[:] for row in m])
     assert det_bareiss([row[:] for row in m]) == expected
+
+
+@st.composite
+def symmetric_matrices(draw, max_size=8):
+    """Small entries, so that pivots vanish part-way through elimination."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(st.sampled_from((-1, 0, 1, 2)))
+    return a
+
+
+@settings(max_examples=300)
+@given(symmetric_matrices())
+def test_symmetric_determinant_matches_rational_elimination(m):
+    assert det_bareiss([row[:] for row in m]) == det_by_fractions(m)
+
+
+def test_symmetric_zero_pivot_falls_back_to_row_swaps():
+    assert det_bareiss([[0, 1], [1, 0]]) == -1
+    # the second pivot vanishes after one step
+    assert det_bareiss([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
+    # the same, with a stale lower entry (2) that differs from the live one (1)
+    assert det_bareiss([[1, 1, 1], [1, 1, 2], [1, 2, 1]]) == -1
+    # singular: a vanishing pivot with a zero column below it
+    assert det_bareiss([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == 0
+    # singular: the last pivot vanishes, no fallback needed
+    assert det_bareiss([[1, 1, 2], [1, 2, 3], [2, 3, 5]]) == 0
+
+
+def test_symmetric_input_updates_only_the_upper_triangle():
+    m = [[4, 1, 2], [1, 3, 0], [2, 0, 5]]
+    work = [row[:] for row in m]
+    assert det_bareiss(work) == det_by_fractions(m)
+    assert [work[i][:i] for i in range(3)] == [m[i][:i] for i in range(3)]
+
+
+def test_gram_row_swap_negates_through_the_general_path():
+    # swapping two rows breaks the symmetry, so the swapped copy is
+    # eliminated by the general kernel: an oracle for the symmetric one
+    cases = [build_gram(n, PartitionClass.NONCROSSING, 4) for n in range(2, 7)]
+    cases += [build_gram(n, PartitionClass.NONCROSSING, None) for n in range(2, 5)]
+    for m in cases:
+        swapped = [list(row) for row in m.entries]
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        assert det_bareiss(swapped) == -determinant(m)
 
 
 def test_rank_echelon_matches_rational_elimination():

@@ -240,6 +240,13 @@ def test_level_matrices_match_oracle_entry_for_entry():
                         assert m.entry(i, j) == oracle_entry(p, q, r, N)
 
 
+def test_level_matrix_lists_y_then_w():
+    for n in range(1, 7):
+        for r in range(n):
+            labels = tuple(y_stratum(n, r) + w_stratum(n, r + 1))
+            assert build_A(n, r, 4).row_labels == labels
+
+
 def test_gram_matrices_match_oracle_entry_for_entry():
     N = 3
     for cls in PartitionClass:
