@@ -5,8 +5,9 @@ Output discipline: result JSON goes to stdout and is byte-identical for
 a repeated job (no timestamps, no timings in stdout); diagnostics and
 timing go to stderr.  Determinant results for numeric parameters can be
 cached in an append-only JSON-lines file keyed by
-``gram:<class>:<points>:<N>``; a torn (corrupted) trailing line is
-skipped with a warning instead of crashing the run.
+``gram:<class>:<points>:<N>``; a torn (corrupted) line, or one whose
+determinant is not a decimal integer, is skipped with a warning and the
+value recomputed instead of crashing the run or replaying it.
 
 Exit codes: 0 success, 1 verification/law failure, 2 usage error,
 3 resource budget exceeded.
@@ -19,6 +20,7 @@ import decimal
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -88,6 +90,9 @@ def _csv_cell(value) -> str:
 # result cache
 
 
+_DECIMAL_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _read_cache(path: str) -> dict[str, str]:
     """Load an append-only JSON-lines cache, tolerating a torn last line."""
     entries: dict[str, str] = {}
@@ -103,11 +108,13 @@ def _read_cache(path: str) -> dict[str, str]:
             record = json.loads(line)
             key = record["key"]
             det = record["det"]
-        except (json.JSONDecodeError, KeyError, TypeError):
+            if not (isinstance(det, str) and _DECIMAL_INTEGER.fullmatch(det)):
+                raise ValueError(det)
+        except (ValueError, KeyError, TypeError):
             where = "trailing" if lineno == len(lines) else f"line {lineno}"
             print(f"warning: cache: ignoring corrupted {where} entry", file=sys.stderr)
             continue
-        entries[str(key)] = str(det)
+        entries[str(key)] = det
     return entries
 
 

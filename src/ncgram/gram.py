@@ -24,7 +24,8 @@ from .partitions import (
 from .polynomials import IntPolynomial
 
 #: Hard cap on elimination size; beyond this the cubic big-int work is no
-#: longer a "just wait a bit" proposition.
+#: longer a "just wait a bit" proposition. build_gram refuses such a matrix
+#: before computing any entry, since neither determinant nor rank takes it.
 DET_DIMENSION_BUDGET = 2000
 
 #: Matrix size up to which the polynomial determinant runs directly over
@@ -94,13 +95,16 @@ def build_gram(
     """Gram matrix over the partitions of `points` lower points.
 
     Rows and columns follow the `enumerate_partitions` order. `N=None`
-    builds the symbolic matrix with monomial entries X^{rl(q*,p)}.
+    builds the symbolic matrix with monomial entries X^{rl(q*,p)}. More
+    than DET_DIMENSION_BUDGET partitions raise BudgetError before any
+    entry is computed.
     """
     if points < 1:
         raise ValueError("points must be >= 1")
     if N is not None and N < 1:
         raise ValueError("N must be positive")
     parts = list(enumerate_partitions(points, cls))
+    _check_budget(len(parts))
     # rl(q*, p) is the component count of the pair graph: p on top, q
     # below, every point i glued to i'. It is symmetric in p and q.
     uppers = [block_forest(p.rgs) for p in parts]
@@ -128,10 +132,7 @@ def determinant(m: ExactMatrix) -> int | IntPolynomial:
     """Exact determinant; polynomial result in symbolic mode."""
     if m.nrows != m.ncols:
         raise ShapeError("determinant of a non-square matrix")
-    if m.nrows > DET_DIMENSION_BUDGET:
-        raise BudgetError(
-            f"matrix size {m.nrows} exceeds elimination budget {DET_DIMENSION_BUDGET}"
-        )
+    _check_budget(m.nrows)
     if m.nrows == 0:
         return 1
     if not m.is_symbolic:
@@ -145,13 +146,15 @@ def rank(m: ExactMatrix) -> int:
     """Exact rank of an integer-mode matrix (over ℚ)."""
     if m.is_symbolic:
         raise ShapeError("rank requires integer entries; evaluate first")
-    if max(m.nrows, m.ncols) > DET_DIMENSION_BUDGET:
-        raise BudgetError(
-            f"matrix size {m.nrows}x{m.ncols} exceeds elimination budget"
-        )
+    _check_budget(max(m.nrows, m.ncols))
     if m.nrows == 0:
         return 0
     return kernels.rank_exact(m.entries)
+
+
+def _check_budget(size: int) -> None:
+    if size > DET_DIMENSION_BUDGET:
+        raise BudgetError(f"matrix size {size} exceeds elimination budget {DET_DIMENSION_BUDGET}")
 
 
 def _det_by_interpolation(m: ExactMatrix) -> IntPolynomial:

@@ -10,12 +10,22 @@ quotients are rationals in 1/N built from the reversed Beraha polynomials.
 Points of a pair (p, q) live on a 2n-node graph: nodes 1..n carry p,
 nodes 1'..n' carry q, vertical edges join i to i'. Indices into the id
 arrays run 0..n-1 (unprimed) then n..2n-1 (primed).
+
+The strata form a chain W(n,0) ⊇ W(n,1) ⊇ … ⊇ W(n,n−1) ⊋ W(n,n) = ∅,
+with Y(n,r) = W(n,r) \\ W(n,r+1), so each partition p ∈ NC(0,n) sits at
+one level: the largest r with p ∈ W(n,r), read off by `stratum_level`
+in one scan. With a the number of leading points in pairwise different
+blocks and b the number of leading non-singletons, the level is 2a−1 if
+a ≤ b and 2b otherwise (0 for the empty partition). Then p ∈ W(n,r) iff
+r ≤ level, and p ∈ Y(n,r) iff r = level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import Iterator
 
 from .errors import ShapeError
 from .gram import ExactMatrix
@@ -36,36 +46,11 @@ from .polynomials import beraha
 
 @dataclass(frozen=True)
 class PairGraph:
-    """Connectivity of p and q stacked with all vertical edges (i, i')."""
+    """Connectivity of p stacked on q: the pair graph, with every vertical
+    edge (i, i'), or the level-r cut graph, with only those for i > s+1."""
 
-    n: int
-    p: Partition
-    q: Partition
     ids: tuple[int, ...]  # component id per node, canonical by first occurrence
-
-    @property
-    def component_count(self) -> int:
-        return len(set(self.ids))
-
-    def comp(self, i: int, primed: bool = False) -> int:
-        """Component id of point i (1-based), primed selecting the q row."""
-        return self.ids[self.n + i - 1 if primed else i - 1]
-
-
-@dataclass(frozen=True)
-class CutGraph:
-    """PairGraph with the vertical edges (i, i'), i ≤ s+1, erased."""
-
-    n: int
-    r: int
-    ids: tuple[int, ...]
-
-    @property
-    def component_count(self) -> int:
-        return len(set(self.ids))
-
-    def comp(self, i: int, primed: bool = False) -> int:
-        return self.ids[self.n + i - 1 if primed else i - 1]
+    component_count: int
 
 
 def _check_pair(p: Partition, q: Partition) -> int:
@@ -118,23 +103,40 @@ def _level_components(forest: PairForest, n: int, r: int) -> int | None:
     return forest.components
 
 
-def pair_graph(p: Partition, q: Partition) -> PairGraph:
-    n = _check_pair(p, q)
+def _stacked(p: Partition, q: Partition, n: int, first: int) -> PairGraph:
+    """p over q with the verticals (i, i') glued for i > first."""
     forest = _forest(p, q, n)
-    forest.glue(0, n, n)
-    return PairGraph(n=n, p=p, q=q, ids=_canonical(forest.find(x) for x in range(2 * n)))
+    forest.glue(first, n + first, n - first)
+    return PairGraph(_canonical(forest.find(x) for x in range(2 * n)), forest.components)
 
 
-def cut_graph(p: Partition, q: Partition, r: int) -> CutGraph:
+def pair_graph(p: Partition, q: Partition) -> PairGraph:
+    return _stacked(p, q, _check_pair(p, q), 0)
+
+
+def cut_graph(p: Partition, q: Partition, r: int) -> PairGraph:
     n = _check_pair(p, q)
     _check_level(n, r, "cut")
-    forest = _forest(p, q, n)
-    _glue_cut(forest, n, r)
-    return CutGraph(n=n, r=r, ids=_canonical(forest.find(x) for x in range(2 * n)))
+    return _stacked(p, q, n, r // 2 + 1)
 
 
 # ---------------------------------------------------------------------------
 # strata
+
+
+def stratum_level(p: Partition) -> int:
+    """The largest r with p ∈ W(n,r); see the module docstring."""
+    if p.upper:
+        raise ShapeError("strata are defined on (0, n) partitions")
+    rgs = p.rgs
+    a = 0  # points 1..a lie in pairwise different blocks, block i-1 holding point i
+    while a < len(rgs) and rgs[a] == a:
+        a += 1
+    later = set(rgs[a:])  # the blocks of points 1..a that are not singletons
+    b = 0
+    while b < a and b in later:
+        b += 1
+    return max(2 * a - 1, 0) if b == a else 2 * b
 
 
 def in_W(p: Partition, r: int) -> bool:
@@ -143,46 +145,37 @@ def in_W(p: Partition, r: int) -> bool:
     r = 2s: the s leftmost points are non-singletons and the s+1 leftmost
     lie in pairwise different blocks. r = 2s+1: the s+1 leftmost points are
     non-singletons in pairwise different blocks. r = 0 is no condition,
-    r = n is empty.
+    r = n is empty. p passes exactly for r ≤ stratum_level(p).
     """
-    if p.upper:
-        raise ShapeError("strata are defined on (0, n) partitions")
+    level = stratum_level(p)
     n = p.points
     if not 0 <= r <= n:
         raise ValueError(f"stratum level r={r} out of range for n={n}")
-    if r == 0:
-        return True
-    if r == n:
-        return False
-    rgs = p.rgs
-    sizes: dict[int, int] = {}
-    for b in rgs:
-        sizes[b] = sizes.get(b, 0) + 1
-    s = r // 2
-    if r % 2 == 0:
-        front = rgs[: s + 1]
-        heavy = rgs[:s]
-    else:
-        front = rgs[: s + 1]
-        heavy = front
-    return len(set(front)) == len(front) and all(sizes[b] >= 2 for b in heavy)
+    return r <= level
 
 
 def in_Y(p: Partition, r: int) -> bool:
     """Y(n,r) = W(n,r) \\ W(n,r+1): the stratum left behind at level r."""
-    n = p.points
-    if not 0 <= r < n:
-        raise ValueError(f"stratum level r={r} out of range for n={n}")
-    return in_W(p, r) and not in_W(p, r + 1)
+    _check_level(p.points, r, "stratum")
+    return stratum_level(p) == r
+
+
+def _levels(n: int) -> Iterator[tuple[Partition, int]]:
+    """(p, stratum_level(p)) for p ∈ NC(0,n), in global enumeration order."""
+    for p in enumerate_partitions(n, PartitionClass.NONCROSSING):
+        yield p, stratum_level(p)
 
 
 def w_stratum(n: int, r: int) -> list[Partition]:
     """W(n,r) within NC(0,n), in global enumeration order."""
-    return [p for p in enumerate_partitions(n, PartitionClass.NONCROSSING) if in_W(p, r)]
+    if not 0 <= r <= n:
+        raise ValueError(f"stratum level r={r} out of range for n={n}")
+    return [p for p, level in _levels(n) if r <= level]
 
 
 def y_stratum(n: int, r: int) -> list[Partition]:
-    return [p for p in enumerate_partitions(n, PartitionClass.NONCROSSING) if in_Y(p, r)]
+    _check_level(n, r, "stratum")
+    return [p for p, level in _levels(n) if level == r]
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +243,12 @@ def _check_level_matrix(n: int, r: int, N: int) -> None:
 def build_A(n: int, r: int, N: int) -> ExactMatrix:
     """The level-r matrix over W(n,r), Y(n,r) rows/columns listed first."""
     _check_level_matrix(n, r, N)
-    # W(n,r+1) ⊆ W(n,r), so one pass splits W(n,r) into Y(n,r) and W(n,r+1).
     y, w = [], []
-    for p in enumerate_partitions(n, PartitionClass.NONCROSSING):
-        if in_W(p, r + 1):
-            w.append(p)
-        elif in_W(p, r):
+    for p, level in _levels(n):
+        if level == r:
             y.append(p)
+        elif level > r:
+            w.append(p)
     return _level_matrix(n, r, N, tuple(y + w))
 
 
@@ -510,10 +502,11 @@ def F_r_value(p: Partition, q: Partition, r: int, N: int) -> Fraction:
 
 def _strata_counts(n: int) -> tuple[list[int], list[int]]:
     """(#W(n,r))_{r=0..n}, (#Y(n,r))_{r=0..n-1} by direct enumeration."""
-    nc = enumerate_partitions(n, PartitionClass.NONCROSSING)
-    w_counts = [sum(1 for p in nc if in_W(p, r)) for r in range(n + 1)]
-    y_counts = [w_counts[r] - w_counts[r + 1] for r in range(n)]
-    return w_counts, y_counts
+    at_level = [0] * (n + 1)
+    for _, level in _levels(n):
+        at_level[level] += 1
+    w_counts = list(accumulate(reversed(at_level)))[::-1]
+    return w_counts, at_level[:n]
 
 
 def recursion_det(n: int, N: int) -> Fraction:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncgram import cli
+from ncgram import cli, gram
 from ncgram.cli import main
 from ncgram.tutte import recursion_det
 
@@ -109,6 +109,28 @@ def test_gram_rank_needs_numeric_parameter(capsys):
 def test_gram_negative_points_rejected(capsys):
     code, _, _ = run(capsys, "gram", "--points", "-1", "--class", "nc", "--param", "4", "--det")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gram", "--points", "9", "--param", "4", "--det"),
+        ("gram", "--points", "9", "--param", "4", "--rank"),
+        ("gram", "--points", "8", "--class", "all", "--param", "2", "--rank"),
+        ("recursion", "--points", "9", "--param", "4", "--verify"),
+    ],
+)
+def test_over_budget_jobs_exit_before_the_build(capsys, monkeypatch, argv):
+    # 4862 (and Bell(8) = 4140) labels exceed the budget of 2000; the pair
+    # loop must never start, so any PairForest it made would fail the test.
+    def no_pair_loop(*args):
+        raise AssertionError("the Gram pair loop ran")
+
+    monkeypatch.setattr(gram, "PairForest", no_pair_loop)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +238,20 @@ def test_corrupted_trailing_cache_line_is_ignored(tmp_path, capsys):
     assert json.loads(out)["det"] == "48"
     assert "corrupted" in err
     assert "cache hit" in err
+
+
+def test_cached_non_integer_determinant_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"key": "gram:nc:4:4", "det": "oops"}\n')
+    args = ["gram", "--points", "4", "--param", "4", "--det", "--cache", str(cache)]
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["det"] == str(recursion_det(4, 4))
+    assert "corrupted" in err and "cache hit" not in err
+    lines = cache.read_text().splitlines()
+    assert len(lines) == 2 and json.loads(lines[1])["det"] == str(recursion_det(4, 4))
+    code, replay, err = run(capsys, *args)
+    assert code == 0 and replay == out and "cache hit" in err
 
 
 def test_cache_append_is_one_write_per_entry(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import ncgram.gram
 from ncgram.errors import BudgetError, ShapeError
 from ncgram.gram import DET_DIMENSION_BUDGET, ExactMatrix, build_gram, determinant, rank
 from ncgram.partitions import Partition, PartitionClass, enumerate_partitions
@@ -120,6 +121,18 @@ def test_determinant_rejects_non_square():
     labels = tuple(enumerate_partitions(2, NC))
     with pytest.raises(ShapeError):
         determinant(ExactMatrix(((1, 2),), labels[:1], labels))
+
+
+def test_build_refuses_over_budget_before_the_pair_loop(monkeypatch):
+    def no_pair_loop(*args):
+        raise AssertionError("the pair loop ran")
+
+    monkeypatch.setattr(ncgram.gram, "PairForest", no_pair_loop)
+    assert len(enumerate_partitions(9, NC)) > DET_DIMENSION_BUDGET
+    with pytest.raises(BudgetError):
+        build_gram(9, NC, 4)
+    with pytest.raises(BudgetError):
+        build_gram(9, NC)
 
 
 def test_determinant_budget():

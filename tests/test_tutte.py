@@ -4,6 +4,7 @@ determinant recursion."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from ncgram.tutte import (
     StructI,
     StructPair,
     StructZero,
+    _strata_counts,
     build_A,
     build_B,
     classify_structure,
@@ -30,6 +32,7 @@ from ncgram.tutte import (
     pair_graph,
     recursion_det,
     recursion_trace,
+    stratum_level,
     w_stratum,
     y_stratum,
 )
@@ -109,24 +112,106 @@ def oracle_entry(p: Partition, q: Partition, r: int, N: int) -> int:
     return N ** connectivity_oracle(p, q, 1)[0]
 
 
+def draw_partition(draw, n: int) -> Partition:
+    """A random (0, n) partition of any class, drawn as a restricted-growth string."""
+    rgs, top = [], 0
+    for _ in range(n):
+        v = draw(st.integers(min_value=0, max_value=top))
+        rgs.append(v)
+        top = max(top, v + 1)
+    return Partition(0, n, tuple(rgs))
+
+
 @st.composite
 def partition_pairs(draw, max_points: int = 8):
     """Two random (0, n) partitions, any class, with a level r < n."""
     n = draw(st.integers(min_value=1, max_value=max_points))
+    return draw_partition(draw, n), draw_partition(draw, n), draw(st.integers(0, n - 1))
 
-    def partition() -> Partition:
-        rgs, top = [], 0
-        for _ in range(n):
-            v = draw(st.integers(min_value=0, max_value=top))
-            rgs.append(v)
-            top = max(top, v + 1)
-        return Partition(0, n, tuple(rgs))
 
-    return partition(), partition(), draw(st.integers(min_value=0, max_value=n - 1))
+@st.composite
+def partitions(draw, max_points: int = 10):
+    """One random (0, n) partition, any class, the empty one included."""
+    return draw_partition(draw, draw(st.integers(min_value=0, max_value=max_points)))
+
+
+def oracle_in_W(p: Partition, r: int) -> bool:
+    """The stratum test read off the definition, one level at a time.
+
+    r = 2s: the s leftmost points are non-singletons and the s+1 leftmost
+    lie in pairwise different blocks. r = 2s+1: the s+1 leftmost points are
+    non-singletons in pairwise different blocks. r = 0 is no condition,
+    r = n is empty.
+    """
+    n = p.points
+    if r == 0:
+        return True
+    if r == n:
+        return False
+    rgs = p.rgs
+    sizes: dict[int, int] = {}
+    for b in rgs:
+        sizes[b] = sizes.get(b, 0) + 1
+    s = r // 2
+    front = rgs[: s + 1]
+    heavy = rgs[:s] if r % 2 == 0 else front
+    return len(set(front)) == len(front) and all(sizes[b] >= 2 for b in heavy)
+
+
+def assert_strata_match_oracle(p: Partition) -> None:
+    n = p.points
+    member = [oracle_in_W(p, r) for r in range(n + 1)]
+    assert stratum_level(p) == max(r for r in range(n + 1) if member[r])
+    for r in range(n + 1):
+        assert in_W(p, r) == member[r]
+    for r in range(n):
+        assert in_Y(p, r) == (member[r] and not member[r + 1])
+
+
+def catalan_triangle_w(n: int, r: int) -> int:
+    """|W(n,r)| = (r+2)/(n+1) · C(2n−1−r, n−1−r) for 0 ≤ r < n."""
+    numerator = (r + 2) * comb(2 * n - 1 - r, n - 1 - r)
+    assert numerator % (n + 1) == 0
+    return numerator // (n + 1)
 
 
 # ---------------------------------------------------------------------------
 # strata
+
+
+def test_levels_match_oracle_on_every_noncrossing_partition():
+    for n in range(9):
+        for p in enumerate_partitions(n, NC):
+            assert_strata_match_oracle(p)
+
+
+@given(partitions())
+def test_levels_match_oracle_on_random_partitions(p):
+    assert_strata_match_oracle(p)
+
+
+def test_strata_reject_out_of_range_levels():
+    with pytest.raises(ValueError):
+        in_Y(Partition.empty(), 0)
+    p = lower(3, [[1, 3], [2]])
+    for bad in (-1, 4):
+        with pytest.raises(ValueError):
+            in_W(p, bad)
+        with pytest.raises(ValueError):
+            w_stratum(3, bad)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError):
+            in_Y(p, bad)
+        with pytest.raises(ValueError):
+            y_stratum(3, bad)
+
+
+def test_strata_counts_follow_the_catalan_triangle():
+    for n in range(1, 10):
+        w_counts, y_counts = _strata_counts(n)
+        assert w_counts == [catalan_triangle_w(n, r) for r in range(n)] + [0]
+        below = [1] if n == 1 else [catalan_triangle_w(n - 1, max(r - 1, 0)) for r in range(n)]
+        assert y_counts == below
 
 
 def test_w_chain_is_decreasing():
@@ -241,7 +326,7 @@ def test_level_matrices_match_oracle_entry_for_entry():
 
 
 def test_level_matrix_lists_y_then_w():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for r in range(n):
             labels = tuple(y_stratum(n, r) + w_stratum(n, r + 1))
             assert build_A(n, r, 4).row_labels == labels
