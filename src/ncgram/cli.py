@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, ShapeError
-from .gram import build_gram, determinant, rank
+from .gram import _check_budget, build_gram, determinant, rank
 from .partitions import (
     Partition,
     PartitionClass,
@@ -196,6 +196,10 @@ def cmd_gram(cfg: JobConfig) -> int:
 def cmd_recursion(cfg: JobConfig) -> int:
     if cfg.N == "symbolic":
         return _usage("recursion requires a numeric --param")
+    if cfg.verify:
+        # the direct route needs one row per NC(n) partition; refuse before
+        # the recursion rather than after it
+        _check_budget(len(enumerate_partitions(cfg.n, PartitionClass.NONCROSSING)))
     value, trace = recursion_trace(cfg.n, cfg.N)
     result: dict = {
         "n": cfg.n,

@@ -103,7 +103,7 @@ def build_gram(
         raise ValueError("points must be >= 1")
     if N is not None and N < 1:
         raise ValueError("N must be positive")
-    parts = list(enumerate_partitions(points, cls))
+    parts = enumerate_partitions(points, cls)
     _check_budget(len(parts))
     # rl(q*, p) is the component count of the pair graph: p on top, q
     # below, every point i glued to i'. It is symmetric in p and q.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RotationUndefined, ShapeError
 
@@ -189,35 +189,51 @@ class Composition(NamedTuple):
 def enumerate_partitions(
     points: int, cls: PartitionClass = PartitionClass.ALL
 ) -> list[Partition]:
-    """All (0, points) partitions of the class, in RGS-lexicographic order."""
+    """All (0, points) partitions of the class, in RGS-lexicographic order.
+
+    One restricted-growth generator prunes while it builds, so no string
+    outside the class is ever made. Each position joins a block that is
+    still open, or opens a new one. The open blocks form a stack in
+    opening order, and the class decides which of them a position may join:
+
+    - ALL: any block, and every block stays open.
+    - NONCROSSING: any block on the stack; joining it closes every block
+      opened after it, since a later point in one of those would cross.
+    - NONCROSSING_PAIRS: only the top of the stack, which then closes; a
+      new block opens only while enough positions remain to close every
+      open block.
+
+    Block ids on the stack increase from bottom to top and a new block
+    gets a larger id than all of them, so trying the choices in that order
+    yields the RGS-lexicographic order of all Bell(points) strings, with
+    the strings outside the class left out. Matrix labels and cache keys
+    follow this order.
+    """
     if points < 0:
         raise ValueError("negative point count")
-    out = []
-    for rgs in _all_rgs(points):
-        p = Partition(0, points, rgs)
-        if cls is PartitionClass.NONCROSSING and not is_noncrossing(p):
+    out: list[Partition] = []
+    # Depth first over (prefix, blocks opened, open stack); each node's
+    # choices go on in descending order, so the smallest is taken next. A
+    # work list, not a recursive closure: such a closure refers to itself,
+    # and that cycle would hold `out` until the cycle collector ran.
+    todo: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((), 0, ())]
+    while todo:
+        prefix, blocks, stack = todo.pop()
+        i = len(prefix)
+        if i == points:
+            out.append(Partition(0, points, prefix))
             continue
-        if cls is PartitionClass.NONCROSSING_PAIRS and not (
-            is_noncrossing(p) and p.is_pair_partition()
-        ):
-            continue
-        out.append(p)
+        if cls is not PartitionClass.NONCROSSING_PAIRS or len(stack) < points - i - 1:
+            todo.append((prefix + (blocks,), blocks + 1, stack + (blocks,)))
+        if cls is PartitionClass.ALL:
+            joins = [(b, stack) for b in stack]
+        elif cls is PartitionClass.NONCROSSING:
+            joins = [(b, stack[: j + 1]) for j, b in enumerate(stack)]
+        else:
+            joins = [(stack[-1], stack[:-1])] if stack else []
+        for b, still_open in reversed(joins):
+            todo.append((prefix + (b,), blocks, still_open))
     return out
-
-
-def _all_rgs(n: int) -> Iterator[tuple[int, ...]]:
-    """Restricted-growth strings of length n, lexicographically ascending."""
-    a = [0] * n
-
-    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    yield from rec(0, -1)
 
 
 def is_noncrossing(p: Partition) -> bool:

@@ -133,6 +133,19 @@ def test_over_budget_jobs_exit_before_the_build(capsys, monkeypatch, argv):
     assert "budget" in err
 
 
+def test_over_budget_verify_exits_before_the_recursion(capsys, monkeypatch):
+    # NC(10) has 16796 labels, past the budget of 2000: the direct route
+    # cannot run, so the recursion must not run first either.
+    def no_recursion(*args):
+        raise AssertionError("the recursion ran")
+
+    monkeypatch.setattr(cli, "recursion_trace", no_recursion)
+    code, out, err = run(capsys, "recursion", "--points", "10", "--param", "4", "--verify")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
 # ---------------------------------------------------------------------------
 # recursion
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,10 @@ from ncgram.partitions import (
     rotate,
     tensor,
 )
+
+ALL = PartitionClass.ALL
+NC = PartitionClass.NONCROSSING
+NC2 = PartitionClass.NONCROSSING_PAIRS
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -51,6 +58,37 @@ def crossing_by_quadruples(p: Partition) -> bool:
         if rgs[a] == rgs[c] and rgs[b] == rgs[d] and rgs[a] != rgs[b]:
             return True
     return False
+
+
+def all_rgs(n: int) -> Iterator[tuple[int, ...]]:
+    """Restricted-growth strings of length n, lexicographically ascending."""
+    a = [0] * n
+
+    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(a)
+            return
+        for v in range(mx + 2):
+            a[i] = v
+            yield from rec(i + 1, max(mx, v))
+
+    yield from rec(0, -1)
+
+
+def oracle_enumerate(points: int, cls: PartitionClass) -> list[Partition]:
+    """Every Bell(points) string, filtered to the class: the enumeration the
+    pruning generator replaced, kept as its oracle."""
+    out = []
+    for rgs in all_rgs(points):
+        p = Partition(0, points, rgs)
+        if cls is NC and not is_noncrossing(p):
+            continue
+        if cls is NC2 and not (
+            is_noncrossing(p) and p.is_pair_partition()
+        ):
+            continue
+        out.append(p)
+    return out
 
 
 def partitions_of(k: int, l: int) -> list[Partition]:
@@ -131,6 +169,35 @@ def test_enumeration_counts_against_recurrences():
         got = enumerate_partitions(2 * n, PartitionClass.NONCROSSING_PAIRS)
         assert len(got) == catalan[n]
         assert all(p.is_pair_partition() for p in got)
+
+
+def test_enumeration_matches_the_filter_oracle():
+    # the same list, order included: matrix labels and cache keys depend on it
+    for n in range(11):
+        assert enumerate_partitions(n, NC) == oracle_enumerate(n, NC)
+        assert enumerate_partitions(n, NC2) == oracle_enumerate(n, NC2)
+    for n in range(9):
+        assert enumerate_partitions(n, ALL) == oracle_enumerate(n, ALL)
+
+
+def test_generated_noncrossing_partitions_have_no_crossing():
+    for n in range(9):
+        for cls in (NC, NC2):
+            for p in enumerate_partitions(n, cls):
+                assert not crossing_by_quadruples(p)
+
+
+def test_enumeration_result_is_freed_without_the_cycle_collector():
+    # a self-referencing helper closure would keep the whole list alive
+    # until a collection, and raise the peak memory of every caller
+    gc.disable()
+    try:
+        parts = enumerate_partitions(4, NC)
+        first = weakref.ref(parts[0])
+        del parts
+        assert first() is None
+    finally:
+        gc.enable()
 
 
 def test_enumeration_order_is_rgs_lex():
