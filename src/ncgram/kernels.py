@@ -12,6 +12,22 @@ big-integer work. A zero pivot would need a row swap, which breaks the
 symmetry: the kernel then restores the lower triangle from the upper one
 once and finishes on the general, row-swapping path.
 
+`det_exact` eliminates P·A·Pᵀ, where the permutation P sorts the
+diagonal: nonzero entries ascending by size (bit length, or degree in
+ℤ[X]), zero entries last, ties in input order. It is exact, since
+det(P·A·Pᵀ) = det(P)²·det(A) = det(A), and it keeps a symmetric matrix
+symmetric. By Sylvester's identity every entry after Bareiss step k is a
+(k+1)×(k+1) minor of the input, so small pivots first keep the numbers
+small while the trailing block is still large; on the 7-point Gram matrix,
+whose diagonal is N^(block count), this halves the determinant time. A
+zero pivot would force the general path, so zeros come last.
+
+`rank_exact` keeps the input order. Its kernel takes rectangular input,
+which has no diagonal to sort by. On square Gram matrices the same order gave no gain at 6
+points, N = 2, and a gain at 7 points, N = 3 (14.7 → 9.1 s on a 2-core
+Xeon), so ordering the rank kernel is a change of its own, measured on
+the rank jobs.
+
 gmpy2 is an optional accelerator: when it imports, plain-int matrices are
 wrapped in mpz, which makes the O(n³) big-int multiplications inside
 Bareiss several times faster. Inputs and outputs stay Python ints either
@@ -141,21 +157,57 @@ def rank_echelon(rows):
     return rank
 
 
-def _int_rows(rows) -> tuple[list[list], bool]:
-    """Copy rows; wrap plain-int matrices in mpz when gmpy2 is around."""
-    if _mpz is not None and rows and rows[0] and type(rows[0][0]) is int:
-        return [[_mpz(x) for x in row] for row in rows], True
-    return [list(row) for row in rows], False
+def _int_rows(rows, order=None) -> tuple[list[list], bool]:
+    """Copy rows, taking rows and columns in ``order`` when it is given;
+    wrap plain-int matrices in mpz when gmpy2 is around."""
+    wrap = _mpz is not None and rows and rows[0] and type(rows[0][0]) is int
+    if order is None:
+        order = range(len(rows[0])) if rows else ()
+        picked = rows
+    else:
+        picked = [rows[i] for i in order]
+    if wrap:
+        return [[_mpz(row[j]) for j in order] for row in picked], True
+    return [[row[j] for j in order] for row in picked], False
+
+
+def _size(x) -> int:
+    """Bit length of an integer, degree of a polynomial."""
+    bit_length = getattr(x, "bit_length", None)
+    return bit_length() if bit_length is not None else x.degree
+
+
+def _diagonal_order(rows) -> list[int]:
+    """Indices sorted by diagonal entry: nonzero ones ascending by size,
+    zero ones last, ties in input order."""
+    return sorted(
+        range(len(rows)),
+        key=lambda i: (0, _size(rows[i][i])) if rows[i][i] else (1, 0),
+    )
 
 
 def det_exact(rows):
-    """Exact determinant. Accepts any exact-ring entries; returns int for ints."""
-    work, wrapped = _int_rows(rows)
+    """Exact determinant. Accepts any exact-ring entries; returns int for ints.
+
+    Eliminates P·A·Pᵀ, where the permutation P sorts the diagonal:
+    nonzero entries ascending by size (bit length, or degree in ℤ[X]),
+    zero entries last, ties in input order. This is exact, since
+    det(P·A·Pᵀ) = det(P)²·det(A) = det(A), and P·A·Pᵀ is symmetric
+    whenever A is, so `det_bareiss` keeps its symmetric path. Small pivots
+    first keep the Bareiss intermediates, which are minors of the input,
+    small while the trailing block is still large. The reordered copy is
+    the only copy made; ``rows`` is left unchanged.
+    """
+    work, wrapped = _int_rows(rows, _diagonal_order(rows))
     d = det_bareiss(work)
     return int(d) if wrapped else d
 
 
 def rank_exact(rows) -> int:
-    """Exact rank over the fraction field of the entry ring."""
+    """Exact rank over the fraction field of the entry ring.
+
+    Eliminates in input order: rectangular input has no diagonal to sort
+    by, so the order of `det_exact` does not apply (see the module notes).
+    """
     work, _ = _int_rows(rows)
     return int(rank_echelon(work))

@@ -181,6 +181,23 @@ class Partition:
         return f"Partition({self.to_text()!r})"
 
 
+def _generated(points: int, rgs: tuple[int, ...]) -> Partition:
+    """A (0, points) partition from an RGS that is canonical by construction.
+
+    For generator output only: it skips the dataclass `__init__` and the
+    canonical-form check, which otherwise take most of the enumeration
+    time. The result equals, and hashes as, `Partition(0, points, rgs)`.
+    Fields are set one by one, as the dataclass `__init__` sets them:
+    touching `__dict__` instead would give each instance its own dict
+    where instances otherwise share the keys, about 150 bytes more each.
+    """
+    p = object.__new__(Partition)
+    object.__setattr__(p, "upper", 0)
+    object.__setattr__(p, "lower", points)
+    object.__setattr__(p, "rgs", rgs)
+    return p
+
+
 class Composition(NamedTuple):
     partition: Partition
     remaining_loops: int
@@ -221,7 +238,7 @@ def enumerate_partitions(
         prefix, blocks, stack = todo.pop()
         i = len(prefix)
         if i == points:
-            out.append(Partition(0, points, prefix))
+            out.append(_generated(points, prefix))
             continue
         if cls is not PartitionClass.NONCROSSING_PAIRS or len(stack) < points - i - 1:
             todo.append((prefix + (blocks,), blocks + 1, stack + (blocks,)))

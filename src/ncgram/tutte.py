@@ -532,48 +532,50 @@ def recursion_trace(n: int, N: int) -> tuple[Fraction, list[dict]]:
             "vanish below that (e.g. at N = 3), so levels would divide by zero"
         )
     z = Fraction(1, N)
-    counts: dict[int, tuple[list[int], list[int]]] = {}
-    memo: dict[tuple[int, int], Fraction] = {}
     trace: list[dict] = []
-
-    def level(m: int, r: int) -> Fraction:
-        if (m, r) in memo:
-            return memo[(m, r)]
-        if r == m - 1:
-            base = Fraction(N ** ((m + 1) // 2))
-            trace.append({"level_n": m, "r": r, "base_value": str(base)})
-            memo[(m, r)] = base
-            return base
-        if m not in counts:
-            counts[m] = _strata_counts(m)
-        w_counts, y_counts = counts[m]
-        den = beraha(r + 2).evaluate(z)
-        if den == 0:
-            raise ArithmeticError(
-                f"reversed Beraha value {r + 2} vanished at 1/{N}"
+    # Bottom up, one point count m at a time: level(m, r) needs level(m, r+1)
+    # and level(m-1, r-1), or level(m-1, 0) at r = 0. The trace lists the
+    # steps in the order of the top-down expansion, m ascending and r
+    # ascending within m, with the base case last. No recursive closure: it
+    # would refer to itself and hold every Fraction until the cycle
+    # collector ran.
+    below: list[Fraction] = []  # level(m-1, r) for r = 0..m-2
+    for m in range(1, n + 1):
+        steps: list[Fraction] = []  # level(m, r) / level(m, r+1)
+        if m > 1:
+            w_counts, y_counts = _strata_counts(m)
+        for r in range(m - 1):
+            den = beraha(r + 2).evaluate(z)
+            if den == 0:
+                raise ArithmeticError(
+                    f"reversed Beraha value {r + 2} vanished at 1/{N}"
+                )
+            factor = beraha(r + 3).evaluate(z) / den
+            exponent = w_counts[r + 1]
+            if r % 2 == 1:
+                b_case = "odd"
+                b_det = below[r - 1]
+            elif r > 0:
+                b_case = "even"
+                b_det = N ** y_counts[r] * below[r - 1]
+            else:
+                b_case = "zero"
+                b_det = N ** y_counts[0] * below[0]
+            trace.append(
+                {
+                    "level_n": m,
+                    "r": r,
+                    "factor_beta": str(factor),
+                    "exponent": exponent,
+                    "B_case": b_case,
+                }
             )
-        factor = beraha(r + 3).evaluate(z) / den
-        exponent = w_counts[r + 1]
-        if r % 2 == 1:
-            b_case = "odd"
-            b_det = level(m - 1, r - 1)
-        elif r > 0:
-            b_case = "even"
-            b_det = N ** y_counts[r] * level(m - 1, r - 1)
-        else:
-            b_case = "zero"
-            b_det = N ** y_counts[0] * level(m - 1, 0)
-        trace.append(
-            {
-                "level_n": m,
-                "r": r,
-                "factor_beta": str(factor),
-                "exponent": exponent,
-                "B_case": b_case,
-            }
-        )
-        value = factor**exponent * b_det * level(m, r + 1)
-        memo[(m, r)] = value
-        return value
-
-    return level(n, 0), trace
+            steps.append(factor**exponent * b_det)
+        value = Fraction(N ** ((m + 1) // 2))
+        trace.append({"level_n": m, "r": m - 1, "base_value": str(value)})
+        below = [value]
+        for step in reversed(steps):
+            value = step * value
+            below.append(value)
+        below.reverse()
+    return below[0], trace

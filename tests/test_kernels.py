@@ -161,6 +161,52 @@ def test_backend_dispatch_agrees_with_pure_python():
         assert kernels.rank_exact([row[:] for row in m]) == rank_echelon([row[:] for row in m])
 
 
+@st.composite
+def square_matrices(draw, max_size=7):
+    """Symmetric or not, zero diagonals allowed; diagonal sizes spread from
+    one to sixty bits, so that the diagonal order permutes the matrix."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    entries = st.one_of(
+        st.sampled_from((-1, 0, 1, 2)), st.integers(min_value=-(2**60), max_value=2**60)
+    )
+    a = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                a[i][j] = a[j][i]
+    return a
+
+
+@settings(max_examples=300)
+@given(square_matrices())
+def test_ordered_determinant_matches_the_unordered_kernel(m):
+    before = [row[:] for row in m]
+    got = kernels.det_exact(m)
+    assert m == before  # the input is not touched
+    assert got == det_bareiss([row[:] for row in m]) == det_by_fractions(m)
+
+
+def test_ordered_gram_determinant_matches_the_unordered_kernel():
+    for cls in PartitionClass:
+        for n in range(1, 7):
+            for N in (4, 5):
+                m = build_gram(n, cls, N)
+                assert determinant(m) == det_bareiss([list(row) for row in m.entries])
+        for n in range(1, 5):
+            m = build_gram(n, cls, None)
+            assert determinant(m) == det_bareiss([list(row) for row in m.entries])
+
+
+def test_ordered_determinant_leads_with_small_nonzero_pivots():
+    # ascending bit length, ties (5 and 4, three bits each) in input order,
+    # zeros last
+    m = [[0, 1, 1, 1], [1, 2**40, 1, 1], [1, 1, 5, 1], [1, 1, 1, 4]]
+    assert kernels._diagonal_order(m) == [2, 3, 1, 0]
+    poly = build_gram(3, PartitionClass.NONCROSSING, None).entries
+    degrees = [poly[i][i].degree for i in kernels._diagonal_order(poly)]
+    assert degrees == sorted(degrees)
+
+
 def test_reported_backend_is_consistent():
     try:
         import gmpy2  # noqa: F401

@@ -125,6 +125,8 @@ def test_canonical_rgs_enforced():
         Partition(0, 3, (0, 2, 1))
     with pytest.raises(ValueError):
         Partition(1, 1, (0,))
+    with pytest.raises(ValueError):
+        Partition(0, 4, (0, 1, 3, 2))
 
 
 def test_from_blocks_roundtrip():
@@ -185,6 +187,17 @@ def test_generated_noncrossing_partitions_have_no_crossing():
         for cls in (NC, NC2):
             for p in enumerate_partitions(n, cls):
                 assert not crossing_by_quadruples(p)
+
+
+def test_generated_partitions_equal_checked_ones():
+    # the enumerator skips the constructor's check; its output must still
+    # be the partition the public constructor builds, hash included
+    for n in range(10):
+        for cls in (ALL, NC, NC2):
+            for p in enumerate_partitions(n, cls):
+                checked = Partition(0, n, p.rgs)
+                assert p == checked and hash(p) == hash(checked)
+                assert (p.upper, p.lower, p.rgs) == (0, n, checked.rgs)
 
 
 def test_enumeration_result_is_freed_without_the_cycle_collector():

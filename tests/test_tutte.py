@@ -3,6 +3,7 @@ determinant recursion."""
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from math import comb
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from ncgram.gram import build_gram, determinant
 from ncgram.partitions import Partition, PartitionClass, compose, enumerate_partitions, involution
+from ncgram.polynomials import beraha
 from ncgram.tutte import (
     F_r_value,
     StructI,
@@ -564,6 +566,62 @@ def test_recursion_rejects_small_parameter():
         recursion_det(3, 3)
     with pytest.raises(ValueError):
         recursion_det(0, 4)
+
+
+def recursion_trace_top_down(n: int, N: int) -> tuple[Fraction, list[dict]]:
+    """The recursion as first written, memoised top-down through a
+    recursive closure: the oracle for the bottom-up `recursion_trace`."""
+    z = Fraction(1, N)
+    memo: dict[tuple[int, int], Fraction] = {}
+    trace: list[dict] = []
+
+    def level(m: int, r: int) -> Fraction:
+        if (m, r) in memo:
+            return memo[(m, r)]
+        if r == m - 1:
+            base = Fraction(N ** ((m + 1) // 2))
+            trace.append({"level_n": m, "r": r, "base_value": str(base)})
+            memo[(m, r)] = base
+            return base
+        w_counts, y_counts = _strata_counts(m)
+        factor = beraha(r + 3).evaluate(z) / beraha(r + 2).evaluate(z)
+        if r % 2 == 1:
+            b_case, b_det = "odd", level(m - 1, r - 1)
+        elif r > 0:
+            b_case, b_det = "even", N ** y_counts[r] * level(m - 1, r - 1)
+        else:
+            b_case, b_det = "zero", N ** y_counts[0] * level(m - 1, 0)
+        trace.append(
+            {
+                "level_n": m,
+                "r": r,
+                "factor_beta": str(factor),
+                "exponent": w_counts[r + 1],
+                "B_case": b_case,
+            }
+        )
+        memo[(m, r)] = value = factor ** w_counts[r + 1] * b_det * level(m, r + 1)
+        return value
+
+    return level(n, 0), trace
+
+
+def test_recursion_trace_matches_the_top_down_oracle():
+    # value and step list, order included: the CLI prints both
+    for n in range(1, 11):
+        for N in (4, 5):
+            assert recursion_trace(n, N) == recursion_trace_top_down(n, N)
+
+
+def test_recursion_trace_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        result = recursion_trace(10, 4)
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_recursion_trace_shape():
