@@ -62,7 +62,6 @@ from .formulas import (
     difrancesco_check,
     difrancesco_det,
     difrancesco_exponents,
-    kosmolinsky_check,
 )
 
 __version__ = "0.1.0"
@@ -106,7 +105,6 @@ __all__ = [
     "involution",
     "is_noncrossing",
     "kernel",
-    "kosmolinsky_check",
     "matrix_of",
     "rank",
     "recursion_det",

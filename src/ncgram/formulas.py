@@ -1,14 +1,8 @@
 """Closed-form determinant formulas for the pair-partition Gram matrix.
 
-Two independent published formulas for det of the Gram matrix over
-noncrossing pair partitions on 2n points:
-
-* a direct Chebyshev product (hard cross-check: must equal the Bareiss
-  determinant exactly), and
-* a recursion whose transcription mixes argument conventions that do not
-  obviously typecheck; it is evaluated verbatim and in one rescaled-argument
-  variant, and the outcomes are only *reported* against the direct
-  determinant, never asserted.
+The determinant of the Gram matrix over noncrossing pair partitions on 2n
+points is a direct Chebyshev product (hard cross-check: it must equal the
+Bareiss determinant exactly).
 """
 
 from __future__ import annotations
@@ -78,80 +72,3 @@ def difrancesco_check(n: int, N: int) -> dict:
         "formula": str(formula),
         "match": formula == direct,
     }
-
-
-def kosmolinsky_b(n: int, k: int) -> Fraction:
-    """b(n,k) = (k/n)·C(2n−k−1, n−1)."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    return Fraction(k, n) * _binom(2 * n - k - 1, n - 1)
-
-
-def _direct_pair_det(points: int, N: int, cache: dict[int, Fraction]) -> Fraction:
-    """det of the pair-partition Gram matrix on `points` points (1 when empty)."""
-    if points not in cache:
-        if points == 0:
-            cache[points] = Fraction(1)
-        else:
-            cache[points] = Fraction(
-                determinant(build_gram(points, PartitionClass.NONCROSSING_PAIRS, N))
-            )
-    return cache[points]
-
-
-def _kosmolinsky_product(n: int, N: int, rescale: bool, cache: dict[int, Fraction]) -> Fraction | None:
-    """Evaluate the transcribed recursion for det of the 2n-point matrix.
-
-    `rescale=False` reads the inner determinants verbatim as matrices on
-    n−i points; `rescale=True` reads them on 2(n−i) points. Returns None
-    when an exponent fails to be an integer (the formula then does not
-    evaluate at all under that reading).
-    """
-    value = Fraction(1)
-    for i in range(1, (n + 1) // 2 + 1):
-        exponent = (-1) ** i * _binom(n - i + 1, i)
-        inner_points = 2 * (n - i) if rescale else n - i
-        base = _direct_pair_det(inner_points, N, cache)
-        if base == 0:
-            return None
-        value *= base**exponent
-    for i in range(1, (n - 1) // 2 + 1):
-        exponent = kosmolinsky_b(n - i, n - 2 * i)
-        if exponent.denominator != 1:
-            return None
-        quotient = Fraction(chebyshev_dilated(n - i).evaluate(N)) / chebyshev_dilated(
-            i
-        ).evaluate(N)
-        value *= quotient ** int(exponent)
-    return value
-
-
-def kosmolinsky_check(n_max: int, N: int) -> list[dict]:
-    """Diagnostic comparison of the transcribed recursion to direct determinants.
-
-    One entry per n with the direct value as ground truth; never raises on
-    mismatch — the transcription's index conventions are unclear, so this
-    records rather than asserts.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    if N < 4:
-        raise ValueError("N must be at least 4")
-    cache: dict[int, Fraction] = {}
-    report = []
-    for n in range(1, n_max + 1):
-        direct = _direct_pair_det(2 * n, N, cache)
-        verbatim = _kosmolinsky_product(n, N, rescale=False, cache=cache)
-        variant = _kosmolinsky_product(n, N, rescale=True, cache=cache)
-        report.append(
-            {
-                "n": n,
-                "N": N,
-                "direct": str(direct),
-                "verbatim": None if verbatim is None else str(verbatim),
-                "variant": None if variant is None else str(variant),
-                "match_verbatim": verbatim == direct,
-                "match_variant": variant == direct,
-            }
-        )
-    return report

@@ -3,14 +3,22 @@
 The matrix indexed by a partition class has entry (p, q) = N^{rl(q*, p)},
 where rl is the loop count of the composition q* ∘ p. Entries are either
 plain integers (N given) or monomials in an IntPolynomial variable standing
-for N (symbolic mode). All elimination is fraction-free; nothing here ever
-touches floating point.
+for N (symbolic mode).
+
+Every elimination is the one fraction-free integer kernel in `kernels`,
+so a symbolic determinant is found by evaluation and interpolation: the
+matrix is evaluated at the integers 1, …, D + 1, where D bounds the
+determinant's degree, each integer determinant is eliminated exactly, and
+Newton interpolation recovers the polynomial, by exact integer division
+that fails unless the result lies in ℤ[X]. D is the Leibniz bound
+Σ_i max_j deg a_ij (every term of the Leibniz expansion takes one entry
+from each row), so D + 1 values pin the polynomial down for any matrix.
+Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import kernels
 from .errors import BudgetError, ShapeError
@@ -27,10 +35,6 @@ from .polynomials import IntPolynomial
 #: longer a "just wait a bit" proposition. build_gram refuses such a matrix
 #: before computing any entry, since neither determinant nor rank takes it.
 DET_DIMENSION_BUDGET = 2000
-
-#: Matrix size up to which the polynomial determinant runs directly over
-#: ℤ[X]; larger symbolic matrices go through evaluation–interpolation.
-POLY_DIRECT_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -135,11 +139,9 @@ def determinant(m: ExactMatrix) -> int | IntPolynomial:
     _check_budget(m.nrows)
     if m.nrows == 0:
         return 1
-    if not m.is_symbolic:
-        return kernels.det_exact(m.entries)
-    if m.nrows <= POLY_DIRECT_LIMIT:
-        return kernels.det_exact(m.entries)
-    return _det_by_interpolation(m)
+    if m.is_symbolic:
+        return _det_by_interpolation(m)
+    return kernels.det_exact(m.entries)
 
 
 def rank(m: ExactMatrix) -> int:
@@ -160,36 +162,37 @@ def _check_budget(size: int) -> None:
 def _det_by_interpolation(m: ExactMatrix) -> IntPolynomial:
     """Symbolic determinant by integer evaluation + exact interpolation.
 
-    The determinant degree is at most size · max entry degree; evaluating
-    at that many + 1 points pins it down. Coefficient growth inside a
-    polynomial Bareiss would dwarf this.
+    The determinant degree is at most Σ_i max_j deg a_ij (the Leibniz
+    bound); evaluating at that many + 1 points pins it down.
     """
-    size = m.nrows
-    maxdeg = max(max(e.degree for e in row) for row in m.entries)
-    bound = size * max(maxdeg, 0)
+    bound = sum(max(max(e.degree for e in row), 0) for row in m.entries)
     xs = list(range(1, bound + 2))
-    ys = [
-        kernels.det_exact([[e.evaluate(t) for e in row] for row in m.entries])
-        for t in xs
-    ]
+    ys = [kernels.det_exact(m.evaluate(t).entries) for t in xs]
     return _interpolate_integer_poly(xs, ys)
 
 
 def _interpolate_integer_poly(xs: list[int], ys: list[int]) -> IntPolynomial:
-    """Newton divided-difference interpolation, checked to land in ℤ[X]."""
+    """Newton divided-difference interpolation, checked to land in ℤ[X].
+
+    At integer nodes every divided difference of a polynomial over ℤ is an
+    integer (those of X^m are complete homogeneous symmetric polynomials
+    in the nodes), so the table is built by exact integer division. An
+    inexact division means the interpolant is not in ℤ[X]; when none
+    occurs, the integer Newton form expands to a polynomial over ℤ.
+    """
     count = len(xs)
-    coef = [Fraction(y) for y in ys]
+    coef = list(ys)
     for j in range(1, count):
         for i in range(count - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+            coef[i], inexact = divmod(coef[i] - coef[i - 1], xs[i] - xs[i - j])
+            if inexact:
+                raise ArithmeticError("interpolation left ℤ[X]")
     poly = [coef[-1]]
     for k in range(count - 2, -1, -1):
-        new = [Fraction(0)] * (len(poly) + 1)
+        new = [0] * (len(poly) + 1)
         for i, c in enumerate(poly):
             new[i + 1] += c
             new[i] -= c * xs[k]
         new[0] += coef[k]
         poly = new
-    if any(c.denominator != 1 for c in poly):
-        raise ArithmeticError("interpolation left ℤ[X]")
-    return IntPolynomial(int(c) for c in poly)
+    return IntPolynomial(poly)

@@ -128,8 +128,9 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     # Fraction-free elimination divides by a previous pivot, which is exact
-    # over any integral domain; aliasing // to exact division lets the same
-    # kernel run over ℤ and ℤ[X].
+    # over any integral domain. The package eliminates over ℤ only; this
+    # alias keeps the test suite's reference Bareiss kernel running over
+    # ℤ[X], as an oracle for symbolic determinants found by interpolation.
     __floordiv__ = divexact
 
     def evaluate(self, x):

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from ncgram.formulas import (
     difrancesco_check,
     difrancesco_det,
     difrancesco_exponents,
-    kosmolinsky_b,
-    kosmolinsky_check,
 )
 from ncgram.gram import build_gram, determinant
 from ncgram.partitions import PartitionClass
@@ -58,24 +54,3 @@ def test_input_validation():
         difrancesco_det(0, 4)
     with pytest.raises(ValueError):
         difrancesco_det(2, 1)
-
-
-def test_b_coefficients():
-    assert kosmolinsky_b(2, 1) == 1
-    assert kosmolinsky_b(3, 1) == 2
-    for n in range(1, 8):
-        assert kosmolinsky_b(n, n) == 1
-    with pytest.raises(ValueError):
-        kosmolinsky_b(2, 3)
-
-
-def test_transcribed_recursion_is_reported_not_asserted():
-    reports = kosmolinsky_check(3, 4)
-    assert [r["n"] for r in reports] == [1, 2, 3]
-    for r in reports:
-        assert set(r) >= {"n", "N", "direct", "verbatim", "variant"}
-        assert isinstance(r["match_verbatim"], bool)
-        assert isinstance(r["match_variant"], bool)
-        # ground truth is always present and exact
-        direct = Fraction(r["direct"])
-        assert direct == determinant(build_gram(2 * r["n"], NC2, 4))

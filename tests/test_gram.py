@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ncgram.gram
 from ncgram.errors import BudgetError, ShapeError
@@ -10,6 +12,8 @@ from ncgram.gram import DET_DIMENSION_BUDGET, ExactMatrix, build_gram, determina
 from ncgram.partitions import Partition, PartitionClass, enumerate_partitions
 from ncgram.polynomials import IntPolynomial
 from ncgram.tensor_model import inner_product, vector_of
+from ncgram.tutte import recursion_det
+from test_kernels import det_bareiss
 
 NC = PartitionClass.NONCROSSING
 ALL = PartitionClass.ALL
@@ -92,13 +96,55 @@ def test_symbolic_determinant_evaluates_to_integer_determinant():
             assert poly_det.evaluate(v) == determinant(build_gram(n, NC, v))
 
 
-def test_interpolation_route_matches_direct_polynomial_route():
-    # both symbolic strategies must produce the same polynomial
-    from ncgram.gram import _det_by_interpolation
+def symbolic_grams(max_points):
+    """Every nonempty symbolic Gram matrix on at most max_points points."""
+    for cls in PartitionClass:
+        for n in range(1, max_points + 1):
+            m = build_gram(n, cls, None)
+            if m.nrows:
+                yield m
 
-    for n in range(1, 5):
-        m = build_gram(n, NC, None)
-        assert _det_by_interpolation(m) == determinant(m)
+
+def test_interpolation_route_matches_direct_polynomial_route():
+    # the reference Bareiss kernel still runs over ℤ[X]: an oracle for the
+    # interpolated polynomial
+    for m in symbolic_grams(4):
+        assert determinant(m) == det_bareiss([list(row) for row in m.entries])
+
+
+def test_symbolic_determinant_is_monic_of_degree_total_blocks():
+    # the diagonal product N^{Σ b(p)} is the one Leibniz term of top degree
+    for m in symbolic_grams(5):
+        d = determinant(m)
+        assert d.degree == sum(p.block_count for p in m.row_labels)
+        assert d.coeffs[-1] == 1
+
+
+def test_symbolic_determinant_holds_off_the_interpolation_nodes():
+    # the nodes are 1, ..., D + 1; negative N and D + 2 lie outside them
+    for m in symbolic_grams(4):
+        d = determinant(m)
+        top = sum(max(e.degree for e in row) for row in m.entries)
+        for N in (-2, -1, top + 2):
+            assert d.evaluate(N) == determinant(m.evaluate(N))
+
+
+def test_symbolic_five_point_determinant_matches_the_recursion():
+    d = determinant(build_gram(5, NC, None))
+    for N in (4, 5):
+        assert d.evaluate(N) == recursion_det(5, N)
+
+
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
+    st.lists(st.integers(min_value=-20, max_value=20), min_size=8, max_size=12, unique=True),
+)
+def test_interpolation_recovers_integer_polynomials(coeffs, xs):
+    # any distinct integer nodes, in any order, at least degree + 1 of them
+    from ncgram.gram import _interpolate_integer_poly
+
+    p = IntPolynomial(coeffs)
+    assert _interpolate_integer_poly(xs, [p.evaluate(x) for x in xs]) == p
 
 
 def test_interpolation_outside_integer_polynomials_raises():

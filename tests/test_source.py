@@ -20,3 +20,11 @@ def test_package_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry only fails on `from ncgram import *`
+    import ncgram
+
+    missing = [name for name in ncgram.__all__ if not hasattr(ncgram, name)]
+    assert missing == []
