@@ -144,19 +144,6 @@ class Partition:
     def block_count(self) -> int:
         return len(set(self.rgs))
 
-    def _label(self, pos: int) -> PointLabel:
-        if pos < self.upper:
-            return PointLabel("upper", pos + 1)
-        return PointLabel("lower", pos - self.upper + 1)
-
-    @property
-    def blocks(self) -> tuple[tuple[PointLabel, ...], ...]:
-        """Blocks in canonical order (by minimal point), points sorted."""
-        groups: list[list[PointLabel]] = [[] for _ in range(self.block_count)]
-        for pos, b in enumerate(self.rgs):
-            groups[b].append(self._label(pos))
-        return tuple(tuple(g) for g in groups)
-
     def lower_blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks of a (0, n) partition as 1-based point tuples."""
         if self.upper:

@@ -1,8 +1,8 @@
 """Exact univariate integer polynomials and the Beraha/Chebyshev families.
 
 Everything here is exact: coefficients are Python ints, evaluations at
-rationals return `fractions.Fraction` (re-exported as BigRational). No
-floating point is used anywhere in the package.
+rationals return `fractions.Fraction`. No floating point is used anywhere
+in the package.
 
 The square-root relation between the two families is mechanized by the
 substitution N = x², which turns it into a genuine polynomial identity
@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-BigRational = Fraction
 
 
 @dataclass(frozen=True)

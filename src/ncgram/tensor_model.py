@@ -2,11 +2,13 @@
 
 A partition p on (k, l) points acts on tensor legs: the matrix entry at
 (lower multi-index j, upper multi-index i) is 1 when (i, j) labels every
-block of p constantly, else 0. This module realizes those maps as literal
-dicts/lists of integers so the structural laws (tensor, involution,
-composition with loop scaling) and the basis expansion can be verified by
-brute force at small N. It is an oracle, not a production path: sizes are
-capped hard at N^legs ≤ 10^6.
+block of p constantly, else 0. So the nonzero entries are the N^{b(p)}
+block-constant labellings, one value in [N] per block, and every vector
+and matrix here is read off them. This module realizes those maps as
+literal dicts/lists of integers so the structural laws (tensor,
+involution, composition with loop scaling) and the basis expansion can be
+verified by brute force at small N. It is an oracle, not a production
+path: sizes are capped hard at N^legs ≤ 10^6.
 
 Multi-indices are 1-based tuples over [N] = {1, …, N}, leftmost leg most
 significant in any flattened enumeration.
@@ -17,17 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 from .errors import BudgetError, ShapeError
 from .partitions import (
     Corner,
     Partition,
     PartitionClass,
-    PointLabel,
     compose,
     enumerate_partitions,
     involution,
-    kernel,
     refines,
     rotate,
     tensor,
@@ -53,16 +54,15 @@ class DenseTensor:
             )
 
 
-def _block_index_lists(p: Partition) -> list[list[int]]:
-    """Blocks of p as positions into the concatenated tuple i + j."""
-    k = p.upper
-    out: list[list[int]] = []
-    for block in p.blocks:
-        positions = []
-        for lab in block:
-            positions.append(lab.index - 1 if lab.row == "upper" else k + lab.index - 1)
-        out.append(positions)
-    return out
+def _labellings(p: Partition, N: int) -> Iterator[tuple[int, ...]]:
+    """Every labelling of the points of p over [N] that is constant on blocks.
+
+    Each of the N^{b(p)} ways to give each block a value, spread over the
+    points by the RGS; the upper row comes first, as in `i + j`.
+    """
+    rgs = p.rgs
+    for values in product(range(1, N + 1), repeat=p.block_count):
+        yield tuple(values[b] for b in rgs)
 
 
 def delta_p(p: Partition, i: tuple[int, ...], j: tuple[int, ...]) -> int:
@@ -74,19 +74,15 @@ def delta_p(p: Partition, i: tuple[int, ...], j: tuple[int, ...]) -> int:
     labels = i + j
     if any(v < 1 for v in labels):
         raise ValueError("labels must be positive integers")
-    for positions in _block_index_lists(p):
-        first = labels[positions[0]]
-        for pos in positions[1:]:
-            if labels[pos] != first:
-                return 0
-    return 1
+    first: dict[int, int] = {}
+    return int(all(first.setdefault(b, v) == v for b, v in zip(p.rgs, labels)))
 
 
 def vector_of(p: Partition, N: int) -> DenseTensor:
     """The vector Σ_i [p ⪯ ker(i)] e_i for p on (0, n) points.
 
-    Built by assigning one of N values to each block, giving exactly
-    N^{b(p)} nonzero entries.
+    Its support is the block-constant labellings: exactly N^{b(p)}
+    nonzero entries.
     """
     if p.upper != 0:
         raise ShapeError("vector form needs a partition with no upper points")
@@ -94,14 +90,7 @@ def vector_of(p: Partition, N: int) -> DenseTensor:
         raise ValueError("N must be positive")
     if N**p.lower > DENSE_BUDGET:
         raise BudgetError(f"{N}^{p.lower} exceeds dense budget {DENSE_BUDGET}")
-    blocks = _block_index_lists(p)
-    entries: dict[tuple[int, ...], int] = {}
-    index = [0] * p.lower
-    for values in product(range(1, N + 1), repeat=len(blocks)):
-        for positions, v in zip(blocks, values):
-            for pos in positions:
-                index[pos] = v
-        entries[tuple(index)] = 1
+    entries = dict.fromkeys(_labellings(p, N), 1)
     return DenseTensor(dimension_per_leg=N, legs=p.lower, entries=entries)
 
 
@@ -117,13 +106,24 @@ def matrix_of(p: Partition, N: int) -> list[list[int]]:
     """Dense matrix of the map of p: rows = lower indices, cols = upper.
 
     Row/column enumeration order is row-major over [N]^legs with the
-    leftmost leg most significant.
+    leftmost leg most significant. Zeros everywhere but at the N^{b(p)}
+    block-constant labellings.
     """
     if N**p.upper > DENSE_BUDGET or N**p.lower > DENSE_BUDGET:
         raise BudgetError("matrix exceeds dense budget")
-    uppers = list(product(range(1, N + 1), repeat=p.upper))
-    lowers = list(product(range(1, N + 1), repeat=p.lower))
-    return [[delta_p(p, i, j) for i in uppers] for j in lowers]
+    k = p.upper
+    out = [[0] * N**k for _ in range(N**p.lower)]
+    for labels in _labellings(p, N):
+        out[_flat(labels[k:], N)][_flat(labels[:k], N)] = 1
+    return out
+
+
+def _flat(index: tuple[int, ...], N: int) -> int:
+    """Row-major position of a multi-index over [N], leftmost leg most significant."""
+    pos = 0
+    for v in index:
+        pos = pos * N + v - 1
+    return pos
 
 
 def _kron(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

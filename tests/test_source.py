@@ -28,3 +28,32 @@ def test_every_exported_name_resolves():
 
     missing = [name for name in ncgram.__all__ if not hasattr(ncgram, name)]
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import binds in one module that nothing else in it mentions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        # a name listed in __all__ is re-exported, so it counts as used
+        for node in tree.body:
+            if (
+                isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            ):
+                used |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+
+
+def test_package_source_has_no_unused_imports():
+    files = sorted(SOURCE.glob("*.py"))
+    assert files
+    assert [entry for path in files for entry in _unused_imports(path)] == []

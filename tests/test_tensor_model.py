@@ -7,7 +7,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ncgram import tensor_model
 from ncgram.errors import BudgetError, ShapeError
 from ncgram.partitions import (
     Corner,
@@ -16,6 +19,7 @@ from ncgram.partitions import (
     compose,
     enumerate_partitions,
     involution,
+    kernel,
     rotate,
     tensor,
 )
@@ -31,6 +35,54 @@ from ncgram.tensor_model import (
 
 NC = PartitionClass.NONCROSSING
 ALL = PartitionClass.ALL
+
+
+# ---------------------------------------------------------------------------
+# the block-list δ that the labelling generator replaced, kept as an oracle
+
+
+def oracle_delta(p: Partition, i: tuple[int, ...], j: tuple[int, ...]) -> int:
+    """1 iff every block's positions in i + j carry one label."""
+    labels = i + j
+    blocks: list[list[int]] = [[] for _ in range(p.block_count)]
+    for pos, b in enumerate(p.rgs):
+        blocks[b].append(pos)
+    for positions in blocks:
+        first = labels[positions[0]]
+        for pos in positions[1:]:
+            if labels[pos] != first:
+                return 0
+    return 1
+
+
+def test_delta_matrices_and_vectors_match_oracle():
+    # every partition with k, l ≤ 3 at N = 1, 2, 3: at most 3^6 entries each
+    for p in tensor_model._partitions_up_to(3):
+        for N in (1, 2, 3):
+            uppers = list(product(range(1, N + 1), repeat=p.upper))
+            lowers = list(product(range(1, N + 1), repeat=p.lower))
+            want = [[oracle_delta(p, i, j) for i in uppers] for j in lowers]
+            assert [[delta_p(p, i, j) for i in uppers] for j in lowers] == want, (p, N)
+            assert matrix_of(p, N) == want, (p, N)
+            if p.upper == 0:
+                entries = vector_of(p, N).entries
+                assert entries == {j: 1 for j, row in zip(lowers, want) if row[0]}, (p, N)
+
+
+@st.composite
+def labelled_partitions(draw):
+    """A random (k, l) partition with k + l ≤ 8 and a labelling over [3]."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=7), max_size=8))
+    k = draw(st.integers(min_value=0, max_value=len(ids)))
+    labels = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=len(ids), max_size=len(ids)))
+    p = Partition(k, len(ids) - k, kernel(ids).rgs)
+    return p, tuple(labels[:k]), tuple(labels[k:])
+
+
+@given(labelled_partitions())
+def test_delta_matches_oracle_random(case):
+    p, i, j = case
+    assert delta_p(p, i, j) == oracle_delta(p, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +219,37 @@ def test_functor_laws_exhaustive_small():
         assert all(r["status"] == "pass" for r in reports)
         assert [r["law"] for r in reports] == ["tensor", "involution", "composition"]
         assert all(r["cases"] > 0 for r in reports)
+
+
+def _swapped_tensor(p, q):
+    return tensor(q, p)
+
+
+def _identity_involution(p):
+    return p
+
+
+def _compose_with_extra_loop(t, s):
+    composed, loops = compose(t, s)
+    return composed, loops + 1
+
+
+@pytest.mark.parametrize(
+    "law, name, broken",
+    [
+        ("tensor", "tensor", _swapped_tensor),
+        ("involution", "involution", _identity_involution),
+        ("composition", "compose", _compose_with_extra_loop),
+    ],
+    ids=["tensor", "involution", "composition"],
+)
+def test_functor_laws_report_a_broken_operation(monkeypatch, law, name, broken):
+    # the checker must be able to fail: break one diagram operation at a time
+    monkeypatch.setattr(tensor_model, name, broken)
+    reports = {r["law"]: r for r in check_functor_laws(2, 1)}
+    assert reports[law]["status"] == "fail"
+    assert reports[law]["counterexample"]
+    assert [r["status"] for r in reports.values() if r["law"] != law] == ["pass", "pass"]
 
 
 def test_transpose_law_specific():
