@@ -24,6 +24,7 @@ from .partitions import (
     involution,
     is_noncrossing,
     kernel,
+    mirror,
     refines,
     rotate,
     tensor,
@@ -106,6 +107,7 @@ __all__ = [
     "is_noncrossing",
     "kernel",
     "matrix_of",
+    "mirror",
     "rank",
     "recursion_det",
     "recursion_trace",

@@ -14,6 +14,33 @@ that fails unless the result lies in ℤ[X]. D is the Leibniz bound
 Σ_i max_j deg a_ij (every term of the Leibniz expansion takes one entry
 from each row), so D + 1 values pin the polynomial down for any matrix.
 Nothing here ever touches floating point.
+
+Every integer matrix is eliminated in two blocks split along the mirror
+σ of its labels (`partitions.mirror`, each row reversed). A loop count
+does not change when both partitions are relabelled alike, so a Gram
+matrix G satisfies G[σi][σj] = G[i][j]. Let T₊ hold the orbit-indicator
+columns of σ (e_i for a fixed point, e_i + e_σi for a 2-orbit) and T₋ the
+columns e_i − e_σi, one per 2-orbit, k of them. T₊ lies in the +1 and T₋
+in the −1 eigenspace of the permutation P of σ, and PᵀGP = G, so
+uᵀGv = (Pu)ᵀG(Pv) = −uᵀGv for u in the one and v in the other: the
+cross blocks vanish and
+
+    Tᵀ·G·T = diag(M₊, 2·M₋),   M₊ = T₊ᵀ·G·T₊,   M₋[i][j] = G[i][j] − G[i][σj]
+
+over 2-orbit representatives i, j, since (e_i − e_σi)ᵀG(e_j − e_σj) =
+2(G[i][j] − G[i][σj]) by invariance. T = [T₊ T₋] is square; up to the
+order of its rows and columns it is block diagonal, with a 1 for each
+fixed point and [[1, 1], [1, −1]], of determinant −2, for each 2-orbit,
+so det T = ±2^k. Hence
+
+    det G · 4^k = det M₊ · 2^k · det M₋,   so   det G = det M₊ · det M₋ / 2^k,
+
+and rank G = rank M₊ + rank M₋, as T is invertible over ℚ. Both blocks
+are integer matrices, symmetric when G is, of about half the size, and
+their determinants share out the bits of det G between them. σ is
+the identity, and then M₊ = G and M₋ is empty, unless the row and column
+labels are equal and distinct, their mirror images are labels again, and
+every entry is σ-invariant, which is checked entry by entry.
 """
 
 from __future__ import annotations
@@ -28,6 +55,7 @@ from .partitions import (
     PartitionClass,
     block_forest,
     enumerate_partitions,
+    mirror,
 )
 from .polynomials import IntPolynomial
 
@@ -65,7 +93,9 @@ class ExactMatrix:
 
     @property
     def is_symbolic(self) -> bool:
-        return bool(self.entries) and isinstance(self.entries[0][0], IntPolynomial)
+        return bool(self.entries and self.entries[0]) and isinstance(
+            self.entries[0][0], IntPolynomial
+        )
 
     def entry(self, i: int, j: int) -> int | IntPolynomial:
         return self.entries[i][j]
@@ -137,11 +167,9 @@ def determinant(m: ExactMatrix) -> int | IntPolynomial:
     if m.nrows != m.ncols:
         raise ShapeError("determinant of a non-square matrix")
     _check_budget(m.nrows)
-    if m.nrows == 0:
-        return 1
     if m.is_symbolic:
         return _det_by_interpolation(m)
-    return kernels.det_exact(m.entries)
+    return _split_det(m.entries, _label_mirror(m))
 
 
 def rank(m: ExactMatrix) -> int:
@@ -149,14 +177,76 @@ def rank(m: ExactMatrix) -> int:
     if m.is_symbolic:
         raise ShapeError("rank requires integer entries; evaluate first")
     _check_budget(max(m.nrows, m.ncols))
-    if m.nrows == 0:
-        return 0
-    return kernels.rank_exact(m.entries)
+    return _split_rank(m.entries, _label_mirror(m))
 
 
 def _check_budget(size: int) -> None:
     if size > DET_DIMENSION_BUDGET:
         raise BudgetError(f"matrix size {size} exceeds elimination budget {DET_DIMENSION_BUDGET}")
+
+
+def _label_mirror(m: ExactMatrix) -> tuple[int, ...]:
+    """σ as a permutation of the indices: i ↦ the index of mirror(label i).
+
+    The identity unless row and column labels are equal and distinct, the
+    mirror maps them onto themselves and G[σi][σj] == G[i][j] holds for
+    every entry; nothing about the entries is assumed.
+    """
+    identity = tuple(range(m.nrows))
+    labels = m.row_labels
+    if labels != m.col_labels:
+        return identity
+    index = {p: i for i, p in enumerate(labels)}
+    if len(index) < len(labels):
+        return identity
+    sigma = tuple(index.get(mirror(p), -1) for p in labels)
+    if -1 in sigma:
+        return identity
+    rows = m.entries
+    for row, s in zip(rows, sigma):
+        image = rows[s]
+        if [image[t] for t in sigma] != list(row):
+            return identity
+    return sigma
+
+
+def _mirror_blocks(rows, sigma: tuple[int, ...]):
+    """(M₊, M₋) of the module docstring; (rows, ()) when σ is the identity.
+
+    The orbits of σ are listed by their smaller index, which represents a
+    2-orbit in M₋.
+    """
+    orbits = [(i, s) for i, s in enumerate(sigma) if i <= s]
+    if len(orbits) == len(sigma):
+        return rows, ()
+
+    def orbit_sums(row) -> list:
+        return [row[i] + row[s] if i < s else row[i] for i, s in orbits]
+
+    plus = []
+    for i, s in orbits:
+        sums = orbit_sums(rows[i])
+        if i < s:
+            sums = [a + b for a, b in zip(sums, orbit_sums(rows[s]))]
+        plus.append(sums)
+    pairs = [(i, s) for i, s in orbits if i < s]
+    minus = [[rows[i][j] - rows[i][t] for j, t in pairs] for i, _ in pairs]
+    return plus, minus
+
+
+def _split_det(rows, sigma: tuple[int, ...]) -> int:
+    """det G = det M₊ · det M₋ / 2^k; the division is checked to be exact."""
+    plus, minus = _mirror_blocks(rows, sigma)
+    det, rest = divmod(kernels.det_exact(plus) * kernels.det_exact(minus), 2 ** len(minus))
+    if rest:
+        raise ArithmeticError("det M₊ · det M₋ is not a multiple of 2^k")
+    return det
+
+
+def _split_rank(rows, sigma: tuple[int, ...]) -> int:
+    """rank G = rank M₊ + rank M₋."""
+    plus, minus = _mirror_blocks(rows, sigma)
+    return kernels.rank_exact(plus) + kernels.rank_exact(minus)
 
 
 def _det_by_interpolation(m: ExactMatrix) -> IntPolynomial:
@@ -167,7 +257,8 @@ def _det_by_interpolation(m: ExactMatrix) -> IntPolynomial:
     """
     bound = sum(max(max(e.degree for e in row), 0) for row in m.entries)
     xs = list(range(1, bound + 2))
-    ys = [kernels.det_exact(m.evaluate(t).entries) for t in xs]
+    sigma = _label_mirror(m)
+    ys = [_split_det(m.evaluate(t).entries, sigma) for t in xs]
     return _interpolate_integer_poly(xs, ys)
 
 

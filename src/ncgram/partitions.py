@@ -7,8 +7,8 @@ A partition on (k, l) points divides the tagged point set
 (k points on an upper row, l points on a lower row) into non-empty disjoint
 blocks. Drawn as a diagram, points of a block are joined by lines; the
 operations below (horizontal concatenation, vertical composition with loop
-removal, mirroring, corner rotations) are the usual diagram-category
-operations.
+removal, mirroring at either axis, corner rotations) are the usual
+diagram-category operations.
 
 Canonical form is a restricted-growth string (RGS) over the point order
 above: position t carries the id of its block, ids numbered 0,1,2,... by
@@ -281,6 +281,16 @@ def involution(p: Partition) -> Partition:
     """Mirror at the horizontal axis: rows swap, left-right order preserved."""
     merged = list(p.rgs[p.upper :]) + list(p.rgs[: p.upper])
     return Partition(p.lower, p.upper, _canonical(merged))
+
+
+def mirror(p: Partition) -> Partition:
+    """Mirror at the vertical axis: each row reversed, rows kept.
+
+    Point i of a row of length m goes to point m−1−i, so noncrossing
+    partitions and pair partitions stay in their classes.
+    """
+    k = p.upper
+    return Partition(p.upper, p.lower, _canonical(p.rgs[:k][::-1] + p.rgs[k:][::-1]))
 
 
 def block_forest(rgs: Sequence[int], offset: int = 0) -> list[int]:

@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 
 import ncgram.gram
 from ncgram.errors import BudgetError, ShapeError
-from ncgram.gram import DET_DIMENSION_BUDGET, ExactMatrix, build_gram, determinant, rank
-from ncgram.partitions import Partition, PartitionClass, enumerate_partitions
+from ncgram.gram import (
+    DET_DIMENSION_BUDGET,
+    ExactMatrix,
+    _label_mirror,
+    build_gram,
+    determinant,
+    rank,
+)
+from ncgram.kernels import det_exact, rank_exact
+from ncgram.partitions import Partition, PartitionClass, enumerate_partitions, mirror
 from ncgram.polynomials import IntPolynomial
 from ncgram.tensor_model import inner_product, vector_of
-from ncgram.tutte import recursion_det
+from ncgram.tutte import build_A, recursion_det
 from test_kernels import det_bareiss
 
 NC = PartitionClass.NONCROSSING
@@ -107,7 +115,7 @@ def symbolic_grams(max_points):
 
 def test_interpolation_route_matches_direct_polynomial_route():
     # the reference Bareiss kernel still runs over ℤ[X]: an oracle for the
-    # interpolated polynomial
+    # interpolated polynomial, whose nodes each go through the mirror split
     for m in symbolic_grams(4):
         assert determinant(m) == det_bareiss([list(row) for row in m.entries])
 
@@ -210,6 +218,157 @@ def test_full_rank_for_noncrossing_at_large_parameter():
 def test_rank_requires_integer_mode():
     with pytest.raises(ShapeError):
         rank(build_gram(2, NC, None))
+
+
+def stirling2(n: int, k: int) -> int:
+    """S(n, k) by the recurrence S(n, k) = k·S(n−1, k) + S(n−1, k−1)."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def test_rank_below_the_threshold_is_the_stirling_sum():
+    # For N ≤ 3 the NC vectors span what all partition vectors span, so the
+    # rank of G_NC(n)(N) is the number of partitions with at most N blocks
+    first_drop = {}
+    for N in (1, 2, 3):
+        for n in range(1, 8):
+            m = build_gram(n, NC, N)
+            r = rank(m)
+            assert r == sum(stirling2(n, k) for k in range(1, N + 1))
+            assert (determinant(m) == 0) == (r < m.nrows)
+            if r < m.nrows:
+                first_drop.setdefault(N, n)
+    # the first drops are where U_2(1), U_3(√2) and U_5(√3) vanish
+    assert first_drop == {1: 2, 2: 3, 3: 5}
+
+
+# ---------------------------------------------------------------------------
+# the mirror split, against the plain kernel on the whole matrix
+
+
+def is_identity(sigma) -> bool:
+    return list(sigma) == list(range(len(sigma)))
+
+
+def test_gram_entries_are_mirror_invariant():
+    for cls in PartitionClass:
+        for n in range(1, 7):
+            m = build_gram(n, cls, 3)
+            index = {p: i for i, p in enumerate(m.row_labels)}
+            sigma = [index[mirror(p)] for p in m.row_labels]
+            for i in range(m.nrows):
+                for j in range(m.nrows):
+                    assert m.entry(sigma[i], sigma[j]) == m.entry(i, j)
+            assert _label_mirror(m) == tuple(sigma)
+
+
+def test_split_matches_the_plain_kernel_on_every_class():
+    for cls in PartitionClass:
+        for n in range(1, 7):
+            for N in range(1, 6):
+                m = build_gram(n, cls, N)
+                # up to two labels the mirror moves none; beyond, it moves some
+                assert is_identity(_label_mirror(m)) == (m.nrows <= 2)
+                assert determinant(m) == det_exact(m.entries)
+                assert rank(m) == rank_exact(m.entries)
+
+
+@st.composite
+def mirror_invariant_matrices(draw):
+    """A symmetric integer matrix on NC(n) labels with G[σi][σj] = G[i][j]."""
+    labels = tuple(enumerate_partitions(draw(st.integers(3, 5)), NC))
+    sigma = [labels.index(mirror(p)) for p in labels]
+    size = range(len(labels))
+    if draw(st.booleans()):
+        # Σ_u u·uᵀ + (u∘σ)(u∘σ)ᵀ over at most two u: singular
+        vectors = draw(
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=len(size), max_size=len(size)),
+                max_size=2,
+            )
+        )
+        rows = [
+            [sum(u[i] * u[j] + u[sigma[i]] * u[sigma[j]] for u in vectors) for j in size]
+            for i in size
+        ]
+    else:
+        # one drawn value per class {(i, j), (j, i), (σi, σj), (σj, σi)}
+        key = {
+            (i, j): min((i, j), (j, i), (sigma[i], sigma[j]), (sigma[j], sigma[i]))
+            for i in size
+            for j in size
+        }
+        classes = sorted(set(key.values()))
+        values = draw(st.lists(st.integers(-2, 2), min_size=len(classes), max_size=len(classes)))
+        value = dict(zip(classes, values))
+        rows = [[value[key[i, j]] for j in size] for i in size]
+    return ExactMatrix(tuple(map(tuple, rows)), labels, labels), tuple(sigma)
+
+
+@given(mirror_invariant_matrices())
+def test_split_matches_the_plain_kernel_on_invariant_matrices(case):
+    m, sigma = case
+    assert _label_mirror(m) == sigma
+    assert determinant(m) == det_exact(m.entries)
+    assert rank(m) == rank_exact(m.entries)
+
+
+def non_invariant_matrices():
+    """Matrices the split must leave whole, each with the reason."""
+    gram = build_gram(5, NC, 3)
+    yield "principal submatrix", gram.principal_submatrix(30)
+    for r in range(1, 5):
+        yield f"A(5, {r})", build_A(5, r, 4)
+    four = build_gram(4, NC, 3)
+    rows = [list(row) for row in four.entries]
+    rows[1][2] += 1
+    rows[2][1] += 1
+    perturbed = ExactMatrix(tuple(map(tuple, rows)), four.row_labels, four.col_labels)
+    yield "one perturbed entry", perturbed
+    p = Partition.pair()
+    dup = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
+    yield "duplicate labels", ExactMatrix(dup, (p,) * 3, (p,) * 3)
+
+
+@pytest.mark.parametrize("name, m", list(non_invariant_matrices()))
+def test_non_invariant_matrices_are_not_split(name, m):
+    assert is_identity(_label_mirror(m)), name
+    assert determinant(m) == det_exact(m.entries)
+    assert rank(m) == rank_exact(m.entries)
+
+
+def test_the_perturbed_case_splits_before_the_perturbation():
+    m = build_gram(4, NC, 3)
+    sigma = _label_mirror(m)
+    assert not is_identity(sigma)
+    # the perturbed pair (1, 2) is not mapped onto itself by σ
+    assert {(sigma[1], sigma[2]), (sigma[2], sigma[1])} != {(1, 2), (2, 1)}
+
+
+def test_level_zero_matrix_splits():
+    # A(n, 0) is the Gram matrix with its labels in strata order
+    for n in range(3, 6):
+        m = build_A(n, 0, 4)
+        assert not is_identity(_label_mirror(m))
+        assert determinant(m) == det_exact(m.entries) == recursion_det(n, 4)
+
+
+def test_split_refuses_an_inexact_division(monkeypatch):
+    # det M₊ · det M₋ = 1 is not a multiple of 2^1
+    monkeypatch.setattr(ncgram.gram, "_mirror_blocks", lambda rows, sigma: ([[1]], [[1]]))
+    with pytest.raises(ArithmeticError, match="2\\^k"):
+        determinant(build_gram(3, NC, 2))
+
+
+def test_empty_shapes():
+    p = Partition.pair()
+    assert rank(ExactMatrix(((),), (p,), ())) == 0
+    assert rank(ExactMatrix(((), ()), (p, p), ())) == 0
+    assert rank(ExactMatrix((), (), (p,))) == 0
+    assert determinant(ExactMatrix((), (), ())) == 1
 
 
 # ---------------------------------------------------------------------------

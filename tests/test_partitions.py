@@ -22,6 +22,7 @@ from ncgram.partitions import (
     involution,
     is_noncrossing,
     kernel,
+    mirror,
     refines,
     rotate,
     tensor,
@@ -294,6 +295,31 @@ def test_involution_distributes_over_tensor():
     for p in ps:
         for q in ps:
             assert involution(tensor(p, q)) == tensor(involution(p), involution(q))
+
+
+# ---------------------------------------------------------------------------
+# mirror
+
+
+def test_mirror_is_an_involution():
+    for k in range(4):
+        for p in partitions_of(k, 4 - k):
+            assert mirror(mirror(p)) == p
+    # each row is reversed on its own, rows kept
+    p = Partition.from_text("2|3|01002")
+    assert mirror(p) == Partition.from_text("2|3|01211")
+
+
+def test_mirror_keeps_block_count_and_class():
+    for n in range(9):
+        for cls in PartitionClass:
+            parts = enumerate_partitions(n, cls)
+            images = [mirror(p) for p in parts]
+            assert [q.block_count for q in images] == [p.block_count for p in parts]
+            assert set(images) == set(parts)
+    assert mirror(Partition.from_lower_blocks(4, [[1, 2, 4], [3]])) == (
+        Partition.from_lower_blocks(4, [[1, 3, 4], [2]])
+    )
 
 
 # ---------------------------------------------------------------------------

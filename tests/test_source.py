@@ -57,3 +57,32 @@ def test_package_source_has_no_unused_imports():
     files = sorted(SOURCE.glob("*.py"))
     assert files
     assert [entry for path in files for entry in _unused_imports(path)] == []
+
+
+
+def _references(tree: ast.AST, names: set[str], scope: str = "<module>"):
+    """(innermost enclosing function, name) for each mention of one of names."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _references(node, names, node.name)
+            continue
+        if isinstance(node, ast.Name) and node.id in names:
+            yield scope, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            yield scope, node.attr
+        elif isinstance(node, ast.alias) and node.name in names:
+            yield scope, node.name
+        yield from _references(node, names, scope)
+
+
+def test_only_the_mirror_split_reaches_the_elimination_kernel():
+    # every determinant and rank goes through gram's mirror split, so no
+    # caller can eliminate a whole matrix past it
+    found = {
+        f"{path.name}:{scope}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope, _ in _references(
+            ast.parse(path.read_text(encoding="utf-8"), str(path)), {"det_exact", "rank_exact"}
+        )
+    }
+    assert found == {"gram.py:_split_det", "gram.py:_split_rank"}
