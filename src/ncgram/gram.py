@@ -1,9 +1,13 @@
 """Exact Gram matrices of partition vectors, with determinant and rank.
 
 The matrix indexed by a partition class has entry (p, q) = N^{rl(q*, p)},
-where rl is the loop count of the composition q* ∘ p. Entries are either
-plain integers (N given) or monomials in an IntPolynomial variable standing
-for N (symbolic mode).
+where rl is the loop count of the composition q* ∘ p: the number of
+components of the pair graph of p over q, which is the join p ∨ q. Every
+matrix of the package (the Gram matrix here, the level matrices of
+`tutte`) is read off one exponent table, `_exponent_table`, filled by the
+join kernel of `partitions`. With N given, the entries are the integers
+N^e, looked up in a table of powers; with N = None the matrix is
+symbolic, and its entries are the exponents e of the monomials X^e.
 
 Every elimination is the one fraction-free integer kernel in `kernels`,
 so a symbolic determinant is found by evaluation and interpolation: the
@@ -11,8 +15,9 @@ matrix is evaluated at the integers 1, …, D + 1, where D bounds the
 determinant's degree, each integer determinant is eliminated exactly, and
 Newton interpolation recovers the polynomial, by exact integer division
 that fails unless the result lies in ℤ[X]. D is the Leibniz bound
-Σ_i max_j deg a_ij (every term of the Leibniz expansion takes one entry
-from each row), so D + 1 values pin the polynomial down for any matrix.
+Σ_i max_j e_ij over the exponents (every term of the Leibniz expansion
+takes one entry from each row), so D + 1 values pin the polynomial down
+for any matrix.
 Nothing here ever touches floating point.
 
 Every integer matrix is eliminated in two blocks split along the mirror
@@ -46,16 +51,18 @@ every entry is σ-invariant, which is checked entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import kernels
 from .errors import BudgetError, ShapeError
 from .partitions import (
-    PairForest,
     Partition,
     PartitionClass,
-    block_forest,
     enumerate_partitions,
+    join_closure,
     mirror,
+    stacked_spreader,
+    tabulated,
 )
 from .polynomials import IntPolynomial
 
@@ -65,16 +72,25 @@ from .polynomials import IntPolynomial
 DET_DIMENSION_BUDGET = 2000
 
 
+#: The exponent that marks a flawed pair in a level table. Every pair graph
+#: has at least one component, so no loop count is 0, and a level matrix
+#: reads this exponent as the entry 0.
+_FLAW = 0
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
     """Immutable dense matrix with partition labels on rows and columns.
 
-    Entries are homogeneous: all int or all IntPolynomial.
+    Entries are integers. A symbolic matrix (`is_symbolic`) stands for a
+    matrix over ℤ[X] whose entry (i, j) is the monomial X^e, and it holds
+    the exponent e there.
     """
 
-    entries: tuple[tuple[int | IntPolynomial, ...], ...]
+    entries: tuple[Sequence[int], ...]
     row_labels: tuple[Partition, ...]
     col_labels: tuple[Partition, ...]
+    is_symbolic: bool = False
 
     def __post_init__(self) -> None:
         if len(self.entries) != len(self.row_labels):
@@ -91,13 +107,7 @@ class ExactMatrix:
     def ncols(self) -> int:
         return len(self.col_labels)
 
-    @property
-    def is_symbolic(self) -> bool:
-        return bool(self.entries and self.entries[0]) and isinstance(
-            self.entries[0][0], IntPolynomial
-        )
-
-    def entry(self, i: int, j: int) -> int | IntPolynomial:
+    def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
 
     def principal_submatrix(self, k: int) -> ExactMatrix:
@@ -106,19 +116,114 @@ class ExactMatrix:
             entries=tuple(row[:k] for row in self.entries[:k]),
             row_labels=self.row_labels[:k],
             col_labels=self.col_labels[:k],
+            is_symbolic=self.is_symbolic,
         )
 
     def evaluate(self, N: int) -> ExactMatrix:
         """Specialize a symbolic matrix at an integer parameter."""
         if not self.is_symbolic:
             raise ShapeError("matrix is already over the integers")
+        top = max((max(row, default=0) for row in self.entries), default=0)
         return ExactMatrix(
-            entries=tuple(
-                tuple(e.evaluate(N) for e in row) for row in self.entries
-            ),
+            entries=_read_powers(self.entries, [N**e for e in range(top + 1)]),
             row_labels=self.row_labels,
             col_labels=self.col_labels,
         )
+
+
+def _read_powers(table, powers: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The matrix whose entry (i, j) is powers[table[i][j]]."""
+    return tuple(tuple(map(powers.__getitem__, row)) for row in table)
+
+
+def _cut(r: int | None) -> int:
+    """The number of leading points whose verticals the level-r table cuts
+    to test for a flaw: r//2 + 1, and none for the plain pair graph
+    (r None) and at level 0, which has no flaws."""
+    return r // 2 + 1 if r else 0
+
+
+def _exponent_row(up, lows, points: int, r: int | None) -> bytearray:
+    """The exponents of one row partition p against a run of columns q.
+
+    `up` is the `stacked_spreader` of p on top and `lows` are those of the
+    columns below it, all with `_cut(r)` verticals cut. The exponent is
+    the number of components of the pair graph of p over q, or `_FLAW` if
+    the pair has a level-r flaw (`tutte.has_r_flaw`).
+
+    With s = r // 2, the cut graph leaves out the verticals of the points
+    1..s+1: nodes 0..s above and nodes n..n+s below. Their closures above
+    come first, each checked as it is found: the closure of i may hold no
+    other of these points above, and where the pattern asks for i ~ i'
+    (i ≤ s, and s+1 at odd r) exactly i' of those below. That settles
+    the points below too: of two connected points below, one is some j'
+    with j ~ j' asked for, so both lie in the closure of j, whose check
+    fails. On a flawless pair the other components are counted, and the
+    cut verticals are glued back: i ~ i' holds already where the pattern
+    asks for it, and at even r gluing s+1 to (s+1)' joins two components
+    unless they are one.
+    """
+    cut = _cut(r)
+    width = points + cut
+    above = (1 << cut) - 1
+    below = above << points
+    joined = cut - 1 + r % 2 if cut else 0  # i ~ i' is asked for i < joined
+    last_below = 1 << (width - 1)
+    row = bytearray(len(lows))
+    for b, lo in enumerate(lows):
+        rest = (1 << width) - 1
+        count = 0
+        for i in range(cut):
+            component = join_closure(up, lo, 1 << i)
+            if component & above != 1 << i or (
+                i < joined and component & below != 1 << (points + i)
+            ):
+                break
+            rest ^= component
+            count += 1
+        else:
+            if joined < cut and not component & last_below:
+                count -= 1  # even r: gluing s+1 to (s+1)' joins two components
+            while rest:
+                rest ^= join_closure(up, lo, rest & -rest)
+                count += 1
+            row[b] = count
+    return row
+
+
+def _exponent_table(
+    labels: tuple[Partition, ...], points: int, r: int | None = None
+) -> tuple[bytes, ...]:
+    """The exponent of every pair of (0, points) labels, one `bytes` row each.
+
+    r = None gives the plain loop counts rl(q*, p) of the Gram matrix, and
+    a level r the counts with `_FLAW` on flawed pairs. Both are symmetric
+    in p and q (swapping the rows of the pair graph swaps upper with lower
+    points in the flaw pattern), so only the upper triangle is computed;
+    each row segment is written into its row and, by a strided slice, its
+    column of one flat table.
+    """
+    cut = _cut(r)
+    width = points + cut
+    ups = [tabulated(stacked_spreader(p, cut, False), width) for p in labels]
+    lows = [tabulated(stacked_spreader(p, cut, True), width) for p in labels]
+    size = len(labels)
+    flat = bytearray(size * size)
+    for a in range(size):
+        segment = _exponent_row(ups[a], lows[a:], points, r)
+        start = a * size + a
+        flat[start : (a + 1) * size] = segment
+        flat[start::size] = segment
+    return tuple(bytes(flat[a * size : (a + 1) * size]) for a in range(size))
+
+
+def _pair_exponent(p: Partition, q: Partition, r: int | None = None) -> int:
+    """One entry of `_exponent_table`: p over q, at level r."""
+    cut = _cut(r)
+    row = _exponent_row(
+        stacked_spreader(p, cut, False), [stacked_spreader(q, cut, True)], p.points, r
+    )
+    return row[0]
 
 
 def build_gram(
@@ -129,37 +234,21 @@ def build_gram(
     """Gram matrix over the partitions of `points` lower points.
 
     Rows and columns follow the `enumerate_partitions` order. `N=None`
-    builds the symbolic matrix with monomial entries X^{rl(q*,p)}. More
-    than DET_DIMENSION_BUDGET partitions raise BudgetError before any
-    entry is computed.
+    builds the symbolic matrix, whose entries are the exponents
+    rl(q*, p) of the monomials X^{rl(q*,p)}. More than
+    DET_DIMENSION_BUDGET partitions raise BudgetError before any entry is
+    computed.
     """
     if points < 1:
         raise ValueError("points must be >= 1")
     if N is not None and N < 1:
         raise ValueError("N must be positive")
-    parts = enumerate_partitions(points, cls)
-    _check_budget(len(parts))
-    # rl(q*, p) is the component count of the pair graph: p on top, q
-    # below, every point i glued to i'. It is symmetric in p and q.
-    uppers = [block_forest(p.rgs) for p in parts]
-    lowers = [block_forest(p.rgs, points) for p in parts]
-    blocks = [p.block_count for p in parts]
-    size = len(parts)
-    exps = [[0] * size for _ in range(size)]
-    for a in range(size):
-        row = exps[a]
-        for b in range(a, size):
-            forest = PairForest(uppers[a], lowers[b], blocks[a] + blocks[b])
-            forest.glue(0, points, points)
-            row[b] = exps[b][a] = forest.components
-    if N is None:
-        rows = tuple(
-            tuple(IntPolynomial((0,) * e + (1,)) for e in row) for row in exps
-        )
-    else:
-        rows = tuple(tuple(N**e for e in row) for row in exps)
-    labels = tuple(parts)
-    return ExactMatrix(entries=rows, row_labels=labels, col_labels=labels)
+    labels = tuple(enumerate_partitions(points, cls))
+    _check_budget(len(labels))
+    symbolic = ExactMatrix(
+        _exponent_table(labels, points), labels, labels, is_symbolic=True
+    )
+    return symbolic if N is None else symbolic.evaluate(N)
 
 
 def determinant(m: ExactMatrix) -> int | IntPolynomial:
@@ -252,12 +341,13 @@ def _split_rank(rows, sigma: tuple[int, ...]) -> int:
 def _det_by_interpolation(m: ExactMatrix) -> IntPolynomial:
     """Symbolic determinant by integer evaluation + exact interpolation.
 
-    The determinant degree is at most Σ_i max_j deg a_ij (the Leibniz
-    bound); evaluating at that many + 1 points pins it down.
+    The determinant degree is at most Σ_i max_j e_ij (the Leibniz bound,
+    read off the exponents); evaluating at that many + 1 points pins it
+    down. Each node reads N^e from a table of powers.
     """
-    bound = sum(max(max(e.degree for e in row), 0) for row in m.entries)
+    bound = sum(max(row, default=0) for row in m.entries)
     xs = list(range(1, bound + 2))
-    sigma = _label_mirror(m)
+    sigma = _label_mirror(m)  # on the exponents, once for every node
     ys = [_split_det(m.evaluate(t).entries, sigma) for t in xs]
     return _interpolate_integer_poly(xs, ys)
 

@@ -14,13 +14,22 @@ Canonical form is a restricted-growth string (RGS) over the point order
 above: position t carries the id of its block, ids numbered 0,1,2,... by
 first occurrence. The RGS is unique per partition, hashes in O(1), and its
 lexicographic order fixes the enumeration order everywhere in this package.
+
+Two partitions drawn on one set of nodes (stacked in a pair graph, or
+glued along a row in a composition) connect into the components of their
+join, and every loop count in the package is a number of such
+components. Blocks are bitmasks over the nodes. A `spreader` maps a mask
+to the union of the blocks that meet it, block by block, or `tabulated`
+by one table lookup per 8-bit chunk of the mask, and `join_closure`
+grows a mask by the blocks of both partitions to a fixpoint, which is
+one or more whole components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import RotationUndefined, ShapeError
 
@@ -293,46 +302,110 @@ def mirror(p: Partition) -> Partition:
     return Partition(p.upper, p.lower, _canonical(p.rgs[:k][::-1] + p.rgs[k:][::-1]))
 
 
-def block_forest(rgs: Sequence[int], offset: int = 0) -> list[int]:
-    """One partition as a union-find forest: each point's parent is the
-    first point of its block, with nodes numbered from `offset`."""
-    first: dict[int, int] = {}
-    return [first.setdefault(b, pos + offset) for pos, b in enumerate(rgs)]
+def spreader(rgs: Sequence[int], place: Sequence[int]) -> Callable[[int], int]:
+    """m ↦ the union of the blocks that meet m, one block at a time.
+
+    The blocks are those of the canonical RGS `rgs`, with position pos
+    drawn on node (bit) place[pos]; a node that no position is drawn on
+    counts as a block of its own, so every node of m stays in the result.
+    The blocks are disjoint, so adding one to m makes no other block meet m.
+    """
+    masks = [0] * (max(rgs) + 1 if rgs else 0)
+    for node, b in zip(place, rgs):
+        masks[b] |= 1 << node
+
+    def spread(m: int) -> int:
+        for block in masks:
+            if block & m:
+                m |= block
+        return m
+
+    return spread
 
 
-class PairForest:
-    """Union-find over the points of two partitions drawn one above the other.
+def tabulated(spread: Callable[[int], int], width: int) -> Callable[[int], int]:
+    """The same map as `spread` on masks m < 2**width, by table lookup.
+
+    For a spreader used on many pairs. Each 8-bit chunk of the mask gets a
+    table from its byte values to the union of the blocks meeting those
+    bits, so a spread is one lookup per chunk, OR-ed together. A table is
+    filled by doubling: after the chunk's first j bits it holds the unions
+    for all 2^j values of those bits.
+    """
+    owner = [spread(1 << node) for node in range(width)]
+    tables = []
+    for start in range(0, width, 8):
+        table = [0]
+        for block in owner[start : start + 8]:
+            table += [t | block for t in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    if len(tables) == 2:
+        first, second = tables
+        return lambda m: first[m & 255] | second[m >> 8]
+
+    def lookup(m: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[m & 255]
+            m >>= 8
+        return out
+
+    return lookup
+
+
+def join_closure(up: Callable[[int], int], lo: Callable[[int], int], m: int) -> int:
+    """The union of the components of the join of two partitions that meet m.
 
     This is the package's one loop-count kernel: composition, the pair and
-    cut graphs, the flaw test and both matrix builders run on it. The nodes
-    are the points of the upper partition followed by those of the lower
-    one, each given as a `block_forest`, so the forest starts with one
-    component per block. `glue` adds edges between the two rows and
-    `components` counts what is left connected.
+    cut graphs, the flaw test and every matrix builder run on it. `up` and
+    `lo` are the spreaders of two partitions drawn on one set of nodes.
+    The mask grows by whole blocks of either partition until neither adds
+    a node: then it is a union of blocks of both, which is a union of
+    components of the join, and every node in it was reached from m.
     """
+    m = lo(up(m))
+    while (grown := up(m)) != m:
+        m = lo(grown)
+    return m
 
-    __slots__ = ("parent", "components")
 
-    def __init__(self, upper: Sequence[int], lower: Sequence[int], blocks: int) -> None:
-        self.parent = [*upper, *lower]
-        self.components = blocks
+def join_components(up: Callable[[int], int], lo: Callable[[int], int], width: int) -> list[int]:
+    """Every component of the join on nodes 0..width-1, as a mask, in the
+    order of their lowest nodes."""
+    components = []
+    rest = (1 << width) - 1
+    while rest:
+        component = join_closure(up, lo, rest & -rest)
+        components.append(component)
+        rest ^= component
+    return components
 
-    def find(self, x: int) -> int:
-        """Root of node x, halving the path on the way."""
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def glue(self, first: int, second: int, count: int) -> None:
-        """Join node first + i to node second + i for i = 0..count-1."""
-        parent, find = self.parent, self.find
-        for i in range(count):
-            rx, ry = find(first + i), find(second + i)
-            if rx != ry:
-                parent[ry] = rx
-                self.components -= 1
+def component_labels(components: list[int], nodes: Iterable[int]) -> tuple[int, ...]:
+    """For each node in turn, its component among the disjoint masks, in
+    canonical (RGS) numbering."""
+    index = {}
+    for j, component in enumerate(components):
+        while component:
+            low = component & -component
+            index[low] = j
+            component ^= low
+    return _canonical(index[1 << node] for node in nodes)
+
+
+def stacked_spreader(p: Partition, cut: int, below: bool) -> Callable[[int], int]:
+    """The `spreader` of a (0, n) partition drawn in a pair graph over n + cut nodes.
+
+    The pair graph draws one partition above another on the same n points,
+    with a vertical edge from each upper point to the lower point below it.
+    Node i is upper point i glued to lower point i, except that the first
+    `cut` points have no vertical: there node i is the upper point alone,
+    and node n + i the lower one.
+    """
+    n = p.points
+    return spreader(p.rgs, [n + i if below and i < cut else i for i in range(n)])
 
 
 def compose(t: Partition, s: Partition) -> Composition:
@@ -347,15 +420,14 @@ def compose(t: Partition, s: Partition) -> Composition:
             f"cannot compose ({t.upper},{t.lower}) after ({s.upper},{s.lower})"
         )
     k, l, m = s.upper, s.lower, t.lower
-    # Node layout: 0..k+l-1 = points of s, k+l..k+2l+m-1 = points of t.
-    forest = PairForest(
-        block_forest(s.rgs), block_forest(t.rgs, k + l), s.block_count + t.block_count
-    )
-    forest.glue(k, k + l, l)  # s-lower to t-upper
-    outer = [forest.find(x) for x in range(k)]
-    outer += [forest.find(x) for x in range(k + l + l, k + l + l + m)]
-    result = Partition(k, m, _canonical(outer))
-    return Composition(result, forest.components - len(set(outer)))
+    # Nodes 0..k-1 are the upper row of s, k..k+l-1 the glued middle row
+    # and k+l..k+l+m-1 the lower row of t.
+    width = k + l + m
+    up = spreader(s.rgs, range(k + l))
+    lo = spreader(t.rgs, range(k, width))
+    components = join_components(up, lo, width)
+    outer = component_labels(components, (*range(k), *range(k + l, width)))
+    return Composition(Partition(k, m, outer), len(components) - len(set(outer)))
 
 
 def rotate(p: Partition, corner: Corner) -> Partition:

@@ -28,14 +28,15 @@ from itertools import accumulate
 from typing import Iterator
 
 from .errors import ShapeError
-from .gram import ExactMatrix
+from .gram import _FLAW, ExactMatrix, _exponent_table, _pair_exponent, _read_powers
 from .partitions import (
-    PairForest,
     Partition,
     PartitionClass,
     _canonical,
-    block_forest,
+    component_labels,
     enumerate_partitions,
+    join_components,
+    stacked_spreader,
 )
 from .polynomials import beraha
 
@@ -66,48 +67,14 @@ def _check_level(n: int, r: int, what: str) -> None:
         raise ValueError(f"{what} level r={r} out of range for n={n}")
 
 
-def _forest(p: Partition, q: Partition, n: int) -> PairForest:
-    """p on nodes 0..n-1, q on nodes n..2n-1, no vertical edges yet."""
-    return PairForest(
-        block_forest(p.rgs), block_forest(q.rgs, n), p.block_count + q.block_count
+def _stacked(p: Partition, q: Partition, n: int, cut: int) -> PairGraph:
+    """p over q with the verticals (i, i') glued for i ≥ cut (0-based)."""
+    components = join_components(
+        stacked_spreader(p, cut, False), stacked_spreader(q, cut, True), n + cut
     )
-
-
-def _glue_cut(forest: PairForest, n: int, r: int) -> None:
-    """Add the verticals (i, i') with i > s+1: the cut graph of level r."""
-    s = r // 2
-    forest.glue(s + 1, n + s + 1, n - s - 1)
-
-
-def _flawed(forest: PairForest, n: int, r: int) -> bool:
-    """Read the level-r flaw pattern off a forest glued as a cut graph."""
-    s = r // 2
-    find = forest.find
-    tops = [find(i) for i in range(s + 1)]
-    bots = [find(n + i) for i in range(s + 1)]
-    joined = s + r % 2  # i ~ i' is required for i ≤ s, and for s+1 at odd r
-    return (
-        len(set(tops)) != s + 1
-        or len(set(bots)) != s + 1
-        or tops[:joined] != bots[:joined]
-    )
-
-
-def _level_components(forest: PairForest, n: int, r: int) -> int | None:
-    """The single pass behind e_r: glue the cut graph, read the flaw
-    pattern, glue the remaining verticals and count. None on a flaw."""
-    _glue_cut(forest, n, r)
-    if r and _flawed(forest, n, r):
-        return None
-    forest.glue(0, n, r // 2 + 1)
-    return forest.components
-
-
-def _stacked(p: Partition, q: Partition, n: int, first: int) -> PairGraph:
-    """p over q with the verticals (i, i') glued for i > first."""
-    forest = _forest(p, q, n)
-    forest.glue(first, n + first, n - first)
-    return PairGraph(_canonical(forest.find(x) for x in range(2 * n)), forest.components)
+    # node n + i is bit n + i while its vertical is cut, bit i once glued
+    bits = [*range(n), *(n + i if i < cut else i for i in range(n))]
+    return PairGraph(component_labels(components, bits), len(components))
 
 
 def pair_graph(p: Partition, q: Partition) -> PairGraph:
@@ -191,11 +158,7 @@ def has_r_flaw(p: Partition, q: Partition, r: int) -> bool:
     """
     n = _check_pair(p, q)
     _check_level(n, r, "flaw")
-    if r == 0:
-        return False
-    forest = _forest(p, q, n)
-    _glue_cut(forest, n, r)
-    return _flawed(forest, n, r)
+    return _pair_exponent(p, q, r) == _FLAW
 
 
 def e_r(p: Partition, q: Partition, r: int, N: int) -> int:
@@ -204,31 +167,15 @@ def e_r(p: Partition, q: Partition, r: int, N: int) -> int:
         raise ValueError("N must be positive")
     n = _check_pair(p, q)
     _check_level(n, r, "flaw")
-    components = _level_components(_forest(p, q, n), n, r)
-    return 0 if components is None else N**components
+    exponent = _pair_exponent(p, q, r)
+    return 0 if exponent == _FLAW else N**exponent
 
 
 def _level_matrix(n: int, r: int, N: int, labels: tuple[Partition, ...]) -> ExactMatrix:
-    """e_r over labels × labels, one kernel pass per pair.
-
-    e_r is symmetric under p ↔ q (swapping the rows of the pair graph
-    swaps tops with bottoms in the flaw pattern), so only the upper
-    triangle is computed and then mirrored.
-    """
-    uppers = [block_forest(p.rgs) for p in labels]
-    lowers = [block_forest(p.rgs, n) for p in labels]
-    blocks = [p.block_count for p in labels]
-    powers = [N**c for c in range(2 * n + 1)]
-    size = len(labels)
-    rows = [[0] * size for _ in range(size)]
-    for a in range(size):
-        row = rows[a]
-        for b in range(a, size):
-            forest = PairForest(uppers[a], lowers[b], blocks[a] + blocks[b])
-            components = _level_components(forest, n, r)
-            if components is not None:
-                row[b] = rows[b][a] = powers[components]
-    entries = tuple(tuple(row) for row in rows)
+    """e_r over labels × labels, read off the level-r exponent table."""
+    powers = [N**e for e in range(n + 1)]
+    powers[_FLAW] = 0  # no pair graph has 0 components
+    entries = _read_powers(_exponent_table(labels, n, r), powers)
     return ExactMatrix(entries=entries, row_labels=labels, col_labels=labels)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncgram import cli, gram
+from ncgram import cli, gram, tutte
 from ncgram.cli import main
 from ncgram.tutte import recursion_det
 
@@ -101,6 +101,15 @@ def test_gram_without_work_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_gram_symbolic_det_of_an_empty_class(capsys):
+    # NC2 on an odd number of points is empty; its determinant is the
+    # constant polynomial 1
+    argv = ("gram", "--points", "3", "--class", "nc2", "--symbolic", "--det")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["det"] == [1]
+
+
 def test_gram_rank_needs_numeric_parameter(capsys):
     code, _, _ = run(capsys, "gram", "--points", "2", "--class", "nc", "--symbolic", "--rank")
     assert code == 2
@@ -122,11 +131,14 @@ def test_gram_negative_points_rejected(capsys):
 )
 def test_over_budget_jobs_exit_before_the_build(capsys, monkeypatch, argv):
     # 4862 (and Bell(8) = 4140) labels exceed the budget of 2000; the pair
-    # loop must never start, so any PairForest it made would fail the test.
+    # loop must never start, so an exponent table or a join closure
+    # computed by any matrix builder would fail the test.
     def no_pair_loop(*args):
         raise AssertionError("the Gram pair loop ran")
 
-    monkeypatch.setattr(gram, "PairForest", no_pair_loop)
+    for module in (gram, tutte):
+        monkeypatch.setattr(module, "_exponent_table", no_pair_loop)
+    monkeypatch.setattr(gram, "join_closure", no_pair_loop)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""

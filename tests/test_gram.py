@@ -17,7 +17,14 @@ from ncgram.gram import (
     rank,
 )
 from ncgram.kernels import det_exact, rank_exact
-from ncgram.partitions import Partition, PartitionClass, enumerate_partitions, mirror
+from ncgram.partitions import (
+    Partition,
+    PartitionClass,
+    compose,
+    enumerate_partitions,
+    involution,
+    mirror,
+)
 from ncgram.polynomials import IntPolynomial
 from ncgram.tensor_model import inner_product, vector_of
 from ncgram.tutte import build_A, recursion_det
@@ -113,11 +120,16 @@ def symbolic_grams(max_points):
                 yield m
 
 
+def monomials(m: ExactMatrix) -> list[list[IntPolynomial]]:
+    """A symbolic matrix over ℤ[X]: entry (i, j) is X to the exponent held there."""
+    return [[X**e for e in row] for row in m.entries]
+
+
 def test_interpolation_route_matches_direct_polynomial_route():
     # the reference Bareiss kernel still runs over ℤ[X]: an oracle for the
     # interpolated polynomial, whose nodes each go through the mirror split
     for m in symbolic_grams(4):
-        assert determinant(m) == det_bareiss([list(row) for row in m.entries])
+        assert determinant(m) == det_bareiss(monomials(m))
 
 
 def test_symbolic_determinant_is_monic_of_degree_total_blocks():
@@ -132,7 +144,7 @@ def test_symbolic_determinant_holds_off_the_interpolation_nodes():
     # the nodes are 1, ..., D + 1; negative N and D + 2 lie outside them
     for m in symbolic_grams(4):
         d = determinant(m)
-        top = sum(max(e.degree for e in row) for row in m.entries)
+        top = sum(max(row) for row in m.entries)
         for N in (-2, -1, top + 2):
             assert d.evaluate(N) == determinant(m.evaluate(N))
 
@@ -181,7 +193,9 @@ def test_build_refuses_over_budget_before_the_pair_loop(monkeypatch):
     def no_pair_loop(*args):
         raise AssertionError("the pair loop ran")
 
-    monkeypatch.setattr(ncgram.gram, "PairForest", no_pair_loop)
+    # every pair is computed in the exponent table, by the join kernel
+    monkeypatch.setattr(ncgram.gram, "_exponent_table", no_pair_loop)
+    monkeypatch.setattr(ncgram.gram, "join_closure", no_pair_loop)
     assert len(enumerate_partitions(9, NC)) > DET_DIMENSION_BUDGET
     with pytest.raises(BudgetError):
         build_gram(9, NC, 4)
@@ -386,3 +400,30 @@ def test_shape_validation():
 def test_evaluate_symbolic_matrix():
     m = build_gram(2, NC, None)
     assert m.evaluate(4).entries == build_gram(2, NC, 4).entries
+
+
+def test_symbolic_gram_matrix_holds_the_loop_count_exponents():
+    # build_gram(n, cls, None) has the labels of every numeric Gram matrix,
+    # the loop counts rl(q*, p) as entries, evaluates to the numeric matrix
+    # at any N, and its determinant is a polynomial in ℤ[X]
+    for cls in PartitionClass:
+        for n in range(1, 6):
+            m = build_gram(n, cls, None)
+            assert m.is_symbolic
+            assert m.row_labels == m.col_labels == tuple(enumerate_partitions(n, cls))
+            for i, p in enumerate(m.row_labels):
+                for j, q in enumerate(m.col_labels):
+                    assert m.entry(i, j) == compose(involution(q), p).remaining_loops
+            for N in (1, 2, 5):
+                numeric = build_gram(n, cls, N)
+                assert not numeric.is_symbolic
+                assert m.evaluate(N) == numeric
+            if n <= 4:
+                d = determinant(m)
+                assert isinstance(d, IntPolynomial)
+                assert d.evaluate(3) == determinant(build_gram(n, cls, 3))
+    # the pair ⊓ first, then the two singletons
+    assert [list(row) for row in build_gram(2, NC, None).entries] == [[1, 1], [1, 2]]
+    # an odd point count has no pair partitions: the empty determinant is
+    # the constant polynomial 1, like every other symbolic determinant
+    assert determinant(build_gram(3, PartitionClass.NONCROSSING_PAIRS, None)) == IntPolynomial([1])

@@ -86,3 +86,15 @@ def test_only_the_mirror_split_reaches_the_elimination_kernel():
         )
     }
     assert found == {"gram.py:_split_det", "gram.py:_split_rank"}
+
+
+def test_the_union_find_is_gone_from_the_package():
+    # every loop count goes through the bitmask join kernel; the union-find
+    # it replaced lives on only as a test oracle (tests/test_join_kernel.py)
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "PairForest" in line or "block_forest" in line
+    ]
+    assert found == []
