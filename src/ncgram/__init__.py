@@ -20,6 +20,7 @@ from .partitions import (
     PartitionClass,
     PointLabel,
     compose,
+    count_partitions,
     enumerate_partitions,
     involution,
     is_noncrossing,
@@ -92,6 +93,7 @@ __all__ = [
     "classify_structure",
     "component_shift",
     "compose",
+    "count_partitions",
     "delta_p",
     "determinant",
     "difrancesco_check",

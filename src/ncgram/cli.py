@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
-import math
 import os
 import re
 import sys
@@ -32,6 +31,7 @@ from .partitions import (
     Partition,
     PartitionClass,
     compose,
+    count_partitions,
     enumerate_partitions,
     involution,
     refines,
@@ -199,7 +199,7 @@ def cmd_recursion(cfg: JobConfig) -> int:
     if cfg.verify:
         # the direct route needs one row per NC(n) partition; refuse before
         # the recursion rather than after it
-        _check_budget(len(enumerate_partitions(cfg.n, PartitionClass.NONCROSSING)))
+        _check_budget(count_partitions(cfg.n, PartitionClass.NONCROSSING))
     value, trace = recursion_trace(cfg.n, cfg.N)
     result: dict = {
         "n": cfg.n,
@@ -256,21 +256,13 @@ def _partition_invariants() -> list[dict]:
     def record(check: str, cases: int, ok: bool) -> None:
         reports.append({"law": check, "cases": cases, "status": "pass" if ok else "fail"})
 
-    catalan = [1]
-    for n in range(6):
-        catalan.append(sum(catalan[i] * catalan[n - i] for i in range(n + 1)))
-    bell = [1]
-    for n in range(5):
-        bell.append(sum(math.comb(n, j) * bell[j] for j in range(n + 1)))
-    ok = all(
-        len(enumerate_partitions(n, PartitionClass.NONCROSSING)) == catalan[n] for n in range(7)
+    cases = (
+        [(n, PartitionClass.NONCROSSING) for n in range(7)]
+        + [(n, PartitionClass.ALL) for n in range(6)]
+        + [(2 * n, PartitionClass.NONCROSSING_PAIRS) for n in range(4)]
     )
-    ok = ok and all(len(enumerate_partitions(n, PartitionClass.ALL)) == bell[n] for n in range(6))
-    ok = ok and all(
-        len(enumerate_partitions(2 * n, PartitionClass.NONCROSSING_PAIRS)) == catalan[n]
-        for n in range(4)
-    )
-    record("enumeration-counts", 7 + 6 + 4, ok)
+    ok = all(len(enumerate_partitions(n, cls)) == count_partitions(n, cls) for n, cls in cases)
+    record("enumeration-counts", len(cases), ok)
 
     pool = [p for n in range(6) for p in enumerate_partitions(n, PartitionClass.ALL)]
     record("involution-squared", len(pool), all(involution(involution(p)) == p for p in pool))

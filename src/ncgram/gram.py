@@ -10,14 +10,21 @@ N^e, looked up in a table of powers; with N = None the matrix is
 symbolic, and its entries are the exponents e of the monomials X^e.
 
 Every elimination is the one fraction-free integer kernel in `kernels`,
-so a symbolic determinant is found by evaluation and interpolation: the
-matrix is evaluated at the integers 1, …, D + 1, where D bounds the
-determinant's degree, each integer determinant is eliminated exactly, and
-Newton interpolation recovers the polynomial, by exact integer division
-that fails unless the result lies in ℤ[X]. D is the Leibniz bound
-Σ_i max_j e_ij over the exponents (every term of the Leibniz expansion
-takes one entry from each row), so D + 1 values pin the polynomial down
-for any matrix.
+so a symbolic determinant is found by evaluation and interpolation. Every
+entry of an m×m matrix is written X^e_min·X^(e − e_min), with e_min its
+smallest exponent (1 for every Gram matrix, since every pair graph has a
+component), so det = X^(m·e_min)·det(X^(E − e_min)), and only the second
+factor is interpolated. Its degree is at most
+
+    D = Σ_i max_j e_ij − m·e_min,
+
+the Leibniz bound over the shifted exponents (every term of the Leibniz
+expansion takes one entry from each row), so its values at the integers
+1, …, D + 1 pin it down for any matrix: m fewer nodes for a Gram matrix
+than without the shift. Each integer determinant is eliminated exactly,
+and Newton interpolation recovers the polynomial, by exact integer
+division that fails unless the result lies in ℤ[X]; its coefficients are
+then shifted up by m·e_min.
 Nothing here ever touches floating point.
 
 Every integer matrix is eliminated in two blocks split along the mirror
@@ -50,7 +57,7 @@ every entry is σ-invariant, which is checked entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import kernels
@@ -58,6 +65,7 @@ from .errors import BudgetError, ShapeError
 from .partitions import (
     Partition,
     PartitionClass,
+    count_partitions,
     enumerate_partitions,
     join_closure,
     mirror,
@@ -236,15 +244,15 @@ def build_gram(
     Rows and columns follow the `enumerate_partitions` order. `N=None`
     builds the symbolic matrix, whose entries are the exponents
     rl(q*, p) of the monomials X^{rl(q*,p)}. More than
-    DET_DIMENSION_BUDGET partitions raise BudgetError before any entry is
-    computed.
+    DET_DIMENSION_BUDGET partitions raise BudgetError before any label is
+    listed: the class is counted in closed form (`count_partitions`).
     """
     if points < 1:
         raise ValueError("points must be >= 1")
     if N is not None and N < 1:
         raise ValueError("N must be positive")
+    _check_budget(count_partitions(points, cls))
     labels = tuple(enumerate_partitions(points, cls))
-    _check_budget(len(labels))
     symbolic = ExactMatrix(
         _exponent_table(labels, points), labels, labels, is_symbolic=True
     )
@@ -341,15 +349,20 @@ def _split_rank(rows, sigma: tuple[int, ...]) -> int:
 def _det_by_interpolation(m: ExactMatrix) -> IntPolynomial:
     """Symbolic determinant by integer evaluation + exact interpolation.
 
-    The determinant degree is at most Σ_i max_j e_ij (the Leibniz bound,
-    read off the exponents); evaluating at that many + 1 points pins it
-    down. Each node reads N^e from a table of powers.
+    With e_min the smallest exponent, every entry is X^e_min times
+    X^(e − e_min), so det = X^(m·e_min)·det(X^(E − e_min)) for m rows. The
+    second determinant has degree at most Σ_i max_j e_ij − m·e_min (the
+    Leibniz bound, read off the exponents); evaluating at that many + 1
+    points pins it down, and its coefficients are shifted up by m·e_min.
+    Each node reads N^e from a table of powers.
     """
-    bound = sum(max(row, default=0) for row in m.entries)
+    low = min((min(row, default=0) for row in m.entries), default=0)
+    shifted = replace(m, entries=tuple(tuple(e - low for e in row) for row in m.entries))
+    bound = sum(max(row, default=0) for row in shifted.entries)
     xs = list(range(1, bound + 2))
     sigma = _label_mirror(m)  # on the exponents, once for every node
-    ys = [_split_det(m.evaluate(t).entries, sigma) for t in xs]
-    return _interpolate_integer_poly(xs, ys)
+    ys = [_split_det(shifted.evaluate(t).entries, sigma) for t in xs]
+    return IntPolynomial((0,) * (m.nrows * low) + _interpolate_integer_poly(xs, ys).coeffs)
 
 
 def _interpolate_integer_poly(xs: list[int], ys: list[int]) -> IntPolynomial:

@@ -25,12 +25,26 @@ the 7-point Gram matrix, whose diagonal is N^(block count), this halves
 the determinant time. A zero pivot would force the general path, so zeros
 come last. Rectangular input has no diagonal and keeps its input order.
 
+Every entry of a Gram matrix is N^e with e ≥ 1, so the whole matrix
+shares a factor. `det_exact` and `rank_exact` find the content c of
+their input, the gcd of all its entries, and eliminate the primitive part
+A/c, divided out as their one working copy is made: det A = c^m·det(A/c)
+for m rows, and rank A = rank(A/c). By Sylvester's identity every entry
+after Bareiss step k is a (k+1)×(k+1) minor, and a minor of A is c^(k+1)
+times the same minor of A/c, so each intermediate of step k sheds the
+bits of c^(k+1). On the 7-point Gram matrix at N = 4 the mirror blocks
+have content 4 and 12, and their determinants take about 40% less time.
+A zero matrix has content 0: its rank is 0 and, unless it is empty, its
+determinant 0, without any elimination.
+
 gmpy2 is an optional accelerator: when it imports, the working copy is
 wrapped in mpz, which makes the O(n³) big-int multiplications several
 times faster. Inputs and outputs stay Python ints either way.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 try:  # pragma: no cover - optional dependency
     from gmpy2 import mpz as _mpz
@@ -98,9 +112,20 @@ def eliminate(rows) -> tuple[int, int]:
     return row, (sign * prev if row == m == ncols else 0)
 
 
-def _working_copy(rows) -> list[list]:
-    """Copy of rows, as P·A·Pᵀ with the diagonal order when square, and
-    in mpz when gmpy2 is around."""
+def _content(rows) -> int:
+    """The gcd of all entries: 0 for a zero or empty matrix, and the scan
+    stops as soon as it reaches 1."""
+    content = 0
+    for row in rows:
+        content = gcd(content, *row)
+        if content == 1:
+            break
+    return content
+
+
+def _working_copy(rows, content: int = 1) -> list[list]:
+    """Copy of rows divided by content, as P·A·Pᵀ with the diagonal order
+    when square, and in mpz when gmpy2 is around."""
     if rows and len(rows) == len(rows[0]):
         order = sorted(
             range(len(rows)),
@@ -110,15 +135,21 @@ def _working_copy(rows) -> list[list]:
     else:
         order = range(len(rows[0])) if rows else ()
     if _mpz is not None:
-        return [[_mpz(row[j]) for j in order] for row in rows]
-    return [[row[j] for j in order] for row in rows]
+        return [[_mpz(row[j] // content) for j in order] for row in rows]
+    if content == 1:
+        return [[row[j] for j in order] for row in rows]
+    return [[row[j] // content for j in order] for row in rows]
 
 
 def det_exact(rows) -> int:
     """Exact determinant of an integer matrix; ``rows`` is left unchanged."""
-    return int(eliminate(_working_copy(rows))[1])
+    content = _content(rows)
+    if not content:
+        return 0 if rows else 1
+    return content ** len(rows) * int(eliminate(_working_copy(rows, content))[1])
 
 
 def rank_exact(rows) -> int:
     """Exact rank over ℚ of an integer matrix; ``rows`` is left unchanged."""
-    return eliminate(_working_copy(rows))[0]
+    content = _content(rows)
+    return eliminate(_working_copy(rows, content))[0] if content else 0

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import RotationUndefined, ShapeError
@@ -247,6 +249,26 @@ def enumerate_partitions(
         for b, still_open in reversed(joins):
             todo.append((prefix + (b,), blocks, still_open))
     return out
+
+
+def count_partitions(points: int, cls: PartitionClass = PartitionClass.ALL) -> int:
+    """len(enumerate_partitions(points, cls)) in closed form, enumerating
+    nothing: the Bell number B_n for ALL, the Catalan number C_n for
+    NONCROSSING, and C_{n/2} for NONCROSSING_PAIRS (0 at odd n)."""
+    if points < 0:
+        raise ValueError("negative point count")
+    if cls is PartitionClass.NONCROSSING_PAIRS:
+        return 0 if points % 2 else _catalan(points // 2)
+    if cls is PartitionClass.NONCROSSING:
+        return _catalan(points)
+    row = [1]  # the Bell triangle: row n starts with B_n and ends with B_{n+1}
+    for _ in range(points):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[0]
+
+
+def _catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
 
 
 def is_noncrossing(p: Partition) -> bool:

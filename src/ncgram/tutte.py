@@ -24,21 +24,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from math import comb, log2
 from typing import Iterator
 
-from .errors import ShapeError
+from .errors import BudgetError, ShapeError
 from .gram import _FLAW, ExactMatrix, _exponent_table, _pair_exponent, _read_powers
 from .partitions import (
     Partition,
     PartitionClass,
     _canonical,
     component_labels,
+    count_partitions,
     enumerate_partitions,
     join_components,
     stacked_spreader,
 )
 from .polynomials import beraha
+
+
+#: Bits the recursion's value may have before it is refused. It admits
+#: n = 12 at N = 4 (a bound of 2.7M bits, about a second on a 2-core Xeon)
+#: and refuses n = 13 at N = 4 (10.4M bits, which ran past a minute).
+RECURSION_BIT_BUDGET = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +455,15 @@ def F_r_value(p: Partition, q: Partition, r: int, N: int) -> Fraction:
 
 
 def _strata_counts(n: int) -> tuple[list[int], list[int]]:
-    """(#W(n,r))_{r=0..n}, (#Y(n,r))_{r=0..n-1} by direct enumeration."""
-    at_level = [0] * (n + 1)
-    for _, level in _levels(n):
-        at_level[level] += 1
-    w_counts = list(accumulate(reversed(at_level)))[::-1]
-    return w_counts, at_level[:n]
+    """(#W(n,r))_{r=0..n}, (#Y(n,r))_{r=0..n-1} in closed form.
+
+    #W(n,r) = (r+2)/(n+1) · C(2n−1−r, n−1−r) for r < n (a ballot number;
+    #W(n,0) is the Catalan number C_n) and #W(n,n) = 0; the strata are
+    nested, so #Y(n,r) = #W(n,r) − #W(n,r+1).
+    """
+    w_counts = [(r + 2) * comb(2 * n - 1 - r, n - 1 - r) // (n + 1) for r in range(n)]
+    w_counts.append(0)
+    return w_counts, [w - below for w, below in zip(w_counts, w_counts[1:])]
 
 
 def recursion_det(n: int, N: int) -> Fraction:
@@ -470,13 +480,26 @@ def recursion_det(n: int, N: int) -> Fraction:
 
 
 def recursion_trace(n: int, N: int) -> tuple[Fraction, list[dict]]:
-    """recursion_det plus the JSON-ready list of expansion steps."""
+    """recursion_det plus the JSON-ready list of expansion steps.
+
+    A value that may have more than RECURSION_BIT_BUDGET bits is refused
+    with BudgetError before any rational arithmetic.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if N < 4:
         raise ValueError(
             "the recursion needs N >= 4: reversed Beraha denominators can "
             "vanish below that (e.g. at N = 3), so levels would divide by zero"
+        )
+    # |det A(n,0)| ≤ ∏ N^{b(p)} = N^{C_n·(n+1)/2} (Hadamard: the Gram matrix
+    # is positive semidefinite with diagonal N^{b(p)}, and the block counts
+    # b(p) over NC(0,n) add up to C_n·(n+1)/2)
+    blocks = count_partitions(n, PartitionClass.NONCROSSING) * (n + 1) // 2
+    if blocks > RECURSION_BIT_BUDGET / log2(N):
+        raise BudgetError(
+            f"det A({n},0) at N = {N} may have more bits than the recursion "
+            f"budget of {RECURSION_BIT_BUDGET}"
         )
     z = Fraction(1, N)
     trace: list[dict] = []

@@ -6,11 +6,12 @@ import decimal
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from ncgram import cli, gram, tutte
+from ncgram import cli, gram, partitions, tutte
 from ncgram.cli import main
 from ncgram.tutte import recursion_det
 
@@ -153,6 +154,40 @@ def test_over_budget_verify_exits_before_the_recursion(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "recursion_trace", no_recursion)
     code, out, err = run(capsys, "recursion", "--points", "10", "--param", "4", "--verify")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gram", "--points", "20", "--class", "all", "--param", "4", "--det"),
+        ("gram", "--points", "14", "--param", "4", "--det"),
+        ("gram", "--points", "14", "--symbolic", "--det"),
+        ("gram", "--points", "30", "--class", "nc2", "--param", "4", "--rank"),
+        ("recursion", "--points", "14", "--param", "4", "--verify"),
+    ],
+)
+def test_over_budget_jobs_exit_before_any_enumeration(capsys, monkeypatch, argv):
+    # the class is counted in closed form: Bell(20) ≈ 5·10^13 labels are
+    # never listed, so an enumeration anywhere would fail the test
+    def no_enumeration(*args):
+        raise AssertionError("the labels were enumerated")
+
+    for module in (partitions, gram, tutte, cli):
+        monkeypatch.setattr(module, "enumerate_partitions", no_enumeration)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
+def test_over_budget_recursion_exits_at_once(capsys):
+    # the Hadamard bound of det A(30, 0) at N = 4 has about 3.8·10^15 bits
+    started = time.perf_counter()
+    code, out, err = run(capsys, "recursion", "--points", "30", "--param", "4")
+    assert time.perf_counter() - started < 1
     assert code == 3
     assert out == ""
     assert "budget" in err

@@ -11,6 +11,7 @@ from ncgram.errors import BudgetError, ShapeError
 from ncgram.gram import (
     DET_DIMENSION_BUDGET,
     ExactMatrix,
+    _interpolate_integer_poly,
     _label_mirror,
     build_gram,
     determinant,
@@ -141,7 +142,8 @@ def test_symbolic_determinant_is_monic_of_degree_total_blocks():
 
 
 def test_symbolic_determinant_holds_off_the_interpolation_nodes():
-    # the nodes are 1, ..., D + 1; negative N and D + 2 lie outside them
+    # the nodes are 1, ..., D + 1 for D at most the Leibniz bound `top`;
+    # negative N and top + 2 lie outside them
     for m in symbolic_grams(4):
         d = determinant(m)
         top = sum(max(row) for row in m.entries)
@@ -153,6 +155,42 @@ def test_symbolic_five_point_determinant_matches_the_recursion():
     d = determinant(build_gram(5, NC, None))
     for N in (4, 5):
         assert d.evaluate(N) == recursion_det(5, N)
+
+
+def det_by_unshifted_interpolation(m: ExactMatrix) -> IntPolynomial:
+    """The interpolation route before X^(m·e_min) was factored out: the
+    matrix itself at the nodes 1, ..., D + 1, D = Σ_i max_j e_ij."""
+    bound = sum(max(row, default=0) for row in m.entries)
+    xs = list(range(1, bound + 2))
+    return _interpolate_integer_poly(xs, [determinant(m.evaluate(t)) for t in xs])
+
+
+def test_shifted_interpolation_matches_the_unshifted_one():
+    # coefficient for coefficient; every Gram exponent is at least 1, so
+    # the shift removes one node per row
+    for m in symbolic_grams(5):
+        assert min(min(row) for row in m.entries) == 1
+        assert determinant(m).coeffs == det_by_unshifted_interpolation(m).coeffs
+    empty = build_gram(3, PartitionClass.NONCROSSING_PAIRS, None)
+    assert determinant(empty) == det_by_unshifted_interpolation(empty) == IntPolynomial([1])
+
+
+def test_shift_keeps_a_matrix_with_exponent_zero_and_a_singular_one():
+    labels = tuple(enumerate_partitions(2, NC))
+    for entries in (((0, 2), (1, 3)), ((2, 2), (2, 2)), ((1, 3), (2, 1))):
+        m = ExactMatrix(entries, labels, labels, is_symbolic=True)
+        assert determinant(m) == det_by_unshifted_interpolation(m)
+    assert determinant(ExactMatrix(((2, 2), (2, 2)), labels, labels, is_symbolic=True)).is_zero()
+    # X^2·X^2 − X^4·X^3 = X^4 − X^7
+    m = ExactMatrix(((2, 4), (3, 2)), labels, labels, is_symbolic=True)
+    assert determinant(m) == IntPolynomial([0, 0, 0, 0, 1, 0, 0, -1])
+
+
+def test_symbolic_six_point_determinant_matches_the_recursion():
+    d = determinant(build_gram(6, NC, None))
+    assert d.degree == sum(p.block_count for p in enumerate_partitions(6, NC))
+    for N in (4, 5):
+        assert d.evaluate(N) == recursion_det(6, N)
 
 
 @given(

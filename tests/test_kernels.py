@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncgram import kernels
+from ncgram import gram, kernels
 from ncgram.gram import build_gram, determinant
 from ncgram.kernels import det_exact, eliminate, rank_exact
 from ncgram.partitions import PartitionClass
@@ -377,7 +377,8 @@ def test_ordered_determinant_leads_with_small_nonzero_pivots():
 
 def test_rank_and_determinant_eliminate_the_same_ordered_copy(monkeypatch):
     # P·A·Pᵀ keeps the Gram matrix symmetric with its diagonal sorted; a
-    # copy that permuted rows alone would be neither
+    # copy that permuted rows alone would be neither. Every entry is 2^e
+    # with e ≥ 1, so both eliminate the primitive part A/2.
     seen = []
 
     def spy(rows):
@@ -386,17 +387,113 @@ def test_rank_and_determinant_eliminate_the_same_ordered_copy(monkeypatch):
 
     monkeypatch.setattr(kernels, "eliminate", spy)
     m = build_gram(4, PartitionClass.ALL, 2)
+    primitive = [[x // 2 for x in row] for row in m.entries]
+    assert kernels._content(m.entries) == 2
     assert rank_exact(m.entries) == 8
     assert det_exact(m.entries) == 0
     ranked, det = seen
     assert ranked == det
     assert all(ranked[i][j] == ranked[j][i] for i in range(15) for j in range(i))
     diagonal = [ranked[i][i] for i in range(15)]
-    assert diagonal == sorted(diagonal) != [m.entries[i][i] for i in range(15)]
+    assert diagonal == sorted(diagonal) != [primitive[i][i] for i in range(15)]
+    assert sorted(map(sorted, ranked)) == sorted(map(sorted, primitive))
     # rectangular input keeps its input order
     seen.clear()
     assert rank_exact(m.entries[:3]) == rank_by_fractions(m.entries[:3])
-    assert seen == [copy(m.entries[:3])]
+    assert seen == [primitive[:3]]
+
+
+# ---------------------------------------------------------------------------
+# the content: det_exact and rank_exact eliminate the primitive part
+
+
+def undivided(rows) -> tuple[int, int]:
+    """(rank, det) of the loop on the whole matrix, content and all, in
+    input order: the kernel before the content was divided out."""
+    return eliminate(copy(rows))
+
+
+@st.composite
+def scaled_matrices(draw, max_size=6):
+    """(c, A): a square or rectangular A, symmetric or not, and a scale c,
+    negative or zero included."""
+    a = draw(mostly_rank_deficient_matrices(max_size))
+    c = draw(st.one_of(st.integers(min_value=-12, max_value=12), st.sampled_from((2**40, 3**30))))
+    return c, a
+
+
+@settings(max_examples=300)
+@given(scaled_matrices())
+@example((4, [[1, 1], [1, 2]]))
+@example((0, [[1, 2], [3, 4]]))
+@example((-3, [[0, 1, 2], [1, 0, 1]]))
+def test_content_is_divided_out_exactly(case):
+    c, a = case
+    scaled = [[c * x for x in row] for row in a]
+    rank, det = undivided(scaled)
+    assert rank_exact(scaled) == rank == (rank_exact(a) if c else 0)
+    if len(a) == len(a[0]):
+        assert det_exact(scaled) == det == c ** len(a) * det_exact(a)
+
+
+def test_content_of_gram_blocks_and_edge_cases():
+    assert kernels._content([]) == 0
+    assert kernels._content([[0, 0], [0, 0]]) == 0
+    assert kernels._content([[-4, 6], [8, -10]]) == 2
+    assert kernels._content([[4**3, 4**2], [4**2, 4]]) == 4
+    # the scan stops at the first row that brings the gcd to 1
+    assert kernels._content([[3, 2], ["never read"]]) == 1
+
+
+def test_zero_empty_and_one_by_one_matrices(monkeypatch):
+    def no_elimination(rows):
+        raise AssertionError("a zero matrix was eliminated")
+
+    monkeypatch.setattr(kernels, "eliminate", no_elimination)
+    for zero in ([[0]], [[0, 0], [0, 0]], [[0, 0, 0], [0, 0, 0]]):
+        assert det_exact(zero) == 0
+        assert rank_exact(zero) == 0
+    assert det_exact([]) == 1
+    assert rank_exact([]) == 0
+    monkeypatch.undo()
+    for x in (-6, -1, 1, 7, 2**70):
+        assert det_exact([[x]]) == x
+        assert rank_exact([[x]]) == 1
+
+
+def test_negative_and_rectangular_input():
+    assert det_exact([[-4, 2], [6, -8]]) == 20 == det_by_fractions([[-4, 2], [6, -8]])
+    assert det_exact([[-3, -6], [-9, -3]]) == 9 - 54
+    assert rank_exact([[2, 4, 6], [4, 8, 12]]) == 1
+    assert rank_exact([[-6, 0, 3], [0, 9, 0]]) == 2
+    assert det_exact([[2, 4, 6], [6, 8, 10]]) == 0  # not square
+
+
+def test_mpz_path_divides_before_wrapping(monkeypatch):
+    class Wrapped(int):
+        """Stands in for gmpy2.mpz, which need not be installed."""
+
+    monkeypatch.setattr(kernels, "_mpz", Wrapped)
+    m = [[12, 6, 18], [6, 24, 0], [18, 0, 30]]
+    work = kernels._working_copy(m, 6)
+    assert all(type(x) is Wrapped for row in work for x in row)
+    assert sorted(map(sorted, work)) == sorted(sorted(x // 6 for x in row) for row in m)
+    assert det_exact(m) == det_by_fractions(m) == 6**3 * det_by_fractions(
+        [[x // 6 for x in row] for row in m]
+    )
+    assert rank_exact(m) == 3
+
+
+def test_gram_blocks_keep_their_determinants():
+    # the mirror blocks of the 6-point Gram matrix have contents N and
+    # N(N − 1); dividing them out leaves every determinant as it was
+    for N in (4, 5):
+        m = build_gram(6, PartitionClass.NONCROSSING, N)
+        plus, minus = gram._mirror_blocks(m.entries, gram._label_mirror(m))
+        assert kernels._content(plus) == N
+        assert kernels._content(minus) == N * (N - 1)
+        for block in (plus, minus):
+            assert (rank_exact(block), det_exact(block)) == undivided(block)
 
 
 def test_reported_backend_is_consistent():

@@ -18,6 +18,7 @@ from ncgram.partitions import (
     Partition,
     PartitionClass,
     compose,
+    count_partitions,
     enumerate_partitions,
     involution,
     is_noncrossing,
@@ -172,6 +173,23 @@ def test_enumeration_counts_against_recurrences():
         got = enumerate_partitions(2 * n, PartitionClass.NONCROSSING_PAIRS)
         assert len(got) == catalan[n]
         assert all(p.is_pair_partition() for p in got)
+
+
+def test_closed_form_counts_match_the_enumeration():
+    for cls in PartitionClass:
+        for n in range(11):
+            assert count_partitions(n, cls) == len(enumerate_partitions(n, cls))
+
+
+def test_closed_form_counts_against_recurrences_past_enumeration():
+    catalan = catalan_numbers(30)
+    bell = bell_numbers(30)
+    for n in range(31):
+        assert count_partitions(n, NC) == catalan[n]
+        assert count_partitions(n) == count_partitions(n, ALL) == bell[n]
+        assert count_partitions(n, NC2) == (0 if n % 2 else catalan[n // 2])
+    with pytest.raises(ValueError):
+        count_partitions(-1, NC)
 
 
 def test_enumeration_matches_the_filter_oracle():

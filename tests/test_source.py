@@ -59,7 +59,6 @@ def test_package_source_has_no_unused_imports():
     assert [entry for path in files for entry in _unused_imports(path)] == []
 
 
-
 def _references(tree: ast.AST, names: set[str], scope: str = "<module>"):
     """(innermost enclosing function, name) for each mention of one of names."""
     for node in ast.iter_child_nodes(tree):
@@ -98,3 +97,16 @@ def test_the_union_find_is_gone_from_the_package():
         if "PairForest" in line or "block_forest" in line
     ]
     assert found == []
+
+
+def test_only_the_content_division_reaches_the_bareiss_loop():
+    # det_exact and rank_exact divide the content out before they
+    # eliminate, so no caller can run the loop on an undivided matrix
+    found = {
+        f"{path.name}:{scope}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope, _ in _references(
+            ast.parse(path.read_text(encoding="utf-8"), str(path)), {"eliminate"}
+        )
+    }
+    assert found == {"kernels.py:det_exact", "kernels.py:rank_exact"}

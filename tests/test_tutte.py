@@ -5,17 +5,21 @@ from __future__ import annotations
 
 import gc
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, log2
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ncgram import tutte
+from ncgram.errors import BudgetError
 from ncgram.gram import build_gram, determinant
 from ncgram.partitions import Partition, PartitionClass, compose, enumerate_partitions, involution
 from ncgram.polynomials import beraha
 from ncgram.tutte import (
     F_r_value,
+    RECURSION_BIT_BUDGET,
     StructI,
     StructPair,
     StructZero,
@@ -206,6 +210,20 @@ def test_strata_reject_out_of_range_levels():
             in_Y(p, bad)
         with pytest.raises(ValueError):
             y_stratum(3, bad)
+
+
+def strata_counts_by_enumeration(n: int) -> tuple[list[int], list[int]]:
+    """(#W(n,r))_{r=0..n}, (#Y(n,r))_{r<n} by sorting every p ∈ NC(0,n)
+    into its level: the oracle for the closed-form `_strata_counts`."""
+    at_level = [0] * (n + 1)
+    for p in enumerate_partitions(n, NC):
+        at_level[stratum_level(p)] += 1
+    return list(accumulate(reversed(at_level)))[::-1], at_level[:n]
+
+
+def test_closed_form_strata_counts_match_the_enumeration():
+    for n in range(1, 11):
+        assert _strata_counts(n) == strata_counts_by_enumeration(n)
 
 
 def test_strata_counts_follow_the_catalan_triangle():
@@ -622,6 +640,32 @@ def test_recursion_trace_is_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_recursion_refuses_past_the_bit_budget_before_any_rational(monkeypatch):
+    def no_rationals(*args):
+        raise AssertionError("the recursion started")
+
+    monkeypatch.setattr(tutte, "Fraction", no_rationals)
+    monkeypatch.setattr(tutte, "beraha", no_rationals)
+    for n, N in ((13, 4), (12, 9), (30, 4), (10**4, 5)):
+        with pytest.raises(BudgetError):
+            recursion_trace(n, N)
+
+
+def test_recursion_bit_budget_admits_every_tested_job():
+    # Σ b(p) over NC(0,n) is C_n·(n+1)/2 = C(2n, n)/2, so |det| ≤ N to that
+    # power (Hadamard). The bound of every job in the tests and the
+    # benchmark (n ≤ 10, N ≤ 7) and of (12, 4) lies inside the budget.
+    for n in range(1, 11):
+        assert 2 * sum(p.block_count for p in enumerate_partitions(n, NC)) == comb(2 * n, n)
+
+    def bound(n: int, N: int) -> float:
+        return comb(2 * n, n) / 2 * log2(N)
+
+    assert bound(10, 7) < bound(12, 4) <= RECURSION_BIT_BUDGET < bound(13, 4)
+    for N in (4, 7):
+        assert recursion_det(8, N).numerator.bit_length() <= bound(8, N)
 
 
 def test_recursion_trace_shape():
