@@ -1,6 +1,17 @@
 """Command-line front end: enumeration, Gram determinant/rank jobs,
 recursion verification, and law suites.
 
+Each subcommand declares only the flags it reads and is bound to its
+``cmd_*`` function, which reads the parsed namespace directly:
+
+- ``enumerate``: ``--points``, ``--class``;
+- ``gram``: ``--points``, ``--class``, ``--param`` or ``--symbolic``,
+  ``--det``, ``--rank``, ``--format``, ``--cache``;
+- ``recursion``: ``--points``, ``--param``, ``--format``, ``--verify``;
+- ``laws``: ``--param``, ``--format``, ``--max-points``.
+
+A flag that a command does not take is a usage error.
+
 Output discipline: result JSON goes to stdout and is byte-identical for
 a repeated job (no timestamps, no timings in stdout); diagnostics and
 timing go to stderr.  Determinant results for numeric parameters can be
@@ -22,11 +33,10 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, ShapeError
-from .gram import _check_budget, build_gram, determinant, rank
+from .gram import _check_class_budget, build_gram, determinant, rank
 from .partitions import (
     Partition,
     PartitionClass,
@@ -50,20 +60,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    command: str
-    n: int = 0
-    N: int | str = "symbolic"  # numeric parameter or the literal "symbolic"
-    cls: str = "nc"
-    fmt: str = "json"
-    cache_path: str | None = None
-    det: bool = False
-    rank: bool = False
-    verify: bool = False
-    max_points: int = 2
 
 
 def _usage(message: str) -> int:
@@ -136,84 +132,74 @@ def _append_cache(path: str, key: str, det: str) -> None:
 # subcommands
 
 
-def cmd_enumerate(cfg: JobConfig) -> int:
-    cls = _CLASS_BY_FLAG[cfg.cls]
+def cmd_enumerate(args: argparse.Namespace) -> int:
     count = 0
-    for p in enumerate_partitions(cfg.n, cls):
+    for p in enumerate_partitions(args.points, _CLASS_BY_FLAG[args.cls]):
         print(p.to_text())
         count += 1
     print(f"count {count}")
     return EXIT_OK
 
 
-def cmd_gram(cfg: JobConfig) -> int:
-    if not cfg.det and not cfg.rank:
+def cmd_gram(args: argparse.Namespace) -> int:
+    if not args.det and not args.rank:
         return _usage("gram requires --det and/or --rank")
-    if cfg.rank and cfg.N == "symbolic":
+    N = args.param  # None: symbolic, with or without --symbolic
+    if args.rank and N is None:
         return _usage("--rank requires a numeric --param")
 
-    cls = _CLASS_BY_FLAG[cfg.cls]
-    result: dict = {"n": cfg.n, "class": cfg.cls, "N_or_symbolic": cfg.N}
+    result: dict = {
+        "n": args.points,
+        "class": args.cls,
+        "N_or_symbolic": "symbolic" if N is None else N,
+    }
+    cache_key = f"gram:{args.cls}:{args.points}:{N}"
+    caching = args.cache is not None and N is not None
+    cached = _read_cache(args.cache).get(cache_key) if caching and args.det else None
+    if (args.det and cached is None) or args.rank:  # a miss or --rank needs it
+        matrix = build_gram(args.points, _CLASS_BY_FLAG[args.cls], N)
 
-    cache: dict[str, str] = {}
-    cache_key = None
-    if cfg.cache_path is not None and cfg.det and cfg.N != "symbolic":
-        cache_key = f"gram:{cfg.cls}:{cfg.n}:{cfg.N}"
-        cache = _read_cache(cfg.cache_path)
-
-    matrix = None
-
-    def built():
-        nonlocal matrix
-        if matrix is None:
-            param = None if cfg.N == "symbolic" else cfg.N
-            matrix = build_gram(cfg.n, cls, param)
-        return matrix
-
-    if cfg.det:
-        if cache_key is not None and cache_key in cache:
-            result["det"] = cache[cache_key]
-            print(f"cache hit for {cache_key}", file=sys.stderr)
+    if cached is not None:
+        result["det"] = cached
+        print(f"cache hit for {cache_key}", file=sys.stderr)
+    elif args.det:
+        started = time.perf_counter()
+        value = determinant(matrix)
+        elapsed_ms = int(1000 * (time.perf_counter() - started))
+        print(f"determinant computed in {elapsed_ms} ms", file=sys.stderr)
+        if N is None:
+            result["det"] = list(value.coeffs)
         else:
-            started = time.perf_counter()
-            value = determinant(built())
-            elapsed_ms = int(1000 * (time.perf_counter() - started))
-            print(f"determinant computed in {elapsed_ms} ms", file=sys.stderr)
-            if cfg.N == "symbolic":
-                result["det"] = list(value.coeffs)
-            else:
-                result["det"] = _decimal_text(value)
-                if cache_key is not None:
-                    _append_cache(cfg.cache_path, cache_key, result["det"])
+            result["det"] = _decimal_text(value)
+            if caching:
+                _append_cache(args.cache, cache_key, result["det"])
 
-    if cfg.rank:
-        result["rank"] = rank(built())
+    if args.rank:
+        result["rank"] = rank(matrix)
 
-    _emit(result, cfg.fmt)
+    _emit(result, args.format)
     return EXIT_OK
 
 
-def cmd_recursion(cfg: JobConfig) -> int:
-    if cfg.N == "symbolic":
-        return _usage("recursion requires a numeric --param")
-    if cfg.verify:
+def cmd_recursion(args: argparse.Namespace) -> int:
+    if args.verify:
         # the direct route needs one row per NC(n) partition; refuse before
         # the recursion rather than after it
-        _check_budget(count_partitions(cfg.n, PartitionClass.NONCROSSING))
-    value, trace = recursion_trace(cfg.n, cfg.N)
+        _check_class_budget(args.points, PartitionClass.NONCROSSING)
+    value, trace = recursion_trace(args.points, args.param)
     result: dict = {
-        "n": cfg.n,
-        "N": cfg.N,
+        "n": args.points,
+        "N": args.param,
         "det": _fraction_text(value),
         "trace": trace,
     }
-    if cfg.verify:
-        direct = determinant(build_gram(cfg.n, PartitionClass.NONCROSSING, cfg.N))
+    if args.verify:
+        direct = determinant(build_gram(args.points, PartitionClass.NONCROSSING, args.param))
         result["direct"] = _decimal_text(direct)
         result["status"] = "ok" if value == direct else "mismatch"
-        _emit(result, cfg.fmt)
+        _emit(result, args.format)
         return EXIT_OK if value == direct else EXIT_VERIFY
-    _emit(result, cfg.fmt)
+    _emit(result, args.format)
     return EXIT_OK
 
 
@@ -232,20 +218,18 @@ def _fraction_text(value: Fraction) -> str:
     return f"{_decimal_text(value.numerator)}/{_decimal_text(value.denominator)}"
 
 
-def cmd_laws(cfg: JobConfig) -> int:
-    if cfg.N == "symbolic":
-        return _usage("laws requires a numeric --param")
-    reports = check_functor_laws(cfg.N, cfg.max_points)
+def cmd_laws(args: argparse.Namespace) -> int:
+    reports = check_functor_laws(args.param, args.max_points)
     reports.extend(_partition_invariants())
     failures = sum(1 for r in reports if r["status"] != "pass")
     summary = {
-        "N": cfg.N,
-        "max_points": cfg.max_points,
+        "N": args.param,
+        "max_points": args.max_points,
         "checks": len(reports),
         "failures": failures,
         "reports": reports,
     }
-    _emit(summary, cfg.fmt)
+    _emit(summary, args.format)
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
@@ -294,86 +278,56 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Gram-matrix calculus for two-row partitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    points_help = "number of lower points"
+    class_help = "partition class (default: nc)"
+    param_help = "numeric loop parameter N"
+    classes = sorted(_CLASS_BY_FLAG)
+    formats = ["json", "csv"]
 
-    def add_common(p: argparse.ArgumentParser, *, points: bool = True) -> None:
-        if points:
-            p.add_argument("--points", type=int, required=True, help="number of lower points")
-        p.add_argument(
-            "--class",
-            dest="cls",
-            choices=sorted(_CLASS_BY_FLAG),
-            default="nc",
-            help="partition class (default: nc)",
-        )
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--param", type=int, help="numeric loop parameter N")
-        group.add_argument(
-            "--symbolic", action="store_true", help="work over polynomials in N"
-        )
-        p.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
-        p.add_argument("--cache", dest="cache_path", help="append-only JSON-lines result cache")
+    p = sub.add_parser("enumerate", help="stream a partition class in canonical text form")
+    p.add_argument("--points", type=int, required=True, help=points_help)
+    p.add_argument("--class", dest="cls", choices=classes, default="nc", help=class_help)
+    p.set_defaults(run=cmd_enumerate)
 
-    p_enum = sub.add_parser("enumerate", help="stream a partition class in canonical text form")
-    add_common(p_enum)
+    p = sub.add_parser("gram", help="build a Gram matrix and compute det/rank")
+    p.add_argument("--points", type=int, required=True, help=points_help)
+    p.add_argument("--class", dest="cls", choices=classes, default="nc", help=class_help)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--param", type=int, help=param_help + " (default: symbolic)")
+    group.add_argument("--symbolic", action="store_true", help="work over polynomials in N")
+    p.add_argument("--det", action="store_true", help="compute the exact determinant")
+    p.add_argument("--rank", action="store_true", help="compute the exact rank")
+    p.add_argument("--format", choices=formats, default="json")
+    p.add_argument("--cache", help="append-only JSON-lines result cache")
+    p.set_defaults(run=cmd_gram)
 
-    p_gram = sub.add_parser("gram", help="build a Gram matrix and compute det/rank")
-    add_common(p_gram)
-    p_gram.add_argument("--det", action="store_true", help="compute the exact determinant")
-    p_gram.add_argument("--rank", action="store_true", help="compute the exact rank")
-
-    p_rec = sub.add_parser("recursion", help="stratified determinant recursion with trace")
-    add_common(p_rec)
-    p_rec.add_argument(
+    p = sub.add_parser("recursion", help="stratified determinant recursion with trace")
+    p.add_argument("--points", type=int, required=True, help=points_help)
+    p.add_argument("--param", type=int, required=True, help=param_help)
+    p.add_argument("--format", choices=formats, default="json")
+    p.add_argument(
         "--verify", action="store_true", help="compare against the direct determinant"
     )
+    p.set_defaults(run=cmd_recursion)
 
-    p_laws = sub.add_parser("laws", help="run the functor-law and partition invariant suites")
-    add_common(p_laws, points=False)
-    p_laws.add_argument(
+    p = sub.add_parser("laws", help="run the functor-law and partition invariant suites")
+    p.add_argument("--param", type=int, default=2, help=param_help + " (default: 2)")
+    p.add_argument("--format", choices=formats, default="json")
+    p.add_argument(
         "--max-points", type=int, default=2, help="per-row size bound for the law suite"
     )
+    p.set_defaults(run=cmd_laws)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    if getattr(args, "symbolic", False):
-        N: int | str = "symbolic"
-    elif getattr(args, "param", None) is not None:
-        N = args.param
-    else:
-        N = "symbolic" if args.command == "gram" else 2
-    return JobConfig(
-        command=args.command,
-        n=getattr(args, "points", 0),
-        N=N,
-        cls=args.cls,
-        fmt=args.fmt,
-        cache_path=args.cache_path,
-        det=getattr(args, "det", False),
-        rank=getattr(args, "rank", False),
-        verify=getattr(args, "verify", False),
-        max_points=getattr(args, "max_points", 2),
-    )
-
-
-_COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "gram": cmd_gram,
-    "recursion": cmd_recursion,
-    "laws": cmd_laws,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
-    if cfg.n < 0:
+    args = _build_parser().parse_args(argv)
+    if getattr(args, "points", 0) < 0:
         return _usage("--points must be non-negative")
-    if cfg.N != "symbolic" and cfg.N < 1:
+    if getattr(args, "param", None) is not None and args.param < 1:
         return _usage("--param must be a positive integer")
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except BudgetError as exc:
         print(f"error: resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

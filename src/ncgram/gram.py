@@ -58,6 +58,7 @@ every entry is σ-invariant, which is checked entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from typing import Sequence
 
 from . import kernels
@@ -245,13 +246,13 @@ def build_gram(
     builds the symbolic matrix, whose entries are the exponents
     rl(q*, p) of the monomials X^{rl(q*,p)}. More than
     DET_DIMENSION_BUDGET partitions raise BudgetError before any label is
-    listed: the class is counted in closed form (`count_partitions`).
+    listed (`_check_class_budget`).
     """
     if points < 1:
         raise ValueError("points must be >= 1")
     if N is not None and N < 1:
         raise ValueError("N must be positive")
-    _check_budget(count_partitions(points, cls))
+    _check_class_budget(points, cls)
     labels = tuple(enumerate_partitions(points, cls))
     symbolic = ExactMatrix(
         _exponent_table(labels, points), labels, labels, is_symbolic=True
@@ -279,7 +280,30 @@ def rank(m: ExactMatrix) -> int:
 
 def _check_budget(size: int) -> None:
     if size > DET_DIMENSION_BUDGET:
-        raise BudgetError(f"matrix size {size} exceeds elimination budget {DET_DIMENSION_BUDGET}")
+        # Decimal formats a size of any length; str() stops at 4300 digits
+        raise BudgetError(
+            f"matrix size {Decimal(size):.6g} exceeds elimination budget {DET_DIMENSION_BUDGET}"
+        )
+
+
+def _check_class_budget(points: int, cls: PartitionClass) -> None:
+    """Refuse a class of more than DET_DIMENSION_BUDGET partitions before
+    any label is listed.
+
+    The class sizes (`count_partitions`, closed form) never shrink as points
+    are added, two at a time for pairs, so the point counts are taken in
+    turn and the first size past the budget refuses: a class of thousands
+    of points costs a few small counts, not a Bell number of thousands of
+    digits.
+    """
+    step = 2 if cls is PartitionClass.NONCROSSING_PAIRS else 1
+    for k in range(points % step, points + 1, step):
+        size = count_partitions(k, cls)
+        if size > DET_DIMENSION_BUDGET:
+            over = "" if k == points else "over "
+            raise BudgetError(
+                f"matrix size {over}{size} exceeds elimination budget {DET_DIMENSION_BUDGET}"
+            )
 
 
 def _label_mirror(m: ExactMatrix) -> tuple[int, ...]:

@@ -37,21 +37,15 @@ have content 4 and 12, and their determinants take about 40% less time.
 A zero matrix has content 0: its rank is 0 and, unless it is empty, its
 determinant 0, without any elimination.
 
-gmpy2 is an optional accelerator: when it imports, the working copy is
-wrapped in mpz, which makes the O(n³) big-int multiplications several
-times faster. Inputs and outputs stay Python ints either way.
+All arithmetic is on Python ints; `INTEGER_BACKEND` names that backend
+for benchmark records.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-try:  # pragma: no cover - optional dependency
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    _mpz = None
-
-INTEGER_BACKEND = "python" + ("+gmpy2" if _mpz is not None else "")
+INTEGER_BACKEND = "python"
 
 
 def eliminate(rows) -> tuple[int, int]:
@@ -123,9 +117,9 @@ def _content(rows) -> int:
     return content
 
 
-def _working_copy(rows, content: int = 1) -> list[list]:
+def _working_copy(rows, content: int = 1) -> list[list[int]]:
     """Copy of rows divided by content, as P·A·Pᵀ with the diagonal order
-    when square, and in mpz when gmpy2 is around."""
+    when square."""
     if rows and len(rows) == len(rows[0]):
         order = sorted(
             range(len(rows)),
@@ -134,10 +128,6 @@ def _working_copy(rows, content: int = 1) -> list[list]:
         rows = [rows[i] for i in order]
     else:
         order = range(len(rows[0])) if rows else ()
-    if _mpz is not None:
-        return [[_mpz(row[j] // content) for j in order] for row in rows]
-    if content == 1:
-        return [[row[j] for j in order] for row in rows]
     return [[row[j] // content for j in order] for row in rows]
 
 
@@ -146,7 +136,7 @@ def det_exact(rows) -> int:
     content = _content(rows)
     if not content:
         return 0 if rows else 1
-    return content ** len(rows) * int(eliminate(_working_copy(rows, content))[1])
+    return content ** len(rows) * eliminate(_working_copy(rows, content))[1]
 
 
 def rank_exact(rows) -> int:

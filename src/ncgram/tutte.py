@@ -28,7 +28,14 @@ from math import comb, log2
 from typing import Iterator
 
 from .errors import BudgetError, ShapeError
-from .gram import _FLAW, ExactMatrix, _exponent_table, _pair_exponent, _read_powers
+from .gram import (
+    _FLAW,
+    ExactMatrix,
+    _check_budget,
+    _exponent_table,
+    _pair_exponent,
+    _read_powers,
+)
 from .partitions import (
     Partition,
     PartitionClass,
@@ -195,8 +202,13 @@ def _check_level_matrix(n: int, r: int, N: int) -> None:
 
 
 def build_A(n: int, r: int, N: int) -> ExactMatrix:
-    """The level-r matrix over W(n,r), Y(n,r) rows/columns listed first."""
+    """The level-r matrix over W(n,r), Y(n,r) rows/columns listed first.
+
+    More than DET_DIMENSION_BUDGET rows, #W(n,r) in closed form, raise
+    BudgetError before any partition is listed.
+    """
     _check_level_matrix(n, r, N)
+    _check_budget(_w_count(n, r))
     y, w = [], []
     for p, level in _levels(n):
         if level == r:
@@ -207,8 +219,10 @@ def build_A(n: int, r: int, N: int) -> ExactMatrix:
 
 
 def build_B(n: int, r: int, N: int) -> ExactMatrix:
-    """The corner block of build_A: rows and columns restricted to Y(n,r)."""
+    """The corner block of build_A: rows and columns restricted to Y(n,r),
+    refused like build_A when #Y(n,r) passes the budget."""
     _check_level_matrix(n, r, N)
+    _check_budget(_w_count(n, r) - _w_count(n, r + 1))
     return _level_matrix(n, r, N, tuple(y_stratum(n, r)))
 
 
@@ -461,9 +475,13 @@ def _strata_counts(n: int) -> tuple[list[int], list[int]]:
     #W(n,0) is the Catalan number C_n) and #W(n,n) = 0; the strata are
     nested, so #Y(n,r) = #W(n,r) − #W(n,r+1).
     """
-    w_counts = [(r + 2) * comb(2 * n - 1 - r, n - 1 - r) // (n + 1) for r in range(n)]
-    w_counts.append(0)
+    w_counts = [_w_count(n, r) for r in range(n + 1)]
     return w_counts, [w - below for w, below in zip(w_counts, w_counts[1:])]
+
+
+def _w_count(n: int, r: int) -> int:
+    """#W(n,r), one binomial (see `_strata_counts`)."""
+    return (r + 2) * comb(2 * n - 1 - r, n - 1 - r) // (n + 1) if r < n else 0
 
 
 def recursion_det(n: int, N: int) -> Fraction:

@@ -53,6 +53,27 @@ def test_unknown_class_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("recursion", "--points", "4", "--param", "4", "--class", "all"),
+        ("recursion", "--points", "4", "--param", "4", "--symbolic"),
+        ("recursion", "--points", "4", "--param", "4", "--cache", "f"),
+        ("enumerate", "--points", "4", "--param", "4"),
+        ("enumerate", "--points", "4", "--format", "csv"),
+        ("laws", "--class", "nc"),
+        ("laws", "--cache", "f"),
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # gram
 
@@ -167,17 +188,33 @@ def test_over_budget_verify_exits_before_the_recursion(capsys, monkeypatch):
         ("gram", "--points", "14", "--symbolic", "--det"),
         ("gram", "--points", "30", "--class", "nc2", "--param", "4", "--rank"),
         ("recursion", "--points", "14", "--param", "4", "--verify"),
+        ("gram", "--points", "2100", "--class", "all", "--param", "4", "--det"),
+        ("gram", "--points", "8000", "--param", "4", "--det"),
+        ("recursion", "--points", "8000", "--param", "4", "--verify"),
     ],
 )
 def test_over_budget_jobs_exit_before_any_enumeration(capsys, monkeypatch, argv):
     # the class is counted in closed form: Bell(20) ≈ 5·10^13 labels are
-    # never listed, so an enumeration anywhere would fail the test
+    # never listed, so an enumeration anywhere would fail the test; the
+    # exit stays 3 for class sizes past str()'s 4300 digits
     def no_enumeration(*args):
         raise AssertionError("the labels were enumerated")
 
     for module in (partitions, gram, tutte, cli):
         monkeypatch.setattr(module, "enumerate_partitions", no_enumeration)
     code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
+def test_over_budget_class_exits_at_once(capsys):
+    # the Bell triangle up to 4000 points takes seconds to build; the
+    # budget check stops at Bell(8) = 4140
+    argv = ("gram", "--points", "4000", "--class", "all", "--param", "4", "--det")
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
     assert code == 3
     assert out == ""
     assert "budget" in err

@@ -668,6 +668,21 @@ def test_recursion_bit_budget_admits_every_tested_job():
         assert recursion_det(8, N).numerator.bit_length() <= bound(8, N)
 
 
+def test_level_matrices_refuse_past_the_budget_before_any_enumeration(monkeypatch):
+    # #W(11, 0) = 58786 and #Y(11, 0) = 16796 rows are counted in closed
+    # form, as is #W(8000, 0), a number of 4811 digits; listing a single
+    # label would fail the test
+    def no_enumeration(*args):
+        raise AssertionError("the labels were enumerated")
+
+    monkeypatch.setattr(tutte, "enumerate_partitions", no_enumeration)
+    assert _strata_counts(11)[0][0] == 58786 and _strata_counts(11)[1][0] == 16796
+    for n, r in ((11, 0), (11, 3), (8000, 0)):
+        for build in (build_A, build_B):
+            with pytest.raises(BudgetError, match="budget"):
+                build(n, r, 4)
+
+
 def test_recursion_trace_shape():
     value, trace = recursion_trace(2, 4)
     assert value == 48
