@@ -29,10 +29,6 @@ class IntPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def constant(cls, c: int) -> IntPolynomial:
-        return cls((c,))
-
-    @classmethod
     def x(cls) -> IntPolynomial:
         return cls((0, 1))
 

@@ -17,7 +17,14 @@ one level: the largest r with p ∈ W(n,r), read off by `stratum_level`
 in one scan. With a the number of leading points in pairwise different
 blocks and b the number of leading non-singletons, the level is 2a−1 if
 a ≤ b and 2b otherwise (0 for the empty partition). Then p ∈ W(n,r) iff
-r ≤ level, and p ∈ Y(n,r) iff r = level.
+r ≤ level, and p ∈ Y(n,r) iff r = level. The strata are never filtered
+out of NC(0,n): W(n,r) is generated from the prefix its RGS must start
+with, so a small stratum costs little however large NC(0,n) is.
+
+The case table of the recursion classifies the cut graph of a pair by its
+components on the leftmost nodes 1..s+1, 1'..t' into three structures,
+[i], [i, i+1] and [0]. Each structure is one canonical labelling of those
+nodes, so the classification is one lookup in a table of labels.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2
-from typing import Iterator
 
 from .errors import BudgetError, ShapeError
 from .gram import (
@@ -40,9 +46,9 @@ from .partitions import (
     Partition,
     PartitionClass,
     _canonical,
+    _generated,
     component_labels,
     count_partitions,
-    enumerate_partitions,
     join_components,
     stacked_spreader,
 )
@@ -141,22 +147,52 @@ def in_Y(p: Partition, r: int) -> bool:
     return stratum_level(p) == r
 
 
-def _levels(n: int) -> Iterator[tuple[Partition, int]]:
-    """(p, stratum_level(p)) for p ∈ NC(0,n), in global enumeration order."""
-    for p in enumerate_partitions(n, PartitionClass.NONCROSSING):
-        yield p, stratum_level(p)
+def _w_walk(n: int, r: int) -> list[Partition]:
+    """W(n,r) within NC(0,n), 0 ≤ r ≤ n, in global enumeration order,
+    generated from its prefix without listing the rest of NC(0,n).
+
+    With r = 2s or 2s+1, W(n,r) holds the noncrossing partitions whose RGS
+    starts 0, 1, …, s and whose first u = s + (r mod 2) points are not
+    singletons. From that prefix the walk follows the noncrossing rule of
+    `enumerate_partitions`, in its order, while u counts the bottom blocks
+    that still wait for a second point: a point opens a block, or joins an
+    open block b ≥ u−1 (joining a lower one would close block u−1 while it
+    is a singleton), and joining b = u−1 meets that block. A branch with
+    fewer points left than u is cut, so no branch ends empty-handed.
+    """
+    if n == 0:
+        return [Partition.empty()]
+    s = r // 2
+    out: list[Partition] = []
+    # work list of (prefix, blocks opened, open stack, u), as in enumerate_partitions
+    todo = [(tuple(range(s + 1)), s + 1, tuple(range(s + 1)), s + r % 2)]
+    while todo:
+        prefix, blocks, stack, u = todo.pop()
+        i = len(prefix)
+        if u > n - i:
+            continue
+        if i == n:
+            out.append(_generated(n, prefix))
+            continue
+        todo.append((prefix + (blocks,), blocks + 1, stack + (blocks,), u))
+        for j in reversed(range(len(stack))):
+            b = stack[j]
+            if b < u - 1:
+                break
+            todo.append((prefix + (b,), blocks, stack[: j + 1], u - (b == u - 1)))
+    return out
 
 
 def w_stratum(n: int, r: int) -> list[Partition]:
     """W(n,r) within NC(0,n), in global enumeration order."""
     if not 0 <= r <= n:
         raise ValueError(f"stratum level r={r} out of range for n={n}")
-    return [p for p, level in _levels(n) if r <= level]
+    return _w_walk(n, r)
 
 
 def y_stratum(n: int, r: int) -> list[Partition]:
     _check_level(n, r, "stratum")
-    return [p for p, level in _levels(n) if level == r]
+    return [p for p in _w_walk(n, r) if stratum_level(p) == r]
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +246,8 @@ def build_A(n: int, r: int, N: int) -> ExactMatrix:
     _check_level_matrix(n, r, N)
     _check_budget(_w_count(n, r))
     y, w = [], []
-    for p, level in _levels(n):
-        if level == r:
-            y.append(p)
-        elif level > r:
-            w.append(p)
+    for p in _w_walk(n, r):
+        (y if stratum_level(p) == r else w).append(p)
     return _level_matrix(n, r, N, tuple(y + w))
 
 
@@ -236,7 +269,8 @@ def build_B(n: int, r: int, N: int) -> ExactMatrix:
 # array below always reads from q.rgs and never from itself.
 
 
-def _require_manip_args(q: Partition, r: int) -> int:
+def _rewire(q: Partition, r: int, i: int, merge: bool) -> Partition:
+    """f_manip(i, q, r), or g_manip(i, q, r) when merge is set."""
     n = q.points
     if q.upper:
         raise ShapeError("manipulations are defined on (0, n) partitions")
@@ -244,7 +278,20 @@ def _require_manip_args(q: Partition, r: int) -> int:
         raise ValueError(f"manipulation level r={r} out of range for n={n}")
     if not in_W(q, r + 1):
         raise ValueError("partition is not in the level r+1 stratum")
-    return n
+    s, odd = r // 2, r % 2 == 1
+    limit = s if merge and not odd else s + 1
+    if not 1 <= i <= limit:
+        raise ValueError(f"i={i} out of range 1..{limit}")
+    orig = q.rgs
+    ids = list(orig)
+    if merge:  # X(i) and X(i+1) become one block, under the id of X(i+1)
+        ids = [orig[i] if b == orig[i - 1] else b for b in orig]
+    for j in range(i + merge, s + 1):  # point j (1-based) joins the block of point j+1
+        ids[j - 1] = orig[j]
+    # point s+1 joins X(s+2) for odd r (a no-op after g's merge at i = s+1),
+    # and becomes a singleton under a fresh id for even r
+    ids[s] = orig[s + 1] if odd else n
+    return Partition(0, n, _canonical(ids))
 
 
 def f_manip(i: int, q: Partition, r: int) -> Partition:
@@ -253,19 +300,7 @@ def f_manip(i: int, q: Partition, r: int) -> Partition:
     Point s+1 leaves K(s+1); for odd r it joins X(s+2) instead of becoming
     a singleton. The result lands one stratum lower, in W(n,r).
     """
-    n = _require_manip_args(q, r)
-    s = r // 2
-    if not 1 <= i <= s + 1:
-        raise ValueError(f"i={i} out of range 1..{s + 1}")
-    orig = q.rgs
-    ids = list(orig)
-    for j in range(i, s + 1):  # point j (1-based) joins the block of point j+1
-        ids[j - 1] = orig[j]
-    if r % 2 == 0:
-        ids[s] = n  # fresh id: point s+1 becomes a singleton
-    else:
-        ids[s] = orig[s + 1]  # point s+1 joins the block of point s+2
-    return Partition(0, n, _canonical(ids))
+    return _rewire(q, r, i, False)
 
 
 def g_manip(i: int, q: Partition, r: int) -> Partition:
@@ -275,30 +310,7 @@ def g_manip(i: int, q: Partition, r: int) -> Partition:
     For odd r the extra case i = s+1 just merges the blocks of s+1 and
     s+2. The result lands in W(n,r).
     """
-    n = _require_manip_args(q, r)
-    s = r // 2
-    odd = r % 2 == 1
-    limit = s + 1 if odd else s
-    if not 1 <= i <= limit:
-        raise ValueError(f"i={i} out of range 1..{limit}")
-    orig = q.rgs
-    if odd and i == s + 1:
-        target, source = orig[s], orig[s + 1]
-        return Partition(
-            0, n, _canonical(target if b == source else b for b in orig)
-        )
-    ids = list(orig)
-    absorbed = orig[i]  # block id of X(i+1)
-    for pos, b in enumerate(orig):
-        if b == absorbed:
-            ids[pos] = orig[i - 1]
-    for j in range(i + 1, s + 1):
-        ids[j - 1] = orig[j]
-    if r % 2 == 0:
-        ids[s] = n
-    else:
-        ids[s] = orig[s + 1]
-    return Partition(0, n, _canonical(ids))
+    return _rewire(q, r, i, True)
 
 
 # ---------------------------------------------------------------------------
@@ -331,53 +343,24 @@ class StructZero(Structure):
     """Pattern [0]: every vertical pair i, i' stays connected around the cut."""
 
 
-def _u(i: int) -> int:
-    return i - 1
+def _structures(s: int, odd: bool) -> dict[tuple[int, ...], Structure]:
+    """The level-r structures (r = 2s, or 2s+1 if odd), keyed by the
+    canonical labels of the nodes 1..s+1, 1'..t' in the cut graph, where
+    t = s+1, or s+2 if odd.
 
-
-def _pr(i: int, n: int) -> int:
-    return n + i - 1
-
-
-def _mentioned(n: int, r: int) -> list[int]:
-    s = r // 2
-    nodes = [_u(j) for j in range(1, s + 2)]
-    primed_count = s + 2 if r % 2 == 1 else s + 1
-    nodes += [_pr(j, n) for j in range(1, primed_count + 1)]
-    return nodes
-
-
-def _candidate_patterns(n: int, r: int):
-    """Yield (tag, partition-of-mentioned-nodes) pairs for level r."""
-    s = r // 2
-    odd = r % 2 == 1
-
-    def vert(j: int) -> frozenset[int]:
-        return frozenset({_u(j), _pr(j, n)})
-
-    def diag(j: int) -> frozenset[int]:
-        return frozenset({_u(j), _pr(j + 1, n)})
-
-    top = s + 1  # number of unprimed mentioned points
-    for i in range(1, top + 1):
-        groups = [vert(j) for j in range(1, i)]
-        groups.append(frozenset({_pr(i, n)}))
-        groups += [diag(j) for j in range(i, s + 2 if odd else s + 1)]
-        if not odd:
-            groups.append(frozenset({_u(s + 1)}))
-        yield StructI(i), frozenset(groups)
-    pair_top = s + 1 if odd else s
-    for i in range(1, pair_top + 1):
-        groups = [vert(j) for j in range(1, i)]
-        groups.append(frozenset({_u(i), _pr(i, n), _pr(i + 1, n)}))
-        groups += [diag(j) for j in range(i + 1, s + 2 if odd else s + 1)]
-        if not odd:
-            groups.append(frozenset({_u(s + 1)}))
-        yield StructPair(i), frozenset(groups)
-    groups = [vert(j) for j in range(1, s + 2)]
-    if odd:
-        groups.append(frozenset({_pr(s + 2, n)}))
-    yield StructZero(), frozenset(groups)
+    Points 1..s+1 keep the labels 1..s+1 (0..s here, as an RGS counts from
+    0); each j' takes the label of the point it is joined to, or the fresh
+    label s+2 (s+1 here) when it is joined to none of them.
+    """
+    t = s + 2 if odd else s + 1
+    label = tuple(range(s + 1))  # label[j-1] belongs to point j
+    fresh = (s + 1,)
+    table: dict[tuple[int, ...], Structure] = {label + label + fresh * odd: StructZero()}
+    for i in range(1, s + 2):  # [i]: j' to j below i, i' alone, j' to j-1 above i
+        table[label + label[: i - 1] + fresh + label[i - 1 : t - 1]] = StructI(i)
+    for i in range(1, t):  # [i, i+1]: as [i], but i' joined to i
+        table[label + label[:i] + label[i - 1 : t - 1]] = StructPair(i)
+    return table
 
 
 def classify_structure(p: Partition, q: Partition, r: int) -> Structure | None:
@@ -390,15 +373,9 @@ def classify_structure(p: Partition, q: Partition, r: int) -> Structure | None:
     n = _check_pair(p, q)
     if not 0 <= r < n - 1:
         raise ValueError(f"structure level r={r} out of range for n={n}")
-    g = cut_graph(p, q, r)
-    by_component: dict[int, set[int]] = {}
-    for node in _mentioned(n, r):
-        by_component.setdefault(g.ids[node], set()).add(node)
-    induced = frozenset(frozenset(group) for group in by_component.values())
-    for tag, pattern in _candidate_patterns(n, r):
-        if induced == pattern:
-            return tag
-    return None
+    s, odd = r // 2, r % 2 == 1
+    ids = cut_graph(p, q, r).ids
+    return _structures(s, odd).get(_canonical(ids[: s + 1] + ids[n : n + s + 1 + odd]))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +419,8 @@ def F_r_value(p: Partition, q: Partition, r: int, N: int) -> Fraction:
     computed directly from the e_r values of the rewired partitions, never
     from the structure classifier.
     """
+    if N < 1:
+        raise ValueError("N must be positive")
     n = _check_pair(p, q)
     if not 1 <= r < n - 1:
         raise ValueError(f"column level r={r} out of range for n={n}")

@@ -110,3 +110,40 @@ def test_only_the_content_division_reaches_the_bareiss_loop():
         )
     }
     assert found == {"kernels.py:det_exact", "kernels.py:rank_exact"}
+
+
+def _mentions(tree: ast.AST) -> set[str]:
+    """Every name, attribute, import alias and string constant in a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found |= {node.name, node.asname}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_package_definition_is_mentioned_somewhere():
+    # a function, class or method that nothing in the package, the tests or
+    # the benchmark mentions is dead code; Python calls dunder methods itself
+    root = SOURCE.parent.parent
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for folder in ("src", "tests", "ncbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    mentioned = set().union(*map(_mentions, trees.values()))
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        if path.parent == SOURCE
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in mentioned
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert unused == []

@@ -7,6 +7,7 @@ import gc
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, log2
+from time import perf_counter
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,14 @@ from hypothesis import strategies as st
 from ncgram import tutte
 from ncgram.errors import BudgetError
 from ncgram.gram import build_gram, determinant
-from ncgram.partitions import Partition, PartitionClass, compose, enumerate_partitions, involution
+from ncgram.partitions import (
+    Partition,
+    PartitionClass,
+    compose,
+    enumerate_partitions,
+    involution,
+    kernel,
+)
 from ncgram.polynomials import beraha
 from ncgram.tutte import (
     F_r_value,
@@ -24,6 +32,7 @@ from ncgram.tutte import (
     StructPair,
     StructZero,
     _strata_counts,
+    _structures,
     build_A,
     build_B,
     classify_structure,
@@ -243,6 +252,26 @@ def test_w_chain_is_decreasing():
             assert sets[r + 1] <= sets[r]
 
 
+def test_strata_walk_matches_the_filter_oracle():
+    # the walk generates W(n,r) from its prefix; the oracle sorts every
+    # p ∈ NC(0,n) into its level and keeps the enumeration order
+    for n in range(11):
+        ps = enumerate_partitions(n, NC)
+        levels = [stratum_level(p) for p in ps]
+        for r in range(n + 1):
+            assert w_stratum(n, r) == [p for p, level in zip(ps, levels) if r <= level]
+        for r in range(n):
+            assert y_stratum(n, r) == [p for p, level in zip(ps, levels) if level == r]
+
+
+def test_the_top_level_matrix_of_thirty_points_lists_one_label():
+    # #W(30, 29) = 1, and the walk reaches it without passing through the
+    # C_30 ≈ 3.8·10^15 partitions of NC(0, 30)
+    start = perf_counter()
+    assert build_A(30, 29, 4).entries == ((4**15,),)
+    assert perf_counter() - start < 1
+
+
 def test_top_stratum_is_a_single_partition():
     for n in range(1, 9):
         assert len(w_stratum(n, n - 1)) == 1
@@ -426,6 +455,42 @@ def test_f_and_g_worked_examples():
     assert g_manip(1, q2, 2) == lower(4, [[1, 3, 4], [2]])
 
 
+def manip_oracle(kind: str, i: int, q: Partition, r: int) -> Partition:
+    """f_manip and g_manip as first written, one loop each, both reading
+    only q.rgs and skipping the argument checks: the oracle for the shared
+    rewiring."""
+    n, s = q.points, r // 2
+    orig = q.rgs
+    ids = list(orig)
+    if kind == "f":
+        for j in range(i, s + 1):
+            ids[j - 1] = orig[j]
+    else:
+        if r % 2 == 1 and i == s + 1:
+            target, source = orig[s], orig[s + 1]
+            return kernel([target if b == source else b for b in orig])
+        absorbed = orig[i]
+        for pos, b in enumerate(orig):
+            if b == absorbed:
+                ids[pos] = orig[i - 1]
+        for j in range(i + 1, s + 1):
+            ids[j - 1] = orig[j]
+    ids[s] = n if r % 2 == 0 else orig[s + 1]
+    return kernel(ids)
+
+
+def test_manipulations_match_the_oracle():
+    for n in range(2, 9):
+        for r in range(n - 1):
+            s = r // 2
+            g_limit = s if r % 2 == 0 else s + 1
+            for q in w_stratum(n, r + 1):
+                for i in range(1, s + 2):
+                    assert f_manip(i, q, r) == manip_oracle("f", i, q, r)
+                for i in range(1, g_limit + 1):
+                    assert g_manip(i, q, r) == manip_oracle("g", i, q, r)
+
+
 def test_manipulations_land_in_coarser_stratum():
     for n in range(2, 7):
         for r in range(n - 1):
@@ -479,32 +544,76 @@ def test_structure_worked_examples():
     assert classify_structure(lower(4, [[1, 2, 3, 4]]), q, 1) == StructPair(1)
 
 
-def test_structures_are_mutually_exclusive():
-    # re-derive the match set independently and require at most one hit
-    from ncgram.tutte import _candidate_patterns, _mentioned
+def mentioned_nodes(n: int, r: int) -> list[int]:
+    """Cut-graph node indices of 1..s+1, then 1'..t' (t = s+1, or s+2 at odd r)."""
+    s = r // 2
+    primed_count = s + 2 if r % 2 == 1 else s + 1
+    return [*range(s + 1), *(n + j for j in range(primed_count))]
 
-    for n in range(2, 6):
-        for r in range(n - 1):
-            for q in w_stratum(n, r + 1):
-                for p in w_stratum(n, r):
-                    h = cut_graph(p, q, r)
-                    mentioned = _mentioned(n, r)
-                    grouping: dict[int, set[int]] = {}
-                    for v in mentioned:
-                        cid = h.ids[v]
-                        grouping.setdefault(cid, set()).add(v)
-                    induced = frozenset(frozenset(g) for g in grouping.values())
-                    hits = [
-                        tag
-                        for tag, pattern in _candidate_patterns(n, r)
-                        if pattern == induced
-                    ]
-                    assert len(hits) <= 1
-                    got = classify_structure(p, q, r)
-                    if hits:
-                        assert got == hits[0]
-                    else:
-                        assert got is None
+
+def candidate_patterns(n: int, r: int):
+    """(tag, grouping of the mentioned nodes) per structure of level r, each
+    grouping a frozenset of frozensets of node indices: the structures as
+    first written, the oracle for the label table `_structures`."""
+    s = r // 2
+    odd = r % 2 == 1
+
+    def vert(j: int) -> frozenset[int]:
+        return frozenset({j - 1, n + j - 1})
+
+    def diag(j: int) -> frozenset[int]:
+        return frozenset({j - 1, n + j})
+
+    for i in range(1, s + 2):
+        groups = [vert(j) for j in range(1, i)]
+        groups.append(frozenset({n + i - 1}))
+        groups += [diag(j) for j in range(i, s + 2 if odd else s + 1)]
+        if not odd:
+            groups.append(frozenset({s}))
+        yield StructI(i), frozenset(groups)
+    for i in range(1, s + 2 if odd else s + 1):
+        groups = [vert(j) for j in range(1, i)]
+        groups.append(frozenset({i - 1, n + i - 1, n + i}))
+        groups += [diag(j) for j in range(i + 1, s + 2 if odd else s + 1)]
+        if not odd:
+            groups.append(frozenset({s}))
+        yield StructPair(i), frozenset(groups)
+    groups = [vert(j) for j in range(1, s + 2)]
+    if odd:
+        groups.append(frozenset({n + s + 1}))
+    yield StructZero(), frozenset(groups)
+
+
+def matching_patterns(p: Partition, q: Partition, r: int) -> list:
+    """The tags whose grouping equals the cut graph's on the mentioned nodes."""
+    n = p.points
+    ids = cut_graph(p, q, r).ids
+    grouping: dict[int, set[int]] = {}
+    for node in mentioned_nodes(n, r):
+        grouping.setdefault(ids[node], set()).add(node)
+    induced = frozenset(frozenset(group) for group in grouping.values())
+    return [tag for tag, pattern in candidate_patterns(n, r) if pattern == induced]
+
+
+def test_structures_are_mutually_exclusive():
+    # one key per structure: s+1 of [i], s or s+1 of [i, i+1] and [0]; two
+    # equal keys would merge silently in the dict
+    for s in range(11):
+        for odd in (False, True):
+            assert len(_structures(s, odd)) == 2 * s + 2 + odd
+
+    def pairs():
+        for n in range(2, 6):  # every noncrossing pair
+            ps = enumerate_partitions(n, NC)
+            for r in range(n - 1):
+                yield from ((p, q, r) for p in ps for q in ps)
+        for r in range(5):  # the stratum pairs the case table is about
+            yield from ((p, q, r) for q in w_stratum(6, r + 1) for p in w_stratum(6, r))
+
+    for p, q, r in pairs():
+        hits = matching_patterns(p, q, r)
+        assert len(hits) <= 1
+        assert classify_structure(p, q, r) == (hits[0] if hits else None)
 
 
 def test_nonzero_next_level_entry_forces_the_covering_structure():
@@ -550,6 +659,14 @@ def test_f_r_single_value():
     p = Partition.one_block(4)
     q = lower(4, [[1, 3, 4], [2]])
     assert F_r_value(p, q, 1, 4) == Fraction(-3)
+
+
+def test_f_r_rejects_a_nonpositive_parameter():
+    p = Partition.one_block(4)
+    q = lower(4, [[1, 3, 4], [2]])
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="N must be positive"):
+            F_r_value(p, q, 1, N)
 
 
 def test_f_r_identity_small():
@@ -671,11 +788,12 @@ def test_recursion_bit_budget_admits_every_tested_job():
 def test_level_matrices_refuse_past_the_budget_before_any_enumeration(monkeypatch):
     # #W(11, 0) = 58786 and #Y(11, 0) = 16796 rows are counted in closed
     # form, as is #W(8000, 0), a number of 4811 digits; listing a single
-    # label would fail the test
+    # label, by the stratum walk or by the enumerator, would fail the test
     def no_enumeration(*args):
         raise AssertionError("the labels were enumerated")
 
-    monkeypatch.setattr(tutte, "enumerate_partitions", no_enumeration)
+    monkeypatch.setattr(tutte, "_w_walk", no_enumeration)
+    monkeypatch.setattr("ncgram.partitions.enumerate_partitions", no_enumeration)
     assert _strata_counts(11)[0][0] == 58786 and _strata_counts(11)[1][0] == 16796
     for n, r in ((11, 0), (11, 3), (8000, 0)):
         for build in (build_A, build_B):
