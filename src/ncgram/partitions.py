@@ -226,28 +226,56 @@ def enumerate_partitions(
     """
     if points < 0:
         raise ValueError("negative point count")
+    return _enumerate(points, cls, 0, 0)
+
+
+def _enumerate(
+    points: int, cls: PartitionClass, opened: int, waiting: int
+) -> list[Partition]:
+    """The generator of `enumerate_partitions`, started after the prefix
+    0, 1, …, opened−1 with its bottom `waiting` blocks still singletons.
+
+    A waiting block must take another point. `tutte` lists each stratum
+    W(n,r) from such a start under the noncrossing rule: with u blocks
+    waiting, a point joins an open block j ≥ u−1 or opens one, since
+    joining a lower block would close block u−1 while it waits, and
+    joining block u−1 ends its wait. The waiting blocks keep their places
+    0..u−1 at the bottom of the stack, so the joins start at index u−1
+    and need no test of block ids. In NC2 every open block waits for its
+    second point. Both rules are one cut, made where a branch is pushed:
+    it goes on only while no more blocks wait than positions remain
+    after it, so no branch ends empty-handed.
+    """
     out: list[Partition] = []
-    # Depth first over (prefix, blocks opened, open stack); each node's
-    # choices go on in descending order, so the smallest is taken next. A
-    # work list, not a recursive closure: such a closure refers to itself,
-    # and that cycle would hold `out` until the cycle collector ran.
-    todo: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((), 0, ())]
+    # Depth first over (prefix, blocks opened, open stack, blocks waiting);
+    # each node's choices go on in descending order, so the smallest is
+    # taken next. A work list, not a recursive closure: such a closure
+    # refers to itself, and that cycle would hold `out` until the cycle
+    # collector ran.
+    start = tuple(range(opened))
+    todo = [(start, opened, start, waiting)] if waiting <= points - opened else []
+    pairs = cls is PartitionClass.NONCROSSING_PAIRS
     while todo:
-        prefix, blocks, stack = todo.pop()
+        prefix, blocks, stack, waiting = todo.pop()
         i = len(prefix)
         if i == points:
             out.append(_generated(points, prefix))
             continue
-        if cls is not PartitionClass.NONCROSSING_PAIRS or len(stack) < points - i - 1:
-            todo.append((prefix + (blocks,), blocks + 1, stack + (blocks,)))
+        room = points - i - 1  # the positions after this one
+        if waiting + pairs <= room:
+            todo.append((prefix + (blocks,), blocks + 1, stack + (blocks,), waiting + pairs))
         if cls is PartitionClass.ALL:
-            joins = [(b, stack) for b in stack]
-        elif cls is PartitionClass.NONCROSSING:
-            joins = [(b, stack[: j + 1]) for j, b in enumerate(stack)]
+            for b in reversed(stack):
+                todo.append((prefix + (b,), blocks, stack, 0))
+        elif pairs:
+            if stack:
+                todo.append((prefix + (stack[-1],), blocks, stack[:-1], waiting - 1))
         else:
-            joins = [(stack[-1], stack[:-1])] if stack else []
-        for b, still_open in reversed(joins):
-            todo.append((prefix + (b,), blocks, still_open))
+            low = waiting - 1 if waiting else 0
+            # with no room to spare, only taking block u−1 off the wait fits
+            top = low if waiting > room else len(stack) - 1
+            for j in range(top, low - 1, -1):
+                todo.append((prefix + (stack[j],), blocks, stack[: j + 1], waiting - (j < waiting)))
     return out
 
 

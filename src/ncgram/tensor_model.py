@@ -23,14 +23,12 @@ from typing import Iterator
 
 from .errors import BudgetError, ShapeError
 from .partitions import (
-    Corner,
     Partition,
     PartitionClass,
     compose,
     enumerate_partitions,
     involution,
     refines,
-    rotate,
     tensor,
 )
 
@@ -109,8 +107,8 @@ def matrix_of(p: Partition, N: int) -> list[list[int]]:
     leftmost leg most significant. Zeros everywhere but at the N^{b(p)}
     block-constant labellings.
     """
-    if N**p.upper > DENSE_BUDGET or N**p.lower > DENSE_BUDGET:
-        raise BudgetError("matrix exceeds dense budget")
+    if N**p.points > DENSE_BUDGET:
+        raise BudgetError(f"{N}^{p.points} exceeds dense budget {DENSE_BUDGET}")
     k = p.upper
     out = [[0] * N**k for _ in range(N**p.lower)]
     for labels in _labellings(p, N):
@@ -155,14 +153,12 @@ def _transpose(a: list[list[int]]) -> list[list[int]]:
 
 def _partitions_up_to(max_points: int) -> list[Partition]:
     """All partitions with at most max_points points in each row."""
-    out: list[Partition] = []
-    for k in range(max_points + 1):
-        for l in range(max_points + 1):
-            for q in enumerate_partitions(k + l, PartitionClass.ALL):
-                for _ in range(k):
-                    q = rotate(q, Corner.LOWER_LEFT_UP)
-                out.append(q)
-    return out
+    return [
+        Partition(k, l, p.rgs)
+        for k in range(max_points + 1)
+        for l in range(max_points + 1)
+        for p in enumerate_partitions(k + l, PartitionClass.ALL)
+    ]
 
 
 def check_functor_laws(N: int, max_points: int) -> list[dict]:

@@ -18,8 +18,9 @@ in one scan. With a the number of leading points in pairwise different
 blocks and b the number of leading non-singletons, the level is 2a−1 if
 a ≤ b and 2b otherwise (0 for the empty partition). Then p ∈ W(n,r) iff
 r ≤ level, and p ∈ Y(n,r) iff r = level. The strata are never filtered
-out of NC(0,n): W(n,r) is generated from the prefix its RGS must start
-with, so a small stratum costs little however large NC(0,n) is.
+out of NC(0,n): the package's one partition generator lists W(n,r) from
+the prefix its RGS must start with, so a small stratum costs little
+however large NC(0,n) is.
 
 The case table of the recursion classifies the cut graph of a pair by its
 components on the leftmost nodes 1..s+1, 1'..t' into three structures,
@@ -46,7 +47,7 @@ from .partitions import (
     Partition,
     PartitionClass,
     _canonical,
-    _generated,
+    _enumerate,
     component_labels,
     count_partitions,
     join_components,
@@ -147,52 +148,23 @@ def in_Y(p: Partition, r: int) -> bool:
     return stratum_level(p) == r
 
 
-def _w_walk(n: int, r: int) -> list[Partition]:
-    """W(n,r) within NC(0,n), 0 ≤ r ≤ n, in global enumeration order,
-    generated from its prefix without listing the rest of NC(0,n).
+def w_stratum(n: int, r: int) -> list[Partition]:
+    """W(n,r) within NC(0,n), in global enumeration order.
 
     With r = 2s or 2s+1, W(n,r) holds the noncrossing partitions whose RGS
-    starts 0, 1, …, s and whose first u = s + (r mod 2) points are not
-    singletons. From that prefix the walk follows the noncrossing rule of
-    `enumerate_partitions`, in its order, while u counts the bottom blocks
-    that still wait for a second point: a point opens a block, or joins an
-    open block b ≥ u−1 (joining a lower one would close block u−1 while it
-    is a singleton), and joining b = u−1 meets that block. A branch with
-    fewer points left than u is cut, so no branch ends empty-handed.
+    starts 0, 1, …, s and whose first s + (r mod 2) points are not
+    singletons: the enumeration from that prefix with those blocks
+    waiting. W(n,0) is all of NC(0,n), so it starts from nothing.
     """
-    if n == 0:
-        return [Partition.empty()]
-    s = r // 2
-    out: list[Partition] = []
-    # work list of (prefix, blocks opened, open stack, u), as in enumerate_partitions
-    todo = [(tuple(range(s + 1)), s + 1, tuple(range(s + 1)), s + r % 2)]
-    while todo:
-        prefix, blocks, stack, u = todo.pop()
-        i = len(prefix)
-        if u > n - i:
-            continue
-        if i == n:
-            out.append(_generated(n, prefix))
-            continue
-        todo.append((prefix + (blocks,), blocks + 1, stack + (blocks,), u))
-        for j in reversed(range(len(stack))):
-            b = stack[j]
-            if b < u - 1:
-                break
-            todo.append((prefix + (b,), blocks, stack[: j + 1], u - (b == u - 1)))
-    return out
-
-
-def w_stratum(n: int, r: int) -> list[Partition]:
-    """W(n,r) within NC(0,n), in global enumeration order."""
     if not 0 <= r <= n:
         raise ValueError(f"stratum level r={r} out of range for n={n}")
-    return _w_walk(n, r)
+    s = r // 2
+    return _enumerate(n, PartitionClass.NONCROSSING, s + 1 if r else 0, s + r % 2)
 
 
 def y_stratum(n: int, r: int) -> list[Partition]:
     _check_level(n, r, "stratum")
-    return [p for p in _w_walk(n, r) if stratum_level(p) == r]
+    return [p for p in w_stratum(n, r) if stratum_level(p) == r]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +218,7 @@ def build_A(n: int, r: int, N: int) -> ExactMatrix:
     _check_level_matrix(n, r, N)
     _check_budget(_w_count(n, r))
     y, w = [], []
-    for p in _w_walk(n, r):
+    for p in w_stratum(n, r):
         (y if stratum_level(p) == r else w).append(p)
     return _level_matrix(n, r, N, tuple(y + w))
 

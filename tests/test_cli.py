@@ -197,13 +197,14 @@ def test_over_budget_jobs_exit_before_any_enumeration(capsys, monkeypatch, argv)
     # the class is counted in closed form: Bell(20) ≈ 5·10^13 labels are
     # never listed, so an enumeration anywhere would fail the test; the
     # exit stays 3 for class sizes past str()'s 4300 digits; tutte lists
-    # its labels by the stratum walk
+    # its strata by the one generator, which it binds by name
     def no_enumeration(*args):
         raise AssertionError("the labels were enumerated")
 
     for module in (partitions, gram, cli):
         monkeypatch.setattr(module, "enumerate_partitions", no_enumeration)
-    monkeypatch.setattr(tutte, "_w_walk", no_enumeration)
+    for module in (partitions, tutte):
+        monkeypatch.setattr(module, "_enumerate", no_enumeration)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""

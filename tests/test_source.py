@@ -87,6 +87,19 @@ def test_only_the_mirror_split_reaches_the_elimination_kernel():
     assert found == {"gram.py:_split_det", "gram.py:_split_rank"}
 
 
+def test_only_the_one_generator_skips_the_canonical_check():
+    # `_generated` builds a partition without checking its RGS, which only
+    # the generator behind every class and every stratum may rely on
+    found = {
+        f"{path.name}:{scope}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope, _ in _references(
+            ast.parse(path.read_text(encoding="utf-8"), str(path)), {"_generated"}
+        )
+    }
+    assert found == {"partitions.py:_enumerate"}
+
+
 def test_the_union_find_is_gone_from_the_package():
     # every loop count goes through the bitmask join kernel; the union-find
     # it replaced lives on only as a test oracle (tests/test_join_kernel.py)

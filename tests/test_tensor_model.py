@@ -181,6 +181,12 @@ def test_inner_product_shape_mismatch():
 def test_dense_budget_enforced():
     with pytest.raises(BudgetError):
         vector_of(Partition.one_block(6), 11)
+    # a matrix counts the legs of both rows: 11^3 rows by 11^3 columns is
+    # 11^6 > 10^6 entries, though each row alone is inside the budget
+    p = Partition(3, 3, (0, 1, 2, 0, 1, 2))
+    with pytest.raises(BudgetError, match="11\\^6"):
+        matrix_of(p, 11)
+    assert sum(map(sum, matrix_of(p, 10))) == 10**3
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,58 @@ def test_strata_walk_matches_the_filter_oracle():
             assert y_stratum(n, r) == [p for p, level in zip(ps, levels) if level == r]
 
 
+def w_walk_oracle(n: int, r: int) -> list[Partition]:
+    """W(n,r) by the stratum walk tutte once held beside the enumerator.
+
+    With r = 2s or 2s+1, W(n,r) holds the noncrossing partitions whose RGS
+    starts 0, 1, …, s and whose first u = s + (r mod 2) points are not
+    singletons. From that prefix the walk follows the noncrossing rule,
+    while u counts the bottom blocks that still wait for a second point: a
+    point opens a block, or joins an open block b ≥ u−1, and joining
+    b = u−1 meets that block. A branch with fewer points left than u is cut.
+    """
+    if n == 0:
+        return [Partition.empty()]
+    s = r // 2
+    out = []
+    todo = [(tuple(range(s + 1)), s + 1, tuple(range(s + 1)), s + r % 2)]
+    while todo:
+        prefix, blocks, stack, u = todo.pop()
+        i = len(prefix)
+        if u > n - i:
+            continue
+        if i == n:
+            out.append(Partition(0, n, prefix))
+            continue
+        todo.append((prefix + (blocks,), blocks + 1, stack + (blocks,), u))
+        for j in reversed(range(len(stack))):
+            b = stack[j]
+            if b < u - 1:
+                break
+            todo.append((prefix + (b,), blocks, stack[: j + 1], u - (b == u - 1)))
+    return out
+
+
+def test_strata_match_the_walk_oracle():
+    # the one generator lists every stratum as the separate walk did, order
+    # included; the level matrices are built where they have few rows
+    for n in range(12):
+        for r in range(n + 1):
+            walk = w_walk_oracle(n, r)
+            assert w_stratum(n, r) == walk
+            if r == n:
+                continue
+            ys = [p for p in walk if stratum_level(p) == r]
+            assert y_stratum(n, r) == ys
+            if len(walk) <= 500:
+                labels = tuple(ys + [p for p in walk if stratum_level(p) > r])
+                a, b = build_A(n, r, 4), build_B(n, r, 4)
+                assert a.row_labels == a.col_labels == labels
+                assert b.row_labels == b.col_labels == tuple(ys)
+    assert w_stratum(0, 0) == [Partition.empty()]
+    assert [w_stratum(n, n) for n in range(1, 12)] == [[]] * 11
+
+
 def test_the_top_level_matrix_of_thirty_points_lists_one_label():
     # #W(30, 29) = 1, and the walk reaches it without passing through the
     # C_30 ≈ 3.8·10^15 partitions of NC(0, 30)
@@ -788,11 +840,13 @@ def test_recursion_bit_budget_admits_every_tested_job():
 def test_level_matrices_refuse_past_the_budget_before_any_enumeration(monkeypatch):
     # #W(11, 0) = 58786 and #Y(11, 0) = 16796 rows are counted in closed
     # form, as is #W(8000, 0), a number of 4811 digits; listing a single
-    # label, by the stratum walk or by the enumerator, would fail the test
+    # label, by a stratum or by the class, would fail the test. tutte
+    # binds the generator by name, so it is patched there as well.
     def no_enumeration(*args):
         raise AssertionError("the labels were enumerated")
 
-    monkeypatch.setattr(tutte, "_w_walk", no_enumeration)
+    monkeypatch.setattr(tutte, "_enumerate", no_enumeration)
+    monkeypatch.setattr("ncgram.partitions._enumerate", no_enumeration)
     monkeypatch.setattr("ncgram.partitions.enumerate_partitions", no_enumeration)
     assert _strata_counts(11)[0][0] == 58786 and _strata_counts(11)[1][0] == 16796
     for n, r in ((11, 0), (11, 3), (8000, 0)):
