@@ -2,7 +2,7 @@
 
 The determinant of the Gram matrix over noncrossing pair partitions on 2n
 points is a direct Chebyshev product (hard cross-check: it must equal the
-Bareiss determinant exactly).
+determinant found by exact elimination, `gram.determinant`).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ join kernel of `partitions`. With N given, the entries are the integers
 N^e, looked up in a table of powers; with N = None the matrix is
 symbolic, and its entries are the exponents e of the monomials X^e.
 
-Every elimination is the one fraction-free integer kernel in `kernels`,
+Every elimination is the one exact integer kernel in `kernels`,
 so a symbolic determinant is found by evaluation and interpolation. Every
 entry of an m×m matrix is written X^e_min·X^(e − e_min), with e_min its
 smallest exponent (1 for every Gram matrix, since every pair graph has a
@@ -26,33 +26,6 @@ and Newton interpolation recovers the polynomial, by exact integer
 division that fails unless the result lies in ℤ[X]; its coefficients are
 then shifted up by m·e_min.
 Nothing here ever touches floating point.
-
-Every integer matrix is eliminated in two blocks split along the mirror
-σ of its labels (`partitions.mirror`, each row reversed). A loop count
-does not change when both partitions are relabelled alike, so a Gram
-matrix G satisfies G[σi][σj] = G[i][j]. Let T₊ hold the orbit-indicator
-columns of σ (e_i for a fixed point, e_i + e_σi for a 2-orbit) and T₋ the
-columns e_i − e_σi, one per 2-orbit, k of them. T₊ lies in the +1 and T₋
-in the −1 eigenspace of the permutation P of σ, and PᵀGP = G, so
-uᵀGv = (Pu)ᵀG(Pv) = −uᵀGv for u in the one and v in the other: the
-cross blocks vanish and
-
-    Tᵀ·G·T = diag(M₊, 2·M₋),   M₊ = T₊ᵀ·G·T₊,   M₋[i][j] = G[i][j] − G[i][σj]
-
-over 2-orbit representatives i, j, since (e_i − e_σi)ᵀG(e_j − e_σj) =
-2(G[i][j] − G[i][σj]) by invariance. T = [T₊ T₋] is square; up to the
-order of its rows and columns it is block diagonal, with a 1 for each
-fixed point and [[1, 1], [1, −1]], of determinant −2, for each 2-orbit,
-so det T = ±2^k. Hence
-
-    det G · 4^k = det M₊ · 2^k · det M₋,   so   det G = det M₊ · det M₋ / 2^k,
-
-and rank G = rank M₊ + rank M₋, as T is invertible over ℚ. Both blocks
-are integer matrices, symmetric when G is, of about half the size, and
-their determinants share out the bits of det G between them. σ is
-the identity, and then M₊ = G and M₋ is empty, unless the row and column
-labels are equal and distinct, their mirror images are labels again, and
-every entry is σ-invariant, which is checked entry by entry.
 """
 
 from __future__ import annotations
@@ -69,7 +42,6 @@ from .partitions import (
     count_partitions,
     enumerate_partitions,
     join_closure,
-    mirror,
     stacked_spreader,
     tabulated,
 )
@@ -267,7 +239,7 @@ def determinant(m: ExactMatrix) -> int | IntPolynomial:
     _check_budget(m.nrows)
     if m.is_symbolic:
         return _det_by_interpolation(m)
-    return _split_det(m.entries, _label_mirror(m))
+    return kernels.det_exact(m.entries)
 
 
 def rank(m: ExactMatrix) -> int:
@@ -275,7 +247,7 @@ def rank(m: ExactMatrix) -> int:
     if m.is_symbolic:
         raise ShapeError("rank requires integer entries; evaluate first")
     _check_budget(max(m.nrows, m.ncols))
-    return _split_rank(m.entries, _label_mirror(m))
+    return kernels.rank_exact(m.entries)
 
 
 def _check_budget(size: int) -> None:
@@ -306,70 +278,6 @@ def _check_class_budget(points: int, cls: PartitionClass) -> None:
             )
 
 
-def _label_mirror(m: ExactMatrix) -> tuple[int, ...]:
-    """σ as a permutation of the indices: i ↦ the index of mirror(label i).
-
-    The identity unless row and column labels are equal and distinct, the
-    mirror maps them onto themselves and G[σi][σj] == G[i][j] holds for
-    every entry; nothing about the entries is assumed.
-    """
-    identity = tuple(range(m.nrows))
-    labels = m.row_labels
-    if labels != m.col_labels:
-        return identity
-    index = {p: i for i, p in enumerate(labels)}
-    if len(index) < len(labels):
-        return identity
-    sigma = tuple(index.get(mirror(p), -1) for p in labels)
-    if -1 in sigma:
-        return identity
-    rows = m.entries
-    for row, s in zip(rows, sigma):
-        image = rows[s]
-        if [image[t] for t in sigma] != list(row):
-            return identity
-    return sigma
-
-
-def _mirror_blocks(rows, sigma: tuple[int, ...]):
-    """(M₊, M₋) of the module docstring; (rows, ()) when σ is the identity.
-
-    The orbits of σ are listed by their smaller index, which represents a
-    2-orbit in M₋.
-    """
-    orbits = [(i, s) for i, s in enumerate(sigma) if i <= s]
-    if len(orbits) == len(sigma):
-        return rows, ()
-
-    def orbit_sums(row) -> list:
-        return [row[i] + row[s] if i < s else row[i] for i, s in orbits]
-
-    plus = []
-    for i, s in orbits:
-        sums = orbit_sums(rows[i])
-        if i < s:
-            sums = [a + b for a, b in zip(sums, orbit_sums(rows[s]))]
-        plus.append(sums)
-    pairs = [(i, s) for i, s in orbits if i < s]
-    minus = [[rows[i][j] - rows[i][t] for j, t in pairs] for i, _ in pairs]
-    return plus, minus
-
-
-def _split_det(rows, sigma: tuple[int, ...]) -> int:
-    """det G = det M₊ · det M₋ / 2^k; the division is checked to be exact."""
-    plus, minus = _mirror_blocks(rows, sigma)
-    det, rest = divmod(kernels.det_exact(plus) * kernels.det_exact(minus), 2 ** len(minus))
-    if rest:
-        raise ArithmeticError("det M₊ · det M₋ is not a multiple of 2^k")
-    return det
-
-
-def _split_rank(rows, sigma: tuple[int, ...]) -> int:
-    """rank G = rank M₊ + rank M₋."""
-    plus, minus = _mirror_blocks(rows, sigma)
-    return kernels.rank_exact(plus) + kernels.rank_exact(minus)
-
-
 def _det_by_interpolation(m: ExactMatrix) -> IntPolynomial:
     """Symbolic determinant by integer evaluation + exact interpolation.
 
@@ -384,8 +292,7 @@ def _det_by_interpolation(m: ExactMatrix) -> IntPolynomial:
     shifted = replace(m, entries=tuple(tuple(e - low for e in row) for row in m.entries))
     bound = sum(max(row, default=0) for row in shifted.entries)
     xs = list(range(1, bound + 2))
-    sigma = _label_mirror(m)  # on the exponents, once for every node
-    ys = [_split_det(shifted.evaluate(t).entries, sigma) for t in xs]
+    ys = [kernels.det_exact(shifted.evaluate(t).entries) for t in xs]
     return IntPolynomial((0,) * (m.nrows * low) + _interpolate_integer_poly(xs, ys).coeffs)
 
 

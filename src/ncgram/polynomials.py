@@ -121,10 +121,11 @@ class IntPolynomial:
             raise ValueError("inexact polynomial division")
         return IntPolynomial(out)
 
-    # Fraction-free elimination divides by a previous pivot, which is exact
-    # over any integral domain. The package eliminates over ℤ only; this
-    # alias keeps the test suite's reference Bareiss kernel running over
-    # ℤ[X], as an oracle for symbolic determinants found by interpolation.
+    # Bareiss elimination divides by the previous pivot, which is exact over
+    # any integral domain. The package eliminates over ℤ only, with its own
+    # primitive-row loop; this alias keeps the Bareiss oracle of the test
+    # suite running over ℤ[X], against symbolic determinants found by
+    # interpolation.
     __floordiv__ = divexact
 
     def evaluate(self, x):

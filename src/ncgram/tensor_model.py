@@ -173,6 +173,12 @@ def check_functor_laws(N: int, max_points: int) -> list[dict]:
     """
     if N < 1 or max_points < 1:
         raise ValueError("N and max_points must be positive")
+    # The largest matrix is that of q ⊗ p for two (max_points, max_points)
+    # partitions, so refuse before any is built. The exponent is capped at
+    # the budget's bit length, past which every N ≥ 2 exceeds the budget.
+    legs = 4 * max_points
+    if N ** min(legs, DENSE_BUDGET.bit_length()) > DENSE_BUDGET:
+        raise BudgetError(f"{N}^{legs} exceeds dense budget {DENSE_BUDGET}")
     parts = _partitions_up_to(max_points)
     mats = {p: matrix_of(p, N) for p in parts}
     reports = []

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncgram import cli, gram, partitions, tutte
+from ncgram import cli, gram, partitions, tensor_model, tutte
 from ncgram.cli import main
 from ncgram.tutte import recursion_det
 
@@ -283,6 +283,19 @@ def test_laws_default_bounds_pass(capsys):
     names = [r["law"] for r in payload["reports"]]
     assert names[:3] == ["tensor", "involution", "composition"]
     assert all(r["cases"] > 0 for r in payload["reports"])
+
+
+@pytest.mark.parametrize("param, max_points", [(1000, 2), (2, 5), (2, 10**9)])
+def test_over_budget_laws_exit_before_any_matrix(capsys, monkeypatch, param, max_points):
+    # the largest shape, q ⊗ p on 4·max_points legs, is refused first
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(tensor_model, "matrix_of", no_matrix)
+    code, out, err = run(capsys, "laws", "--param", str(param), "--max-points", str(max_points))
+    assert code == 3
+    assert out == ""
+    assert f"{param}^{4 * max_points} exceeds dense budget" in err
 
 
 # ---------------------------------------------------------------------------

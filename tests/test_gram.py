@@ -12,7 +12,6 @@ from ncgram.gram import (
     DET_DIMENSION_BUDGET,
     ExactMatrix,
     _interpolate_integer_poly,
-    _label_mirror,
     build_gram,
     determinant,
     rank,
@@ -29,7 +28,7 @@ from ncgram.partitions import (
 from ncgram.polynomials import IntPolynomial
 from ncgram.tensor_model import inner_product, vector_of
 from ncgram.tutte import build_A, recursion_det
-from test_kernels import det_bareiss
+from test_kernels import det_bareiss, rank_by_fractions
 
 NC = PartitionClass.NONCROSSING
 ALL = PartitionClass.ALL
@@ -99,6 +98,12 @@ def test_determinant_two_points():
     assert determinant(build_gram(2, NC, None)) == X**3 - X**2
 
 
+def test_eight_point_determinant_matches_the_recursion():
+    # 1430 rows, the largest class under the elimination budget: the direct
+    # route and Tutte's recursion agree one size past the symbolic tests
+    assert determinant(build_gram(8, NC, 4)) == recursion_det(8, 4)
+
+
 def test_determinant_identity_matrix():
     labels = tuple(enumerate_partitions(2, NC))
     eye = ExactMatrix(((1, 0), (0, 1)), labels, labels)
@@ -128,7 +133,7 @@ def monomials(m: ExactMatrix) -> list[list[IntPolynomial]]:
 
 def test_interpolation_route_matches_direct_polynomial_route():
     # the reference Bareiss kernel still runs over ℤ[X]: an oracle for the
-    # interpolated polynomial, whose nodes each go through the mirror split
+    # interpolated polynomial, whose nodes each go through the integer kernel
     for m in symbolic_grams(4):
         assert determinant(m) == det_bareiss(monomials(m))
 
@@ -282,8 +287,15 @@ def stirling2(n: int, k: int) -> int:
 
 
 def test_rank_below_the_threshold_is_the_stirling_sum():
-    # For N ≤ 3 the NC vectors span what all partition vectors span, so the
-    # rank of G_NC(n)(N) is the number of partitions with at most N blocks
+    """For N ≤ 3 the NC vectors span what all partition vectors span, so the
+    rank of G_NC(n)(N) is the number of partitions with at most N blocks.
+
+    At N ≤ 3 the free quantum permutation group S_N^+ is the classical S_N
+    (Wang, "Quantum symmetry groups of finite spaces", CMP 1998), so the
+    noncrossing partitions span the same fixed-point spaces as all
+    partitions with at most N blocks; checked through n = 7, and at N = 3
+    through n = 8, where the rank is 1094 of 1430.
+    """
     first_drop = {}
     for N in (1, 2, 3):
         for n in range(1, 8):
@@ -295,10 +307,89 @@ def test_rank_below_the_threshold_is_the_stirling_sum():
                 first_drop.setdefault(N, n)
     # the first drops are where U_2(1), U_3(√2) and U_5(√3) vanish
     assert first_drop == {1: 2, 2: 3, 3: 5}
+    assert rank(build_gram(8, NC, 3)) == sum(stirling2(8, k) for k in range(1, 4)) == 1094
 
 
 # ---------------------------------------------------------------------------
-# the mirror split, against the plain kernel on the whole matrix
+# the mirror split: an oracle that eliminates two blocks of half the size
+#
+# A loop count does not change when both partitions are relabelled alike,
+# so a Gram matrix G on labels closed under the mirror σ (`mirror`, each
+# row reversed) satisfies G[σi][σj] = G[i][j]. Let T₊ hold the
+# orbit-indicator columns of σ (e_i for a fixed point, e_i + e_σi for a
+# 2-orbit) and T₋ the columns e_i − e_σi, one per 2-orbit, k of them. T₊
+# lies in the +1 and T₋ in the −1 eigenspace of the permutation P of σ,
+# and PᵀGP = G, so uᵀGv = (Pu)ᵀG(Pv) = −uᵀGv for u in the one and v in
+# the other: the cross blocks vanish and
+#
+#     Tᵀ·G·T = diag(M₊, 2·M₋),   M₊ = T₊ᵀ·G·T₊,   M₋[i][j] = G[i][j] − G[i][σj]
+#
+# over 2-orbit representatives i, j, since (e_i − e_σi)ᵀG(e_j − e_σj) =
+# 2(G[i][j] − G[i][σj]) by invariance. T = [T₊ T₋] is square; up to the
+# order of its rows and columns it is block diagonal, with a 1 for each
+# fixed point and [[1, 1], [1, −1]], of determinant −2, for each 2-orbit,
+# so det T = ±2^k. Hence
+#
+#     det G · 4^k = det M₊ · 2^k · det M₋,   so   det G = det M₊ · det M₋ / 2^k,
+#
+# and rank G = rank M₊ + rank M₋, as T is invertible over ℚ. σ is the
+# identity, and then M₊ = G and M₋ is empty, unless the row and column
+# labels are equal and distinct, their mirror images are labels again, and
+# every entry is σ-invariant, which is checked entry by entry.
+
+
+def label_mirror(m: ExactMatrix) -> tuple[int, ...]:
+    """σ as a permutation of the indices: i ↦ the index of mirror(label i),
+    or the identity where the split does not apply."""
+    identity = tuple(range(m.nrows))
+    labels = m.row_labels
+    if labels != m.col_labels:
+        return identity
+    index = {p: i for i, p in enumerate(labels)}
+    if len(index) < len(labels):
+        return identity
+    sigma = tuple(index.get(mirror(p), -1) for p in labels)
+    if -1 in sigma:
+        return identity
+    rows = m.entries
+    for row, s in zip(rows, sigma):
+        image = rows[s]
+        if [image[t] for t in sigma] != list(row):
+            return identity
+    return sigma
+
+
+def mirror_blocks(rows, sigma: tuple[int, ...]):
+    """(M₊, M₋); (rows, ()) when σ is the identity. The orbits of σ are
+    listed by their smaller index, which represents a 2-orbit in M₋."""
+    orbits = [(i, s) for i, s in enumerate(sigma) if i <= s]
+    if len(orbits) == len(sigma):
+        return rows, ()
+
+    def orbit_sums(row) -> list:
+        return [row[i] + row[s] if i < s else row[i] for i, s in orbits]
+
+    plus = []
+    for i, s in orbits:
+        sums = orbit_sums(rows[i])
+        if i < s:
+            sums = [a + b for a, b in zip(sums, orbit_sums(rows[s]))]
+        plus.append(sums)
+    pairs = [(i, s) for i, s in orbits if i < s]
+    minus = [[rows[i][j] - rows[i][t] for j, t in pairs] for i, _ in pairs]
+    return plus, minus
+
+
+def split_det(plus, minus) -> int:
+    """det G = det M₊ · det M₋ / 2^k; the division is checked to be exact."""
+    det, rest = divmod(det_exact(plus) * det_exact(minus), 2 ** len(minus))
+    if rest:
+        raise ArithmeticError("det M₊ · det M₋ is not a multiple of 2^k")
+    return det
+
+
+def split_rank(plus, minus) -> int:
+    return rank_exact(plus) + rank_exact(minus)
 
 
 def is_identity(sigma) -> bool:
@@ -314,7 +405,7 @@ def test_gram_entries_are_mirror_invariant():
             for i in range(m.nrows):
                 for j in range(m.nrows):
                     assert m.entry(sigma[i], sigma[j]) == m.entry(i, j)
-            assert _label_mirror(m) == tuple(sigma)
+            assert label_mirror(m) == tuple(sigma)
 
 
 def test_split_matches_the_plain_kernel_on_every_class():
@@ -323,9 +414,11 @@ def test_split_matches_the_plain_kernel_on_every_class():
             for N in range(1, 6):
                 m = build_gram(n, cls, N)
                 # up to two labels the mirror moves none; beyond, it moves some
-                assert is_identity(_label_mirror(m)) == (m.nrows <= 2)
-                assert determinant(m) == det_exact(m.entries)
-                assert rank(m) == rank_exact(m.entries)
+                sigma = label_mirror(m)
+                assert is_identity(sigma) == (m.nrows <= 2)
+                blocks = mirror_blocks(m.entries, sigma)
+                assert determinant(m) == split_det(*blocks)
+                assert rank(m) == split_rank(*blocks)
 
 
 @st.composite
@@ -363,9 +456,10 @@ def mirror_invariant_matrices(draw):
 @given(mirror_invariant_matrices())
 def test_split_matches_the_plain_kernel_on_invariant_matrices(case):
     m, sigma = case
-    assert _label_mirror(m) == sigma
-    assert determinant(m) == det_exact(m.entries)
-    assert rank(m) == rank_exact(m.entries)
+    assert label_mirror(m) == sigma
+    blocks = mirror_blocks(m.entries, sigma)
+    assert determinant(m) == split_det(*blocks)
+    assert rank(m) == split_rank(*blocks)
 
 
 def non_invariant_matrices():
@@ -387,14 +481,14 @@ def non_invariant_matrices():
 
 @pytest.mark.parametrize("name, m", list(non_invariant_matrices()))
 def test_non_invariant_matrices_are_not_split(name, m):
-    assert is_identity(_label_mirror(m)), name
-    assert determinant(m) == det_exact(m.entries)
-    assert rank(m) == rank_exact(m.entries)
+    assert is_identity(label_mirror(m)), name
+    assert determinant(m) == det_bareiss([list(row) for row in m.entries])
+    assert rank(m) == rank_by_fractions(m.entries)
 
 
 def test_the_perturbed_case_splits_before_the_perturbation():
     m = build_gram(4, NC, 3)
-    sigma = _label_mirror(m)
+    sigma = label_mirror(m)
     assert not is_identity(sigma)
     # the perturbed pair (1, 2) is not mapped onto itself by σ
     assert {(sigma[1], sigma[2]), (sigma[2], sigma[1])} != {(1, 2), (2, 1)}
@@ -404,15 +498,16 @@ def test_level_zero_matrix_splits():
     # A(n, 0) is the Gram matrix with its labels in strata order
     for n in range(3, 6):
         m = build_A(n, 0, 4)
-        assert not is_identity(_label_mirror(m))
-        assert determinant(m) == det_exact(m.entries) == recursion_det(n, 4)
+        sigma = label_mirror(m)
+        assert not is_identity(sigma)
+        blocks = mirror_blocks(m.entries, sigma)
+        assert determinant(m) == split_det(*blocks) == recursion_det(n, 4)
 
 
-def test_split_refuses_an_inexact_division(monkeypatch):
+def test_split_refuses_an_inexact_division():
     # det M₊ · det M₋ = 1 is not a multiple of 2^1
-    monkeypatch.setattr(ncgram.gram, "_mirror_blocks", lambda rows, sigma: ([[1]], [[1]]))
     with pytest.raises(ArithmeticError, match="2\\^k"):
-        determinant(build_gram(3, NC, 2))
+        split_det([[1]], [[1]])
 
 
 def test_empty_shapes():

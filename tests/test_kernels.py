@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncgram import gram, kernels
+from ncgram import kernels
 from ncgram.gram import build_gram, determinant
 from ncgram.kernels import det_exact, eliminate, rank_exact
 from ncgram.partitions import PartitionClass
@@ -242,24 +244,17 @@ def test_symmetric_zero_pivot_falls_back_to_row_swaps():
     assert loop_det([[0, 1], [1, 0]]) == -1
     # the second pivot vanishes after one step
     assert loop_det([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
-    # the same, with a stale lower entry (2) that differs from the live one (1)
+    # the same, where the vanished pivot's row has a nonzero entry after it
     assert loop_det([[1, 1, 1], [1, 1, 2], [1, 2, 1]]) == -1
     # singular: a vanishing pivot with a zero column below it
     assert eliminate([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == (1, 0)
-    # singular: the last pivot vanishes, no fallback needed
+    # singular: the last pivot vanishes
     assert eliminate([[1, 1, 2], [1, 2, 3], [2, 3, 5]]) == (2, 0)
 
 
-def test_symmetric_input_updates_only_the_upper_triangle():
-    m = [[4, 1, 2], [1, 3, 0], [2, 0, 5]]
-    work = copy(m)
-    assert eliminate(work) == (3, det_by_fractions(m))
-    assert [work[i][:i] for i in range(3)] == [m[i][:i] for i in range(3)]
-
-
 def test_gram_row_swap_negates_through_the_general_path():
-    # swapping two rows breaks the symmetry, so the swapped copy is
-    # eliminated on the general path: an oracle for the symmetric one
+    # swapping two rows negates the determinant, whichever pivots the
+    # swapped copy meets
     for n in range(2, 7):
         m = build_gram(n, PartitionClass.NONCROSSING, 4)
         swapped = copy(m.entries)
@@ -297,8 +292,8 @@ def test_backend_dispatch_agrees_with_pure_python():
 
 @st.composite
 def square_matrices(draw, max_size=7):
-    """Symmetric or not, zero diagonals allowed; diagonal sizes spread from
-    one to sixty bits, so that the diagonal order permutes the matrix."""
+    """Symmetric or not, zero diagonals allowed; entry sizes spread from
+    one to sixty bits, so that multipliers and contents mix small and large."""
     n = draw(st.integers(min_value=1, max_value=max_size))
     entries = st.one_of(
         st.sampled_from((-1, 0, 1, 2)), st.integers(min_value=-(2**60), max_value=2**60)
@@ -353,6 +348,63 @@ def test_one_loop_matches_both_replaced_kernels(m):
     assert m == before  # the input is not touched
 
 
+@st.composite
+def sparse_matrices(draw, max_size=8):
+    """Mostly zeros, like a Gram matrix's Schur complements in label order:
+    square or rectangular, negative entries, small and sixty-bit ones, zero
+    rows and columns, rows that combine earlier rows (rank deficiency), and
+    a common factor."""
+    m = draw(st.integers(min_value=1, max_value=max_size))
+    n = m if draw(st.booleans()) else draw(st.integers(min_value=1, max_value=max_size))
+    entries = st.one_of(
+        st.just(0),
+        st.just(0),
+        st.just(0),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-(2**60), max_value=2**60),
+    )
+    a = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(min_value=1, max_value=m - 1), max_size=2)) if m > 1 else ():
+        j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        a[i] = [s * x + t * y for x, y in zip(a[j], a[k])]
+    for i in draw(st.sets(st.integers(min_value=0, max_value=m - 1), max_size=2)):
+        a[i] = [0] * n
+    for j in draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=2)):
+        for row in a:
+            row[j] = 0
+    c = draw(st.sampled_from((1, 1, -1, 4, 6)))
+    return [[c * x for x in row] for row in a]
+
+
+@settings(max_examples=400)
+@given(sparse_matrices())
+@example([[0, 0, 5], [0, 3, 0], [2, 0, 0]])
+@example([[4, 0, 6], [0, 0, 0], [6, 0, 9]])
+@example([[0, 2**60, 0], [0, 0, -(2**60)]])
+def test_sparse_input_matches_bareiss_and_fractions(m):
+    before = copy(m)
+    rank, det = eliminate(copy(m))
+    assert rank == rank_exact(m) == rank_echelon(copy(m)) == rank_by_fractions(m)
+    if len(m) == len(m[0]):
+        assert det == det_exact(m) == det_bareiss(copy(m)) == det_by_fractions(m)
+        assert (det != 0) == (rank == len(m))
+    else:
+        assert det == 0
+    assert m == before
+
+
+def test_an_inexact_scale_raises(monkeypatch):
+    # a wrong gcd of pivot 5 and multiplier 2 zeroes a_10 with the
+    # multipliers (2, 1), which do not clear it: the tracked scale 5/2 is
+    # then not an integer, and the loop raises instead of returning a value
+    monkeypatch.setattr(kernels, "gcd", lambda *a: 2 if a == (5, 2) else gcd(*a))
+    with pytest.raises(ArithmeticError, match="scale"):
+        det_exact([[5, 1], [2, 1]])
+    monkeypatch.undo()
+    assert det_exact([[5, 1], [2, 1]]) == 3
+
+
 def test_ordered_gram_determinant_matches_the_unordered_kernel():
     for cls in PartitionClass:
         for n in range(1, 7):
@@ -366,51 +418,15 @@ def test_ordered_gram_determinant_matches_the_unordered_kernel():
                 assert determinant(m) == det_bareiss([[x**e for e in row] for row in m.entries])
 
 
-def test_ordered_determinant_leads_with_small_nonzero_pivots():
-    # ascending bit length, ties (5 and 4, three bits each) in input order,
-    # zeros last
-    m = [[0, 1, 1, 1], [1, 2**40, 1, 1], [1, 1, 5, 1], [1, 1, 1, 4]]
-    work = kernels._working_copy(m)
-    assert [work[i][i] for i in range(4)] == [5, 4, 2**40, 0]
-    assert work == [[m[i][j] for j in (2, 3, 1, 0)] for i in (2, 3, 1, 0)]
-
-
-def test_rank_and_determinant_eliminate_the_same_ordered_copy(monkeypatch):
-    # P·A·Pᵀ keeps the Gram matrix symmetric with its diagonal sorted; a
-    # copy that permuted rows alone would be neither. Every entry is 2^e
-    # with e ≥ 1, so both eliminate the primitive part A/2.
-    seen = []
-
-    def spy(rows):
-        seen.append(copy(rows))
-        return eliminate(rows)
-
-    monkeypatch.setattr(kernels, "eliminate", spy)
-    m = build_gram(4, PartitionClass.ALL, 2)
-    primitive = [[x // 2 for x in row] for row in m.entries]
-    assert kernels._content(m.entries) == 2
-    assert rank_exact(m.entries) == 8
-    assert det_exact(m.entries) == 0
-    ranked, det = seen
-    assert ranked == det
-    assert all(ranked[i][j] == ranked[j][i] for i in range(15) for j in range(i))
-    diagonal = [ranked[i][i] for i in range(15)]
-    assert diagonal == sorted(diagonal) != [primitive[i][i] for i in range(15)]
-    assert sorted(map(sorted, ranked)) == sorted(map(sorted, primitive))
-    # rectangular input keeps its input order
-    seen.clear()
-    assert rank_exact(m.entries[:3]) == rank_by_fractions(m.entries[:3])
-    assert seen == [primitive[:3]]
-
-
 # ---------------------------------------------------------------------------
-# the content: det_exact and rank_exact eliminate the primitive part
+# contents: every row is divided by its gcd, and the determinant keeps it
 
 
 def undivided(rows) -> tuple[int, int]:
-    """(rank, det) of the loop on the whole matrix, content and all, in
-    input order: the kernel before the content was divided out."""
-    return eliminate(copy(rows))
+    """(rank, det) of the Bareiss oracles on the whole matrix, content and
+    all; det is None unless the matrix is square."""
+    square = len(rows) == len(rows[0])
+    return rank_echelon(copy(rows)), det_bareiss(copy(rows)) if square else None
 
 
 @st.composite
@@ -436,27 +452,20 @@ def test_content_is_divided_out_exactly(case):
         assert det_exact(scaled) == det == c ** len(a) * det_exact(a)
 
 
-def test_content_of_gram_blocks_and_edge_cases():
-    assert kernels._content([]) == 0
-    assert kernels._content([[0, 0], [0, 0]]) == 0
-    assert kernels._content([[-4, 6], [8, -10]]) == 2
-    assert kernels._content([[4**3, 4**2], [4**2, 4]]) == 4
-    # the scan stops at the first row that brings the gcd to 1
-    assert kernels._content([[3, 2], ["never read"]]) == 1
-
-
-def test_zero_empty_and_one_by_one_matrices(monkeypatch):
-    def no_elimination(rows):
-        raise AssertionError("a zero matrix was eliminated")
-
-    monkeypatch.setattr(kernels, "eliminate", no_elimination)
-    for zero in ([[0]], [[0, 0], [0, 0]], [[0, 0, 0], [0, 0, 0]]):
+def test_zero_empty_and_one_by_one_matrices():
+    # zero rows are never divided by their content 0, and no column of a
+    # zero matrix has a pivot
+    for zero in ([[0]], [[0, 0], [0, 0]], [[0, 0, 0], [0, 0, 0]], [[0], [0], [0]]):
+        assert eliminate(copy(zero)) == (0, 0)
         assert det_exact(zero) == 0
         assert rank_exact(zero) == 0
+    assert eliminate([]) == (0, 1)
     assert det_exact([]) == 1
     assert rank_exact([]) == 0
-    monkeypatch.undo()
+    # rows without columns: rank 0 and no determinant
+    assert eliminate([[], []]) == (0, 0)
     for x in (-6, -1, 1, 7, 2**70):
+        assert eliminate([[x]]) == (1, x)
         assert det_exact([[x]]) == x
         assert rank_exact([[x]]) == 1
 
@@ -467,18 +476,6 @@ def test_negative_and_rectangular_input():
     assert rank_exact([[2, 4, 6], [4, 8, 12]]) == 1
     assert rank_exact([[-6, 0, 3], [0, 9, 0]]) == 2
     assert det_exact([[2, 4, 6], [6, 8, 10]]) == 0  # not square
-
-
-def test_gram_blocks_keep_their_determinants():
-    # the mirror blocks of the 6-point Gram matrix have contents N and
-    # N(N − 1); dividing them out leaves every determinant as it was
-    for N in (4, 5):
-        m = build_gram(6, PartitionClass.NONCROSSING, N)
-        plus, minus = gram._mirror_blocks(m.entries, gram._label_mirror(m))
-        assert kernels._content(plus) == N
-        assert kernels._content(minus) == N * (N - 1)
-        for block in (plus, minus):
-            assert (rank_exact(block), det_exact(block)) == undivided(block)
 
 
 def test_reported_backend_is_consistent():

@@ -74,9 +74,9 @@ def _references(tree: ast.AST, names: set[str], scope: str = "<module>"):
         yield from _references(node, names, scope)
 
 
-def test_only_the_mirror_split_reaches_the_elimination_kernel():
-    # every determinant and rank goes through gram's mirror split, so no
-    # caller can eliminate a whole matrix past it
+def test_only_gram_reaches_the_elimination_kernel():
+    # every determinant and rank goes through gram's budget checks and
+    # shape checks, so no caller can eliminate a matrix past them
     found = {
         f"{path.name}:{scope}"
         for path in sorted(SOURCE.glob("*.py"))
@@ -84,7 +84,7 @@ def test_only_the_mirror_split_reaches_the_elimination_kernel():
             ast.parse(path.read_text(encoding="utf-8"), str(path)), {"det_exact", "rank_exact"}
         )
     }
-    assert found == {"gram.py:_split_det", "gram.py:_split_rank"}
+    assert found == {"gram.py:determinant", "gram.py:rank", "gram.py:_det_by_interpolation"}
 
 
 def test_only_the_one_generator_skips_the_canonical_check():
@@ -112,9 +112,9 @@ def test_the_union_find_is_gone_from_the_package():
     assert found == []
 
 
-def test_only_the_content_division_reaches_the_bareiss_loop():
-    # det_exact and rank_exact divide the content out before they
-    # eliminate, so no caller can run the loop on an undivided matrix
+def test_only_the_two_entry_points_reach_the_primitive_row_loop():
+    # det_exact and rank_exact hand the loop a fresh copy, which it
+    # mutates, so no caller can eliminate a matrix it still holds
     found = {
         f"{path.name}:{scope}"
         for path in sorted(SOURCE.glob("*.py"))
