@@ -258,9 +258,12 @@ def _check_budget(size: int) -> None:
         )
 
 
-def _check_class_budget(points: int, cls: PartitionClass) -> None:
-    """Refuse a class of more than DET_DIMENSION_BUDGET partitions before
-    any label is listed.
+def _check_class_budget(
+    points: int, cls: PartitionClass, budget: int = DET_DIMENSION_BUDGET, kind: str = "elimination"
+) -> None:
+    """Refuse a class of more than `budget` partitions (by default
+    DET_DIMENSION_BUDGET, the rows an elimination may have) before any
+    label is listed.
 
     The class sizes (`count_partitions`, closed form) never shrink as points
     are added, two at a time for pairs, so the point counts are taken in
@@ -271,11 +274,9 @@ def _check_class_budget(points: int, cls: PartitionClass) -> None:
     step = 2 if cls is PartitionClass.NONCROSSING_PAIRS else 1
     for k in range(points % step, points + 1, step):
         size = count_partitions(k, cls)
-        if size > DET_DIMENSION_BUDGET:
+        if size > budget:
             over = "" if k == points else "over "
-            raise BudgetError(
-                f"matrix size {over}{size} exceeds elimination budget {DET_DIMENSION_BUDGET}"
-            )
+            raise BudgetError(f"class size {over}{size} exceeds {kind} budget {budget}")
 
 
 def _det_by_interpolation(m: ExactMatrix) -> IntPolynomial:

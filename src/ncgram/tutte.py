@@ -12,15 +12,17 @@ nodes 1'..n' carry q, vertical edges join i to i'. Indices into the id
 arrays run 0..n-1 (unprimed) then n..2n-1 (primed).
 
 The strata form a chain W(n,0) ⊇ W(n,1) ⊇ … ⊇ W(n,n−1) ⊋ W(n,n) = ∅,
-with Y(n,r) = W(n,r) \\ W(n,r+1), so each partition p ∈ NC(0,n) sits at
-one level: the largest r with p ∈ W(n,r), read off by `stratum_level`
-in one scan. With a the number of leading points in pairwise different
-blocks and b the number of leading non-singletons, the level is 2a−1 if
-a ≤ b and 2b otherwise (0 for the empty partition). Then p ∈ W(n,r) iff
-r ≤ level, and p ∈ Y(n,r) iff r = level. The strata are never filtered
-out of NC(0,n): the package's one partition generator lists W(n,r) from
-the prefix its RGS must start with, so a small stratum costs little
-however large NC(0,n) is.
+with Y(n,r) = W(n,r) \\ W(n,r+1), so each partition sits at one level.
+Membership is read off the RGS prefix alone. With r = 2s or 2s+1, a
+canonical RGS has rgs[s] = s exactly when its first s+1 points lie in
+pairwise different blocks, which are then the blocks 0..s; point j+1 is
+not a singleton when block j occurs again after position s. So `in_W`
+reads s+1 positions and then looks for the s + (r mod 2) blocks
+j < s + (r mod 2) in the rest, and p ∈ Y(n,r) iff p ∈ W(n,r) and
+p ∉ W(n,r+1). The strata are never filtered out of NC(0,n): the
+package's one partition generator lists W(n,r) from the prefix its RGS
+must start with, so a small stratum costs little however large NC(0,n)
+is.
 
 The case table of the recursion classifies the cut graph of a pair by its
 components on the leftmost nodes 1..s+1, 1'..t' into three structures,
@@ -112,40 +114,36 @@ def cut_graph(p: Partition, q: Partition, r: int) -> PairGraph:
 # strata
 
 
-def stratum_level(p: Partition) -> int:
-    """The largest r with p ∈ W(n,r); see the module docstring."""
-    if p.upper:
-        raise ShapeError("strata are defined on (0, n) partitions")
-    rgs = p.rgs
-    a = 0  # points 1..a lie in pairwise different blocks, block i-1 holding point i
-    while a < len(rgs) and rgs[a] == a:
-        a += 1
-    later = set(rgs[a:])  # the blocks of points 1..a that are not singletons
-    b = 0
-    while b < a and b in later:
-        b += 1
-    return max(2 * a - 1, 0) if b == a else 2 * b
-
-
 def in_W(p: Partition, r: int) -> bool:
     """Leftmost-point stratum test.
 
     r = 2s: the s leftmost points are non-singletons and the s+1 leftmost
     lie in pairwise different blocks. r = 2s+1: the s+1 leftmost points are
     non-singletons in pairwise different blocks. r = 0 is no condition,
-    r = n is empty. p passes exactly for r ≤ stratum_level(p).
+    r = n is empty. Only the prefix is read; see the module docstring.
     """
-    level = stratum_level(p)
-    n = p.points
+    if p.upper:
+        raise ShapeError("strata are defined on (0, n) partitions")
+    n = p.lower
     if not 0 <= r <= n:
         raise ValueError(f"stratum level r={r} out of range for n={n}")
-    return r <= level
+    if r == 0:
+        return True
+    s = r // 2
+    rgs = p.rgs
+    if r == n or rgs[s] != s:
+        return False
+    rest = rgs[s + 1 :]
+    for j in range(s + r % 2):
+        if j not in rest:
+            return False
+    return True
 
 
 def in_Y(p: Partition, r: int) -> bool:
     """Y(n,r) = W(n,r) \\ W(n,r+1): the stratum left behind at level r."""
     _check_level(p.points, r, "stratum")
-    return stratum_level(p) == r
+    return in_W(p, r) and not in_W(p, r + 1)
 
 
 def w_stratum(n: int, r: int) -> list[Partition]:
@@ -164,7 +162,7 @@ def w_stratum(n: int, r: int) -> list[Partition]:
 
 def y_stratum(n: int, r: int) -> list[Partition]:
     _check_level(n, r, "stratum")
-    return [p for p in w_stratum(n, r) if stratum_level(p) == r]
+    return [p for p in w_stratum(n, r) if not in_W(p, r + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +217,7 @@ def build_A(n: int, r: int, N: int) -> ExactMatrix:
     _check_budget(_w_count(n, r))
     y, w = [], []
     for p in w_stratum(n, r):
-        (y if stratum_level(p) == r else w).append(p)
+        (w if in_W(p, r + 1) else y).append(p)
     return _level_matrix(n, r, N, tuple(y + w))
 
 

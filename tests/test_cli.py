@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import decimal
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 from ncgram import cli, gram, partitions, tensor_model, tutte
 from ncgram.cli import main
+from ncgram.errors import BudgetError
 from ncgram.tutte import recursion_det
 
 
@@ -39,6 +41,17 @@ def test_enumerate_empty(capsys):
     code, out, _ = run(capsys, "enumerate", "--points", "0", "--class", "nc")
     assert code == 0
     assert out.splitlines() == ["0|0|", "count 1"]
+
+
+def test_enumerate_budget_admits_the_sizes_it_names():
+    # NC(13) = 742,900, ALL(11) = 678,570 and NC2(26) = 742,900 are listed;
+    # one point more (two for pairs) is refused
+    for points, cls in ((13, "nc"), (11, "all"), (26, "nc2")):
+        cls = cli._CLASS_BY_FLAG[cls]
+        gram._check_class_budget(points, cls, cli.ENUMERATE_BUDGET)
+        step = 2 if cls is partitions.PartitionClass.NONCROSSING_PAIRS else 1
+        with pytest.raises(BudgetError):
+            gram._check_class_budget(points + step, cls, cli.ENUMERATE_BUDGET)
 
 
 def test_enumerate_pairs(capsys):
@@ -117,6 +130,27 @@ def test_gram_csv_format(capsys):
     assert row == "2,nc,4,48"
 
 
+@pytest.mark.parametrize(
+    "argv, nested",
+    [
+        (("recursion", "--points", "2", "--param", "4"), "trace"),
+        (("laws",), "reports"),
+    ],
+)
+def test_csv_nested_cells_are_quoted_json(capsys, argv, nested):
+    # a list-of-dict cell holds commas; csv quotes it, and it reads back
+    # as the value of the JSON output
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    expected = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, row = csv.reader(out.splitlines())
+    assert header == list(expected)
+    assert len(row) == len(header)
+    assert json.loads(row[header.index(nested)]) == expected[nested]
+
+
 def test_gram_without_work_is_usage_error(capsys):
     code, _, err = run(capsys, "gram", "--points", "2", "--class", "nc", "--param", "4")
     assert code == 2
@@ -191,6 +225,8 @@ def test_over_budget_verify_exits_before_the_recursion(capsys, monkeypatch):
         ("gram", "--points", "2100", "--class", "all", "--param", "4", "--det"),
         ("gram", "--points", "8000", "--param", "4", "--det"),
         ("recursion", "--points", "8000", "--param", "4", "--verify"),
+        ("enumerate", "--points", "20"),
+        ("enumerate", "--points", "4000", "--class", "all"),
     ],
 )
 def test_over_budget_jobs_exit_before_any_enumeration(capsys, monkeypatch, argv):
@@ -400,3 +436,21 @@ def test_cache_ignores_symbolic_jobs(tmp_path, capsys):
     )
     assert code == 0
     assert not cache.exists()
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+def test_successive_calls_share_no_parsed_state(capsys):
+    # the parser is built once per process; each call parses afresh
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run(capsys, "recursion", "--points", "3", "--param", "4", "--verify")
+    assert code == 0
+    assert json.loads(out)["status"] == "ok"
+    code, out, _ = run(capsys, "recursion", "--points", "3", "--param", "4")
+    assert code == 0
+    assert set(json.loads(out)) == {"n", "N", "det", "trace"}
+    code, out, _ = run(capsys, "gram", "--points", "3", "--param", "4", "--rank")
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "class": "nc", "N_or_symbolic": 4, "rank": 5}

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncgram import tutte
-from ncgram.errors import BudgetError
+from ncgram.errors import BudgetError, ShapeError
 from ncgram.gram import build_gram, determinant
 from ncgram.partitions import (
     Partition,
@@ -47,7 +47,6 @@ from ncgram.tutte import (
     pair_graph,
     recursion_det,
     recursion_trace,
-    stratum_level,
     w_stratum,
     y_stratum,
 )
@@ -173,6 +172,25 @@ def oracle_in_W(p: Partition, r: int) -> bool:
     return len(set(front)) == len(front) and all(sizes[b] >= 2 for b in heavy)
 
 
+def stratum_level(p: Partition) -> int:
+    """The largest r with p ∈ W(n,r), from one scan of the whole RGS.
+
+    With a the number of leading points in pairwise different blocks and b
+    the number of leading non-singletons, the level is 2a−1 if a ≤ b and
+    2b otherwise (0 for the empty partition). The reference for the prefix
+    rule of `in_W`: p ∈ W(n,r) iff r ≤ stratum_level(p).
+    """
+    rgs = p.rgs
+    a = 0  # points 1..a lie in pairwise different blocks, block i-1 holding point i
+    while a < len(rgs) and rgs[a] == a:
+        a += 1
+    later = set(rgs[a:])  # the blocks of points 1..a that are not singletons
+    b = 0
+    while b < a and b in later:
+        b += 1
+    return max(2 * a - 1, 0) if b == a else 2 * b
+
+
 def assert_strata_match_oracle(p: Partition) -> None:
     n = p.points
     member = [oracle_in_W(p, r) for r in range(n + 1)]
@@ -180,7 +198,7 @@ def assert_strata_match_oracle(p: Partition) -> None:
     for r in range(n + 1):
         assert in_W(p, r) == member[r]
     for r in range(n):
-        assert in_Y(p, r) == (member[r] and not member[r + 1])
+        assert in_Y(p, r) == (member[r] and not member[r + 1]) == (stratum_level(p) == r)
 
 
 def catalan_triangle_w(n: int, r: int) -> int:
@@ -195,9 +213,26 @@ def catalan_triangle_w(n: int, r: int) -> int:
 
 
 def test_levels_match_oracle_on_every_noncrossing_partition():
-    for n in range(9):
+    for n in range(11):
         for p in enumerate_partitions(n, NC):
             assert_strata_match_oracle(p)
+
+
+def test_levels_match_oracle_on_every_partition():
+    # the prefix rule rests on the RGS normal form, not on noncrossing
+    for n in range(8):
+        for p in enumerate_partitions(n, PartitionClass.ALL):
+            assert_strata_match_oracle(p)
+
+
+def test_strata_reject_partitions_with_an_upper_row():
+    # the prefix test reads p.rgs, whose first positions are the upper row
+    p = Partition(1, 3, (0, 1, 0, 2))
+    for r in range(4):
+        with pytest.raises(ShapeError):
+            in_W(p, r)
+        with pytest.raises(ShapeError):
+            in_Y(p, r)
 
 
 @given(partitions())
