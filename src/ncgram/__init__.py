@@ -24,6 +24,7 @@ from .partitions import (
     enumerate_partitions,
     involution,
     is_noncrossing,
+    iter_partitions,
     kernel,
     mirror,
     refines,
@@ -107,6 +108,7 @@ __all__ = [
     "inner_product",
     "involution",
     "is_noncrossing",
+    "iter_partitions",
     "kernel",
     "matrix_of",
     "mirror",

@@ -48,6 +48,7 @@ from .partitions import (
     count_partitions,
     enumerate_partitions,
     involution,
+    iter_partitions,
     refines,
     tensor,
 )
@@ -62,9 +63,12 @@ _CLASS_BY_FLAG = {
 
 #: Partitions `enumerate` may list; a larger class is refused (exit 3)
 #: before the first is generated. It admits NC up to 13 points (742,900),
-#: ALL up to 11 (678,570) and NC2 up to 26 (742,900). At those limits the
-#: job took 3.1 s and a 205 MiB peak (NC), 2.0 s and 178 MiB (ALL), 3.9 s
-#: and 287 MiB (NC2), with stdout to /dev/null (2-core AMD EPYC, Python 3.11).
+#: ALL up to 11 (678,570) and NC2 up to 26 (742,900). The partitions are
+#: printed as they are generated, so memory does not grow with the class:
+#: at those limits the job took 2.0 s (NC), 1.7 s (ALL) and 3.4 s (NC2),
+#: each at a 17 MiB peak, of which importing ncgram takes 16 MiB, with
+#: stdout to /dev/null (2-core AMD EPYC, Python 3.11). The time is what
+#: the budget bounds.
 ENUMERATE_BUDGET = 10**6
 
 EXIT_OK = 0
@@ -149,7 +153,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     cls = _CLASS_BY_FLAG[args.cls]
     _check_class_budget(args.points, cls, ENUMERATE_BUDGET, "enumeration")
     count = 0
-    for p in enumerate_partitions(args.points, cls):
+    for p in iter_partitions(args.points, cls):
         print(p.to_text())
         count += 1
     print(f"count {count}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import RotationUndefined, ShapeError
 
@@ -204,6 +204,14 @@ class Composition(NamedTuple):
 def enumerate_partitions(
     points: int, cls: PartitionClass = PartitionClass.ALL
 ) -> list[Partition]:
+    """All (0, points) partitions of the class, as a list in the order of
+    `iter_partitions`."""
+    return list(iter_partitions(points, cls))
+
+
+def iter_partitions(
+    points: int, cls: PartitionClass = PartitionClass.ALL
+) -> Iterator[Partition]:
     """All (0, points) partitions of the class, in RGS-lexicographic order.
 
     One restricted-growth generator prunes while it builds, so no string
@@ -226,13 +234,13 @@ def enumerate_partitions(
     """
     if points < 0:
         raise ValueError("negative point count")
-    return _enumerate(points, cls, 0, 0)
+    return _enumerate(points, cls, 0, 0)  # a generator: the check above runs at the call
 
 
 def _enumerate(
     points: int, cls: PartitionClass, opened: int, waiting: int
-) -> list[Partition]:
-    """The generator of `enumerate_partitions`, started after the prefix
+) -> Iterator[Partition]:
+    """The generator of `iter_partitions`, started after the prefix
     0, 1, …, opened−1 with its bottom `waiting` blocks still singletons.
 
     A waiting block must take another point. `tutte` lists each stratum
@@ -246,12 +254,12 @@ def _enumerate(
     it goes on only while no more blocks wait than positions remain
     after it, so no branch ends empty-handed.
     """
-    out: list[Partition] = []
     # Depth first over (prefix, blocks opened, open stack, blocks waiting);
     # each node's choices go on in descending order, so the smallest is
-    # taken next. A work list, not a recursive closure: such a closure
-    # refers to itself, and that cycle would hold `out` until the cycle
-    # collector ran.
+    # taken next and the partitions come out in RGS-lexicographic order.
+    # The work list holds at most points + 1 branches per position, so a
+    # consumer that does not keep the partitions needs memory polynomial
+    # in `points`, not in the size of the class.
     start = tuple(range(opened))
     todo = [(start, opened, start, waiting)] if waiting <= points - opened else []
     pairs = cls is PartitionClass.NONCROSSING_PAIRS
@@ -259,7 +267,7 @@ def _enumerate(
         prefix, blocks, stack, waiting = todo.pop()
         i = len(prefix)
         if i == points:
-            out.append(_generated(points, prefix))
+            yield _generated(points, prefix)
             continue
         room = points - i - 1  # the positions after this one
         if waiting + pairs <= room:
@@ -276,7 +284,6 @@ def _enumerate(
             top = low if waiting > room else len(stack) - 1
             for j in range(top, low - 1, -1):
                 todo.append((prefix + (stack[j],), blocks, stack[: j + 1], waiting - (j < waiting)))
-    return out
 
 
 def count_partitions(points: int, cls: PartitionClass = PartitionClass.ALL) -> int:

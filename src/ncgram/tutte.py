@@ -157,7 +157,7 @@ def w_stratum(n: int, r: int) -> list[Partition]:
     if not 0 <= r <= n:
         raise ValueError(f"stratum level r={r} out of range for n={n}")
     s = r // 2
-    return _enumerate(n, PartitionClass.NONCROSSING, s + 1 if r else 0, s + r % 2)
+    return list(_enumerate(n, PartitionClass.NONCROSSING, s + 1 if r else 0, s + r % 2))
 
 
 def y_stratum(n: int, r: int) -> list[Partition]:

@@ -6,9 +6,11 @@ import csv
 import decimal
 import json
 import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,20 @@ def test_enumerate_budget_admits_the_sizes_it_names():
         step = 2 if cls is partitions.PartitionClass.NONCROSSING_PAIRS else 1
         with pytest.raises(BudgetError):
             gram._check_class_budget(points + step, cls, cli.ENUMERATE_BUDGET)
+
+
+def test_enumerate_prints_as_the_generator_yields(capsys, monkeypatch):
+    # the CLI streams the class; the list builder is never called
+    def no_list(*args):
+        raise AssertionError("the class was listed")
+
+    for module in (partitions, cli):
+        monkeypatch.setattr(module, "enumerate_partitions", no_list)
+    code, out, _ = run(capsys, "enumerate", "--points", "5", "--class", "nc")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "count 42"
+    assert lines[:-1] == [p.to_text() for p in partitions.iter_partitions(5, cli._CLASS_BY_FLAG["nc"])]
 
 
 def test_enumerate_pairs(capsys):
@@ -454,3 +470,25 @@ def test_successive_calls_share_no_parsed_state(capsys):
     code, out, _ = run(capsys, "gram", "--points", "3", "--param", "4", "--rank")
     assert code == 0
     assert json.loads(out) == {"n": 3, "class": "nc", "N_or_symbolic": 4, "rank": 5}
+
+
+# ---------------------------------------------------------------------------
+# optimised bytecode
+
+
+def test_checks_survive_stripped_asserts():
+    # under `python -O` every assert is gone; the kernel's exactness check
+    # and the recursion's cross-check against the direct route are not
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def run_optimised(*argv):
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "ncgram.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    assert run_optimised("recursion", "--points", "6", "--param", "4", "--verify")["status"] == "ok"
+    det = run_optimised("gram", "--points", "5", "--param", "4", "--det")["det"]
+    assert int(det) == recursion_det(5, 4)

@@ -1,5 +1,6 @@
-"""The elimination kernel, checked against rational Gaussian elimination
-and against the two Bareiss kernels it replaced, kept here as oracles."""
+"""The elimination kernel, checked against rational Gaussian elimination,
+against the two Bareiss kernels it replaced and against the dense-update
+loop it replaced after them, all kept here as oracles."""
 
 from __future__ import annotations
 
@@ -173,6 +174,57 @@ def rank_echelon(rows):
         row += 1
         rank += 1
     return rank
+
+
+def eliminate_dense(rows) -> tuple[int, int]:
+    """(rank, determinant) by the primitive-row loop `eliminate` replaced.
+
+    Every row is divided by its content on input and after each update,
+    and every update with a nonzero multiplier writes the whole trailing
+    row, ((a_kk/g)·row_i − (a_ik/g)·row_k)/c. Mutates ``rows``.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    num = den = 1
+    for i, ri in enumerate(rows):
+        c = gcd(*ri)
+        if c > 1:
+            rows[i] = [x // c for x in ri]
+            num *= c
+    row = 0
+    for col in range(ncols):
+        if row == m:
+            break
+        for i in range(row, m):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        if i != row:
+            rows[row], rows[i] = rows[i], rows[row]
+            num = -num
+        pivot = rows[row][col]
+        num *= pivot
+        tail = rows[row][col + 1 :]
+        for ri in rows[row + 1 :]:
+            aik = ri[col]
+            if aik:
+                g = gcd(pivot, aik)
+                p, q = pivot // g, aik // g
+                new = [p * x - q * y for x, y in zip(ri[col + 1 :], tail)]
+                c = gcd(*new)
+                if c > 1:
+                    new = [x // c for x in new]
+                    num *= c
+                ri[col + 1 :] = new  # ri[col] is never read again
+                den *= p
+        row += 1
+    if row < m or row < ncols:
+        return row, 0
+    det, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError("the elimination's scale does not divide its pivot product")
+    return row, det
 
 
 def copy(rows):
@@ -385,6 +437,7 @@ def sparse_matrices(draw, max_size=8):
 def test_sparse_input_matches_bareiss_and_fractions(m):
     before = copy(m)
     rank, det = eliminate(copy(m))
+    assert (rank, det) == eliminate_dense(copy(m))
     assert rank == rank_exact(m) == rank_echelon(copy(m)) == rank_by_fractions(m)
     if len(m) == len(m[0]):
         assert det == det_exact(m) == det_bareiss(copy(m)) == det_by_fractions(m)
@@ -446,10 +499,82 @@ def scaled_matrices(draw, max_size=6):
 def test_content_is_divided_out_exactly(case):
     c, a = case
     scaled = [[c * x for x in row] for row in a]
+    assert eliminate(copy(scaled)) == eliminate_dense(copy(scaled))
     rank, det = undivided(scaled)
     assert rank_exact(scaled) == rank == (rank_exact(a) if c else 0)
     if len(a) == len(a[0]):
         assert det_exact(scaled) == det == c ** len(a) * det_exact(a)
+
+
+# ---------------------------------------------------------------------------
+# the two update rules: a pivot that divides the multiplier updates only the
+# pivot row's nonzero columns, any other pivot the whole trailing row
+
+
+@st.composite
+def lu_products(draw, max_size=7):
+    """L·U, L unit lower triangular and U sparse upper triangular, so that
+    in input order most pivots divide their multipliers; a few rows are
+    then replaced by dense ones, whose multipliers they do not divide.
+    Square or with extra columns; U's diagonal may hold zeros."""
+    m = draw(st.integers(min_value=1, max_value=max_size))
+    n = m + draw(st.integers(min_value=0, max_value=2))
+    small = st.integers(min_value=-3, max_value=3)
+    sparse = st.one_of(st.just(0), st.just(0), st.just(0), small)
+    lower = [[1 if i == j else draw(small) if j < i else 0 for j in range(m)] for i in range(m)]
+    upper = [
+        [draw(st.sampled_from((1, 2, -3, 6, 0))) if i == j else draw(sparse) if j > i else 0 for j in range(n)]
+        for i in range(m)
+    ]
+    a = [[sum(lower[i][t] * upper[t][j] for t in range(m)) for j in range(n)] for i in range(m)]
+    dense = st.integers(min_value=-9, max_value=9)
+    for i in draw(st.sets(st.integers(min_value=0, max_value=m - 1), max_size=2)):
+        a[i] = [draw(dense) for _ in range(n)]
+    return a
+
+
+@settings(max_examples=300)
+@given(lu_products())
+@example([[1, 1, 0], [1, 3, 2], [0, 2, 6]])
+@example([[2, 4, 0], [3, 1, 1], [4, 8, 6]])
+def test_lu_products_match_the_dense_loop(m):
+    # the second example takes the dense rule for its second row and the
+    # sparse one for its third, at the same pivot
+    rank, det = eliminate(copy(m))
+    assert (rank, det) == eliminate_dense(copy(m))
+    assert rank == rank_echelon(copy(m)) == rank_by_fractions(m)
+    if len(m) == len(m[0]):
+        assert det == det_bareiss(copy(m)) == det_by_fractions(m)
+
+
+def test_a_content_reached_through_sparse_updates_only():
+    # the first pivot 1 divides every multiplier, so the second row meets
+    # only the sparse rule and arrives at the pivot as [·, 2, 2], content 2
+    m = [[1, 1, 0], [1, 3, 2], [0, 2, 6]]
+    assert eliminate(copy(m)) == eliminate_dense(copy(m)) == (3, 8)
+    for c in (-3, 2**40):
+        scaled = [[c * x for x in row] for row in m]
+        assert eliminate(copy(scaled)) == eliminate_dense(copy(scaled)) == (3, 8 * c**3)
+        assert det_bareiss(copy(scaled)) == 8 * c**3
+
+
+def test_a_rectangular_rank_deficient_matrix_takes_both_rules():
+    # the pivot 2 divides the second row's 4 (sparse, the row vanishes) but
+    # not the 3 and 5 below it (dense); the last row is the sum of the
+    # first and the third
+    m = [[2, 0, 4, 6, 0], [4, 0, 8, 12, 0], [3, 1, 2, 0, 5], [5, 1, 6, 6, 5]]
+    assert eliminate(copy(m)) == eliminate_dense(copy(m)) == (2, 0)
+    assert rank_by_fractions(m) == rank_echelon(copy(m)) == 2
+    transposed = [list(col) for col in zip(*m)]
+    assert eliminate(copy(transposed)) == eliminate_dense(copy(transposed)) == (2, 0)
+
+
+def test_gram_matrices_match_the_dense_loop():
+    for cls in PartitionClass:
+        for n in range(1, 7):
+            for N in (2, 3, 4):
+                m = build_gram(n, cls, N).entries
+                assert eliminate(copy(m)) == eliminate_dense(copy(m))
 
 
 def test_zero_empty_and_one_by_one_matrices():

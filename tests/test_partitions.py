@@ -22,6 +22,7 @@ from ncgram.partitions import (
     enumerate_partitions,
     involution,
     is_noncrossing,
+    iter_partitions,
     kernel,
     mirror,
     refines,
@@ -250,6 +251,17 @@ def test_enumerate_zero_points():
 
 def test_odd_points_have_no_pair_partitions():
     assert enumerate_partitions(3, PartitionClass.NONCROSSING_PAIRS) == []
+
+
+def test_iter_partitions_yields_the_list_order_lazily():
+    for cls in PartitionClass:
+        for n in range(8):
+            stream = iter_partitions(n, cls)
+            assert iter(stream) is stream  # a generator, not a list
+            assert list(stream) == enumerate_partitions(n, cls)
+    # a bad count is refused at the call, before anything is asked of it
+    with pytest.raises(ValueError):
+        iter_partitions(-1, PartitionClass.ALL)
 
 
 # ---------------------------------------------------------------------------
