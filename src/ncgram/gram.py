@@ -9,22 +9,24 @@ join kernel of `partitions`. With N given, the entries are the integers
 N^e, looked up in a table of powers; with N = None the matrix is
 symbolic, and its entries are the exponents e of the monomials X^e.
 
-Every elimination is the one exact integer kernel in `kernels`,
-so a symbolic determinant is found by evaluation and interpolation. Every
-entry of an m×m matrix is written X^e_min·X^(e − e_min), with e_min its
-smallest exponent (1 for every Gram matrix, since every pair graph has a
-component), so det = X^(m·e_min)·det(X^(E − e_min)), and only the second
-factor is interpolated. Its degree is at most
+Every elimination is the one exact integer kernel in `kernels`, so a
+symbolic determinant is one integer determinant, at X = 2^B (Kronecker
+substitution). Every entry of an m×m matrix is written X^e_min·X^(e − e_min),
+with e_min its smallest exponent (1 for every Gram matrix, since every pair
+graph has a component), so det = X^(m·e_min)·p(X) with p = det(X^(E − e_min)).
+The degree of p is at most
 
     D = Σ_i max_j e_ij − m·e_min,
 
 the Leibniz bound over the shifted exponents (every term of the Leibniz
-expansion takes one entry from each row), so its values at the integers
-1, …, D + 1 pin it down for any matrix: m fewer nodes for a Gram matrix
-than without the shift. Each integer determinant is eliminated exactly,
-and Newton interpolation recovers the polynomial, by exact integer
-division that fails unless the result lies in ℤ[X]; its coefficients are
-then shifted up by m·e_min.
+expansion takes one entry from each row). On the unit circle every entry
+X^e has modulus 1, so Hadamard's bound gives |p| ≤ m^(m/2) there, and each
+coefficient of p, a Fourier coefficient on that circle, is at most m^(m/2)
+in size. With B = bit_length(m^m)//2 + 2 that is below 2^(B−1), so the
+balanced base-2^B digits of p(2^B), each in (−2^(B−1), 2^(B−1)], are the
+coefficients of p; they are then shifted up by m·e_min. A value with more
+than D + 1 digits is refused. The one integer has B·(D + 1) bits at most,
+which `SYMBOLIC_BIT_BUDGET` caps.
 Nothing here ever touches floating point.
 """
 
@@ -56,6 +58,13 @@ from .polynomials import IntPolynomial
 #: computing any entry, since neither determinant nor rank takes it.
 DET_DIMENSION_BUDGET = 2000
 
+#: Cap on the bits B·(D + 1) of the one integer a symbolic determinant
+#: eliminates, for m rows, B = bit_length(m^m)//2 + 2 and D the Leibniz
+#: degree bound; checked after the exponent table is built. It admits
+#: NC(7) (2.4M bits), NC2(14) (4.8M) and ALL(7) (10.2M), and refuses NC(8)
+#: (37.5M) and NC2(16) (75M).
+SYMBOLIC_BIT_BUDGET = 1 << 24
+
 
 #: The exponent that marks a flawed pair in a level table. Every pair graph
 #: has at least one component, so no loop count is 0, and a level matrix
@@ -83,6 +92,8 @@ class ExactMatrix:
         for row in self.entries:
             if len(row) != len(self.col_labels):
                 raise ShapeError("column label count does not match matrix")
+        if self.is_symbolic and min((min(row, default=0) for row in self.entries), default=0) < 0:
+            raise ValueError("a symbolic entry is an exponent and cannot be negative")
 
     @property
     def nrows(self) -> int:
@@ -242,7 +253,7 @@ def determinant(m: ExactMatrix) -> int | IntPolynomial:
         raise ShapeError("determinant of a non-square matrix")
     _check_budget(m.nrows)
     if m.is_symbolic:
-        return _det_by_interpolation(m)
+        return _det_by_substitution(m)
     return kernels.det_exact(m.entries)
 
 
@@ -283,46 +294,32 @@ def _check_class_budget(
             raise BudgetError(f"class size {over}{size} exceeds {kind} budget {budget}")
 
 
-def _det_by_interpolation(m: ExactMatrix) -> IntPolynomial:
-    """Symbolic determinant by integer evaluation + exact interpolation.
+def _det_by_substitution(m: ExactMatrix) -> IntPolynomial:
+    """Symbolic determinant by one integer determinant at X = 2^B.
 
-    With e_min the smallest exponent, every entry is X^e_min times
-    X^(e − e_min), so det = X^(m·e_min)·det(X^(E − e_min)) for m rows. The
-    second determinant has degree at most Σ_i max_j e_ij − m·e_min (the
-    Leibniz bound, read off the exponents); evaluating at that many + 1
-    points pins it down, and its coefficients are shifted up by m·e_min.
-    Each node reads N^e from a table of powers.
+    det = X^(m·e_min)·p(X), and the balanced base-2^B digits of p(2^B) are
+    the coefficients of p (see the module docstring). More than D + 1
+    digits, D the Leibniz bound, means the integer determinant was wrong,
+    and raises ArithmeticError. B·(D + 1) bits past `SYMBOLIC_BIT_BUDGET`
+    raise BudgetError before the elimination.
     """
+    size = m.nrows
     low = min((min(row, default=0) for row in m.entries), default=0)
     shifted = replace(m, entries=tuple(tuple(e - low for e in row) for row in m.entries))
     bound = sum(max(row, default=0) for row in shifted.entries)
-    xs = list(range(1, bound + 2))
-    ys = [kernels.det_exact(shifted.evaluate(t).entries) for t in xs]
-    return IntPolynomial((0,) * (m.nrows * low) + _interpolate_integer_poly(xs, ys).coeffs)
-
-
-def _interpolate_integer_poly(xs: list[int], ys: list[int]) -> IntPolynomial:
-    """Newton divided-difference interpolation, checked to land in ℤ[X].
-
-    At integer nodes every divided difference of a polynomial over ℤ is an
-    integer (those of X^m are complete homogeneous symmetric polynomials
-    in the nodes), so the table is built by exact integer division. An
-    inexact division means the interpolant is not in ℤ[X]; when none
-    occurs, the integer Newton form expands to a polynomial over ℤ.
-    """
-    count = len(xs)
-    coef = list(ys)
-    for j in range(1, count):
-        for i in range(count - 1, j - 1, -1):
-            coef[i], inexact = divmod(coef[i] - coef[i - 1], xs[i] - xs[i - j])
-            if inexact:
-                raise ArithmeticError("interpolation left ℤ[X]")
-    poly = [coef[-1]]
-    for k in range(count - 2, -1, -1):
-        new = [0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            new[i + 1] += c
-            new[i] -= c * xs[k]
-        new[0] += coef[k]
-        poly = new
-    return IntPolynomial(poly)
+    B = (size**size).bit_length() // 2 + 2
+    bits = B * (bound + 1)
+    if bits > SYMBOLIC_BIT_BUDGET:
+        raise BudgetError(f"symbolic determinant of {bits} bits exceeds budget {SYMBOLIC_BIT_BUDGET}")
+    value = kernels.det_exact(shifted.evaluate(1 << B).entries)
+    mask, half = (1 << B) - 1, 1 << (B - 1)
+    coeffs = []
+    for _ in range(bound + 1):
+        digit = value & mask
+        if digit > half:
+            digit -= 1 << B
+        coeffs.append(digit)
+        value = (value - digit) >> B
+    if value:
+        raise ArithmeticError("substituted determinant exceeds the Leibniz degree bound")
+    return IntPolynomial(coeffs).shift(size * low)

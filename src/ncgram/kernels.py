@@ -3,7 +3,8 @@
 `eliminate` returns both the rank and the determinant; `det_exact` and
 `rank_exact` are its two entry points. Everything is integer arithmetic,
 and symbolic determinants never reach this module as polynomials:
-`gram.determinant` evaluates them at integers and interpolates.
+`gram.determinant` evaluates one at X = 2^B and reads the coefficients
+off the integer's digits.
 
 Just before a row becomes the pivot row at column k, it is divided by its
 content c, the gcd of its entries from column k on (the earlier ones are

@@ -124,8 +124,8 @@ class IntPolynomial:
     # Bareiss elimination divides by the previous pivot, which is exact over
     # any integral domain. The package eliminates over ℤ only, with its own
     # primitive-row loop; this alias keeps the Bareiss oracle of the test
-    # suite running over ℤ[X], against symbolic determinants found by
-    # interpolation.
+    # suite running over ℤ[X], against symbolic determinants read off one
+    # integer determinant at X = 2^B.
     __floordiv__ = divexact
 
     def evaluate(self, x):

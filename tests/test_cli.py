@@ -17,6 +17,7 @@ import pytest
 from ncgram import cli, gram, partitions, tensor_model, tutte
 from ncgram.cli import main
 from ncgram.errors import BudgetError
+from ncgram.polynomials import IntPolynomial
 from ncgram.tutte import recursion_det
 
 
@@ -275,6 +276,15 @@ def test_over_budget_class_exits_at_once(capsys):
     assert "budget" in err
 
 
+def test_over_budget_symbolic_det_exits_before_the_elimination(capsys):
+    # NC(8) builds (1430 rows, under the dimension budget), but its one
+    # substituted determinant would have 37.5M bits
+    code, out, err = run(capsys, "gram", "--points", "8", "--symbolic", "--det")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
 def test_over_budget_recursion_exits_at_once(capsys):
     # the Hadamard bound of det A(30, 0) at N = 4 has about 3.8·10^15 bits
     started = time.perf_counter()
@@ -477,8 +487,9 @@ def test_successive_calls_share_no_parsed_state(capsys):
 
 
 def test_checks_survive_stripped_asserts():
-    # under `python -O` every assert is gone; the kernel's exactness check
-    # and the recursion's cross-check against the direct route are not
+    # under `python -O` every assert is gone; the kernel's exactness check,
+    # the symbolic route's degree check and the recursion's cross-check
+    # against the direct route are not
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
 
     def run_optimised(*argv):
@@ -492,3 +503,6 @@ def test_checks_survive_stripped_asserts():
     assert run_optimised("recursion", "--points", "6", "--param", "4", "--verify")["status"] == "ok"
     det = run_optimised("gram", "--points", "5", "--param", "4", "--det")["det"]
     assert int(det) == recursion_det(5, 4)
+    coeffs = run_optimised("gram", "--points", "4", "--symbolic", "--det")["det"]
+    for N in (4, 5):
+        assert IntPolynomial(coeffs).evaluate(N) == recursion_det(4, N)

@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ncgram.gram
+from ncgram import kernels
 from ncgram.errors import BudgetError, ShapeError
 from ncgram.gram import (
     DET_DIMENSION_BUDGET,
     ExactMatrix,
-    _interpolate_integer_poly,
     build_gram,
     determinant,
     rank,
@@ -131,11 +131,154 @@ def monomials(m: ExactMatrix) -> list[list[IntPolynomial]]:
     return [[X**e for e in row] for row in m.entries]
 
 
+# ---------------------------------------------------------------------------
+# symbolic determinants, and the interpolation oracle: the route the package
+# used before one integer determinant at X = 2^B replaced it
+
+
+def _interpolate_integer_poly(xs: list[int], ys: list[int]) -> IntPolynomial:
+    """Newton divided-difference interpolation, checked to land in ℤ[X].
+
+    At integer nodes every divided difference of a polynomial over ℤ is an
+    integer (those of X^m are complete homogeneous symmetric polynomials
+    in the nodes), so the table is built by exact integer division. An
+    inexact division means the interpolant is not in ℤ[X]; when none
+    occurs, the integer Newton form expands to a polynomial over ℤ.
+    """
+    count = len(xs)
+    coef = list(ys)
+    for j in range(1, count):
+        for i in range(count - 1, j - 1, -1):
+            coef[i], inexact = divmod(coef[i] - coef[i - 1], xs[i] - xs[i - j])
+            if inexact:
+                raise ArithmeticError("interpolation left ℤ[X]")
+    poly = [coef[-1]]
+    for k in range(count - 2, -1, -1):
+        new = [0] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            new[i + 1] += c
+            new[i] -= c * xs[k]
+        new[0] += coef[k]
+        poly = new
+    return IntPolynomial(poly)
+
+
+def det_by_unshifted_interpolation(m: ExactMatrix) -> IntPolynomial:
+    """The matrix itself at the nodes 1, ..., D + 1, D = Σ_i max_j e_ij,
+    interpolated."""
+    bound = sum(max(row, default=0) for row in m.entries)
+    xs = list(range(1, bound + 2))
+    return _interpolate_integer_poly(xs, [determinant(m.evaluate(t)) for t in xs])
+
+
+def det_by_interpolation(m: ExactMatrix) -> IntPolynomial:
+    """X^(m·e_min) factored out, as the package does, and the rest
+    interpolated: m fewer nodes for a Gram matrix than unshifted."""
+    low = min((min(row, default=0) for row in m.entries), default=0)
+    rest = tuple(tuple(e - low for e in row) for row in m.entries)
+    shifted = ExactMatrix(rest, m.row_labels, m.col_labels, is_symbolic=True)
+    return det_by_unshifted_interpolation(shifted).shift(m.nrows * low)
+
+
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
+    st.lists(st.integers(min_value=-20, max_value=20), min_size=8, max_size=12, unique=True),
+)
+def test_interpolation_recovers_integer_polynomials(coeffs, xs):
+    # any distinct integer nodes, in any order, at least degree + 1 of them
+    p = IntPolynomial(coeffs)
+    assert _interpolate_integer_poly(xs, [p.evaluate(x) for x in xs]) == p
+
+
+def test_interpolation_outside_integer_polynomials_raises():
+    # the interpolant of (1, 0), (2, 0), (3, 1) is (x - 1)(x - 2)/2
+    with pytest.raises(ArithmeticError, match="ℤ"):
+        _interpolate_integer_poly([1, 2, 3], [0, 0, 1])
+
+
 def test_interpolation_route_matches_direct_polynomial_route():
-    # the reference Bareiss kernel still runs over ℤ[X]: an oracle for the
-    # interpolated polynomial, whose nodes each go through the integer kernel
+    # the reference Bareiss kernel still runs over ℤ[X]: a second oracle,
+    # beside interpolation, for the one substituted integer determinant
     for m in symbolic_grams(4):
-        assert determinant(m) == det_bareiss(monomials(m))
+        assert determinant(m) == det_by_interpolation(m) == det_bareiss(monomials(m))
+
+
+def test_every_symbolic_gram_matrix_matches_the_interpolation_oracle():
+    # coefficient for coefficient, every class through 6 points and the
+    # pair class through 12 (132 rows)
+    pairs = (build_gram(n, PartitionClass.NONCROSSING_PAIRS, None) for n in (8, 10, 12))
+    for m in (*symbolic_grams(6), *pairs):
+        assert determinant(m).coeffs == det_by_interpolation(m).coeffs
+
+
+@st.composite
+def symbolic_matrices(draw):
+    """A symbolic matrix of size 1..7 with exponents 0..12; a drawn row is
+    copied over another to make some of them singular. (The empty matrix,
+    whose Bareiss determinant is the integer 1, is an empty pair class.)"""
+    size = draw(st.integers(1, 7))
+    row = st.lists(st.integers(0, 12), min_size=size, max_size=size)
+    rows = draw(st.lists(row, min_size=size, max_size=size))
+    if size > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, size - 1))] = rows[0]
+    p = Partition.pair()
+    return ExactMatrix(tuple(map(tuple, rows)), (p,) * size, (p,) * size, is_symbolic=True)
+
+
+@given(symbolic_matrices())
+def test_substitution_matches_both_oracles_on_random_matrices(m):
+    assert determinant(m) == det_by_interpolation(m) == det_bareiss(monomials(m))
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_substitution_on_the_dft_exponents(size):
+    # e_ij = i·j mod m: at m = 8 a coefficient of 1120 comes within two
+    # bits of the digit bound 2^(B−1) = 2^13
+    p = Partition.pair()
+    rows = tuple(tuple(i * j % size for j in range(size)) for i in range(size))
+    m = ExactMatrix(rows, (p,) * size, (p,) * size, is_symbolic=True)
+    d = determinant(m)
+    assert d == det_by_interpolation(m) == det_bareiss(monomials(m))
+    if size == 8:
+        assert max(map(abs, d.coeffs)) == 1120
+
+
+def test_symbolic_determinant_eliminates_once(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return det_exact(rows)
+
+    monkeypatch.setattr(kernels, "det_exact", counted)
+    determinant(build_gram(5, NC, None))
+    assert calls == [42]
+
+
+def test_a_wrong_integer_determinant_raises(monkeypatch):
+    # far more base-2^B digits than the Leibniz bound allows
+    monkeypatch.setattr(kernels, "det_exact", lambda rows: 1 << 10_000)
+    with pytest.raises(ArithmeticError, match="degree bound"):
+        determinant(build_gram(3, NC, None))
+
+
+def test_symbolic_bit_budget_refuses_before_the_elimination(monkeypatch):
+    def no_elimination(rows):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(kernels, "det_exact", no_elimination)
+    # NC(4): 14 rows, B = 29, D = 21, so 638 bits
+    monkeypatch.setattr(ncgram.gram, "SYMBOLIC_BIT_BUDGET", 637)
+    with pytest.raises(BudgetError, match="638 bits"):
+        determinant(build_gram(4, NC, None))
+
+
+def test_symbolic_matrix_rejects_negative_exponents():
+    labels = tuple(enumerate_partitions(2, NC))
+    with pytest.raises(ValueError, match="negative"):
+        ExactMatrix(((-1, 0), (0, 1)), labels, labels, is_symbolic=True)
+    # an integer matrix may hold any integer
+    assert determinant(ExactMatrix(((-1, 0), (0, 1)), labels, labels)) == -1
 
 
 def test_symbolic_determinant_is_monic_of_degree_total_blocks():
@@ -147,8 +290,8 @@ def test_symbolic_determinant_is_monic_of_degree_total_blocks():
 
 
 def test_symbolic_determinant_holds_off_the_interpolation_nodes():
-    # the nodes are 1, ..., D + 1 for D at most the Leibniz bound `top`;
-    # negative N and top + 2 lie outside them
+    # the interpolation oracle's nodes are 1, ..., D + 1 for D at most the
+    # Leibniz bound `top`; negative N and top + 2 lie outside them
     for m in symbolic_grams(4):
         d = determinant(m)
         top = sum(max(row) for row in m.entries)
@@ -162,17 +305,9 @@ def test_symbolic_five_point_determinant_matches_the_recursion():
         assert d.evaluate(N) == recursion_det(5, N)
 
 
-def det_by_unshifted_interpolation(m: ExactMatrix) -> IntPolynomial:
-    """The interpolation route before X^(m·e_min) was factored out: the
-    matrix itself at the nodes 1, ..., D + 1, D = Σ_i max_j e_ij."""
-    bound = sum(max(row, default=0) for row in m.entries)
-    xs = list(range(1, bound + 2))
-    return _interpolate_integer_poly(xs, [determinant(m.evaluate(t)) for t in xs])
-
-
 def test_shifted_interpolation_matches_the_unshifted_one():
     # coefficient for coefficient; every Gram exponent is at least 1, so
-    # the shift removes one node per row
+    # the shift removes one node per row from the oracle
     for m in symbolic_grams(5):
         assert min(min(row) for row in m.entries) == 1
         assert determinant(m).coeffs == det_by_unshifted_interpolation(m).coeffs
@@ -196,26 +331,6 @@ def test_symbolic_six_point_determinant_matches_the_recursion():
     assert d.degree == sum(p.block_count for p in enumerate_partitions(6, NC))
     for N in (4, 5):
         assert d.evaluate(N) == recursion_det(6, N)
-
-
-@given(
-    st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
-    st.lists(st.integers(min_value=-20, max_value=20), min_size=8, max_size=12, unique=True),
-)
-def test_interpolation_recovers_integer_polynomials(coeffs, xs):
-    # any distinct integer nodes, in any order, at least degree + 1 of them
-    from ncgram.gram import _interpolate_integer_poly
-
-    p = IntPolynomial(coeffs)
-    assert _interpolate_integer_poly(xs, [p.evaluate(x) for x in xs]) == p
-
-
-def test_interpolation_outside_integer_polynomials_raises():
-    # the interpolant of (1, 0), (2, 0), (3, 1) is (x - 1)(x - 2)/2
-    from ncgram.gram import _interpolate_integer_poly
-
-    with pytest.raises(ArithmeticError, match="ℤ"):
-        _interpolate_integer_poly([1, 2, 3], [0, 0, 1])
 
 
 def test_leading_principal_minors_positive_for_large_parameter():

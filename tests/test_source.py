@@ -84,7 +84,7 @@ def test_only_gram_reaches_the_elimination_kernel():
             ast.parse(path.read_text(encoding="utf-8"), str(path)), {"det_exact", "rank_exact"}
         )
     }
-    assert found == {"gram.py:determinant", "gram.py:rank", "gram.py:_det_by_interpolation"}
+    assert found == {"gram.py:determinant", "gram.py:rank", "gram.py:_det_by_substitution"}
 
 
 def test_only_the_one_generator_skips_the_canonical_check():
