@@ -20,7 +20,9 @@ Determinant results for numeric parameters can be
 cached in an append-only JSON-lines file keyed by
 ``gram:<class>:<points>:<N>``; a torn (corrupted) line, or one whose
 determinant is not a decimal integer, is skipped with a warning and the
-value recomputed instead of crashing the run or replaying it.
+value recomputed instead of crashing the run or replaying it. A cache
+path that cannot be opened for appending is a usage error, found before
+the matrix is built.
 
 Exit codes: 0 success, 1 verification/law failure, 2 usage error,
 3 resource budget exceeded.
@@ -107,13 +109,19 @@ _DECIMAL_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _read_cache(path: str) -> dict[str, str]:
-    """Load an append-only JSON-lines cache, tolerating a torn last line."""
+    """Load an append-only JSON-lines cache, tolerating a torn last line.
+
+    The file is opened for appending, and created if it is missing, so a
+    path the job could not append its result to (a directory, a missing
+    directory, no write permission) is a usage error before any work.
+    """
     entries: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "a+", encoding="utf-8") as fh:
+            fh.seek(0)
             lines = fh.read().splitlines()
-    except FileNotFoundError:
-        return entries
+    except OSError as exc:
+        raise ValueError(f"cache: {path}: {exc.strerror}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

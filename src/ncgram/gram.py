@@ -2,12 +2,14 @@
 
 The matrix indexed by a partition class has entry (p, q) = N^{rl(q*, p)},
 where rl is the loop count of the composition q* ∘ p: the number of
-components of the pair graph of p over q, which is the join p ∨ q. Every
-matrix of the package (the Gram matrix here, the level matrices of
-`tutte`) is read off one exponent table, `_exponent_table`, filled by the
-join kernel of `partitions`. With N given, the entries are the integers
-N^e, looked up in a table of powers; with N = None the matrix is
-symbolic, and its entries are the exponents e of the monomials X^e.
+components of the pair graph of p over q, which is the join p ∨ q. The
+Gram matrix is level 0 of the level matrices of `tutte`: one exponent
+table, `_exponent_table`, filled by the join kernel of `partitions`, holds
+the loop counts at any level r (with a flaw sentinel at r > 0), and one
+reader, `_table_matrix`, turns it into every Gram and level matrix. With
+N given, the entries are the integers N^e, looked up in a table of powers;
+with N = None the Gram matrix is symbolic, and its entries are the
+exponents e of the monomials X^e.
 
 Every elimination is the one exact integer kernel in `kernels`, so a
 symbolic determinant is one integer determinant, at X = 2^B (Kronecker
@@ -23,10 +25,12 @@ expansion takes one entry from each row). On the unit circle every entry
 X^e has modulus 1, so Hadamard's bound gives |p| ≤ m^(m/2) there, and each
 coefficient of p, a Fourier coefficient on that circle, is at most m^(m/2)
 in size. With B = bit_length(m^m)//2 + 2 that is below 2^(B−1), so the
-balanced base-2^B digits of p(2^B), each in (−2^(B−1), 2^(B−1)], are the
-coefficients of p; they are then shifted up by m·e_min. A value with more
-than D + 1 digits is refused. The one integer has B·(D + 1) bits at most,
-which `SYMBOLIC_BIT_BUDGET` caps.
+balanced base-2^B digits of p(2^B), each in [−2^(B−1), 2^(B−1)), are the
+coefficients of p; they are then shifted up by m·e_min. The digits are
+read as B-bit slices of p(2^B) + 2^(B−1)·Σ_i 2^(B·i) in binary, which
+takes time linear in its size. A value with more than D + 1 digits is
+refused. The one integer has B·(D + 1) bits at most, which
+`SYMBOLIC_BIT_BUDGET` caps.
 Nothing here ever touches floating point.
 """
 
@@ -132,14 +136,13 @@ def _read_powers(table, powers: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(powers.__getitem__, row)) for row in table)
 
 
-def _cut(r: int | None) -> int:
+def _cut(r: int) -> int:
     """The number of leading points whose verticals the level-r table cuts
-    to test for a flaw: r//2 + 1, and none for the plain pair graph
-    (r None) and at level 0, which has no flaws."""
+    to test for a flaw: r//2 + 1, and none at level 0, which has no flaws."""
     return r // 2 + 1 if r else 0
 
 
-def _exponent_row(up, lows, points: int, r: int | None) -> bytearray:
+def _exponent_row(up, lows, points: int, r: int) -> bytearray:
     """The exponents of one row partition p against a run of columns q.
 
     `up` is the `stacked_spreader` of p on top and `lows` are those of the
@@ -187,17 +190,15 @@ def _exponent_row(up, lows, points: int, r: int | None) -> bytearray:
     return row
 
 
-def _exponent_table(
-    labels: tuple[Partition, ...], points: int, r: int | None = None
-) -> tuple[bytes, ...]:
+def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> tuple[bytes, ...]:
     """The exponent of every pair of (0, points) labels, one `bytes` row each.
 
-    r = None gives the plain loop counts rl(q*, p) of the Gram matrix, and
-    a level r the counts with `_FLAW` on flawed pairs. Both are symmetric
-    in p and q (swapping the rows of the pair graph swaps upper with lower
-    points in the flaw pattern), so only the upper triangle is computed;
-    each row segment is written into its row and, by a strided slice, its
-    column of one flat table.
+    Level 0 gives the plain loop counts rl(q*, p) of the Gram matrix, and
+    a level r > 0 the counts with `_FLAW` on flawed pairs. Both are
+    symmetric in p and q (swapping the rows of the pair graph swaps upper
+    with lower points in the flaw pattern), so only the upper triangle is
+    computed; each row segment is written into its row and, by a strided
+    slice, its column of one flat table.
     """
     cut = _cut(r)
     width = points + cut
@@ -213,13 +214,30 @@ def _exponent_table(
     return tuple(bytes(flat[a * size : (a + 1) * size]) for a in range(size))
 
 
-def _pair_exponent(p: Partition, q: Partition, r: int | None = None) -> int:
+def _pair_exponent(p: Partition, q: Partition, r: int = 0) -> int:
     """One entry of `_exponent_table`: p over q, at level r."""
     cut = _cut(r)
     row = _exponent_row(
         stacked_spreader(p, cut, False), [stacked_spreader(q, cut, True)], p.points, r
     )
     return row[0]
+
+
+def _table_matrix(
+    labels: tuple[Partition, ...], points: int, N: int | None, r: int = 0
+) -> ExactMatrix:
+    """The level-r exponent table over labels × labels as a matrix.
+
+    Every Gram and level matrix is built here. With N None (level 0 only)
+    the matrix is symbolic and holds the table itself; otherwise entry
+    (p, q) is N^e, and 0 where e is `_FLAW`.
+    """
+    table = _exponent_table(labels, points, r)
+    if N is None:
+        return ExactMatrix(table, labels, labels, is_symbolic=True)
+    powers = [N**e for e in range(points + 1)]
+    powers[_FLAW] = 0  # no pair graph has 0 components
+    return ExactMatrix(_read_powers(table, powers), labels, labels)
 
 
 def build_gram(
@@ -240,11 +258,7 @@ def build_gram(
     if N is not None and N < 1:
         raise ValueError("N must be positive")
     _check_class_budget(points, cls)
-    labels = tuple(enumerate_partitions(points, cls))
-    symbolic = ExactMatrix(
-        _exponent_table(labels, points), labels, labels, is_symbolic=True
-    )
-    return symbolic if N is None else symbolic.evaluate(N)
+    return _table_matrix(tuple(enumerate_partitions(points, cls)), points, N)
 
 
 def determinant(m: ExactMatrix) -> int | IntPolynomial:
@@ -297,11 +311,12 @@ def _check_class_budget(
 def _det_by_substitution(m: ExactMatrix) -> IntPolynomial:
     """Symbolic determinant by one integer determinant at X = 2^B.
 
-    det = X^(m·e_min)·p(X), and the balanced base-2^B digits of p(2^B) are
-    the coefficients of p (see the module docstring). More than D + 1
-    digits, D the Leibniz bound, means the integer determinant was wrong,
-    and raises ArithmeticError. B·(D + 1) bits past `SYMBOLIC_BIT_BUDGET`
-    raise BudgetError before the elimination.
+    det = X^(m·e_min)·p(X), and the balanced base-2^B digits of p(2^B),
+    read off in binary, are the coefficients of p (see the module
+    docstring). More than D + 1 digits, D the Leibniz bound, means the
+    integer determinant was wrong, and raises ArithmeticError. B·(D + 1)
+    bits past `SYMBOLIC_BIT_BUDGET` raise BudgetError before the
+    elimination.
     """
     size = m.nrows
     low = min((min(row, default=0) for row in m.entries), default=0)
@@ -312,14 +327,11 @@ def _det_by_substitution(m: ExactMatrix) -> IntPolynomial:
     if bits > SYMBOLIC_BIT_BUDGET:
         raise BudgetError(f"symbolic determinant of {bits} bits exceeds budget {SYMBOLIC_BIT_BUDGET}")
     value = kernels.det_exact(shifted.evaluate(1 << B).entries)
-    mask, half = (1 << B) - 1, 1 << (B - 1)
-    coeffs = []
-    for _ in range(bound + 1):
-        digit = value & mask
-        if digit > half:
-            digit -= 1 << B
-        coeffs.append(digit)
-        value = (value - digit) >> B
-    if value:
+    # 2^(B−1) added to every digit makes each one a plain B-bit slice of
+    # the binary text; conversion to and from base 2 is linear in the size
+    value += int(("1" + "0" * (B - 1)) * (bound + 1), 2)
+    if value < 0 or value.bit_length() > bits:
         raise ArithmeticError("substituted determinant exceeds the Leibniz degree bound")
+    text, half = format(value, f"0{bits}b"), 1 << (B - 1)
+    coeffs = [int(text[end - B : end], 2) - half for end in range(bits, 0, -B)]
     return IntPolynomial(coeffs).shift(size * low)

@@ -26,6 +26,7 @@ from .partitions import (
     Partition,
     PartitionClass,
     compose,
+    count_partitions,
     enumerate_partitions,
     involution,
     refines,
@@ -33,6 +34,19 @@ from .partitions import (
 )
 
 DENSE_BUDGET = 10**6
+
+#: Work `check_functor_laws` may take, counted in dense matrix entries, of
+#: which its tensor law reads the most. With P = Σ_{k,l} Bell(k+l) the
+#: partitions up to max_points per row and S = Σ_{k,l} Bell(k+l)·N^(k+l)
+#: the entries of their matrices, that law compares S² entries over P²
+#: cases, and each case costs about 200 entries more (10 µs against 45 ns
+#: per entry, measured). So the work is 200·P² + S². The budget admits
+#: N = 4 at max_points 2 (21M, 1.0 s) and N = 1 at 3 (29M, 1.4 s); it
+#: refuses N = 5 at 2 (116M, 5.2 s), N = 2 at 3 (326M, 18.3 s) and, with
+#: it, N = 3 at 3 (31.5G) and every max_points from 4 on (N = 1 at 4: 9.3G),
+#: runs that were stopped unfinished after 60–90 s (2-core AMD EPYC,
+#: Python 3.11, in-process).
+LAWS_WORK_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -179,6 +193,7 @@ def check_functor_laws(N: int, max_points: int) -> list[dict]:
     legs = 4 * max_points
     if N ** min(legs, DENSE_BUDGET.bit_length()) > DENSE_BUDGET:
         raise BudgetError(f"{N}^{legs} exceeds dense budget {DENSE_BUDGET}")
+    _check_law_work(N, max_points)
     parts = _partitions_up_to(max_points)
     mats = {p: matrix_of(p, N) for p in parts}
     reports = []
@@ -215,6 +230,28 @@ def check_functor_laws(N: int, max_points: int) -> list[dict]:
                 break
     reports.append(_law_report("composition", N, max_points, cases, counterexample))
     return reports
+
+
+def _check_law_work(N: int, max_points: int) -> None:
+    """Refuse a law run past LAWS_WORK_BUDGET before any partition is listed.
+
+    P and S (see LAWS_WORK_BUDGET) grow with the point count k + l, so they
+    are summed one count at a time and the first sum past the budget
+    refuses: a huge max_points costs a few small Bell numbers.
+    """
+    cases = entries = 0
+    for points in range(2 * max_points + 1):
+        # (k, l) with k + l = points and k, l ≤ max_points
+        shapes = min(points, 2 * max_points - points) + 1
+        size = shapes * count_partitions(points, PartitionClass.ALL)
+        cases += size
+        entries += size * N**points
+        work = 200 * cases**2 + entries**2
+        if work > LAWS_WORK_BUDGET:
+            over = "" if points == 2 * max_points else "over "
+            raise BudgetError(
+                f"law work of {over}{work:.3g} entries exceeds budget {LAWS_WORK_BUDGET:.0e}"
+            )
 
 
 def _law_report(law: str, N: int, max_points: int, cases: int, counterexample) -> dict:

@@ -7,9 +7,15 @@ block rewirings f and g produce column combinations that telescope the
 determinant down to 1×1 base cases. Everything is exact: the level
 quotients are rationals in 1/N built from the reversed Beraha polynomials.
 
-Points of a pair (p, q) live on a 2n-node graph: nodes 1..n carry p,
-nodes 1'..n' carry q, vertical edges join i to i'. Indices into the id
-arrays run 0..n-1 (unprimed) then n..2n-1 (primed).
+Points of a pair (p, q) live on a graph: nodes 1..n carry p, nodes
+1'..n' carry q, and vertical edges join i to i'. Its components are
+those of the join p ∨ q, found by the join kernel of `partitions` on
+block bitmasks: with every vertical the pair graph, whose component
+count is the loop count rl(q*, p); at level r = 2s or 2s+1, with the
+verticals of 1..s+1 cut, the cut graph. A glued pair i, i' is bit i-1,
+and a cut i' is bit n+i-1. Every entry of a level matrix is one of
+`gram`'s exponents, so the level-r matrix is read off the same exponent
+table as the Gram matrix, which is level 0.
 
 The strata form a chain W(n,0) ⊇ W(n,1) ⊇ … ⊇ W(n,n−1) ⊋ W(n,n) = ∅,
 with Y(n,r) = W(n,r) \\ W(n,r+1), so each partition sits at one level.
@@ -26,25 +32,18 @@ is.
 
 The case table of the recursion classifies the cut graph of a pair by its
 components on the leftmost nodes 1..s+1, 1'..t' into three structures,
-[i], [i, i+1] and [0]. Each structure is one canonical labelling of those
-nodes, so the classification is one lookup in a table of labels.
+[i], [i, i+1] and [0], spelled as the tuples (i,), (i, i+1) and (0,).
+Each structure is one canonical labelling of those nodes, so the
+classification is one lookup in a table of labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2
 
 from .errors import BudgetError, ShapeError
-from .gram import (
-    _FLAW,
-    ExactMatrix,
-    _check_budget,
-    _exponent_table,
-    _pair_exponent,
-    _read_powers,
-)
+from .gram import _FLAW, ExactMatrix, _check_budget, _pair_exponent, _table_matrix
 from .partitions import (
     Partition,
     PartitionClass,
@@ -65,16 +64,7 @@ RECURSION_BIT_BUDGET = 1 << 22
 
 
 # ---------------------------------------------------------------------------
-# pair graphs and cuts
-
-
-@dataclass(frozen=True)
-class PairGraph:
-    """Connectivity of p stacked on q: the pair graph, with every vertical
-    edge (i, i'), or the level-r cut graph, with only those for i > s+1."""
-
-    ids: tuple[int, ...]  # component id per node, canonical by first occurrence
-    component_count: int
+# argument checks
 
 
 def _check_pair(p: Partition, q: Partition) -> int:
@@ -88,26 +78,6 @@ def _check_pair(p: Partition, q: Partition) -> int:
 def _check_level(n: int, r: int, what: str) -> None:
     if not 0 <= r < n:
         raise ValueError(f"{what} level r={r} out of range for n={n}")
-
-
-def _stacked(p: Partition, q: Partition, n: int, cut: int) -> PairGraph:
-    """p over q with the verticals (i, i') glued for i ≥ cut (0-based)."""
-    components = join_components(
-        stacked_spreader(p, cut, False), stacked_spreader(q, cut, True), n + cut
-    )
-    # node n + i is bit n + i while its vertical is cut, bit i once glued
-    bits = [*range(n), *(n + i if i < cut else i for i in range(n))]
-    return PairGraph(component_labels(components, bits), len(components))
-
-
-def pair_graph(p: Partition, q: Partition) -> PairGraph:
-    return _stacked(p, q, _check_pair(p, q), 0)
-
-
-def cut_graph(p: Partition, q: Partition, r: int) -> PairGraph:
-    n = _check_pair(p, q)
-    _check_level(n, r, "cut")
-    return _stacked(p, q, n, r // 2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +161,6 @@ def e_r(p: Partition, q: Partition, r: int, N: int) -> int:
     return 0 if exponent == _FLAW else N**exponent
 
 
-def _level_matrix(n: int, r: int, N: int, labels: tuple[Partition, ...]) -> ExactMatrix:
-    """e_r over labels × labels, read off the level-r exponent table."""
-    powers = [N**e for e in range(n + 1)]
-    powers[_FLAW] = 0  # no pair graph has 0 components
-    entries = _read_powers(_exponent_table(labels, n, r), powers)
-    return ExactMatrix(entries=entries, row_labels=labels, col_labels=labels)
-
-
 def _check_level_matrix(n: int, r: int, N: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
@@ -218,7 +180,7 @@ def build_A(n: int, r: int, N: int) -> ExactMatrix:
     y, w = [], []
     for p in w_stratum(n, r):
         (w if in_W(p, r + 1) else y).append(p)
-    return _level_matrix(n, r, N, tuple(y + w))
+    return _table_matrix(tuple(y + w), n, N, r)
 
 
 def build_B(n: int, r: int, N: int) -> ExactMatrix:
@@ -226,7 +188,7 @@ def build_B(n: int, r: int, N: int) -> ExactMatrix:
     refused like build_A when #Y(n,r) passes the budget."""
     _check_level_matrix(n, r, N)
     _check_budget(_w_count(n, r) - _w_count(n, r + 1))
-    return _level_matrix(n, r, N, tuple(y_stratum(n, r)))
+    return _table_matrix(tuple(y_stratum(n, r)), n, N, r)
 
 
 # ---------------------------------------------------------------------------
@@ -287,36 +249,15 @@ def g_manip(i: int, q: Partition, r: int) -> Partition:
 # structures: connection patterns of the cut graph on its leftmost points
 
 
-class Structure:
-    """Base tag for the three mutually exclusive cut-graph patterns."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class StructI(Structure):
-    """Pattern [i]: columns pair diagonally from i on; i' and the last
-    unprimed point (even levels) stay isolated."""
-
-    i: int
-
-
-@dataclass(frozen=True)
-class StructPair(Structure):
-    """Pattern [i, i+1]: like [i] but i, i' and (i+1)' share a component."""
-
-    i: int
-
-
-@dataclass(frozen=True)
-class StructZero(Structure):
-    """Pattern [0]: every vertical pair i, i' stays connected around the cut."""
-
-
-def _structures(s: int, odd: bool) -> dict[tuple[int, ...], Structure]:
+def _structures(s: int, odd: bool) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The level-r structures (r = 2s, or 2s+1 if odd), keyed by the
     canonical labels of the nodes 1..s+1, 1'..t' in the cut graph, where
     t = s+1, or s+2 if odd.
+
+    [i]: j' is joined to j for j < i, i' stays alone and j' is joined to
+    j-1 for j > i; at even r the point s+1 stays alone too. [i, i+1]: as
+    [i], but i' is joined to i (and so to (i+1)'). [0]: every j' is
+    joined to j around the cut, and at odd r (s+2)' stays apart.
 
     Points 1..s+1 keep the labels 1..s+1 (0..s here, as an RGS counts from
     0); each j' takes the label of the point it is joined to, or the fresh
@@ -325,16 +266,17 @@ def _structures(s: int, odd: bool) -> dict[tuple[int, ...], Structure]:
     t = s + 2 if odd else s + 1
     label = tuple(range(s + 1))  # label[j-1] belongs to point j
     fresh = (s + 1,)
-    table: dict[tuple[int, ...], Structure] = {label + label + fresh * odd: StructZero()}
-    for i in range(1, s + 2):  # [i]: j' to j below i, i' alone, j' to j-1 above i
-        table[label + label[: i - 1] + fresh + label[i - 1 : t - 1]] = StructI(i)
-    for i in range(1, t):  # [i, i+1]: as [i], but i' joined to i
-        table[label + label[:i] + label[i - 1 : t - 1]] = StructPair(i)
+    table = {label + label + fresh * odd: (0,)}
+    for i in range(1, s + 2):
+        table[label + label[: i - 1] + fresh + label[i - 1 : t - 1]] = (i,)
+    for i in range(1, t):
+        table[label + label[:i] + label[i - 1 : t - 1]] = (i, i + 1)
     return table
 
 
-def classify_structure(p: Partition, q: Partition, r: int) -> Structure | None:
-    """Match the cut graph's induced component pattern on the leftmost points.
+def classify_structure(p: Partition, q: Partition, r: int) -> tuple[int, ...] | None:
+    """The structure, (i,), (i, i+1) or (0,), whose pattern the cut graph's
+    components induce on the leftmost points.
 
     The match is exact: mentioned points grouped together must be
     connected, mentioned points in different groups must not be. Returns
@@ -344,8 +286,13 @@ def classify_structure(p: Partition, q: Partition, r: int) -> Structure | None:
     if not 0 <= r < n - 1:
         raise ValueError(f"structure level r={r} out of range for n={n}")
     s, odd = r // 2, r % 2 == 1
-    ids = cut_graph(p, q, r).ids
-    return _structures(s, odd).get(_canonical(ids[: s + 1] + ids[n : n + s + 1 + odd]))
+    cut = s + 1
+    components = join_components(
+        stacked_spreader(p, cut, False), stacked_spreader(q, cut, True), n + cut
+    )
+    # 1..s+1, then the cut 1'..(s+1)', then (s+2)' at odd r, glued to s+2
+    nodes = [*range(cut), *range(n, n + cut), *range(cut, cut + odd)]
+    return _structures(s, odd).get(component_labels(components, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +314,14 @@ def component_shift(p: Partition, q: Partition, r: int, kind: str, i: int) -> in
         raise ValueError("shift undefined: the manipulated entry vanishes")
     s = r // 2
     tag = classify_structure(p, q, r)
-    if kind == "f":
-        if tag == StructI(i) or tag == StructPair(i - 1):
-            return s - i + 2
-        if tag == StructPair(i):
-            return s - i + 1
-    else:
-        if tag == StructI(i) or tag == StructPair(i):
-            return s - i + 1
-        if tag == StructI(i + 1):
-            return s - i
-        if tag == StructZero():
-            return -1
-    raise ValueError(f"shift undefined for structure {tag!r} with kind {kind!r}, i={i}")
+    shifts = (
+        {(i,): s - i + 2, (i - 1, i): s - i + 2, (i, i + 1): s - i + 1}
+        if kind == "f"
+        else {(i,): s - i + 1, (i, i + 1): s - i + 1, (i + 1,): s - i, (0,): -1}
+    )
+    if tag not in shifts:
+        raise ValueError(f"shift undefined for structure {tag!r} with kind {kind!r}, i={i}")
+    return shifts[tag]
 
 
 def F_r_value(p: Partition, q: Partition, r: int, N: int) -> Fraction:

@@ -43,7 +43,6 @@ from ncgram.tutte import (
     f_manip,
     g_manip,
     has_r_flaw,
-    pair_graph,
     recursion_det,
     w_stratum,
 )
@@ -102,7 +101,7 @@ def test_05_component_shift_table_exhaustive():
             g_limit = s if r % 2 == 0 else s + 1
             for q in w_stratum(n, r + 1):
                 for p in w_stratum(n, r):
-                    base = pair_graph(p, q).component_count
+                    base = compose(involution(q), p).remaining_loops
                     for kind, limit in (("f", s + 1), ("g", g_limit)):
                         manip = f_manip if kind == "f" else g_manip
                         for i in range(1, limit + 1):
@@ -113,7 +112,7 @@ def test_05_component_shift_table_exhaustive():
                                 predicted = component_shift(p, q, r, kind, i)
                             except ValueError:
                                 continue  # structure outside the case table
-                            actual = pair_graph(p, image).component_count - base
+                            actual = compose(involution(image), p).remaining_loops - base
                             assert predicted == actual, (
                                 f"shift table wrong at n={n} r={r} {kind}({i})"
                             )

@@ -209,8 +209,7 @@ def test_over_budget_jobs_exit_before_the_build(capsys, monkeypatch, argv):
     def no_pair_loop(*args):
         raise AssertionError("the Gram pair loop ran")
 
-    for module in (gram, tutte):
-        monkeypatch.setattr(module, "_exponent_table", no_pair_loop)
+    monkeypatch.setattr(gram, "_exponent_table", no_pair_loop)
     monkeypatch.setattr(gram, "join_closure", no_pair_loop)
     code, out, err = run(capsys, *argv)
     assert code == 3
@@ -360,8 +359,56 @@ def test_over_budget_laws_exit_before_any_matrix(capsys, monkeypatch, param, max
     assert f"{param}^{4 * max_points} exceeds dense budget" in err
 
 
+@pytest.mark.parametrize("param, max_points", [(1, 4), (2, 4), (3, 3), (1, 10**9)])
+def test_over_budget_law_work_exits_before_any_partition(capsys, monkeypatch, param, max_points):
+    # these pass the dense budget but would run for minutes to hours; the
+    # work is estimated from a few small Bell numbers, never Bell(2·10^9)
+    def no_listing(*args):
+        raise AssertionError("a partition was listed")
+
+    real_count = tensor_model.count_partitions
+
+    def small_count(points, cls):
+        if points > 20:
+            raise AssertionError(f"Bell({points}) was computed")
+        return real_count(points, cls)
+
+    monkeypatch.setattr(tensor_model, "_partitions_up_to", no_listing)
+    monkeypatch.setattr(tensor_model, "count_partitions", small_count)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "laws", "--param", str(param), "--max-points", str(max_points))
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert out == ""
+    assert "law work" in err and "exceeds budget" in err
+
+
+def test_law_work_budget_admits_the_documented_runs():
+    # the README's and the benchmark's laws jobs run; N = 5 at 2 points
+    # (5 s) and N = 2 at 3 points (18 s) are refused
+    for param, max_points in ((2, 2), (3, 2), (4, 2), (1, 3), (3, 1), (2, 1)):
+        tensor_model._check_law_work(param, max_points)
+    for param, max_points in ((5, 2), (2, 3)):
+        with pytest.raises(BudgetError, match="law work"):
+            tensor_model._check_law_work(param, max_points)
+
+
 # ---------------------------------------------------------------------------
 # cache and determinism
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unusable_cache_path_is_a_usage_error_before_the_build(tmp_path, capsys, monkeypatch, where):
+    def no_build(*args):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(cli, "build_gram", no_build)
+    path = tmp_path / "missing" / "c.jsonl" if where == "missing directory" else tmp_path
+    argv = ["gram", "--points", "3", "--param", "4", "--det", "--cache", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cache: ")
 
 
 def test_output_is_byte_identical_and_cache_hits(tmp_path, capsys):

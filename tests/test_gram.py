@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -260,6 +262,33 @@ def test_a_wrong_integer_determinant_raises(monkeypatch):
     monkeypatch.setattr(kernels, "det_exact", lambda rows: 1 << 10_000)
     with pytest.raises(ArithmeticError, match="degree bound"):
         determinant(build_gram(3, NC, None))
+
+
+def test_the_digit_split_round_trips_at_a_large_base(monkeypatch):
+    # 400 rows give B = 1731 and exponents 1 + [i = j] give D = 400: any
+    # D + 1 coefficients in [−2^(B−1), 2^(B−1)), both ends included, come
+    # back from the integer determinant at X = 2^B, and a value with a
+    # digit past D, either sign, raises
+    size = 400
+    B = (size**size).bit_length() // 2 + 2
+    assert B == 1731
+    labels = tuple(enumerate_partitions(7, ALL))[:size]
+    m = ExactMatrix(
+        tuple(tuple(1 + (i == j) for j in range(size)) for i in range(size)),
+        labels,
+        labels,
+        is_symbolic=True,
+    )
+    rng = random.Random(20)
+    half = 1 << (B - 1)
+    coeffs = [-half, half - 1, 0, -1, 1] + [rng.randrange(-half, half) for _ in range(size - 4)]
+    value = sum(c << (B * i) for i, c in enumerate(coeffs))
+    monkeypatch.setattr(kernels, "det_exact", lambda rows: value)
+    assert determinant(m) == IntPolynomial(coeffs).shift(size)
+    for extra in (1 << (B * (size + 1)), -(1 << (B * (size + 1)))):
+        monkeypatch.setattr(kernels, "det_exact", lambda rows: value + extra)
+        with pytest.raises(ArithmeticError, match="degree bound"):
+            determinant(m)
 
 
 def test_symbolic_bit_budget_refuses_before_the_elimination(monkeypatch):

@@ -246,7 +246,8 @@ def test_pair_entries_match_the_forest_exhaustively():
 
 
 def test_exponent_tables_match_the_forest_exhaustively():
-    # every pair of NC(n), n ≤ 7, at every level and in the plain pair graph
+    # every pair of NC(n), n ≤ 7, at every level; level 0, the default, is
+    # the plain pair graph of the Gram matrix
     for n in range(1, 8):
         labels = tuple(enumerate_partitions(n, NC))
         for r in range(n):

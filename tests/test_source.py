@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "ncgram"
@@ -110,6 +111,45 @@ def test_the_union_find_is_gone_from_the_package():
         if "PairForest" in line or "block_forest" in line
     ]
     assert found == []
+
+
+def test_one_reader_turns_the_exponent_table_into_every_matrix():
+    # the Gram matrix is level 0 of the level matrices: one function reads
+    # any level-r table, so no second route from a pair to its entry exists
+    found = {
+        f"{path.name}:{scope}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope, _ in _references(
+            ast.parse(path.read_text(encoding="utf-8"), str(path)), {"_exponent_table"}
+        )
+    }
+    assert found == {"gram.py:_table_matrix"}
+
+
+def test_the_pair_graph_objects_and_tag_classes_are_gone_from_the_package():
+    # a pair reaches its loop count through the join kernel alone, and the
+    # structures are the paper's brackets (i,), (i, i + 1) and (0,)
+    removed = (
+        "PairGraph",
+        "_stacked",
+        "pair_graph",
+        "cut_graph",
+        "Structure",
+        "StructI",
+        "StructPair",
+        "StructZero",
+        "_level_matrix",
+    )
+    found = [
+        f"{path.name}:{lineno} {name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for name in removed
+        if re.search(rf"(?<!\w){name}(?!\w)", line)
+    ]
+    assert found == []
+    # level 0 is the Gram level; no level is spelled None
+    assert "r: int | None" not in (SOURCE / "gram.py").read_text(encoding="utf-8")
 
 
 def test_only_the_two_entry_points_reach_the_primitive_row_loop():

@@ -19,32 +19,30 @@ from ncgram.gram import build_gram, determinant
 from ncgram.partitions import (
     Partition,
     PartitionClass,
+    component_labels,
     compose,
     enumerate_partitions,
     involution,
+    join_components,
     kernel,
+    stacked_spreader,
 )
 from ncgram.polynomials import beraha
 from ncgram.tutte import (
     F_r_value,
     RECURSION_BIT_BUDGET,
-    StructI,
-    StructPair,
-    StructZero,
     _strata_counts,
     _structures,
     build_A,
     build_B,
     classify_structure,
     component_shift,
-    cut_graph,
     e_r,
     f_manip,
     g_manip,
     has_r_flaw,
     in_W,
     in_Y,
-    pair_graph,
     recursion_det,
     recursion_trace,
     w_stratum,
@@ -70,7 +68,9 @@ def delete_point(p: Partition, d: int) -> Partition:
 
 def connectivity_oracle(p: Partition, q: Partition, keep_from: int):
     """Adjacency-list BFS components of the stacked graph, an independent
-    check on the union-find route.  Vertical edges only for i >= keep_from."""
+    check on the join kernel.  Vertical edges only for i >= keep_from.
+    Returns the component count and each node's component, p's point i
+    at node i - 1 and q's at node n + i - 1."""
     n = p.lower
     adj: dict[int, set[int]] = {v: set() for v in range(2 * n)}
 
@@ -117,6 +117,23 @@ def oracle_flaw(p: Partition, q: Partition, r: int) -> bool:
     if any(seen[i] != seen[n + i] for i in range(s)):
         return True
     return r % 2 == 1 and seen[s] != seen[n + s]
+
+
+def kernel_labels(p: Partition, q: Partition, keep_from: int) -> tuple[int, ...]:
+    """The join kernel's components of the stacked graph, read in the oracle's
+    node order and numbered canonically: the first keep_from - 1 verticals
+    are cut, so q's points there are nodes of their own."""
+    n, cut = p.lower, keep_from - 1
+    components = join_components(
+        stacked_spreader(p, cut, False), stacked_spreader(q, cut, True), n + cut
+    )
+    return component_labels(components, [*range(n), *(n + i if i < cut else i for i in range(n))])
+
+
+def oracle_labels(p: Partition, q: Partition, keep_from: int) -> tuple[int, ...]:
+    """The BFS oracle's components, node by node, numbered canonically."""
+    _, seen = connectivity_oracle(p, q, keep_from)
+    return kernel([seen[v] for v in range(2 * p.lower)]).rgs
 
 
 def oracle_entry(p: Partition, q: Partition, r: int, N: int) -> int:
@@ -410,14 +427,10 @@ def test_component_counts_match_bfs_oracle():
         ps = enumerate_partitions(n, NC)
         for p in ps:
             for q in ps:
-                g = pair_graph(p, q)
-                oracle_full, _ = connectivity_oracle(p, q, 1)
-                assert g.component_count == oracle_full
+                assert kernel_labels(p, q, 1) == oracle_labels(p, q, 1)
                 for r in range(n):
                     s = r // 2
-                    h = cut_graph(p, q, r)
-                    oracle_cut, _ = connectivity_oracle(p, q, s + 2)
-                    assert h.component_count == oracle_cut
+                    assert kernel_labels(p, q, s + 2) == oracle_labels(p, q, s + 2)
 
 
 def test_loop_count_equals_pair_graph_components():
@@ -426,7 +439,7 @@ def test_loop_count_equals_pair_graph_components():
         for p in ps:
             for q in ps:
                 loops = compose(involution(q), p).remaining_loops
-                assert pair_graph(p, q).component_count == loops
+                assert connectivity_oracle(p, q, 1)[0] == loops
 
 
 def test_flaw_against_connectivity_oracle():
@@ -441,11 +454,11 @@ def test_flaw_against_connectivity_oracle():
 @given(partition_pairs())
 def test_kernel_loop_counts_match_oracle_on_random_pairs(pair):
     p, q, r = pair
-    n, s = p.lower, r // 2
+    s = r // 2
     full, _ = connectivity_oracle(p, q, 1)
-    assert pair_graph(p, q).component_count == full
     assert compose(involution(q), p).remaining_loops == full
-    assert cut_graph(p, q, r).component_count == connectivity_oracle(p, q, s + 2)[0]
+    assert kernel_labels(p, q, 1) == oracle_labels(p, q, 1)
+    assert kernel_labels(p, q, s + 2) == oracle_labels(p, q, s + 2)
     assert has_r_flaw(p, q, r) == oracle_flaw(p, q, r)
     assert e_r(p, q, r, 3) == oracle_entry(p, q, r, 3)
 
@@ -627,8 +640,8 @@ def test_manipulation_argument_validation():
 
 def test_structure_worked_examples():
     q = lower(4, [[1, 3, 4], [2]])
-    assert classify_structure(lower(4, [[1, 2], [3, 4]]), q, 1) == StructI(1)
-    assert classify_structure(lower(4, [[1, 2, 3, 4]]), q, 1) == StructPair(1)
+    assert classify_structure(lower(4, [[1, 2], [3, 4]]), q, 1) == (1,)
+    assert classify_structure(lower(4, [[1, 2, 3, 4]]), q, 1) == (1, 2)
 
 
 def mentioned_nodes(n: int, r: int) -> list[int]:
@@ -657,27 +670,28 @@ def candidate_patterns(n: int, r: int):
         groups += [diag(j) for j in range(i, s + 2 if odd else s + 1)]
         if not odd:
             groups.append(frozenset({s}))
-        yield StructI(i), frozenset(groups)
+        yield (i,), frozenset(groups)
     for i in range(1, s + 2 if odd else s + 1):
         groups = [vert(j) for j in range(1, i)]
         groups.append(frozenset({i - 1, n + i - 1, n + i}))
         groups += [diag(j) for j in range(i + 1, s + 2 if odd else s + 1)]
         if not odd:
             groups.append(frozenset({s}))
-        yield StructPair(i), frozenset(groups)
+        yield (i, i + 1), frozenset(groups)
     groups = [vert(j) for j in range(1, s + 2)]
     if odd:
         groups.append(frozenset({n + s + 1}))
-    yield StructZero(), frozenset(groups)
+    yield (0,), frozenset(groups)
 
 
 def matching_patterns(p: Partition, q: Partition, r: int) -> list:
-    """The tags whose grouping equals the cut graph's on the mentioned nodes."""
+    """The tags whose grouping equals the cut graph's on the mentioned nodes,
+    read off the BFS oracle."""
     n = p.points
-    ids = cut_graph(p, q, r).ids
+    _, seen = connectivity_oracle(p, q, r // 2 + 2)
     grouping: dict[int, set[int]] = {}
     for node in mentioned_nodes(n, r):
-        grouping.setdefault(ids[node], set()).add(node)
+        grouping.setdefault(seen[node], set()).add(node)
     induced = frozenset(frozenset(group) for group in grouping.values())
     return [tag for tag, pattern in candidate_patterns(n, r) if pattern == induced]
 
@@ -709,7 +723,7 @@ def test_nonzero_next_level_entry_forces_the_covering_structure():
             for q in w_stratum(n, r + 1):
                 for p in w_stratum(n, r):
                     if e_r(p, q, r + 1, 5) != 0:
-                        assert classify_structure(p, q, r) == StructZero()
+                        assert classify_structure(p, q, r) == (0,)
 
 
 def test_component_shift_matches_direct_recount():
@@ -721,7 +735,7 @@ def test_component_shift_matches_direct_recount():
             g_limit = s if r % 2 == 0 else s + 1
             for q in w_stratum(n, r + 1):
                 for p in w_stratum(n, r):
-                    base = pair_graph(p, q).component_count
+                    base = compose(involution(q), p).remaining_loops
                     for kind, limit in (("f", s + 1), ("g", g_limit)):
                         manip = f_manip if kind == "f" else g_manip
                         for i in range(1, limit + 1):
@@ -734,7 +748,7 @@ def test_component_shift_matches_direct_recount():
                                 predicted = component_shift(p, q, r, kind, i)
                             except ValueError:
                                 continue  # pattern outside the case table
-                            actual = pair_graph(p, image).component_count - base
+                            actual = compose(involution(image), p).remaining_loops - base
                             assert predicted == actual
 
 
