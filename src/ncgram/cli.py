@@ -32,17 +32,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import functools
 import json
 import os
 import re
 import sys
 import time
-from fractions import Fraction
 
 from .errors import BudgetError, ShapeError
-from .gram import _check_class_budget, build_gram, determinant, rank
+from .gram import _check_class_budget, _decimal_text, build_gram, determinant, rank
 from .partitions import (
     Partition,
     PartitionClass,
@@ -214,12 +212,7 @@ def cmd_recursion(args: argparse.Namespace) -> int:
         # the recursion rather than after it
         _check_class_budget(args.points, PartitionClass.NONCROSSING)
     value, trace = recursion_trace(args.points, args.param)
-    result: dict = {
-        "n": args.points,
-        "N": args.param,
-        "det": _fraction_text(value),
-        "trace": trace,
-    }
+    result: dict = {"n": args.points, "N": args.param, "det": _decimal_text(value), "trace": trace}
     if args.verify:
         direct = determinant(build_gram(args.points, PartitionClass.NONCROSSING, args.param))
         result["direct"] = _decimal_text(direct)
@@ -228,21 +221,6 @@ def cmd_recursion(args: argparse.Namespace) -> int:
         return EXIT_OK if value == direct else EXIT_VERIFY
     _emit(result, args.format)
     return EXIT_OK
-
-
-def _decimal_text(value: int) -> str:
-    """Decimal digits of an integer of any length.
-
-    str() refuses integers past 4300 digits (sys.int_max_str_digits);
-    Decimal converts exactly and is not subject to that limit.
-    """
-    return str(decimal.Decimal(value))
-
-
-def _fraction_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return _decimal_text(value.numerator)
-    return f"{_decimal_text(value.numerator)}/{_decimal_text(value.denominator)}"
 
 
 def cmd_laws(args: argparse.Namespace) -> int:

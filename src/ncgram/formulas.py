@@ -7,58 +7,44 @@ determinant found by exact elimination, `gram.determinant`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .gram import build_gram, determinant
+from .gram import _decimal_text, build_gram, determinant
 from .partitions import PartitionClass
-from .polynomials import chebyshev_dilated
+from .polynomials import chebyshev_dilated, power_product
 
 
-def _binom(m: int, j: int) -> int:
-    """C(m, j) with out-of-range indices giving 0."""
-    if j < 0 or j > m:
-        return 0
-    return comb(m, j)
+def difrancesco_exponents(n: int) -> dict[int, int]:
+    """a_{n,i} = C(2n, n−i) − 2·C(2n, n−i−1) + C(2n, n−i−2), i = 1..n,
+    read as C(2n, n+i) − 2·C(2n, n+i+1) + C(2n, n+i+2), where a bottom
+    index past 2n gives 0.
 
-
-@dataclass(frozen=True)
-class ExponentTable:
-    """Chebyshev exponents a_{n,i} of the product formula, recorded verbatim."""
-
-    n: int
-    entries: dict[int, int]
-
-
-def difrancesco_exponents(n: int) -> ExponentTable:
-    """a_{n,i} = C(2n, n−i) − 2·C(2n, n−i−1) + C(2n, n−i−2), i = 1..n."""
+    Some are negative: a_{8,1} = −208, and a_{n,2} < 0 for 18 ≤ n ≤ 40
+    (a_{18,2} = −31,635,810).
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    return ExponentTable(
-        n=n,
-        entries={
-            i: _binom(2 * n, n - i) - 2 * _binom(2 * n, n - i - 1) + _binom(2 * n, n - i - 2)
-            for i in range(1, n + 1)
-        },
-    )
+    m = 2 * n
+    return {i: comb(m, n + i) - 2 * comb(m, n + i + 1) + comb(m, n + i + 2) for i in range(1, n + 1)}
 
 
-def difrancesco_det(n: int, N: int) -> Fraction:
+def difrancesco_det(n: int, N: int) -> int:
     """∏_{i=1}^n U_i(N)^{a_{n,i}} — the closed form of the 2n-point pair Gram determinant.
 
-    All U_i(N) are nonzero for N ≥ 2 (the roots lie in (−2, 2)), so
-    negative exponents, were the table to produce any, stay well-defined.
+    The exponents can be negative (see `difrancesco_exponents`). All U_i(N)
+    are nonzero for N ≥ 2 (the roots lie in (−2, 2)), and the product is
+    the determinant of an integer matrix, so `power_product` divides
+    exactly. Each odd U_i(N) is N times an integer, and N is pulled out
+    first: its total exponent is positive and absorbs that of U_1 = N, so
+    below 18 pairs nothing is left to divide by.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if N < 2:
         raise ValueError("N must be at least 2")
-    result = Fraction(1)
-    for i, a in difrancesco_exponents(n).entries.items():
-        if a:
-            result *= Fraction(chebyshev_dilated(i).evaluate(N)) ** a
-    return result
+    exponents = difrancesco_exponents(n)
+    powers = [(chebyshev_dilated(i).evaluate(N) // N ** (i % 2), a) for i, a in exponents.items()]
+    return power_product([(N, sum(a for i, a in exponents.items() if i % 2)), *powers])
 
 
 def difrancesco_check(n: int, N: int) -> dict:
@@ -68,7 +54,7 @@ def difrancesco_check(n: int, N: int) -> dict:
     return {
         "n": n,
         "N": N,
-        "direct": str(direct),
-        "formula": str(formula),
+        "direct": _decimal_text(direct),
+        "formula": _decimal_text(formula),
         "match": formula == direct,
     }

@@ -279,12 +279,24 @@ def rank(m: ExactMatrix) -> int:
     return kernels.rank_exact(m.entries)
 
 
-def _check_budget(size: int) -> None:
+def _check_budget(size: int, over: bool = False) -> None:
+    """Refuse a matrix of more than DET_DIMENSION_BUDGET rows; `over` says
+    that `size` is a smaller one's, and the matrix is larger still."""
     if size > DET_DIMENSION_BUDGET:
         # Decimal formats a size of any length; str() stops at 4300 digits
         raise BudgetError(
-            f"matrix size {Decimal(size):.6g} exceeds elimination budget {DET_DIMENSION_BUDGET}"
+            f"matrix size {'over ' * over}{Decimal(size):.6g} exceeds elimination budget "
+            f"{DET_DIMENSION_BUDGET}"
         )
+
+
+def _decimal_text(value: int) -> str:
+    """Decimal digits of an integer of any length.
+
+    str() refuses integers past 4300 digits (sys.int_max_str_digits);
+    Decimal converts exactly and is not subject to that limit.
+    """
+    return str(Decimal(value))
 
 
 def _check_class_budget(

@@ -1,8 +1,9 @@
 """Exact univariate integer polynomials and the Beraha/Chebyshev families.
 
 Everything here is exact: coefficients are Python ints, evaluations at
-rationals return `fractions.Fraction`. No floating point is used anywhere
-in the package.
+rationals return `fractions.Fraction`, and `power_product` multiplies out
+signed powers of integer values into one integer, the last step of both
+determinant formulas. No floating point is used anywhere in the package.
 
 The square-root relation between the two families is mechanized by the
 substitution N = x², which turns it into a genuine polynomial identity
@@ -213,6 +214,21 @@ def check_beraha_chebyshev_relation(j_max: int) -> dict:
         "status": "ok" if not failures else "lemma-violation",
         "failures": failures,
     }
+
+
+def power_product(powers: Iterable[tuple[int, int]]) -> int:
+    """∏ base^e over (base, e) pairs with signed e: the positive powers
+    over the negative ones, one division, ArithmeticError if inexact."""
+    num = den = 1
+    for base, e in powers:
+        if e > 0:
+            num *= base**e
+        elif e < 0:
+            den *= base**-e
+    value, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError("the power product is not an integer")
+    return value
 
 
 def beraha_nonzero_at(N: int, n_max: int) -> dict:

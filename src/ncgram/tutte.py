@@ -5,7 +5,9 @@ stratified by conditions on their leftmost points (the W/Y strata), each
 level's matrix A(n,r) has entries that vanish on "flawed" pairs, and two
 block rewirings f and g produce column combinations that telescope the
 determinant down to 1×1 base cases. Everything is exact: the level
-quotients are rationals in 1/N built from the reversed Beraha polynomials.
+quotients are powers of N and of the integers c_k = N^{deg β_k}·β_k(1/N)
+from the reversed Beraha polynomials β_k, so each level is a vector of
+exponents, and only the top one is multiplied out.
 
 Points of a pair (p, q) live on a graph: nodes 1..n carry p, nodes
 1'..n' carry q, and vertical edges join i to i'. Its components are
@@ -54,12 +56,13 @@ from .partitions import (
     join_components,
     stacked_spreader,
 )
-from .polynomials import beraha
+from .polynomials import IntPolynomial, beraha, power_product
 
 
 #: Bits the recursion's value may have before it is refused. It admits
-#: n = 12 at N = 4 (a bound of 2.7M bits, about a second on a 2-core Xeon)
-#: and refuses n = 13 at N = 4 (10.4M bits, which ran past a minute).
+#: n = 12 at N = 4 (a bound of 2.7M bits: 0.05 s for the value, 2.4 s for
+#: its decimal text, on a 2-core AMD EPYC with Python 3.11) and refuses
+#: n = 13 at N = 4 (10.4M bits: 0.45 s for the value, 35 s for the text).
 RECURSION_BIT_BUDGET = 1 << 22
 
 
@@ -176,7 +179,7 @@ def build_A(n: int, r: int, N: int) -> ExactMatrix:
     BudgetError before any partition is listed.
     """
     _check_level_matrix(n, r, N)
-    _check_budget(_w_count(n, r))
+    _check_level_budget(n, r, False)
     y, w = [], []
     for p in w_stratum(n, r):
         (w if in_W(p, r + 1) else y).append(p)
@@ -187,8 +190,17 @@ def build_B(n: int, r: int, N: int) -> ExactMatrix:
     """The corner block of build_A: rows and columns restricted to Y(n,r),
     refused like build_A when #Y(n,r) passes the budget."""
     _check_level_matrix(n, r, N)
-    _check_budget(_w_count(n, r) - _w_count(n, r + 1))
+    _check_level_budget(n, r, True)
     return _table_matrix(tuple(y_stratum(n, r)), n, N, r)
+
+
+def _check_level_budget(n: int, r: int, corner: bool) -> None:
+    """Refuse #W(n,r) rows, or #Y(n,r) for the corner block, past the
+    budget. Both grow with the point count, so the counts at r+1, r+2, …
+    points are taken in turn and the first past the budget refuses: a
+    level of millions of points costs a few small binomials."""
+    for m in range(r + 1, n + 1):
+        _check_budget(_w_count(m, r) - (_w_count(m, r + 1) if corner else 0), m < n)
 
 
 # ---------------------------------------------------------------------------
@@ -375,24 +387,63 @@ def _w_count(n: int, r: int) -> int:
     return (r + 2) * comb(2 * n - 1 - r, n - 1 - r) // (n + 1) if r < n else 0
 
 
-def recursion_det(n: int, N: int) -> Fraction:
+def recursion_det(n: int, N: int) -> int:
     """det A(n,0) by the level recursion alone — no elimination involved.
 
     Each level contributes (β_{r+3}(z)/β_{r+2}(z))^{#W(n,r+1)} · det B(n,r),
     where det B(n,r) reduces to the level matrix one point smaller: equal
     for odd r, and carrying a factor N per Y(n,r) element for even r
     (B = N·A entrywise there, so the scalar pulls out once per dimension).
-    Base case: the single partition at level n−1 gives N^⌈n/2⌉.
+    Base case: the single partition at level n−1 gives N^⌈n/2⌉. The levels
+    are added up as exponents and multiplied out once, into an integer.
     """
     value, _ = recursion_trace(n, N)
     return value
 
 
-def recursion_trace(n: int, N: int) -> tuple[Fraction, list[dict]]:
+def _level_exponents(n: int, N: int) -> tuple[list[int], list[int], list[dict]]:
+    """det A(n,0) as powers: its bases, their exponents, and the trace.
+
+    Base 0 is N, and base k ≥ 1 the integer c_k = N^{deg β_k}·β_k(1/N). As
+    deg β_k = ⌊(k−1)/2⌋, the factor β_{r+3}(1/N)/β_{r+2}(1/N) of level r
+    is c_{r+3}/c_{r+2}, over N at even r, so every exponent is a sum of
+    strata counts, the same at any N. The trace lists the steps of the
+    top-down expansion, m and then r ascending, each m's base case last.
+    """
+    # c_k is β_k with its coefficients reversed, at N
+    bases = [N] + [IntPolynomial(beraha(k).coeffs[::-1]).evaluate(N) for k in range(1, n + 2)]
+    # Bottom up, one point count m at a time: level(m, r) needs
+    # level(m, r+1) and level(m-1, r-1), or level(m-1, 0) at r = 0.
+    below: list[list[int]] = []  # exponents of level(m-1, r) for r = 0..m-2
+    trace: list[dict] = []
+    for m in range(1, n + 1):
+        w_counts, y_counts = _strata_counts(m)
+        for r in range(m - 1):
+            if bases[r + 2] == 0:
+                raise ArithmeticError(f"reversed Beraha value {r + 2} vanished at 1/{N}")
+            factor = Fraction(bases[r + 3], bases[r + 2] * N ** (1 - r % 2))
+            case, w = "odd" if r % 2 else "even" if r else "zero", w_counts[r + 1]
+            trace.append(dict(level_n=m, r=r, factor_beta=str(factor), exponent=w, B_case=case))
+        trace.append({"level_n": m, "r": m - 1, "base_value": str(N ** ((m + 1) // 2))})
+        value = [(m + 1) // 2] + [0] * (n + 1)
+        levels = [value]
+        for r in range(m - 2, -1, -1):
+            w = w_counts[r + 1]
+            value = [a + b for a, b in zip(value, below[max(r - 1, 0)])]
+            value[r + 3] += w
+            value[r + 2] -= w
+            if r % 2 == 0:  # N per Y(m,r) element from B, and the factor's 1/N
+                value[0] += y_counts[r] - w
+            levels.append(value)
+        below = levels[::-1]
+    return bases, below[0], trace
+
+
+def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
     """recursion_det plus the JSON-ready list of expansion steps.
 
     A value that may have more than RECURSION_BIT_BUDGET bits is refused
-    with BudgetError before any rational arithmetic.
+    with BudgetError before any arithmetic on it.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -401,60 +452,17 @@ def recursion_trace(n: int, N: int) -> tuple[Fraction, list[dict]]:
             "the recursion needs N >= 4: reversed Beraha denominators can "
             "vanish below that (e.g. at N = 3), so levels would divide by zero"
         )
-    # |det A(n,0)| ≤ ∏ N^{b(p)} = N^{C_n·(n+1)/2} (Hadamard: the Gram matrix
+    # |det A(k,0)| ≤ ∏ N^{b(p)} = N^{C_k·(k+1)/2} (Hadamard: the Gram matrix
     # is positive semidefinite with diagonal N^{b(p)}, and the block counts
-    # b(p) over NC(0,n) add up to C_n·(n+1)/2)
-    blocks = count_partitions(n, PartitionClass.NONCROSSING) * (n + 1) // 2
-    if blocks > RECURSION_BIT_BUDGET / log2(N):
-        raise BudgetError(
-            f"det A({n},0) at N = {N} may have more bits than the recursion "
-            f"budget of {RECURSION_BIT_BUDGET}"
-        )
-    z = Fraction(1, N)
-    trace: list[dict] = []
-    # Bottom up, one point count m at a time: level(m, r) needs level(m, r+1)
-    # and level(m-1, r-1), or level(m-1, 0) at r = 0. The trace lists the
-    # steps in the order of the top-down expansion, m ascending and r
-    # ascending within m, with the base case last. No recursive closure: it
-    # would refer to itself and hold every Fraction until the cycle
-    # collector ran.
-    below: list[Fraction] = []  # level(m-1, r) for r = 0..m-2
-    for m in range(1, n + 1):
-        steps: list[Fraction] = []  # level(m, r) / level(m, r+1)
-        if m > 1:
-            w_counts, y_counts = _strata_counts(m)
-        for r in range(m - 1):
-            den = beraha(r + 2).evaluate(z)
-            if den == 0:
-                raise ArithmeticError(
-                    f"reversed Beraha value {r + 2} vanished at 1/{N}"
-                )
-            factor = beraha(r + 3).evaluate(z) / den
-            exponent = w_counts[r + 1]
-            if r % 2 == 1:
-                b_case = "odd"
-                b_det = below[r - 1]
-            elif r > 0:
-                b_case = "even"
-                b_det = N ** y_counts[r] * below[r - 1]
-            else:
-                b_case = "zero"
-                b_det = N ** y_counts[0] * below[0]
-            trace.append(
-                {
-                    "level_n": m,
-                    "r": r,
-                    "factor_beta": str(factor),
-                    "exponent": exponent,
-                    "B_case": b_case,
-                }
+    # b(p) over NC(0,k) add up to C_k·(k+1)/2). The bound grows with k, so
+    # the point counts are taken in turn and the first bound past the budget
+    # refuses, before a Catalan number of thousands of digits is formed.
+    for k in range(1, n + 1):
+        blocks = count_partitions(k, PartitionClass.NONCROSSING) * (k + 1) // 2
+        if blocks > RECURSION_BIT_BUDGET / log2(N):
+            raise BudgetError(
+                f"det A({n},0) at N = {N} may have more bits than the recursion "
+                f"budget of {RECURSION_BIT_BUDGET}"
             )
-            steps.append(factor**exponent * b_det)
-        value = Fraction(N ** ((m + 1) // 2))
-        trace.append({"level_n": m, "r": m - 1, "base_value": str(value)})
-        below = [value]
-        for step in reversed(steps):
-            value = step * value
-            below.append(value)
-        below.reverse()
-    return below[0], trace
+    bases, exponents, trace = _level_exponents(n, N)
+    return power_product(zip(bases, exponents)), trace

@@ -230,6 +230,25 @@ def test_over_budget_verify_exits_before_the_recursion(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_recursion_of_ten_million_points_exits_from_small_counts(capsys, monkeypatch):
+    # the Hadamard bound grows with the point count, so the first bound
+    # past the budget refuses; C_{10^7} is never formed
+    real_count = tutte.count_partitions
+
+    def small_count(points, cls):
+        if points > 30:
+            raise AssertionError(f"C_{points} was computed")
+        return real_count(points, cls)
+
+    monkeypatch.setattr(tutte, "count_partitions", small_count)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "recursion", "--points", "10000000", "--param", "4")
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

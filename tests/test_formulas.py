@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import decimal
+from fractions import Fraction
+
 import pytest
 
+from ncgram import formulas
 from ncgram.formulas import (
     difrancesco_check,
     difrancesco_det,
@@ -11,16 +15,53 @@ from ncgram.formulas import (
 )
 from ncgram.gram import build_gram, determinant
 from ncgram.partitions import PartitionClass
+from ncgram.polynomials import chebyshev_dilated, power_product
 
 NC2 = PartitionClass.NONCROSSING_PAIRS
 
 
+def difrancesco_det_by_fractions(n: int, N: int) -> Fraction:
+    """The product formula as first written, one Fraction power per
+    factor: the oracle for the exact power product of `difrancesco_det`."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    result = Fraction(1)
+    for i, a in difrancesco_exponents(n).items():
+        if a:
+            result *= Fraction(chebyshev_dilated(i).evaluate(N)) ** a
+    return result
+
+
 def test_exponent_table_small():
-    assert difrancesco_exponents(1).entries == {1: 1}
-    assert difrancesco_exponents(2).entries == {1: 2, 2: 1}
-    # row sums telescope: sum_i a_{n,i} counts nothing negative here
+    assert difrancesco_exponents(1) == {1: 1}
+    assert difrancesco_exponents(2) == {1: 2, 2: 1}
+    # no exponent is negative below 8 pairs; from there on some are
     for n in range(1, 8):
-        assert all(a >= 0 for a in difrancesco_exponents(n).entries.values())
+        assert all(a >= 0 for a in difrancesco_exponents(n).values())
+
+
+def test_negative_exponents_occur():
+    assert difrancesco_exponents(8)[1] == -208
+    assert difrancesco_exponents(18)[2] == -31_635_810
+    assert all(difrancesco_exponents(n)[2] < 0 for n in range(18, 41))
+
+
+def test_product_formula_matches_the_fraction_product():
+    for n in range(1, 13):
+        for N in (2, 3, 4, 5):
+            value = difrancesco_det(n, N)
+            assert type(value) is int
+            assert value == difrancesco_det_by_fractions(n, N), (n, N)
+
+
+def test_power_product_divides_once_and_exactly():
+    for N in (2, 4, 7):
+        assert power_product([(N * N - 1, 1), (N - 1, -1)]) == N + 1
+    assert power_product([]) == 1
+    with pytest.raises(ArithmeticError):
+        power_product([(2, 1), (3, -1)])
 
 
 def test_product_formula_base_case():
@@ -41,6 +82,18 @@ def test_formula_matches_direct_determinants():
             report = difrancesco_check(n, N)
             assert report["match"] is True
             assert report["direct"] == report["formula"]
+
+
+def test_check_reports_values_past_the_str_digit_limit(monkeypatch):
+    # det NC2(16) at N = 4 has 6655 digits, past str()'s 4300; the direct
+    # value is stood in for by the formula, so nothing is eliminated
+    value = difrancesco_det(8, 4)
+    monkeypatch.setattr(formulas, "build_gram", lambda *args: None)
+    monkeypatch.setattr(formulas, "determinant", lambda matrix: value)
+    report = difrancesco_check(8, 4)
+    assert report["match"] is True
+    assert report["direct"] == report["formula"] == str(decimal.Decimal(value))
+    assert len(report["formula"]) == 6655
 
 
 def test_formula_nonzero_for_parameter_at_least_two():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from ncgram import tutte
 from ncgram.errors import BudgetError, ShapeError
-from ncgram.gram import build_gram, determinant
+from ncgram.formulas import difrancesco_exponents
+from ncgram.gram import DET_DIMENSION_BUDGET, build_gram, determinant
 from ncgram.partitions import (
     Partition,
     PartitionClass,
@@ -845,8 +846,31 @@ def recursion_trace_top_down(n: int, N: int) -> tuple[Fraction, list[dict]]:
 def test_recursion_trace_matches_the_top_down_oracle():
     # value and step list, order included: the CLI prints both
     for n in range(1, 11):
-        for N in (4, 5):
+        for N in (4, 5, 7, 9):
             assert recursion_trace(n, N) == recursion_trace_top_down(n, N)
+
+
+def test_recursion_values_are_integers():
+    for n in (1, 2, 5, 8):
+        for N in (4, 9):
+            assert type(recursion_det(n, N)) is int
+            assert type(recursion_trace(n, N)[0]) is int
+
+
+def test_recursion_exponents_match_the_pair_formula_exponents():
+    # Two codes in exponent space: the recursion's power of
+    # c_k = N^{deg β_k}·β_k(1/N) = V_{k-1}(N), where U_i(δ) = δ^{i mod 2}·V_i(δ²),
+    # against Di Francesco's a_{n,i}. The power of N is C_n, that of V_i is
+    # a_{n,i} for i ≥ 2, and V_1 = 1 (c_2) absorbs the rest.
+    for n in range(1, 41):
+        _, exponents, _ = tutte._level_exponents(n, 4)
+        a = difrancesco_exponents(n)
+        catalan = comb(2 * n, n) // (n + 1)
+        assert exponents[0] == catalan
+        assert exponents[1] == 0
+        assert [exponents[i + 1] for i in range(2, n + 1)] == [a[i] for i in range(2, n + 1)], n
+        # the same power of N on the formula's side, from its odd U_i
+        assert sum(a_i for i, a_i in a.items() if i % 2) == catalan
 
 
 def test_recursion_trace_is_freed_without_the_cycle_collector():
@@ -902,6 +926,38 @@ def test_level_matrices_refuse_past_the_budget_before_any_enumeration(monkeypatc
         for build in (build_A, build_B):
             with pytest.raises(BudgetError, match="budget"):
                 build(n, r, 4)
+
+
+def test_level_matrices_refuse_ten_million_points_from_small_counts(monkeypatch):
+    # #W(n, r) and #Y(n, r) grow with n, so the first count past the budget
+    # refuses; no binomial of millions of points is formed
+    real_count = tutte._w_count
+
+    def small_count(n, r):
+        if n > 30:
+            raise AssertionError(f"#W({n}, {r}) was computed")
+        return real_count(n, r)
+
+    monkeypatch.setattr(tutte, "_w_count", small_count)
+    for build in (build_A, build_B):
+        for r in (0, 1, 5):
+            started = perf_counter()
+            with pytest.raises(BudgetError, match="over"):
+                build(10**7, r, 4)
+            assert perf_counter() - started < 1
+
+
+def test_level_budget_refuses_exactly_the_levels_past_it():
+    # the stepped refusal decides as the count at n itself would
+    for n in range(1, 16):
+        w_counts, y_counts = _strata_counts(n)
+        for r in range(n):
+            for corner, size in ((False, w_counts[r]), (True, y_counts[r])):
+                if size > DET_DIMENSION_BUDGET:
+                    with pytest.raises(BudgetError):
+                        tutte._check_level_budget(n, r, corner)
+                else:
+                    tutte._check_level_budget(n, r, corner)
 
 
 def test_recursion_trace_shape():
