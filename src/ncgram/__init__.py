@@ -4,8 +4,8 @@ The package builds Gram matrices of partition-indexed tensor vectors over
 an integer loop parameter N (or symbolically over ℤ[N]), and verifies
 their invertibility two independent ways: direct fraction-free
 determinants, and a stratified recursion whose factors are reversed
-Beraha polynomial quotients.  Everything is exact — arbitrary-precision
-integers, rationals, and integer polynomials; no floating point anywhere.
+Beraha polynomial quotients.  Every value is exact — arbitrary-precision
+integers, rationals, integer polynomials; a float only sizes a budget.
 """
 
 from __future__ import annotations

@@ -157,7 +157,7 @@ def _append_cache(path: str, key: str, det: str) -> None:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     cls = _CLASS_BY_FLAG[args.cls]
-    _check_class_budget(args.points, cls, ENUMERATE_BUDGET, "enumeration")
+    _check_class_budget(args.points, cls, ENUMERATE_BUDGET)
     count = 0
     for p in iter_partitions(args.points, cls):
         print(p.to_text())

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the one rule by which a job is refused."""
 
 
 class ShapeError(ValueError):
@@ -11,3 +11,18 @@ class RotationUndefined(ValueError):
 
 class BudgetError(RuntimeError):
     """A computation exceeds the configured size budget."""
+
+
+def refuse_past(budget: int, what: str, size, steps: range) -> None:
+    """Raise BudgetError at the first of a job's sizes past `budget`.
+
+    `size(k)` is the job's size at k points, for the growing point counts
+    `steps`, of which the last is the job's own; no size is smaller than the
+    one before. So no size past the first one over the budget is formed, and
+    the message says "over" it when it belongs to fewer points than the job.
+    """
+    for k in steps:
+        value = size(k)
+        if value > budget:
+            over = "over " if k != steps[-1] else ""
+            raise BudgetError(f"{what} {over}{value} exceeds budget {budget}")

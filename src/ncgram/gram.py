@@ -36,12 +36,14 @@ Nothing here ever touches floating point.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
+from functools import cache
 from typing import Sequence
 
 from . import kernels
-from .errors import BudgetError, ShapeError
+from .errors import ShapeError, refuse_past
 from .partitions import (
     Partition,
     PartitionClass,
@@ -142,7 +144,12 @@ def _cut(r: int) -> int:
     return r // 2 + 1 if r else 0
 
 
-def _exponent_row(up, lows, points: int, r: int) -> bytearray:
+def _exponents(points: int, length: int) -> bytearray | array:
+    """`length` zero exponents of at most `points`, a byte each below 256 points."""
+    return bytearray(length) if points < 256 else array("H" if points < 1 << 16 else "Q", [0]) * length
+
+
+def _exponent_row(up, lows, points: int, r: int) -> bytearray | array:
     """The exponents of one row partition p against a run of columns q.
 
     `up` is the `stacked_spreader` of p on top and `lows` are those of the
@@ -168,7 +175,7 @@ def _exponent_row(up, lows, points: int, r: int) -> bytearray:
     below = above << points
     joined = cut - 1 + r % 2 if cut else 0  # i ~ i' is asked for i < joined
     last_below = 1 << (width - 1)
-    row = bytearray(len(lows))
+    row = _exponents(points, len(lows))
     for b, lo in enumerate(lows):
         rest = (1 << width) - 1
         count = 0
@@ -190,8 +197,8 @@ def _exponent_row(up, lows, points: int, r: int) -> bytearray:
     return row
 
 
-def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> tuple[bytes, ...]:
-    """The exponent of every pair of (0, points) labels, one `bytes` row each.
+def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> tuple:
+    """The exponent of every pair of (0, points) labels, one row each.
 
     Level 0 gives the plain loop counts rl(q*, p) of the Gram matrix, and
     a level r > 0 the counts with `_FLAW` on flawed pairs. Both are
@@ -205,13 +212,14 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
     ups = [tabulated(stacked_spreader(p, cut, False), width) for p in labels]
     lows = [tabulated(stacked_spreader(p, cut, True), width) for p in labels]
     size = len(labels)
-    flat = bytearray(size * size)
+    flat = _exponents(points, size * size)
     for a in range(size):
         segment = _exponent_row(ups[a], lows[a:], points, r)
         start = a * size + a
         flat[start : (a + 1) * size] = segment
         flat[start::size] = segment
-    return tuple(bytes(flat[a * size : (a + 1) * size]) for a in range(size))
+    rows = (flat[a * size : (a + 1) * size] for a in range(size))
+    return tuple(rows if isinstance(flat, array) else map(bytes, rows))
 
 
 def _pair_exponent(p: Partition, q: Partition, r: int = 0) -> int:
@@ -265,7 +273,7 @@ def determinant(m: ExactMatrix) -> int | IntPolynomial:
     """Exact determinant; polynomial result in symbolic mode."""
     if m.nrows != m.ncols:
         raise ShapeError("determinant of a non-square matrix")
-    _check_budget(m.nrows)
+    refuse_past(DET_DIMENSION_BUDGET, "matrix size", lambda _: m.nrows, range(1))
     if m.is_symbolic:
         return _det_by_substitution(m)
     return kernels.det_exact(m.entries)
@@ -275,49 +283,37 @@ def rank(m: ExactMatrix) -> int:
     """Exact rank of an integer-mode matrix (over ℚ)."""
     if m.is_symbolic:
         raise ShapeError("rank requires integer entries; evaluate first")
-    _check_budget(max(m.nrows, m.ncols))
+    refuse_past(DET_DIMENSION_BUDGET, "matrix size", lambda _: max(m.nrows, m.ncols), range(1))
     return kernels.rank_exact(m.entries)
 
 
-def _check_budget(size: int, over: bool = False) -> None:
-    """Refuse a matrix of more than DET_DIMENSION_BUDGET rows; `over` says
-    that `size` is a smaller one's, and the matrix is larger still."""
-    if size > DET_DIMENSION_BUDGET:
-        # Decimal formats a size of any length; str() stops at 4300 digits
-        raise BudgetError(
-            f"matrix size {'over ' * over}{Decimal(size):.6g} exceeds elimination budget "
-            f"{DET_DIMENSION_BUDGET}"
-        )
-
-
 def _decimal_text(value: int) -> str:
-    """Decimal digits of an integer of any length.
+    """Decimal digits of an integer of any length, in time below quadratic.
 
-    str() refuses integers past 4300 digits (sys.int_max_str_digits);
-    Decimal converts exactly and is not subject to that limit.
-    """
-    return str(Decimal(value))
+    str() refuses integers past 4300 digits, and it and Decimal() take time
+    quadratic in the digits. So the value is split at a power of two, and
+    the halves, converted the same way, are joined by one exact `decimal`
+    multiplication, below quadratic in size."""
+
+    def convert(n: int, w: int) -> Decimal:  # −2^w ≤ n < 2^w
+        if w <= 256:
+            return Decimal(n)
+        high, half = n >> w // 2, w // 2
+        return convert(n - (high << half), half) + convert(high, w - half) * power(half)
+
+    with localcontext(Context(MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])):
+        power = cache(Decimal(2).__pow__)  # each 2^w once, computed exactly
+        return str(convert(value, abs(value).bit_length()))
 
 
-def _check_class_budget(
-    points: int, cls: PartitionClass, budget: int = DET_DIMENSION_BUDGET, kind: str = "elimination"
-) -> None:
+def _check_class_budget(points: int, cls: PartitionClass, budget: int = DET_DIMENSION_BUDGET) -> None:
     """Refuse a class of more than `budget` partitions (by default
-    DET_DIMENSION_BUDGET, the rows an elimination may have) before any
-    label is listed.
-
-    The class sizes (`count_partitions`, closed form) never shrink as points
-    are added, two at a time for pairs, so the point counts are taken in
-    turn and the first size past the budget refuses: a class of thousands
-    of points costs a few small counts, not a Bell number of thousands of
-    digits.
-    """
+    DET_DIMENSION_BUDGET, the rows an elimination may have) before any label
+    is listed, from its closed-form sizes at 0, 1, 2, … points (2 at a time
+    for pairs)."""
     step = 2 if cls is PartitionClass.NONCROSSING_PAIRS else 1
-    for k in range(points % step, points + 1, step):
-        size = count_partitions(k, cls)
-        if size > budget:
-            over = "" if k == points else "over "
-            raise BudgetError(f"class size {over}{size} exceeds {kind} budget {budget}")
+    steps = range(points % step, points + 1, step)
+    refuse_past(budget, "class size", lambda k: count_partitions(k, cls), steps)
 
 
 def _det_by_substitution(m: ExactMatrix) -> IntPolynomial:
@@ -336,8 +332,7 @@ def _det_by_substitution(m: ExactMatrix) -> IntPolynomial:
     bound = sum(max(row, default=0) for row in shifted.entries)
     B = (size**size).bit_length() // 2 + 2
     bits = B * (bound + 1)
-    if bits > SYMBOLIC_BIT_BUDGET:
-        raise BudgetError(f"symbolic determinant of {bits} bits exceeds budget {SYMBOLIC_BIT_BUDGET}")
+    refuse_past(SYMBOLIC_BIT_BUDGET, "symbolic determinant bits", lambda _: bits, range(1))
     value = kernels.det_exact(shifted.evaluate(1 << B).entries)
     # 2^(B−1) added to every digit makes each one a plain B-bit slice of
     # the binary text; conversion to and from base 2 is linear in the size

@@ -252,7 +252,8 @@ def _enumerate(
     and need no test of block ids. In NC2 every open block waits for its
     second point. Both rules are one cut, made where a branch is pushed:
     it goes on only while no more blocks wait than positions remain
-    after it, so no branch ends empty-handed.
+    after it. With the start held to the same cut, and in NC2 to an even
+    count of the positions left over, no branch ends empty-handed.
     """
     # Depth first over (prefix, blocks opened, open stack, blocks waiting);
     # each node's choices go on in descending order, so the smallest is
@@ -260,9 +261,9 @@ def _enumerate(
     # The work list holds at most points + 1 branches per position, so a
     # consumer that does not keep the partitions needs memory polynomial
     # in `points`, not in the size of the class.
-    start = tuple(range(opened))
-    todo = [(start, opened, start, waiting)] if waiting <= points - opened else []
     pairs = cls is PartitionClass.NONCROSSING_PAIRS
+    start, free = tuple(range(opened)), points - opened - waiting  # positions no wait needs
+    todo = [(start, opened, start, waiting)] if free >= 0 and not (pairs and free % 2) else []
     while todo:
         prefix, blocks, stack, waiting = todo.pop()
         i = len(prefix)

@@ -3,7 +3,7 @@
 Everything here is exact: coefficients are Python ints, evaluations at
 rationals return `fractions.Fraction`, and `power_product` multiplies out
 signed powers of integer values into one integer, the last step of both
-determinant formulas. No floating point is used anywhere in the package.
+determinant formulas. No float is used here; the package's one float sizes a budget.
 
 The square-root relation between the two families is mechanized by the
 substitution N = x², which turns it into a genuine polynomial identity

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .errors import BudgetError, ShapeError
+from .errors import ShapeError, refuse_past
 from .partitions import (
     Partition,
     PartitionClass,
@@ -60,10 +60,14 @@ class DenseTensor:
     def __post_init__(self) -> None:
         if self.dimension_per_leg < 1:
             raise ValueError("dimension per leg must be positive")
-        if self.dimension_per_leg**self.legs > DENSE_BUDGET:
-            raise BudgetError(
-                f"{self.dimension_per_leg}^{self.legs} exceeds dense budget {DENSE_BUDGET}"
-            )
+        _check_dense(self.dimension_per_leg, self.legs)
+
+
+def _check_dense(N: int, legs: int) -> None:
+    """Refuse N^legs entries past DENSE_BUDGET from N^0, N^1, …, which stop one
+    past the budget's bit length, where every N ≥ 2 has passed it."""
+    steps = range(min(legs, DENSE_BUDGET.bit_length() + 1) + 1)
+    refuse_past(DENSE_BUDGET, f"dense size of {N}^{legs}:", lambda e: N**e, steps)
 
 
 def _labellings(p: Partition, N: int) -> Iterator[tuple[int, ...]]:
@@ -100,8 +104,7 @@ def vector_of(p: Partition, N: int) -> DenseTensor:
         raise ShapeError("vector form needs a partition with no upper points")
     if N < 1:
         raise ValueError("N must be positive")
-    if N**p.lower > DENSE_BUDGET:
-        raise BudgetError(f"{N}^{p.lower} exceeds dense budget {DENSE_BUDGET}")
+    _check_dense(N, p.lower)
     entries = dict.fromkeys(_labellings(p, N), 1)
     return DenseTensor(dimension_per_leg=N, legs=p.lower, entries=entries)
 
@@ -121,8 +124,7 @@ def matrix_of(p: Partition, N: int) -> list[list[int]]:
     leftmost leg most significant. Zeros everywhere but at the N^{b(p)}
     block-constant labellings.
     """
-    if N**p.points > DENSE_BUDGET:
-        raise BudgetError(f"{N}^{p.points} exceeds dense budget {DENSE_BUDGET}")
+    _check_dense(N, p.points)
     k = p.upper
     out = [[0] * N**k for _ in range(N**p.lower)]
     for labels in _labellings(p, N):
@@ -188,11 +190,8 @@ def check_functor_laws(N: int, max_points: int) -> list[dict]:
     if N < 1 or max_points < 1:
         raise ValueError("N and max_points must be positive")
     # The largest matrix is that of q ⊗ p for two (max_points, max_points)
-    # partitions, so refuse before any is built. The exponent is capped at
-    # the budget's bit length, past which every N ≥ 2 exceeds the budget.
-    legs = 4 * max_points
-    if N ** min(legs, DENSE_BUDGET.bit_length()) > DENSE_BUDGET:
-        raise BudgetError(f"{N}^{legs} exceeds dense budget {DENSE_BUDGET}")
+    # partitions, so refuse before any is built.
+    _check_dense(N, 4 * max_points)
     _check_law_work(N, max_points)
     parts = _partitions_up_to(max_points)
     mats = {p: matrix_of(p, N) for p in parts}
@@ -233,25 +232,16 @@ def check_functor_laws(N: int, max_points: int) -> list[dict]:
 
 
 def _check_law_work(N: int, max_points: int) -> None:
-    """Refuse a law run past LAWS_WORK_BUDGET before any partition is listed.
+    """Refuse a law run past LAWS_WORK_BUDGET before any partition is listed,
+    from its work up to 0, 1, 2, … points k + l, over which P and S (see
+    LAWS_WORK_BUDGET) sum: a huge max_points costs a few small Bell numbers."""
 
-    P and S (see LAWS_WORK_BUDGET) grow with the point count k + l, so they
-    are summed one count at a time and the first sum past the budget
-    refuses: a huge max_points costs a few small Bell numbers.
-    """
-    cases = entries = 0
-    for points in range(2 * max_points + 1):
-        # (k, l) with k + l = points and k, l ≤ max_points
-        shapes = min(points, 2 * max_points - points) + 1
-        size = shapes * count_partitions(points, PartitionClass.ALL)
-        cases += size
-        entries += size * N**points
-        work = 200 * cases**2 + entries**2
-        if work > LAWS_WORK_BUDGET:
-            over = "" if points == 2 * max_points else "over "
-            raise BudgetError(
-                f"law work of {over}{work:.3g} entries exceeds budget {LAWS_WORK_BUDGET:.0e}"
-            )
+    def work(top: int) -> int:  # over the (k, l) with k + l = t ≤ top and k, l ≤ max_points
+        shapes = [min(t, 2 * max_points - t) + 1 for t in range(top + 1)]
+        sizes = [shape * count_partitions(t, PartitionClass.ALL) for t, shape in enumerate(shapes)]
+        return 200 * sum(sizes) ** 2 + sum(size * N**t for t, size in enumerate(sizes)) ** 2
+
+    refuse_past(LAWS_WORK_BUDGET, "law work", work, range(2 * max_points + 1))
 
 
 def _law_report(law: str, N: int, max_points: int, cases: int, counterexample) -> dict:

@@ -44,8 +44,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, log2
 
-from .errors import BudgetError, ShapeError
-from .gram import _FLAW, ExactMatrix, _check_budget, _pair_exponent, _table_matrix
+from .errors import ShapeError, refuse_past
+from .gram import _FLAW, DET_DIMENSION_BUDGET, ExactMatrix, _pair_exponent, _table_matrix
 from .partitions import (
     Partition,
     PartitionClass,
@@ -60,9 +60,9 @@ from .polynomials import IntPolynomial, beraha, power_product
 
 
 #: Bits the recursion's value may have before it is refused. It admits
-#: n = 12 at N = 4 (a bound of 2.7M bits: 0.05 s for the value, 2.4 s for
-#: its decimal text, on a 2-core AMD EPYC with Python 3.11) and refuses
-#: n = 13 at N = 4 (10.4M bits: 0.45 s for the value, 35 s for the text).
+#: n = 12 at N = 4 (a bound of 2.7M bits: 0.06–0.1 s for the value, 0.09 s
+#: for its decimal text, on a 2-core AMD EPYC with Python 3.11) and refuses
+#: n = 13 at N = 4 (10.4M bits: 0.6 s for the value, 0.3 s for the text).
 RECURSION_BIT_BUDGET = 1 << 22
 
 
@@ -196,11 +196,13 @@ def build_B(n: int, r: int, N: int) -> ExactMatrix:
 
 def _check_level_budget(n: int, r: int, corner: bool) -> None:
     """Refuse #W(n,r) rows, or #Y(n,r) for the corner block, past the
-    budget. Both grow with the point count, so the counts at r+1, r+2, …
-    points are taken in turn and the first past the budget refuses: a
-    level of millions of points costs a few small binomials."""
-    for m in range(r + 1, n + 1):
-        _check_budget(_w_count(m, r) - (_w_count(m, r + 1) if corner else 0), m < n)
+    budget, from the counts at r+1, r+2, …, n points, which grow with the
+    point count: a level of millions of points costs a few small binomials."""
+
+    def size(m: int) -> int:
+        return _w_count(m, r) - (_w_count(m, r + 1) if corner else 0)
+
+    refuse_past(DET_DIMENSION_BUDGET, "matrix size", size, range(r + 1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +456,12 @@ def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
         )
     # |det A(k,0)| ≤ ∏ N^{b(p)} = N^{C_k·(k+1)/2} (Hadamard: the Gram matrix
     # is positive semidefinite with diagonal N^{b(p)}, and the block counts
-    # b(p) over NC(0,k) add up to C_k·(k+1)/2). The bound grows with k, so
-    # the point counts are taken in turn and the first bound past the budget
-    # refuses, before a Catalan number of thousands of digits is formed.
-    for k in range(1, n + 1):
-        blocks = count_partitions(k, PartitionClass.NONCROSSING) * (k + 1) // 2
-        if blocks > RECURSION_BIT_BUDGET / log2(N):
-            raise BudgetError(
-                f"det A({n},0) at N = {N} may have more bits than the recursion "
-                f"budget of {RECURSION_BIT_BUDGET}"
-            )
+    # b(p) over NC(0,k) add up to C_k·(k+1)/2), a bound that grows with k:
+    # no Catalan number of thousands of digits is formed.
+
+    def bits(k: int) -> float:
+        return count_partitions(k, PartitionClass.NONCROSSING) * (k + 1) // 2 * log2(N)
+
+    refuse_past(RECURSION_BIT_BUDGET, f"bits of det A({n},0) at N = {N}:", bits, range(1, n + 1))
     bases, exponents, trace = _level_exponents(n, N)
     return power_product(zip(bases, exponents)), trace

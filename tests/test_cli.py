@@ -57,6 +57,23 @@ def test_enumerate_budget_admits_the_sizes_it_names():
             gram._check_class_budget(points + step, cls, cli.ENUMERATE_BUDGET)
 
 
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (("gram", "--points", "41", "--class", "nc2", "--param", "4", "--det"), '"det": "1"'),
+        (("enumerate", "--points", "41", "--class", "nc2"), "count 0"),
+    ],
+)
+def test_odd_pair_classes_exit_at_once(capsys, argv, last):
+    # NC2 at an odd point count is empty: its 0×0 Gram matrix has det 1,
+    # and no prefix of the class is searched
+    started = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert last in out
+
+
 def test_enumerate_prints_as_the_generator_yields(capsys, monkeypatch):
     # the CLI streams the class; the list builder is never called
     def no_list(*args):
@@ -375,7 +392,7 @@ def test_over_budget_laws_exit_before_any_matrix(capsys, monkeypatch, param, max
     code, out, err = run(capsys, "laws", "--param", str(param), "--max-points", str(max_points))
     assert code == 3
     assert out == ""
-    assert f"{param}^{4 * max_points} exceeds dense budget" in err
+    assert f"dense size of {param}^{4 * max_points}:" in err
 
 
 @pytest.mark.parametrize("param, max_points", [(1, 4), (2, 4), (3, 3), (1, 10**9)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from ncgram.errors import BudgetError, ShapeError
 from ncgram.gram import (
     DET_DIMENSION_BUDGET,
     ExactMatrix,
+    _decimal_text,
     build_gram,
     determinant,
     rank,
@@ -298,7 +300,7 @@ def test_symbolic_bit_budget_refuses_before_the_elimination(monkeypatch):
     monkeypatch.setattr(kernels, "det_exact", no_elimination)
     # NC(4): 14 rows, B = 29, D = 21, so 638 bits
     monkeypatch.setattr(ncgram.gram, "SYMBOLIC_BIT_BUDGET", 637)
-    with pytest.raises(BudgetError, match="638 bits"):
+    with pytest.raises(BudgetError, match="bits 638 exceeds"):
         determinant(build_gram(4, NC, None))
 
 
@@ -397,6 +399,36 @@ def test_determinant_budget():
     big = ExactMatrix((row,) * size, (p,) * size, (p,) * size)
     with pytest.raises(BudgetError):
         determinant(big)
+
+
+def _from_digits(text: str) -> int:
+    """int(text) by halves, in time below quadratic: an oracle for values
+    too long for str() or int() to convert in a test's time."""
+    if len(text) <= 1000:
+        return int(text)
+    half = len(text) // 2
+    return _from_digits(text[:half]) * 10 ** (len(text) - half) + _from_digits(text[half:])
+
+
+def test_decimal_text_matches_str_at_any_length():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rng = random.Random(22)
+        values = [0, 1, -1]
+        values += [s * (10**k + d) for k in (1, 77, 78, 300, 5000) for s in (1, -1) for d in (-1, 1)]
+        values += [s * rng.getrandbits(rng.randrange(1, 70_000)) for s in (1, -1) for _ in range(20)]
+        for value in values:
+            assert _decimal_text(value) == str(value)
+        # a million digits, and the 473,251-digit det A(12, 0) at N = 4,
+        # are checked by converting back, since str() takes seconds
+        digits = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=10**6 - 1))
+        assert _decimal_text(-_from_digits(digits)) == "-" + digits
+        value = recursion_det(12, 4)
+        text = _decimal_text(value)
+        assert len(text) == 473_251 and text[0] != "0" and int(text) == value
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

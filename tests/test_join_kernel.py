@@ -25,7 +25,7 @@ from ncgram.partitions import (
     spreader,
     tabulated,
 )
-from ncgram.tutte import e_r, has_r_flaw
+from ncgram.tutte import build_A, e_r, has_r_flaw
 
 NC = PartitionClass.NONCROSSING
 
@@ -255,3 +255,21 @@ def test_exponent_tables_match_the_forest_exhaustively():
             assert list(_exponent_table(labels, n, r)) == want
             if r == 0:
                 assert list(_exponent_table(labels, n)) == want
+
+
+def test_exponent_tables_hold_loop_counts_past_a_byte():
+    # 300 singletons over themselves close 300 loops, more than a byte holds
+    n = 300
+    assert e_r(Partition.singletons(n), Partition.singletons(n), 0, 4) == 4**n
+    n = 600
+    labels = (
+        Partition.singletons(n),
+        Partition.one_block(n),
+        Partition(0, n, tuple(i // 2 for i in range(n))),
+        Partition(0, n, (0, *range(1, n - 1), 0)),
+    )
+    for r in (0, 1, 2, 5):
+        assert [list(row) for row in _exponent_table(labels, n, r)] == oracle_table(labels, n, r)
+    m = build_A(n, n - 1, 4)
+    want = oracle_table(m.row_labels, n, n - 1)
+    assert m.entries == tuple(tuple(0 if e == _FLAW else 4**e for e in row) for row in want)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import time
 import weakref
 from itertools import combinations
 from typing import Iterator
@@ -251,6 +252,16 @@ def test_enumerate_zero_points():
 
 def test_odd_points_have_no_pair_partitions():
     assert enumerate_partitions(3, PartitionClass.NONCROSSING_PAIRS) == []
+
+
+def test_odd_points_start_no_pair_search():
+    # the class is empty, so not one prefix is tried: 27 points took 2 s
+    # when every prefix was walked (so that step fails fast), and a tree of
+    # a million points would not end
+    started = time.perf_counter()
+    assert enumerate_partitions(27, PartitionClass.NONCROSSING_PAIRS) == []
+    assert time.perf_counter() - started < 0.5
+    assert enumerate_partitions(10**6 + 1, PartitionClass.NONCROSSING_PAIRS) == []
 
 
 def test_iter_partitions_yields_the_list_order_lazily():

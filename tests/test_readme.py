@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
 
+import ncgram
 from ncgram import Partition, PartitionClass, build_gram, compose, determinant, involution, rank
 from ncgram.cli import main
 from ncgram.polynomials import IntPolynomial
@@ -40,3 +43,23 @@ def test_the_library_values_hold():
     assert rank(build_gram(4, PartitionClass.ALL, N=2)) == 8
     p = Partition.from_text("0|4|0010")
     assert compose(involution(p), p).remaining_loops == 2
+
+
+def test_every_budget_is_in_the_table_with_its_value():
+    # one row per module-level *_BUDGET constant: `NAME` | value | …, the
+    # value written as an integer or a power such as 10^6
+    text = README.read_text(encoding="utf-8")
+    source = Path(ncgram.__file__).parent
+    found = {}
+    for path in sorted(source.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name) and target.id.endswith("_BUDGET"):
+                    module = importlib.import_module(f"ncgram.{path.stem}")
+                    found[target.id] = getattr(module, target.id)
+    assert len(found) == 6
+    for name, value in found.items():
+        row = re.search(rf"^\| `{name}` \| ([0-9^]+) \|", text, re.M)
+        assert row, name
+        base, _, exponent = row.group(1).partition("^")
+        assert int(base) ** int(exponent or 1) == value, name

@@ -88,6 +88,29 @@ def test_only_gram_reaches_the_elimination_kernel():
     assert found == {"gram.py:determinant", "gram.py:rank", "gram.py:_det_by_substitution"}
 
 
+def _raises(tree: ast.AST, scope: str = "<module>"):
+    """(innermost enclosing function, raised expression) for each raise."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raises(node, node.name)
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            yield scope, ast.unparse(node.exc)
+        yield from _raises(node, scope)
+
+
+def test_only_the_one_refusal_rule_raises_the_budget_error():
+    # every budget refuses through `refuse_past`, from sizes stepped up to
+    # the first one past it, so no call site can refuse by a rule of its own
+    found = [
+        f"{path.name}:{scope}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope, raised in _raises(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if "BudgetError" in raised
+    ]
+    assert found == ["errors.py:refuse_past"]
+
+
 def test_only_the_one_generator_skips_the_canonical_check():
     # `_generated` builds a partition without checking its RGS, which only
     # the generator behind every class and every stratum may rely on

@@ -3,6 +3,7 @@ and the block-bounded basis expansion."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -187,6 +188,20 @@ def test_dense_budget_enforced():
     with pytest.raises(BudgetError, match="11\\^6"):
         matrix_of(p, 11)
     assert sum(map(sum, matrix_of(p, 10))) == 10**3
+
+
+def test_dense_budget_refuses_from_small_powers():
+    # N^0, N^1, … are stepped up to the first past the budget, so 3^(10^7),
+    # a number of 4.8 million digits, is never formed
+    started = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"dense size of 3\^10000000: over 1594323 exceeds"):
+        tensor_model.DenseTensor(3, 10**7, {})
+    assert time.perf_counter() - started < 0.1
+    # the steps stop past 2^20, the first power of 2 over the budget
+    with pytest.raises(BudgetError, match=r"2\^1000000000: over 1048576 exceeds"):
+        tensor_model.DenseTensor(2, 10**9, {})
+    # N = 1 never passes the budget, and takes a few steps at any leg count
+    assert tensor_model.DenseTensor(1, 10**9, {}).legs == 10**9
 
 
 # ---------------------------------------------------------------------------
