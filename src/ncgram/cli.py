@@ -41,18 +41,8 @@ import time
 
 from .errors import BudgetError, ShapeError
 from .gram import _check_class_budget, _decimal_text, build_gram, determinant, rank
-from .partitions import (
-    Partition,
-    PartitionClass,
-    compose,
-    count_partitions,
-    enumerate_partitions,
-    involution,
-    iter_partitions,
-    refines,
-    tensor,
-)
-from .tensor_model import check_functor_laws
+from .partitions import PartitionClass, iter_partitions
+from .tensor_model import _partition_invariants, check_functor_laws
 from .tutte import recursion_trace
 
 _CLASS_BY_FLAG = {
@@ -224,53 +214,12 @@ def cmd_recursion(args: argparse.Namespace) -> int:
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
-    reports = check_functor_laws(args.param, args.max_points)
-    reports.extend(_partition_invariants())
+    reports = check_functor_laws(args.param, args.max_points) + _partition_invariants()
     failures = sum(1 for r in reports if r["status"] != "pass")
-    summary = {
-        "N": args.param,
-        "max_points": args.max_points,
-        "checks": len(reports),
-        "failures": failures,
-        "reports": reports,
-    }
+    summary = {"N": args.param, "max_points": args.max_points, "checks": len(reports)}
+    summary.update(failures=failures, reports=reports)
     _emit(summary, args.format)
     return EXIT_OK if failures == 0 else EXIT_VERIFY
-
-
-def _partition_invariants() -> list[dict]:
-    """Small exhaustive diagram-calculus checks on one-row partitions."""
-    reports = []
-
-    def record(check: str, cases: int, ok: bool) -> None:
-        reports.append({"law": check, "cases": cases, "status": "pass" if ok else "fail"})
-
-    cases = (
-        [(n, PartitionClass.NONCROSSING) for n in range(7)]
-        + [(n, PartitionClass.ALL) for n in range(6)]
-        + [(2 * n, PartitionClass.NONCROSSING_PAIRS) for n in range(4)]
-    )
-    ok = all(len(enumerate_partitions(n, cls)) == count_partitions(n, cls) for n, cls in cases)
-    record("enumeration-counts", len(cases), ok)
-
-    pool = [p for n in range(6) for p in enumerate_partitions(n, PartitionClass.ALL)]
-    record("involution-squared", len(pool), all(involution(involution(p)) == p for p in pool))
-    record(
-        "text-roundtrip", len(pool), all(Partition.from_text(p.to_text()) == p for p in pool)
-    )
-    ok = all(
-        compose(Partition.identity(p.lower), p) == (p, 0) for p in pool if p.lower > 0
-    )
-    record("identity-neutral", sum(1 for p in pool if p.lower > 0), ok)
-    e = Partition.empty()
-    record("tensor-unit", len(pool), all(tensor(p, e) == p and tensor(e, p) == p for p in pool))
-    ok = all(
-        refines(Partition.singletons(p.lower), p) and refines(p, Partition.one_block(p.lower))
-        for p in pool
-        if p.lower > 0
-    )
-    record("refinement-bounds", sum(1 for p in pool if p.lower > 0), ok)
-    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared exception types, and the one rule by which a job is refused."""
+"""Shared exception types, the one refusal rule, and the one check of N."""
 
 
 class ShapeError(ValueError):
@@ -26,3 +26,11 @@ def refuse_past(budget: int, what: str, size, steps: range) -> None:
         if value > budget:
             over = "over " if k != steps[-1] else ""
             raise BudgetError(f"{what} {over}{value} exceeds budget {budget}")
+
+
+def check_parameter(N, least: int = 1, message: str = "N must be positive") -> None:
+    """Raise ValueError unless the loop parameter N is an int of at least `least`."""
+    if not isinstance(N, int):
+        raise ValueError(f"N must be an integer, not {type(N).__name__}")
+    if N < least:
+        raise ValueError(message)

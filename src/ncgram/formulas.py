@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from math import comb
 
+from .errors import check_parameter
 from .gram import _decimal_text, build_gram, determinant
 from .partitions import PartitionClass
 from .polynomials import chebyshev_dilated, power_product
@@ -40,8 +41,7 @@ def difrancesco_det(n: int, N: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    check_parameter(N, 2, "N must be at least 2")
     exponents = difrancesco_exponents(n)
     powers = [(chebyshev_dilated(i).evaluate(N) // N ** (i % 2), a) for i, a in exponents.items()]
     return power_product([(N, sum(a for i, a in exponents.items() if i % 2)), *powers])

@@ -31,7 +31,8 @@ read as B-bit slices of p(2^B) + 2^(B−1)·Σ_i 2^(B·i) in binary, which
 takes time linear in its size. A value with more than D + 1 digits is
 refused. The one integer has B·(D + 1) bits at most, which
 `SYMBOLIC_BIT_BUDGET` caps.
-Nothing here ever touches floating point.
+No float is used but log₂N, which sizes the bit budget of a numeric
+determinant.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from array import array
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from functools import cache
+from math import log2
 from typing import Sequence
 
 from . import kernels
-from .errors import ShapeError, refuse_past
+from .errors import ShapeError, check_parameter, refuse_past
 from .partitions import (
     Partition,
     PartitionClass,
@@ -70,6 +72,15 @@ DET_DIMENSION_BUDGET = 2000
 #: NC(7) (2.4M bits), NC2(14) (4.8M) and ALL(7) (10.2M), and refuses NC(8)
 #: (37.5M) and NC2(16) (75M).
 SYMBOLIC_BIT_BUDGET = 1 << 24
+
+#: Bits a numeric determinant may have by its Hadamard bound: a Gram matrix
+#: `build_gram` builds at N, or the recursion's value, the NC one. It admits
+#: n = 12 at N = 4 by the recursion (2.7M bits: 0.1 s for the value and as
+#: much for its decimal text), and by elimination NC(7) at N = 10^300 (1.7M
+#: bits, 10 s) and NC(8) at 10^150 (3.2M bits, 229 s, 375 MiB); it refuses
+#: n = 13 at N = 4 (10.4M bits) and NC(8) at 10^200 (4.3M bits) (2-core AMD
+#: EPYC, Python 3.11).
+RECURSION_BIT_BUDGET = 1 << 22
 
 
 #: The exponent that marks a flawed pair in a level table. Every pair graph
@@ -259,13 +270,16 @@ def build_gram(
     builds the symbolic matrix, whose entries are the exponents
     rl(q*, p) of the monomials X^{rl(q*,p)}. More than
     DET_DIMENSION_BUDGET partitions raise BudgetError before any label is
-    listed (`_check_class_budget`).
+    listed (`_check_class_budget`), and so does a numeric N whose
+    determinant may have more than RECURSION_BIT_BUDGET bits (`_check_det_bits`).
     """
     if points < 1:
         raise ValueError("points must be >= 1")
-    if N is not None and N < 1:
-        raise ValueError("N must be positive")
+    if N is not None:
+        check_parameter(N)
     _check_class_budget(points, cls)
+    if N is not None:
+        _check_det_bits(points, cls, N)
     return _table_matrix(tuple(enumerate_partitions(points, cls)), points, N)
 
 
@@ -306,14 +320,38 @@ def _decimal_text(value: int) -> str:
         return str(convert(value, abs(value).bit_length()))
 
 
+def _steps(points: int, cls: PartitionClass) -> range:
+    """The point counts 0, 1, 2, … up to `points`, 2 at a time for pairs."""
+    step = 2 if cls is PartitionClass.NONCROSSING_PAIRS else 1
+    return range(points % step, points + 1, step)
+
+
 def _check_class_budget(points: int, cls: PartitionClass, budget: int = DET_DIMENSION_BUDGET) -> None:
     """Refuse a class of more than `budget` partitions (by default
     DET_DIMENSION_BUDGET, the rows an elimination may have) before any label
-    is listed, from its closed-form sizes at 0, 1, 2, … points (2 at a time
-    for pairs)."""
-    step = 2 if cls is PartitionClass.NONCROSSING_PAIRS else 1
-    steps = range(points % step, points + 1, step)
+    is listed, from its closed-form sizes at growing point counts."""
+    steps = _steps(points, cls)
     refuse_past(budget, "class size", lambda k: count_partitions(k, cls), steps)
+
+
+def _check_det_bits(points: int, cls: PartitionClass, N: int) -> None:
+    """Refuse a determinant at N past RECURSION_BIT_BUDGET bits, from its
+    Hadamard bound at growing point counts, before any label is listed: the
+    Gram matrix is positive semidefinite with diagonal N^{b(p)}."""
+    what = f"bits of the {cls.value} determinant on {points} points:"
+    refuse_past(
+        RECURSION_BIT_BUDGET, what, lambda k: _block_total(k, cls) * log2(N), _steps(points, cls)
+    )
+
+
+def _block_total(points: int, cls: PartitionClass) -> int:
+    """Σ_p b(p), the blocks of all partitions of the class, in closed form."""
+    count = count_partitions(points, cls)
+    if cls is PartitionClass.NONCROSSING:
+        return count * (points + 1) // 2  # C_k·(k+1)/2
+    if cls is PartitionClass.NONCROSSING_PAIRS:
+        return count * (points // 2)  # C_{k/2}·k/2
+    return count_partitions(points + 1, cls) - count  # B_{k+1} − B_k
 
 
 def _det_by_substitution(m: ExactMatrix) -> IntPolynomial:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .errors import check_parameter
+
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -238,8 +240,7 @@ def beraha_nonzero_at(N: int, n_max: int) -> dict:
     violation; for smaller N the values are recorded as diagnostics only
     (e.g. β_6(1/3) = 0 exactly).
     """
-    if N < 1:
-        raise ValueError("N must be positive")
+    check_parameter(N)
     z = Fraction(1, N)
     values = [beraha(n).evaluate(z) for n in range(1, n_max + 1)]
     zeros = [n for n, v in zip(range(1, n_max + 1), values) if v == 0]

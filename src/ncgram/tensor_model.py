@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .errors import ShapeError, refuse_past
+from .errors import ShapeError, check_parameter, refuse_past
 from .partitions import (
     Partition,
     PartitionClass,
@@ -58,8 +58,7 @@ class DenseTensor:
     entries: dict[tuple[int, ...], int]
 
     def __post_init__(self) -> None:
-        if self.dimension_per_leg < 1:
-            raise ValueError("dimension per leg must be positive")
+        check_parameter(self.dimension_per_leg, 1, "dimension per leg must be positive")
         _check_dense(self.dimension_per_leg, self.legs)
 
 
@@ -102,8 +101,7 @@ def vector_of(p: Partition, N: int) -> DenseTensor:
     """
     if p.upper != 0:
         raise ShapeError("vector form needs a partition with no upper points")
-    if N < 1:
-        raise ValueError("N must be positive")
+    check_parameter(N)
     _check_dense(N, p.lower)
     entries = dict.fromkeys(_labellings(p, N), 1)
     return DenseTensor(dimension_per_leg=N, legs=p.lower, entries=entries)
@@ -124,6 +122,7 @@ def matrix_of(p: Partition, N: int) -> list[list[int]]:
     leftmost leg most significant. Zeros everywhere but at the N^{b(p)}
     block-constant labellings.
     """
+    check_parameter(N)
     _check_dense(N, p.points)
     k = p.upper
     out = [[0] * N**k for _ in range(N**p.lower)]
@@ -187,48 +186,84 @@ def check_functor_laws(N: int, max_points: int) -> list[dict]:
 
     Returns one report dict per law with the first counterexample, if any.
     """
-    if N < 1 or max_points < 1:
-        raise ValueError("N and max_points must be positive")
+    check_parameter(N)
+    if max_points < 1:
+        raise ValueError("max_points must be positive")
     # The largest matrix is that of q ⊗ p for two (max_points, max_points)
     # partitions, so refuse before any is built.
     _check_dense(N, 4 * max_points)
     _check_law_work(N, max_points)
     parts = _partitions_up_to(max_points)
     mats = {p: matrix_of(p, N) for p in parts}
-    reports = []
+    composed = {(q, p): compose(q, p) for q in parts for p in parts if p.lower == q.upper}
+    fixed = {"N": N, "max_points": max_points}
+    return [
+        _run_law(
+            "tensor",
+            [dict(q=q, p=p) for q in parts for p in parts],
+            lambda q, p: matrix_of(tensor(q, p), N) == _kron(mats[q], mats[p]),
+            **fixed,
+        ),
+        _run_law(
+            "involution",
+            [dict(p=p) for p in parts],
+            lambda p: matrix_of(involution(p), N) == _transpose(mats[p]),
+            **fixed,
+        ),
+        _run_law(
+            "composition",
+            [dict(q=q, p=p, loops=loops) for (q, p), (_, loops) in composed.items()],
+            lambda q, p, loops: _matmul(mats[q], mats[p])
+            == [[N**loops * e for e in row] for row in matrix_of(composed[q, p][0], N)],
+            **fixed,
+        ),
+    ]
 
-    counterexample = None
-    for q in parts:
-        if counterexample:
-            break
-        for p in parts:
-            if matrix_of(tensor(q, p), N) != _kron(mats[q], mats[p]):
-                counterexample = {"q": q.to_text(), "p": p.to_text()}
-                break
-    reports.append(_law_report("tensor", N, max_points, len(parts) ** 2, counterexample))
 
-    counterexample = None
-    for p in parts:
-        if matrix_of(involution(p), N) != _transpose(mats[p]):
-            counterexample = {"p": p.to_text()}
-            break
-    reports.append(_law_report("involution", N, max_points, len(parts), counterexample))
+def _partition_invariants() -> list[dict]:
+    """Small exhaustive diagram-calculus checks on one-row partitions."""
+    classes = (
+        [(n, PartitionClass.NONCROSSING) for n in range(7)]
+        + [(n, PartitionClass.ALL) for n in range(6)]
+        + [(2 * n, PartitionClass.NONCROSSING_PAIRS) for n in range(4)]
+    )
+    pool = [dict(p=p) for n in range(6) for p in enumerate_partitions(n, PartitionClass.ALL)]
+    nonempty = [case for case in pool if case["p"].lower > 0]
+    e = Partition.empty()
+    return [
+        _run_law(
+            "enumeration-counts",
+            [dict(points=n, cls=cls.value) for n, cls in classes],
+            lambda points, cls: len(enumerate_partitions(points, PartitionClass(cls)))
+            == count_partitions(points, PartitionClass(cls)),
+        ),
+        _run_law("involution-squared", pool, lambda p: involution(involution(p)) == p),
+        _run_law("text-roundtrip", pool, lambda p: Partition.from_text(p.to_text()) == p),
+        _run_law(
+            "identity-neutral",
+            nonempty,
+            lambda p: compose(Partition.identity(p.lower), p) == (p, 0),
+        ),
+        _run_law("tensor-unit", pool, lambda p: tensor(p, e) == p and tensor(e, p) == p),
+        _run_law(
+            "refinement-bounds",
+            nonempty,
+            lambda p: refines(Partition.singletons(p.lower), p)
+            and refines(p, Partition.one_block(p.lower)),
+        ),
+    ]
 
-    counterexample = None
-    cases = sum(1 for q in parts for p in parts if p.lower == q.upper)
-    for q in parts:
-        if counterexample:
-            break
-        for p in parts:
-            if p.lower != q.upper:
-                continue
-            qp, loops = compose(q, p)
-            scaled = [[N**loops * e for e in row] for row in matrix_of(qp, N)]
-            if scaled != _matmul(mats[q], mats[p]):
-                counterexample = {"q": q.to_text(), "p": p.to_text(), "loops": loops}
-                break
-    reports.append(_law_report("composition", N, max_points, cases, counterexample))
-    return reports
+
+def _run_law(law: str, cases: list[dict], holds, **fixed) -> dict:
+    """The report of one law: its name, the `fixed` fields, the number of
+    cases, and "pass" if `holds(**case)` is true on every case, else "fail"
+    with the first failing case, its partitions as text, as counterexample."""
+    failed = next((case for case in cases if not holds(**case)), None)
+    report = {"law": law, **fixed, "cases": len(cases), "status": "pass"}
+    if failed is not None:
+        shown = {k: v.to_text() if isinstance(v, Partition) else v for k, v in failed.items()}
+        report.update(status="fail", counterexample=shown)
+    return report
 
 
 def _check_law_work(N: int, max_points: int) -> None:
@@ -244,19 +279,6 @@ def _check_law_work(N: int, max_points: int) -> None:
     refuse_past(LAWS_WORK_BUDGET, "law work", work, range(2 * max_points + 1))
 
 
-def _law_report(law: str, N: int, max_points: int, cases: int, counterexample) -> dict:
-    report = {
-        "law": law,
-        "N": N,
-        "max_points": max_points,
-        "cases": cases,
-        "status": "pass" if counterexample is None else "fail",
-    }
-    if counterexample is not None:
-        report["counterexample"] = counterexample
-    return report
-
-
 def express_in_bounded_basis(q: Partition, N: int) -> dict[Partition, Fraction]:
     """Coefficients writing the vector of q over partitions with ≤ N blocks.
 
@@ -267,8 +289,7 @@ def express_in_bounded_basis(q: Partition, N: int) -> dict[Partition, Fraction]:
     """
     if q.upper != 0:
         raise ShapeError("expansion needs a partition with no upper points")
-    if N < 1:
-        raise ValueError("N must be positive")
+    check_parameter(N)
     if q.block_count <= N:
         return {q: Fraction(1)}
     coarsenings = [
@@ -291,6 +312,7 @@ def express_in_bounded_basis(q: Partition, N: int) -> dict[Partition, Fraction]:
 
 def reconstruct(coefficients: dict[Partition, Fraction], N: int) -> dict[tuple[int, ...], Fraction]:
     """Σ α_p · vector_of(p) as an exact sparse vector (zeros dropped)."""
+    check_parameter(N)
     acc: dict[tuple[int, ...], Fraction] = {}
     for p, c in coefficients.items():
         if not c:

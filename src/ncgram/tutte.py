@@ -42,28 +42,22 @@ classification is one lookup in a table of labels.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, log2
+from math import comb
 
-from .errors import ShapeError, refuse_past
-from .gram import _FLAW, DET_DIMENSION_BUDGET, ExactMatrix, _pair_exponent, _table_matrix
+from .errors import ShapeError, check_parameter, refuse_past
+from .gram import (
+    _FLAW, DET_DIMENSION_BUDGET, ExactMatrix, _check_det_bits, _pair_exponent, _table_matrix
+)
 from .partitions import (
     Partition,
     PartitionClass,
     _canonical,
     _enumerate,
     component_labels,
-    count_partitions,
     join_components,
     stacked_spreader,
 )
 from .polynomials import IntPolynomial, beraha, power_product
-
-
-#: Bits the recursion's value may have before it is refused. It admits
-#: n = 12 at N = 4 (a bound of 2.7M bits: 0.06–0.1 s for the value, 0.09 s
-#: for its decimal text, on a 2-core AMD EPYC with Python 3.11) and refuses
-#: n = 13 at N = 4 (10.4M bits: 0.6 s for the value, 0.3 s for the text).
-RECURSION_BIT_BUDGET = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +150,7 @@ def has_r_flaw(p: Partition, q: Partition, r: int) -> bool:
 
 def e_r(p: Partition, q: Partition, r: int, N: int) -> int:
     """Level-r matrix entry: 0 on flawed pairs, else N^(components of the pair graph)."""
-    if N < 1:
-        raise ValueError("N must be positive")
+    check_parameter(N)
     n = _check_pair(p, q)
     _check_level(n, r, "flaw")
     exponent = _pair_exponent(p, q, r)
@@ -168,8 +161,7 @@ def _check_level_matrix(n: int, r: int, N: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
     _check_level(n, r, "level")
-    if N < 1:
-        raise ValueError("N must be positive")
+    check_parameter(N)
 
 
 def build_A(n: int, r: int, N: int) -> ExactMatrix:
@@ -345,8 +337,7 @@ def F_r_value(p: Partition, q: Partition, r: int, N: int) -> Fraction:
     computed directly from the e_r values of the rewired partitions, never
     from the structure classifier.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
+    check_parameter(N)
     n = _check_pair(p, q)
     if not 1 <= r < n - 1:
         raise ValueError(f"column level r={r} out of range for n={n}")
@@ -444,24 +435,13 @@ def _level_exponents(n: int, N: int) -> tuple[list[int], list[int], list[dict]]:
 def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
     """recursion_det plus the JSON-ready list of expansion steps.
 
-    A value that may have more than RECURSION_BIT_BUDGET bits is refused
-    with BudgetError before any arithmetic on it.
+    A value that may have more than `gram.RECURSION_BIT_BUDGET` bits, by the
+    Hadamard bound of the NC Gram matrix it equals, is refused with
+    BudgetError before any arithmetic on it.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if N < 4:
-        raise ValueError(
-            "the recursion needs N >= 4: reversed Beraha denominators can "
-            "vanish below that (e.g. at N = 3), so levels would divide by zero"
-        )
-    # |det A(k,0)| ≤ ∏ N^{b(p)} = N^{C_k·(k+1)/2} (Hadamard: the Gram matrix
-    # is positive semidefinite with diagonal N^{b(p)}, and the block counts
-    # b(p) over NC(0,k) add up to C_k·(k+1)/2), a bound that grows with k:
-    # no Catalan number of thousands of digits is formed.
-
-    def bits(k: int) -> float:
-        return count_partitions(k, PartitionClass.NONCROSSING) * (k + 1) // 2 * log2(N)
-
-    refuse_past(RECURSION_BIT_BUDGET, f"bits of det A({n},0) at N = {N}:", bits, range(1, n + 1))
+    check_parameter(N, 4, "the recursion needs N >= 4: below, a reversed Beraha value can vanish")
+    _check_det_bits(n, PartitionClass.NONCROSSING, N)
     bases, exponents, trace = _level_exponents(n, N)
     return power_product(zip(bases, exponents)), trace

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import decimal
+import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -79,8 +81,9 @@ def test_enumerate_prints_as_the_generator_yields(capsys, monkeypatch):
     def no_list(*args):
         raise AssertionError("the class was listed")
 
-    for module in (partitions, cli):
-        monkeypatch.setattr(module, "enumerate_partitions", no_list)
+    # cli binds no list builder of its own, so patching partitions covers it
+    assert not hasattr(cli, "enumerate_partitions")
+    monkeypatch.setattr(partitions, "enumerate_partitions", no_list)
     code, out, _ = run(capsys, "enumerate", "--points", "5", "--class", "nc")
     assert code == 0
     lines = out.splitlines()
@@ -250,14 +253,14 @@ def test_over_budget_verify_exits_before_the_recursion(capsys, monkeypatch):
 def test_recursion_of_ten_million_points_exits_from_small_counts(capsys, monkeypatch):
     # the Hadamard bound grows with the point count, so the first bound
     # past the budget refuses; C_{10^7} is never formed
-    real_count = tutte.count_partitions
+    real_count = gram.count_partitions
 
     def small_count(points, cls):
         if points > 30:
             raise AssertionError(f"C_{points} was computed")
         return real_count(points, cls)
 
-    monkeypatch.setattr(tutte, "count_partitions", small_count)
+    monkeypatch.setattr(gram, "count_partitions", small_count)
     started = time.perf_counter()
     code, out, err = run(capsys, "recursion", "--points", "10000000", "--param", "4")
     assert time.perf_counter() - started < 1
@@ -289,7 +292,7 @@ def test_over_budget_jobs_exit_before_any_enumeration(capsys, monkeypatch, argv)
     def no_enumeration(*args):
         raise AssertionError("the labels were enumerated")
 
-    for module in (partitions, gram, cli):
+    for module in (partitions, gram):
         monkeypatch.setattr(module, "enumerate_partitions", no_enumeration)
     for module in (partitions, tutte):
         monkeypatch.setattr(module, "_enumerate", no_enumeration)
@@ -318,6 +321,30 @@ def test_over_budget_symbolic_det_exits_before_the_elimination(capsys):
     assert code == 3
     assert out == ""
     assert "budget" in err
+
+
+@pytest.mark.parametrize("job", ["--det", "--rank"])
+def test_a_determinant_past_the_bit_budget_exits_before_any_label(capsys, monkeypatch, job):
+    # |det| of NC(8) at N = 10^200 is bounded by N^6435, 4.3M bits, past
+    # RECURSION_BIT_BUDGET: the elimination would run for hours. The bound
+    # is a few small closed-form counts, so no label is listed.
+    def no_enumeration(*args):
+        raise AssertionError("the labels were enumerated")
+
+    monkeypatch.setattr(gram, "enumerate_partitions", no_enumeration)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "gram", "--points", "8", "--param", str(10**200), job)
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert out == ""
+    assert "bits of the noncrossing determinant on 8 points" in err
+
+
+def test_a_determinant_inside_the_bit_budget_still_runs(capsys):
+    # NC(7) at N = 10^100 is bounded by 570K bits; both routes agree on it
+    code, out, _ = run(capsys, "gram", "--points", "7", "--param", str(10**100), "--det")
+    assert code == 0
+    assert int(decimal.Decimal(json.loads(out)["det"])) == recursion_det(7, 10**100)
 
 
 def test_over_budget_recursion_exits_at_once(capsys):
@@ -380,6 +407,79 @@ def test_laws_default_bounds_pass(capsys):
     names = [r["law"] for r in payload["reports"]]
     assert names[:3] == ["tensor", "involution", "composition"]
     assert all(r["cases"] > 0 for r in payload["reports"])
+
+
+#: SHA-256 of `laws` stdout, JSON and CSV, for every admitted
+#: (--param, --max-points) with N in 1..5 and max-points in 1..3; the rest
+#: of that grid is refused with these messages on stderr.
+_LAWS_DIGESTS = {
+    (1, 1): (
+        "857acb6d7370d49840ad6826400482dd44fbb229a5452400359ac054f28b14b9",
+        "3227040a73e026d0dd0d6452c3ae00930cf0782e7ecd49ebcd527a492f1fa27a",
+    ),
+    (1, 2): (
+        "fd40522550596fd1562453a67374540be95aa9557c4d884408502937795a436e",
+        "094b5acaa76c31db6f5282138d80a1409cae751dfcaa494b3c8ac7d3c9ccc133",
+    ),
+    (1, 3): (
+        "cffed91a2465202ac24b49fa52d6cd91a49e1a8aa3875aca44cc181cea51dbc1",
+        "eea96eb4d86c68624ae2879ef830c9094d13f3ec9e3436eb2fc924be6eee48bf",
+    ),
+    (2, 1): (
+        "58840f67757e9088bf5f07ae3bb6f5791327a6b9f156da189a39d081dd393c7b",
+        "5dc2a01021b9aab42ebcccae2eb23dc81a0bc902718d18bd2ac87d9b6d575b70",
+    ),
+    (2, 2): (
+        "dba3b74ec9280fc63c03b42f60a93a1fa56954deeddb465e649424aaa485ab0b",
+        "f278f53678c916faab13b6eaed196b3a95044bf211523ce5c733d69e5c21e628",
+    ),
+    (3, 1): (
+        "ac51143ee121954f9677a79409f1deefb8393bf1ad1da5d78e83f851bbea5f63",
+        "41502fc273346f1c94db99a6d613169b6c0e423d301dc6e4d5848a20481dad73",
+    ),
+    (3, 2): (
+        "e7ce79b17d8c1ab06342a6a2f615d286c2da7127bee20511b86e3a9ae47a1374",
+        "ed60a31ed360ffbdcc48426c01401239fa9def97ff47bdd7afa16a89bf446333",
+    ),
+    (4, 1): (
+        "8d67abef28cbe938cddfc3925420d18167698be4b51ff0284338af75f292cb1e",
+        "92eb68d1b4969a26059bb5760e5892f0e632e93f06a80eb45cd1a96cee6c726c",
+    ),
+    (4, 2): (
+        "736a917181bb2beb9f341de8bd5bed191d8687fd5fd96cc10036e0f557406e58",
+        "9907b7fbc974197ba0b0ae494d4e1192e83db6a339bf221f7294e1d03f56ee0b",
+    ),
+    (5, 1): (
+        "3a44c98e30594833494966e995db292244b813cdd2cec1a1277fcc2d404a8332",
+        "6de9130305005a14d9a033038c5170906d2c8ec3a726485f2922a5e102756ab4",
+    ),
+}
+_LAWS_REFUSALS = {
+    (2, 3): "error: resource budget exceeded: law work 325870641 exceeds budget 100000000",
+    (3, 3): "error: resource budget exceeded: law work over 877649124 exceeds budget 100000000",
+    (4, 3): "error: resource budget exceeded: dense size of 4^12: over 1048576 exceeds budget 1000000",
+    (5, 2): "error: resource budget exceeded: law work 116568996 exceeds budget 100000000",
+    (5, 3): "error: resource budget exceeded: dense size of 5^12: over 1953125 exceeds budget 1000000",
+}
+
+
+@pytest.mark.parametrize("param, max_points", sorted(_LAWS_DIGESTS))
+def test_laws_output_is_pinned(capsys, monkeypatch, param, max_points):
+    # the CSV run reuses the functor-law reports of the JSON run
+    monkeypatch.setattr(cli, "check_functor_laws", functools.cache(cli.check_functor_laws))
+    argv = ["laws", "--param", str(param), "--max-points", str(max_points)]
+    for fmt, digest in zip(("json", "csv"), _LAWS_DIGESTS[param, max_points]):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("param, max_points", sorted(_LAWS_REFUSALS))
+def test_laws_refusals_are_pinned(capsys, param, max_points):
+    argv = ["laws", "--param", str(param), "--max-points", str(max_points)]
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out, err) == (3, "", _LAWS_REFUSALS[param, max_points] + "\n")
 
 
 @pytest.mark.parametrize("param, max_points", [(1000, 2), (2, 5), (2, 10**9)])

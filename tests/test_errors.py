@@ -1,13 +1,28 @@
 """The one refusal rule: `refuse_past` steps a job's sizes up to the first
-one past its budget."""
+one past its budget; and the one check of the loop parameter N."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ncgram.errors import BudgetError, refuse_past
+from ncgram.formulas import difrancesco_check, difrancesco_det
+from ncgram.gram import build_gram
+from ncgram.partitions import Partition, PartitionClass
+from ncgram.polynomials import beraha_nonzero_at
+from ncgram.tensor_model import (
+    DenseTensor,
+    check_functor_laws,
+    express_in_bounded_basis,
+    matrix_of,
+    reconstruct,
+    vector_of,
+)
+from ncgram.tutte import F_r_value, build_A, build_B, e_r, recursion_det, recursion_trace
 
 
 @given(
@@ -44,3 +59,41 @@ def test_a_single_size_is_the_job_own():
     refuse_past(10, "matrix size", lambda _: 10, range(1))
     with pytest.raises(BudgetError, match="^matrix size 11 exceeds budget 10$"):
         refuse_past(10, "matrix size", lambda _: 11, range(1))
+
+
+_ONE_BLOCK = Partition.one_block(4)
+_ROW = Partition.from_text("0|4|0100")  # in W(4, 2), a column F_r_value takes at r = 1
+
+#: Every public function that takes N, called with N and otherwise valid
+#: arguments that the function accepts at N = 4.
+_TAKES_N = {
+    "build_gram": lambda N: build_gram(2, PartitionClass.NONCROSSING, N),
+    "e_r": lambda N: e_r(_ONE_BLOCK, _ONE_BLOCK, 0, N),
+    "build_A": lambda N: build_A(3, 0, N),
+    "build_B": lambda N: build_B(3, 0, N),
+    "F_r_value": lambda N: F_r_value(_ONE_BLOCK, _ROW, 1, N),
+    "recursion_det": lambda N: recursion_det(3, N),
+    "recursion_trace": lambda N: recursion_trace(3, N),
+    "difrancesco_det": lambda N: difrancesco_det(2, N),
+    "difrancesco_check": lambda N: difrancesco_check(2, N),
+    "beraha_nonzero_at": lambda N: beraha_nonzero_at(N, 4),
+    "vector_of": lambda N: vector_of(Partition.pair(), N),
+    "matrix_of": lambda N: matrix_of(Partition.pair(), N),
+    "check_functor_laws": lambda N: check_functor_laws(N, 1),
+    "express_in_bounded_basis": lambda N: express_in_bounded_basis(_ONE_BLOCK, N),
+    "reconstruct": lambda N: reconstruct({}, N),
+    "DenseTensor": lambda N: DenseTensor(N, 2, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAKES_N))
+def test_every_entry_point_takes_an_integer_parameter_only(name):
+    call = _TAKES_N[name]
+    call(4)
+    # 4.0 and 9/2 once passed the range checks and gave floats, rationals
+    # or a misleading error; "4" failed on the comparison
+    for N in (4.0, 2.5, Fraction(9, 2), "4"):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            call(N)
+    with pytest.raises(ValueError):
+        call(0)

@@ -304,6 +304,29 @@ def test_symbolic_bit_budget_refuses_before_the_elimination(monkeypatch):
         determinant(build_gram(4, NC, None))
 
 
+@pytest.mark.parametrize("cls, top", [(NC, 10), (PartitionClass.NONCROSSING_PAIRS, 16), (ALL, 8)])
+def test_block_totals_match_the_enumerated_classes(cls, top):
+    # Σ_p b(p) in closed form, which the Hadamard bit bound of a numeric
+    # determinant multiplies by log₂N
+    for points in range(top + 1):
+        listed = sum(p.block_count for p in enumerate_partitions(points, cls))
+        assert ncgram.gram._block_total(points, cls) == listed
+
+
+def test_numeric_bit_budget_refuses_from_the_hadamard_bound():
+    # NC(8): 6435 blocks in all, so N^6435 bounds |det|; ALL(7): 3263;
+    # NC2(16): 11440. A bound just past the budget refuses, one just
+    # inside it passes.
+    budget = ncgram.gram.RECURSION_BIT_BUDGET
+    cases = ((8, NC, 6435), (7, ALL, 3263), (16, PartitionClass.NONCROSSING_PAIRS, 11440))
+    for points, cls, blocks in cases:
+        inside = 1 << (budget // blocks)
+        ncgram.gram._check_det_bits(points, cls, inside)
+        what = f"bits of the {cls.value} determinant on {points} points"
+        with pytest.raises(BudgetError, match=what):
+            build_gram(points, cls, inside << 1)
+
+
 def test_symbolic_matrix_rejects_negative_exponents():
     labels = tuple(enumerate_partitions(2, NC))
     with pytest.raises(ValueError, match="negative"):

@@ -111,6 +111,52 @@ def test_only_the_one_refusal_rule_raises_the_budget_error():
     assert found == ["errors.py:refuse_past"]
 
 
+def _status_setters(tree: ast.AST, scope: str = "<module>"):
+    """The innermost enclosing function of each dict display, assignment or
+    update call that gives a "status" of "pass" or "fail"."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _status_setters(node, node.name)
+            continue
+        if isinstance(node, ast.Dict):
+            values = [v for k, v in zip(node.keys, node.values) if _is_constant(k, "status")]
+        elif isinstance(node, ast.Assign):
+            targets = [t for t in node.targets if isinstance(t, ast.Subscript)]
+            values = [node.value] if any(_is_constant(t.slice, "status") for t in targets) else []
+        elif isinstance(node, ast.Call):
+            values = [kw.value for kw in node.keywords if kw.arg == "status"]
+        else:
+            values = []
+        constants = [c.value for v in values for c in ast.walk(v) if isinstance(c, ast.Constant)]
+        if {"pass", "fail"} & set(constants):
+            yield scope
+        yield from _status_setters(node, scope)
+
+
+def _is_constant(node, value: str) -> bool:
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def test_only_the_law_runner_sets_a_law_status():
+    # every law report is built by one runner, so no check reports by a rule
+    # of its own; the command line defines no check and binds none of the
+    # diagram operations the checks read
+    found = {
+        f"{path.name}:{scope}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope in _status_setters(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    }
+    assert found == {"tensor_model.py:_run_law"}
+    cli = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    operations = {"compose", "involution", "refines", "tensor", "count_partitions"}
+    assert _mentions(cli) & (operations | {"enumerate_partitions", "Partition"}) == set()
+    assert [
+        node.name
+        for node in ast.walk(cli)
+        if isinstance(node, ast.FunctionDef) and ("check" in node.name or "invariant" in node.name)
+    ] == []
+
+
 def test_only_the_one_generator_skips_the_canonical_check():
     # `_generated` builds a partition without checking its RGS, which only
     # the generator behind every class and every stratum may rely on

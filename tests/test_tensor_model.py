@@ -18,6 +18,7 @@ from ncgram.partitions import (
     Partition,
     PartitionClass,
     compose,
+    count_partitions,
     enumerate_partitions,
     involution,
     kernel,
@@ -269,8 +270,53 @@ def test_functor_laws_report_a_broken_operation(monkeypatch, law, name, broken):
     monkeypatch.setattr(tensor_model, name, broken)
     reports = {r["law"]: r for r in check_functor_laws(2, 1)}
     assert reports[law]["status"] == "fail"
-    assert reports[law]["counterexample"]
+    assert list(reports[law]) == ["law", "N", "max_points", "cases", "status", "counterexample"]
+    names = {"tensor": ["q", "p"], "involution": ["p"], "composition": ["q", "p", "loops"]}
+    assert list(reports[law]["counterexample"]) == names[law]
     assert [r["status"] for r in reports.values() if r["law"] != law] == ["pass", "pass"]
+
+
+def _count_plus_one(points, cls):
+    return count_partitions(points, cls) + 1
+
+
+def _singletons_swapped(p):
+    return Partition(p.lower, p.upper, tuple(range(p.points)))
+
+
+def _left_factor_only(p, q):
+    return p
+
+
+def _never_refines(p, q):
+    return False
+
+
+@pytest.mark.parametrize(
+    "law, name, broken",
+    [
+        ("enumeration-counts", "count_partitions", _count_plus_one),
+        ("involution-squared", "involution", _singletons_swapped),
+        ("text-roundtrip", "from_text", lambda text: Partition.empty()),
+        ("identity-neutral", "compose", _compose_with_extra_loop),
+        ("tensor-unit", "tensor", _left_factor_only),
+        ("refinement-bounds", "refines", _never_refines),
+    ],
+    ids=["counts", "involution", "text", "identity", "tensor", "refinement"],
+)
+def test_partition_invariants_report_a_broken_operation(monkeypatch, law, name, broken):
+    # each invariant must be able to fail, through the same runner as the
+    # functor laws; the other five read none of the broken operations
+    if name == "from_text":
+        monkeypatch.setattr(Partition, name, staticmethod(broken))
+    else:
+        monkeypatch.setattr(tensor_model, name, broken)
+    reports = {r["law"]: r for r in tensor_model._partition_invariants()}
+    assert len(reports) == 6
+    assert reports[law]["status"] == "fail"
+    assert reports[law]["counterexample"]
+    assert list(reports[law]) == ["law", "cases", "status", "counterexample"]
+    assert [r["status"] for r in reports.values() if r["law"] != law] == ["pass"] * 5
 
 
 def test_transpose_law_specific():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ncgram import tutte
 from ncgram.errors import BudgetError, ShapeError
 from ncgram.formulas import difrancesco_exponents
-from ncgram.gram import DET_DIMENSION_BUDGET, build_gram, determinant
+from ncgram.gram import DET_DIMENSION_BUDGET, RECURSION_BIT_BUDGET, build_gram, determinant
 from ncgram.partitions import (
     Partition,
     PartitionClass,
@@ -31,7 +31,6 @@ from ncgram.partitions import (
 from ncgram.polynomials import beraha
 from ncgram.tutte import (
     F_r_value,
-    RECURSION_BIT_BUDGET,
     _strata_counts,
     _structures,
     build_A,
