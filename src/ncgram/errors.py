@@ -28,9 +28,10 @@ def refuse_past(budget: int, what: str, size, steps: range) -> None:
             raise BudgetError(f"{what} {over}{value} exceeds budget {budget}")
 
 
-def check_parameter(N, least: int = 1, message: str = "N must be positive") -> None:
-    """Raise ValueError unless the loop parameter N is an int of at least `least`."""
+def check_parameter(N, least: int | None = 1, message: str = "N must be positive") -> None:
+    """Raise ValueError unless the loop parameter N is an int, and of at least
+    `least` unless that is None."""
     if not isinstance(N, int):
         raise ValueError(f"N must be an integer, not {type(N).__name__}")
-    if N < least:
+    if least is not None and N < least:
         raise ValueError(message)

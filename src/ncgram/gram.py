@@ -74,7 +74,10 @@ DET_DIMENSION_BUDGET = 2000
 SYMBOLIC_BIT_BUDGET = 1 << 24
 
 #: Bits a numeric determinant may have by its Hadamard bound: a Gram matrix
-#: `build_gram` builds at N, or the recursion's value, the NC one. It admits
+#: `build_gram` builds at N, the recursion's value, the NC one, and any
+#: integer matrix `determinant` or `rank` eliminates (`_check_entry_bits`,
+#: which reads the bound off the entries; it may refuse near the budget what
+#: the closed form admitted, never the other way round). It admits
 #: n = 12 at N = 4 by the recursion (2.7M bits: 0.1 s for the value and as
 #: much for its decimal text), and by elimination NC(7) at N = 10^300 (1.7M
 #: bits, 10 s) and NC(8) at 10^150 (3.2M bits, 229 s, 375 MiB); it refuses
@@ -133,9 +136,10 @@ class ExactMatrix:
         )
 
     def evaluate(self, N: int) -> ExactMatrix:
-        """Specialize a symbolic matrix at an integer parameter."""
+        """Specialize a symbolic matrix at an integer parameter, of any sign."""
         if not self.is_symbolic:
             raise ShapeError("matrix is already over the integers")
+        check_parameter(N, None)
         top = max((max(row, default=0) for row in self.entries), default=0)
         return ExactMatrix(
             entries=_read_powers(self.entries, [N**e for e in range(top + 1)]),
@@ -290,6 +294,7 @@ def determinant(m: ExactMatrix) -> int | IntPolynomial:
     refuse_past(DET_DIMENSION_BUDGET, "matrix size", lambda _: m.nrows, range(1))
     if m.is_symbolic:
         return _det_by_substitution(m)
+    _check_entry_bits(m)
     return kernels.det_exact(m.entries)
 
 
@@ -298,7 +303,20 @@ def rank(m: ExactMatrix) -> int:
     if m.is_symbolic:
         raise ShapeError("rank requires integer entries; evaluate first")
     refuse_past(DET_DIMENSION_BUDGET, "matrix size", lambda _: max(m.nrows, m.ncols), range(1))
+    _check_entry_bits(m)
     return kernels.rank_exact(m.entries)
+
+
+def _check_entry_bits(m: ExactMatrix) -> None:
+    """Refuse an integer matrix whose minors may pass RECURSION_BIT_BUDGET
+    bits, by Hadamard's row bound read off the entries in integers: a minor
+    on some of the m rows is at most ∏_i √ncols·max_j |a_ij| in size, which
+    has at most Σ_i bit_length(max_j |a_ij|) + ⌈m·log₂(ncols)/2⌉ bits; the
+    second term is taken as half the bit length of ncols^m, rounded up."""
+    bits = sum(max(map(abs, row), default=0).bit_length() for row in m.entries)
+    bits += ((m.ncols**m.nrows).bit_length() + 1) // 2
+    what = "bits of the matrix by its Hadamard bound:"
+    refuse_past(RECURSION_BIT_BUDGET, what, lambda _: bits, range(1))
 
 
 def _decimal_text(value: int) -> str:

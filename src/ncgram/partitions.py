@@ -20,9 +20,9 @@ glued along a row in a composition) connect into the components of their
 join, and every loop count in the package is a number of such
 components. Blocks are bitmasks over the nodes. A `spreader` maps a mask
 to the union of the blocks that meet it, block by block, or `tabulated`
-by one table lookup per 8-bit chunk of the mask, and `join_closure`
-grows a mask by the blocks of both partitions to a fixpoint, which is
-one or more whole components.
+by one table lookup per 8-bit chunk of a mask of up to 16 bits (block
+by block beyond), and `join_closure` grows a mask by the blocks of both
+partitions to a fixpoint, which is one or more whole components.
 """
 
 from __future__ import annotations
@@ -382,14 +382,16 @@ def spreader(rgs: Sequence[int], place: Sequence[int]) -> Callable[[int], int]:
 
 
 def tabulated(spread: Callable[[int], int], width: int) -> Callable[[int], int]:
-    """The same map as `spread` on masks m < 2**width, by table lookup.
+    """The same map as `spread` on masks m < 2**width, by table up to 16 bits.
 
     For a spreader used on many pairs. Each 8-bit chunk of the mask gets a
     table from its byte values to the union of the blocks meeting those
-    bits, so a spread is one lookup per chunk, OR-ed together. A table is
-    filled by doubling: after the chunk's first j bits it holds the unions
-    for all 2^j values of those bits.
+    bits, filled by doubling: after the chunk's first j bits it holds the
+    unions for all 2^j values of those bits. A wider mask is spread block
+    by block, since a table per chunk costs memory quadratic in the width.
     """
+    if not 0 < width <= 16:
+        return spread
     owner = [spread(1 << node) for node in range(width)]
     tables = []
     for start in range(0, width, 8):
@@ -399,18 +401,8 @@ def tabulated(spread: Callable[[int], int], width: int) -> Callable[[int], int]:
         tables.append(table)
     if len(tables) == 1:
         return tables[0].__getitem__
-    if len(tables) == 2:
-        first, second = tables
-        return lambda m: first[m & 255] | second[m >> 8]
-
-    def lookup(m: int) -> int:
-        out = 0
-        for table in tables:
-            out |= table[m & 255]
-            m >>= 8
-        return out
-
-    return lookup
+    first, second = tables
+    return lambda m: first[m & 255] | second[m >> 8]
 
 
 def join_closure(up: Callable[[int], int], lo: Callable[[int], int], m: int) -> int:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given
@@ -31,7 +33,7 @@ from ncgram.partitions import (
 )
 from ncgram.polynomials import IntPolynomial
 from ncgram.tensor_model import inner_product, vector_of
-from ncgram.tutte import build_A, recursion_det
+from ncgram.tutte import build_A, build_B, recursion_det
 from test_kernels import det_bareiss, rank_by_fractions
 
 NC = PartitionClass.NONCROSSING
@@ -325,6 +327,41 @@ def test_numeric_bit_budget_refuses_from_the_hadamard_bound():
         what = f"bits of the {cls.value} determinant on {points} points"
         with pytest.raises(BudgetError, match=what):
             build_gram(points, cls, inside << 1)
+
+
+def test_the_entry_read_counts_the_hadamard_row_bound(monkeypatch):
+    # rows (−8, 1) and (0, 3): 4 + 2 bits by their largest entries, and
+    # ⌈2·log₂2/2⌉ = 1 bit, taken as half the bit length of 2^2 rounded up: 2
+    labels = tuple(enumerate_partitions(2, NC))
+    m = ExactMatrix(((-8, 1), (0, 3)), labels, labels)
+    monkeypatch.setattr(ncgram.gram, "RECURSION_BIT_BUDGET", 8)
+    assert determinant(m) == -24 and rank(m) == 2
+    monkeypatch.setattr(ncgram.gram, "RECURSION_BIT_BUDGET", 7)
+    for eliminate in (determinant, rank):
+        with pytest.raises(BudgetError, match="Hadamard bound: 8 exceeds budget 7"):
+            eliminate(m)
+
+
+def test_every_door_to_the_kernel_checks_the_bits(monkeypatch):
+    # build_gram refuses from the closed form; a level matrix or an
+    # evaluated symbolic matrix at a huge N is refused from its entries,
+    # before the elimination. B(7, 1) has 132 rows and a bound of 1.5M bits
+    # at 10^1000, inside the budget, so it is taken at 10^3000 (4.6M bits).
+    def no_elimination(rows):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(kernels, "det_exact", no_elimination)
+    monkeypatch.setattr(kernels, "rank_exact", no_elimination)
+    jobs = (
+        lambda: determinant(build_A(7, 0, 10**1000)),
+        lambda: rank(build_B(7, 1, 10**3000)),
+        lambda: determinant(build_gram(7).evaluate(10**1000)),
+    )
+    for job in jobs:
+        start = perf_counter()
+        with pytest.raises(BudgetError, match="Hadamard bound"):
+            job()
+        assert perf_counter() - start < 1
 
 
 def test_symbolic_matrix_rejects_negative_exponents():
@@ -732,6 +769,15 @@ def test_shape_validation():
 def test_evaluate_symbolic_matrix():
     m = build_gram(2, NC, None)
     assert m.evaluate(4).entries == build_gram(2, NC, 4).entries
+    # any integer, of any sign, but only an integer
+    assert [m.evaluate(N).entries for N in (-2, -1, 0)] == [
+        ((-2, -2), (-2, 4)),
+        ((-1, -1), (-1, 1)),
+        ((0, 0), (0, 0)),
+    ]
+    for N in (2.5, Fraction(1, 2), "2"):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            m.evaluate(N)
 
 
 def test_symbolic_gram_matrix_holds_the_loop_count_exponents():

@@ -121,7 +121,8 @@ def oracle_table(labels: Sequence[Partition], n: int, r: int) -> list[list[int]]
 # ---------------------------------------------------------------------------
 # the kernel on arbitrary node sets
 
-# 8/9 and 16/17 nodes cross the 8-bit chunk boundaries of the spread tables
+# 8/9 nodes cross the 8-bit chunk boundary of the spread tables, and 16/17
+# the edge between two tables and the block-by-block spread of a wider mask
 WIDTHS = st.one_of(st.sampled_from([8, 9, 16, 17, 24]), st.integers(1, 24))
 
 
@@ -169,6 +170,7 @@ def spreaders(rgs: tuple[int, ...], width: int):
 @example(((0,) * 8, tuple(range(8))))
 @example((tuple(range(17)), (0,) * 17))
 @example((tuple(i // 2 for i in range(16)), (0,) + tuple((i + 1) // 2 for i in range(15))))
+@example(((0, *range(1, 15), 0), tuple(range(16))))
 def test_join_components_match_the_forest(pair):
     first, second = pair
     width = len(first)
@@ -199,7 +201,7 @@ def test_spread_is_the_union_of_the_blocks_met(pair, data):
 
 def test_spread_treats_undrawn_nodes_as_singletons():
     # one block of two positions, drawn on nodes 0 and 2 of a wider mask
-    for width in (4, 9, 17, 25):
+    for width in (4, 9, 16, 17, 25):
         plain = spreader((0, 0), (0, 2))
         for spread in (plain, tabulated(plain, width)):
             assert spread(0b1) == spread(0b100) == 0b101

@@ -77,7 +77,8 @@ def _references(tree: ast.AST, names: set[str], scope: str = "<module>"):
 
 def test_only_gram_reaches_the_elimination_kernel():
     # every determinant and rank goes through gram's budget checks and
-    # shape checks, so no caller can eliminate a matrix past them
+    # shape checks, so no caller can eliminate a matrix past them: the two
+    # entry points each read the bits of an integer matrix off its entries
     found = {
         f"{path.name}:{scope}"
         for path in sorted(SOURCE.glob("*.py"))
@@ -86,6 +87,9 @@ def test_only_gram_reaches_the_elimination_kernel():
         )
     }
     assert found == {"gram.py:determinant", "gram.py:rank", "gram.py:_det_by_substitution"}
+    gram = ast.parse((SOURCE / "gram.py").read_text(encoding="utf-8"))
+    checked = {scope for scope, _ in _references(gram, {"_check_entry_bits"})}
+    assert checked == {"determinant", "rank"}
 
 
 def _raises(tree: ast.AST, scope: str = "<module>"):

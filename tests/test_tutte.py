@@ -4,6 +4,7 @@ determinant recursion."""
 from __future__ import annotations
 
 import gc
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, log2
@@ -374,6 +375,20 @@ def test_the_top_level_matrix_of_thirty_points_lists_one_label():
     start = perf_counter()
     assert build_A(30, 29, 4).entries == ((4**15,),)
     assert perf_counter() - start < 1
+
+
+def test_a_wide_top_level_builds_no_spread_table():
+    # A(1000, 999) is one label on a cut graph of 1000 + 500 nodes, which
+    # its spreaders grow block by block: a table per 8-bit chunk peaked at
+    # 14.6 MiB, growing with the square of the width
+    tracemalloc.start()
+    try:
+        entries = build_A(1000, 999, 4).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entries == ((4**500,),)
+    assert peak < 1 << 20
 
 
 def test_top_stratum_is_a_single_partition():
@@ -795,6 +810,9 @@ def test_recursion_matches_direct_determinant():
     for n in range(1, 5):
         for N in (4, 5):
             assert recursion_det(n, N) == determinant(build_gram(n, NC, N))
+    # level 0 in stratum order, inside the bit budget read off its entries
+    for N in (4, 2**64):
+        assert recursion_det(7, N) == determinant(build_A(7, 0, N))
 
 
 def test_recursion_rejects_small_parameter():
