@@ -4,9 +4,14 @@ The matrix indexed by a partition class has entry (p, q) = N^{rl(q*, p)},
 where rl is the loop count of the composition q* ∘ p: the number of
 components of the pair graph of p over q, which is the join p ∨ q. The
 Gram matrix is level 0 of the level matrices of `tutte`: one exponent
-table, `_exponent_table`, filled by the join kernel of `partitions`, holds
-the loop counts at any level r (with a flaw sentinel at r > 0), and one
-reader, `_table_matrix`, turns it into every Gram and level matrix. With
+table, `_exponent_table`, holds the loop counts at any level r (with a
+flaw sentinel at r > 0), and one reader, `_table_matrix`, turns it into
+every Gram and level matrix. The table is filled by one of two paths. On
+at most 16 nodes (points plus the verticals cut at level r) it is
+bit-sliced: each pair of a chunk of rows is one bit of a mask per node
+pair, and a Warshall closure over the nodes connects the components of
+every pair at once. A wider table is filled pair by pair by the join
+kernel of `partitions`, which also gives a single entry. With
 N given, the entries are the integers N^e, looked up in a table of powers;
 with N = None the Gram matrix is symbolic, and its entries are the
 exponents e of the monomials X^e.
@@ -38,10 +43,13 @@ determinant.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
-from functools import cache
+from functools import cache, reduce
+from itertools import combinations
 from math import log2
+from operator import or_
 from typing import Sequence
 
 from . import kernels
@@ -53,17 +61,17 @@ from .partitions import (
     enumerate_partitions,
     join_closure,
     stacked_spreader,
-    tabulated,
 )
 from .polynomials import IntPolynomial
 
 #: Hard cap on elimination size. It admits NC(8) (1430 rows) and refuses
-#: NC(9) (4862). With the cap lifted, NC(9) at N = 4 took 13.7 s to build
-#: and 25.0 s to eliminate, at a 436 MiB peak, and its 31,242-bit
-#: determinant equals `recursion_det(9, 4)` (2-core AMD EPYC, Python 3.11):
-#: the cap is no longer set by the elimination's cost, and a cost estimate
-#: should replace it. build_gram refuses a matrix past the cap before
-#: computing any entry, since neither determinant nor rank takes it.
+#: NC(9) (4862). With the cap lifted, NC(9) at N = 4 took 0.7 s for the
+#: exponent table, 0.4 s to read its powers and 16.3 s to eliminate, at a
+#: 461 MiB peak, and its 31,242-bit determinant equals `recursion_det(9, 4)`
+#: (2-core AMD EPYC, Python 3.11): the cap is no longer set by the cost of
+#: either layer, and a cost estimate should replace it. build_gram refuses
+#: a matrix past the cap before computing any entry, since neither
+#: determinant nor rank takes it.
 DET_DIMENSION_BUDGET = 2000
 
 #: Cap on the bits B·(D + 1) of the one integer a symbolic determinant
@@ -216,16 +224,19 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
     """The exponent of every pair of (0, points) labels, one row each.
 
     Level 0 gives the plain loop counts rl(q*, p) of the Gram matrix, and
-    a level r > 0 the counts with `_FLAW` on flawed pairs. Both are
-    symmetric in p and q (swapping the rows of the pair graph swaps upper
-    with lower points in the flaw pattern), so only the upper triangle is
-    computed; each row segment is written into its row and, by a strided
-    slice, its column of one flat table.
+    a level r > 0 the counts with `_FLAW` on flawed pairs. A table on at
+    most 16 nodes (points + `_cut(r)`) is filled bit-sliced, all pairs at
+    once (`_sliced_table`). A wider one is filled pair by pair: both
+    levels are symmetric in p and q (swapping the rows of the pair graph
+    swaps upper with lower points in the flaw pattern), so only the upper
+    triangle is computed; each row segment is written into its row and,
+    by a strided slice, its column of one flat table.
     """
     cut = _cut(r)
-    width = points + cut
-    ups = [tabulated(stacked_spreader(p, cut, False), width) for p in labels]
-    lows = [tabulated(stacked_spreader(p, cut, True), width) for p in labels]
+    if points + cut <= 16:
+        return _sliced_table(labels, points, r)
+    ups = [stacked_spreader(p, cut, False) for p in labels]
+    lows = [stacked_spreader(p, cut, True) for p in labels]
     size = len(labels)
     flat = _exponents(points, size * size)
     for a in range(size):
@@ -235,6 +246,103 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
         flat[start::size] = segment
     rows = (flat[a * size : (a + 1) * size] for a in range(size))
     return tuple(rows if isinstance(flat, array) else map(bytes, rows))
+
+
+#: Bits of the pair masks of one chunk of rows in `_sliced_table`, which
+#: bounds its working memory at any table size.
+_CHUNK_BITS = 1 << 17
+
+
+def _sliced_table(labels: tuple[Partition, ...], points: int, r: int) -> tuple[bytes, ...]:
+    """`_exponent_table` on at most 16 nodes, by mask operations on all
+    pairs of a chunk of rows at once (bit slicing).
+
+    Pair (a, b) of the chunk is bit a·W + b of a mask, W the label count
+    rounded up to whole bytes. Node pair u < v starts from the rows whose
+    label, drawn above, joins u and v, and the columns whose label, drawn
+    below, joins them, repeated in every row. Warshall's closure
+    C_ij |= C_ik & C_kj over the nodes k then connects every two nodes of
+    a component, pair by pair. The components of a pair are its roots,
+    the nodes with no smaller node connected; each mask is read as text,
+    one byte per pair, and summed into one byte per pair, which no count
+    of at most 16 carries out of. At r > 0 the flaw pattern of
+    `_exponent_row` is read off the same masks: a pair is flawed where two
+    of the nodes 0..cut−1 above are connected, or where i ~ i' is asked
+    for and i reaches no point below but i'; at even r the count drops by
+    one where s+1 and (s+1)' are apart.
+    """
+    if not labels:
+        return ()  # an empty class, NC2 at odd points
+    cut = _cut(r)
+    width = points + cut
+    size = len(labels)
+    row_bytes = -(-size // 8)
+    ups = [_node_pairs(p.rgs, range(points)) for p in labels]
+    below = [points + i if i < cut else i for i in range(points)]
+    cols: dict[tuple[int, int], int] = {}  # node pair -> the columns that join it
+    for b, q in enumerate(labels):
+        for pair in _node_pairs(q.rgs, below):
+            cols[pair] = cols.get(pair, 0) | 1 << b
+    step = max(1, _CHUNK_BITS // (8 * row_bytes))
+    table: list[bytes] = []
+    for start in range(0, size, step):
+        count = min(step, size - start)
+        length = 8 * row_bytes * count
+        # node pair -> the rows that join it above; rows are whole bytes,
+        # so a row's fill is one slice assignment
+        fills = defaultdict(lambda: bytearray(length // 8))
+        for a, pairs in enumerate(ups[start : start + count]):
+            for pair in pairs:
+                fills[pair][a * row_bytes : (a + 1) * row_bytes] = b"\xff" * row_bytes
+        every_row = int.from_bytes((b"\x01" + bytes(row_bytes - 1)) * count, "little")
+        C = [[0] * width for _ in range(width)]
+        for u in range(width):
+            for v in range(u + 1, width):
+                rows = int.from_bytes(fills.get((u, v), b""), "little")
+                C[u][v] = C[v][u] = rows | cols.get((u, v), 0) * every_row
+        for k in range(width):
+            Ck = C[k]
+            for i in range(width):
+                if i == k or not Ck[i]:
+                    continue
+                Ci, Cik = C[i], Ck[i]
+                for j in range(i + 1, width):
+                    if j != k and (via := Cik & Ck[j]):
+                        Ci[j] = C[j][i] = Ci[j] | via
+        zeros = int.from_bytes(b"0" * length, "little")
+        ones = int.from_bytes(b"\x01" * length, "little")
+
+        def bytewise(mask: int) -> int:
+            """One byte per pair, 1 where its bit is set: bit t is byte
+            length−1−t, so big-endian bytes read them back in order."""
+            return int.from_bytes(format(mask, f"0{length}b").encode(), "little") - zeros
+
+        total = width * ones
+        for v in range(1, width):
+            total -= bytewise(reduce(or_, C[v][:v]))  # v is no root
+        if cut:
+            joined = cut - 1 + r % 2  # i ~ i' is asked for i < joined
+            flaw = 0
+            for i in range(cut):
+                flaw |= reduce(or_, C[i][i + 1 : cut], 0)
+                if i < joined:
+                    lows = C[i][points:width]
+                    flaw |= reduce(or_, lows[:i] + lows[i + 1 :], lows[i] ^ (1 << length) - 1)
+            if joined < cut:  # even r: gluing s+1 to (s+1)' joins two components
+                total -= ones - bytewise(C[cut - 1][width - 1])
+            total &= (ones - bytewise(flaw)) * 255
+        data = total.to_bytes(length, "big")
+        table += (data[o : o + size] for o in range(0, length, 8 * row_bytes))
+    return tuple(table)
+
+
+def _node_pairs(rgs: tuple[int, ...], place: Sequence[int]) -> list[tuple[int, int]]:
+    """Every node pair u < v that a block of rgs joins, with position pos
+    drawn on node place[pos]."""
+    blocks: dict[int, list[int]] = {}
+    for node, b in zip(place, rgs):
+        blocks.setdefault(b, []).append(node)
+    return [pair for nodes in blocks.values() for pair in combinations(sorted(nodes), 2)]
 
 
 def _pair_exponent(p: Partition, q: Partition, r: int = 0) -> int:

@@ -19,10 +19,13 @@ Two partitions drawn on one set of nodes (stacked in a pair graph, or
 glued along a row in a composition) connect into the components of their
 join, and every loop count in the package is a number of such
 components. Blocks are bitmasks over the nodes. A `spreader` maps a mask
-to the union of the blocks that meet it, block by block, or `tabulated`
-by one table lookup per 8-bit chunk of a mask of up to 16 bits (block
-by block beyond), and `join_closure` grows a mask by the blocks of both
-partitions to a fixpoint, which is one or more whole components.
+to the union of the blocks that meet it, block by block, and
+`join_closure` grows a mask by the blocks of both partitions to a
+fixpoint, which is one or more whole components. This kernel counts the
+loops of one pair at a time: a composition, a single matrix entry, and
+every pair of a level table wider than 16 nodes. A table of at most 16
+nodes is filled by `gram`, all pairs at once, from the node pairs each
+block joins.
 """
 
 from __future__ import annotations
@@ -381,35 +384,12 @@ def spreader(rgs: Sequence[int], place: Sequence[int]) -> Callable[[int], int]:
     return spread
 
 
-def tabulated(spread: Callable[[int], int], width: int) -> Callable[[int], int]:
-    """The same map as `spread` on masks m < 2**width, by table up to 16 bits.
-
-    For a spreader used on many pairs. Each 8-bit chunk of the mask gets a
-    table from its byte values to the union of the blocks meeting those
-    bits, filled by doubling: after the chunk's first j bits it holds the
-    unions for all 2^j values of those bits. A wider mask is spread block
-    by block, since a table per chunk costs memory quadratic in the width.
-    """
-    if not 0 < width <= 16:
-        return spread
-    owner = [spread(1 << node) for node in range(width)]
-    tables = []
-    for start in range(0, width, 8):
-        table = [0]
-        for block in owner[start : start + 8]:
-            table += [t | block for t in table]
-        tables.append(table)
-    if len(tables) == 1:
-        return tables[0].__getitem__
-    first, second = tables
-    return lambda m: first[m & 255] | second[m >> 8]
-
-
 def join_closure(up: Callable[[int], int], lo: Callable[[int], int], m: int) -> int:
     """The union of the components of the join of two partitions that meet m.
 
-    This is the package's one loop-count kernel: composition, the pair and
-    cut graphs, the flaw test and every matrix builder run on it. `up` and
+    This is the package's loop-count kernel for one pair at a time:
+    composition, single pair and cut graphs, the flaw test and the level
+    tables wider than 16 nodes run on it. `up` and
     `lo` are the spreaders of two partitions drawn on one set of nodes.
     The mask grows by whole blocks of either partition until neither adds
     a node: then it is a union of blocks of both, which is a union of

@@ -2,18 +2,19 @@
 
 `block_forest`, `PairForest` and the forest versions of `compose` and of
 the level-r entry are the package's earlier loop-count kernel, kept here
-unchanged as oracles for `spreader`, `tabulated`, `join_closure` and the
-exponent table.
+unchanged as oracles for `spreader`, `join_closure` and both paths of
+the exponent table: bit-sliced on at most 16 nodes, pair by pair beyond.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from typing import Sequence
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ncgram.gram import _FLAW, _exponent_table
+from ncgram.gram import _FLAW, _cut, _exponent_row, _exponent_table, _pair_exponent
 from ncgram.partitions import (
     Partition,
     PartitionClass,
@@ -23,11 +24,13 @@ from ncgram.partitions import (
     join_closure,
     join_components,
     spreader,
-    tabulated,
+    stacked_spreader,
 )
-from ncgram.tutte import build_A, e_r, has_r_flaw
+from ncgram.tutte import build_A, e_r, has_r_flaw, w_stratum
 
+ALL = PartitionClass.ALL
 NC = PartitionClass.NONCROSSING
+NC2 = PartitionClass.NONCROSSING_PAIRS
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +124,7 @@ def oracle_table(labels: Sequence[Partition], n: int, r: int) -> list[list[int]]
 # ---------------------------------------------------------------------------
 # the kernel on arbitrary node sets
 
-# 8/9 nodes cross the 8-bit chunk boundary of the spread tables, and 16/17
-# the edge between two tables and the block-by-block spread of a wider mask
+# 16/17 nodes lie on either side of the exponent table's 16-node cut
 WIDTHS = st.one_of(st.sampled_from([8, 9, 16, 17, 24]), st.integers(1, 24))
 
 
@@ -160,12 +162,6 @@ def forest_components(first: tuple[int, ...], second: tuple[int, ...]) -> list[i
     return sorted(masks.values(), key=lambda c: c & -c)
 
 
-def spreaders(rgs: tuple[int, ...], width: int):
-    """The spreader of rgs drawn on nodes 0..width-1, plain and tabulated."""
-    spread = spreader(rgs, range(len(rgs)))
-    return spread, tabulated(spread, width)
-
-
 @given(rgs_pairs())
 @example(((0,) * 8, tuple(range(8))))
 @example((tuple(range(17)), (0,) * 17))
@@ -174,9 +170,8 @@ def spreaders(rgs: tuple[int, ...], width: int):
 def test_join_components_match_the_forest(pair):
     first, second = pair
     width = len(first)
-    want = forest_components(first, second)
-    for up, lo in zip(spreaders(first, width), spreaders(second, width)):
-        assert join_components(up, lo, width) == want
+    up, lo = spreader(first, range(width)), spreader(second, range(width))
+    assert join_components(up, lo, width) == forest_components(first, second)
 
 
 @given(rgs_pairs(), st.data())
@@ -185,8 +180,8 @@ def test_closure_is_the_union_of_the_components_met(pair, data):
     width = len(first)
     m = data.draw(st.integers(0, (1 << width) - 1))
     want = sum(c for c in forest_components(first, second) if c & m)
-    for up, lo in zip(spreaders(first, width), spreaders(second, width)):
-        assert join_closure(up, lo, m) == want
+    up, lo = spreader(first, range(width)), spreader(second, range(width))
+    assert join_closure(up, lo, m) == want
 
 
 @given(rgs_pairs(), st.data())
@@ -194,20 +189,17 @@ def test_spread_is_the_union_of_the_blocks_met(pair, data):
     first, _ = pair
     width = len(first)
     m = data.draw(st.integers(0, (1 << width) - 1))
-    want = sum(b for b in block_masks(first) if b & m)
-    for spread in spreaders(first, width):
-        assert spread(m) == want
+    assert spreader(first, range(width))(m) == sum(b for b in block_masks(first) if b & m)
 
 
 def test_spread_treats_undrawn_nodes_as_singletons():
     # one block of two positions, drawn on nodes 0 and 2 of a wider mask
+    spread = spreader((0, 0), (0, 2))
     for width in (4, 9, 16, 17, 25):
-        plain = spreader((0, 0), (0, 2))
-        for spread in (plain, tabulated(plain, width)):
-            assert spread(0b1) == spread(0b100) == 0b101
-            assert spread(0b10) == 0b10
-            assert spread(1 << (width - 1)) == 1 << (width - 1)
-    assert tabulated(spreader((), ()), 0)(0) == 0
+        assert spread(0b1) == spread(0b100) == 0b101
+        assert spread(0b10) == 0b10
+        assert spread(1 << (width - 1)) == 1 << (width - 1)
+    assert spreader((), ())(0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +239,80 @@ def test_pair_entries_match_the_forest_exhaustively():
                     assert e_r(p, q, r, 3) == (0 if want[a][b] == _FLAW else 3 ** want[a][b])
 
 
+def row_kernel_table(labels: Sequence[Partition], n: int, r: int) -> list[bytes]:
+    """The level-r table row by row on the pair kernel (`_exponent_row`),
+    every pair of it, on plain spreaders."""
+    cut = _cut(r)
+    lows = [stacked_spreader(q, cut, True) for q in labels]
+    return [bytes(_exponent_row(stacked_spreader(p, cut, False), lows, n, r)) for p in labels]
+
+
 def test_exponent_tables_match_the_forest_exhaustively():
-    # every pair of NC(n), n ≤ 7, at every level; level 0, the default, is
-    # the plain pair graph of the Gram matrix
-    for n in range(1, 8):
-        labels = tuple(enumerate_partitions(n, NC))
-        for r in range(n):
-            want = [bytes(row) for row in oracle_table(labels, n, r)]
-            assert list(_exponent_table(labels, n, r)) == want
-            if r == 0:
-                assert list(_exponent_table(labels, n)) == want
+    # every pair of NC(n), n ≤ 7, at every level, and at level 0, the
+    # default and the plain pair graph of the Gram matrix, of ALL(n ≤ 6)
+    # and NC2(n ≤ 12); all of them bit-sliced
+    cases = [(NC, n, r) for n in range(1, 8) for r in range(n)]
+    cases += [(ALL, n, 0) for n in range(1, 7)] + [(NC2, n, 0) for n in range(2, 13, 2)]
+    for cls, n, r in cases:
+        labels = tuple(enumerate_partitions(n, cls))
+        want = [bytes(row) for row in oracle_table(labels, n, r)]
+        assert list(_exponent_table(labels, n, r)) == want
+        assert row_kernel_table(labels, n, r) == want
+        if r == 0:
+            assert list(_exponent_table(labels, n)) == want
+
+
+def test_sliced_tables_match_the_pair_kernel_across_row_chunks():
+    # ALL(7) has 877 rows of 880 bits, six chunks of 148 rows at most
+    labels = tuple(enumerate_partitions(7, ALL))
+    for r in (0, 3, 6):
+        assert list(_exponent_table(labels, 7, r)) == row_kernel_table(labels, 7, r)
+
+
+def test_exponent_tables_on_either_side_of_the_16_node_cut():
+    # level 8 of 11 points is 16 nodes, bit-sliced, and level 10 is 17,
+    # pair by pair: W(11, 8) and a slice of NC(11), whose flaw patterns
+    # are mostly broken, checked on both
+    stratum = tuple(w_stratum(11, 8))
+    sliced = tuple(enumerate_partitions(11, NC)[::600])
+    for labels, r in ((stratum, 8), (stratum, 10), (sliced, 8), (sliced, 10)):
+        want = [bytes(row) for row in oracle_table(labels, 11, r)]
+        assert list(_exponent_table(labels, 11, r)) == want
+        assert row_kernel_table(labels, 11, r) == want
+
+
+def test_exponent_table_of_no_labels_is_empty():
+    for n, r in ((3, 0), (3, 2), (20, 0), (20, 19)):
+        assert _exponent_table((), n, r) == ()
+
+
+@st.composite
+def labels_and_level(draw):
+    """A list of (0, n) partitions, n ≤ 8, duplicates allowed, and r < n."""
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(rgs_of(n), min_size=1, max_size=12))
+    return tuple(Partition(0, n, rgs) for rgs in labels), n, draw(st.integers(0, n - 1))
+
+
+@given(labels_and_level())
+@example(((Partition.singletons(8),) * 2 + (Partition.one_block(8),), 8, 7))
+def test_sliced_tables_match_the_pair_entries(case):
+    labels, n, r = case
+    want = [[_pair_exponent(p, q, r) for q in labels] for p in labels]
+    assert [list(row) for row in _exponent_table(labels, n, r)] == want
+
+
+def test_exponent_table_memory_is_bounded_by_the_row_chunks():
+    # NC(8) at level 0: the 1430 × 1430 bytes of the table itself and the
+    # masks of one chunk of rows, not a spread table per label
+    labels = tuple(enumerate_partitions(8, NC))
+    tracemalloc.start()
+    try:
+        _exponent_table(labels, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_exponent_tables_hold_loop_counts_past_a_byte():

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "ncgram"
@@ -29,6 +32,19 @@ def test_every_exported_name_resolves():
 
     missing = [name for name in ncgram.__all__ if not hasattr(ncgram, name)]
     assert missing == []
+
+
+def test_importing_the_package_loads_no_numeric_library():
+    # the package is pure Python: numpy or gmpy2, where installed, would add
+    # their import time to every process that imports ncgram
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    script = "import sys, ncgram; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "ncgram" in loaded
+    assert loaded & {"numpy", "gmpy2"} == set()
 
 
 def _unused_imports(path: Path) -> list[str]:
