@@ -7,11 +7,12 @@ Gram matrix is level 0 of the level matrices of `tutte`: one exponent
 table, `_exponent_table`, holds the loop counts at any level r (with a
 flaw sentinel at r > 0), and one reader, `_table_matrix`, turns it into
 every Gram and level matrix. The table is filled by one of two paths. On
-at most 16 nodes (points plus the verticals cut at level r) it is
+at most 255 nodes (points plus the verticals cut at level r) it is
 bit-sliced: each pair of a chunk of rows is one bit of a mask per node
 pair, and a Warshall closure over the nodes connects the components of
-every pair at once. A wider table is filled pair by pair by the join
-kernel of `partitions`, which also gives a single entry. With
+every pair at once. A wider table, past what one byte counts, is filled
+pair by pair by the join kernel of `partitions`, which also gives a
+single entry. With
 N given, the entries are the integers N^e, looked up in a table of powers;
 with N = None the Gram matrix is symbolic, and its entries are the
 exponents e of the monomials X^e.
@@ -47,7 +48,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from functools import cache, reduce
-from itertools import combinations
+from itertools import compress, pairwise
 from math import log2
 from operator import or_
 from typing import Sequence
@@ -225,15 +226,15 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
 
     Level 0 gives the plain loop counts rl(q*, p) of the Gram matrix, and
     a level r > 0 the counts with `_FLAW` on flawed pairs. A table on at
-    most 16 nodes (points + `_cut(r)`) is filled bit-sliced, all pairs at
-    once (`_sliced_table`). A wider one is filled pair by pair: both
-    levels are symmetric in p and q (swapping the rows of the pair graph
-    swaps upper with lower points in the flaw pattern), so only the upper
-    triangle is computed; each row segment is written into its row and,
-    by a strided slice, its column of one flat table.
+    most `_SLICED_NODES` nodes (points + `_cut(r)`) is filled bit-sliced,
+    all pairs at once (`_sliced_table`). A wider one is filled pair by
+    pair: both levels are symmetric in p and q (swapping the rows of the
+    pair graph swaps upper with lower points in the flaw pattern), so only
+    the upper triangle is computed; each row segment is written into its
+    row and, by a strided slice, its column of one flat table.
     """
     cut = _cut(r)
-    if points + cut <= 16:
+    if points + cut <= _SLICED_NODES:
         return _sliced_table(labels, points, r)
     ups = [stacked_spreader(p, cut, False) for p in labels]
     lows = [stacked_spreader(p, cut, True) for p in labels]
@@ -248,28 +249,34 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
     return tuple(rows if isinstance(flat, array) else map(bytes, rows))
 
 
-#: Bits of the pair masks of one chunk of rows in `_sliced_table`, which
-#: bounds its working memory at any table size.
+#: The most nodes `_sliced_table` takes: it sums the component roots of a
+#: pair in one byte, which no count of at most 255 carries out of.
+_SLICED_NODES = 255
+
+#: Bits of each pair mask of one chunk of rows in `_sliced_table` on at
+#: most 16 nodes, and (16/width)² as many on more, so the width² masks of
+#: a chunk hold at most 2^25 bits at any table size.
 _CHUNK_BITS = 1 << 17
 
 
 def _sliced_table(labels: tuple[Partition, ...], points: int, r: int) -> tuple[bytes, ...]:
-    """`_exponent_table` on at most 16 nodes, by mask operations on all
-    pairs of a chunk of rows at once (bit slicing).
+    """`_exponent_table` on at most `_SLICED_NODES` nodes, by mask
+    operations on all pairs of a chunk of rows at once (bit slicing).
 
     Pair (a, b) of the chunk is bit a·W + b of a mask, W the label count
     rounded up to whole bytes. Node pair u < v starts from the rows whose
-    label, drawn above, joins u and v, and the columns whose label, drawn
-    below, joins them, repeated in every row. Warshall's closure
-    C_ij |= C_ik & C_kj over the nodes k then connects every two nodes of
-    a component, pair by pair. The components of a pair are its roots,
-    the nodes with no smaller node connected; each mask is read as text,
-    one byte per pair, and summed into one byte per pair, which no count
-    of at most 16 carries out of. At r > 0 the flaw pattern of
-    `_exponent_row` is read off the same masks: a pair is flawed where two
-    of the nodes 0..cut−1 above are connected, or where i ~ i' is asked
-    for and i reaches no point below but i'; at even r the count drops by
-    one where s+1 and (s+1)' are apart.
+    label, drawn above, links u and v (`_node_pairs`), and the columns
+    whose label, drawn below, links them, repeated in every row.
+    Warshall's closure C_ij |= C_ik & C_kj over the nodes k then connects
+    every two nodes of a component, pair by pair; it visits only the nodes
+    connected to k in some pair, which on a wide level are few. The
+    components of a pair are its roots, the nodes with no smaller node
+    connected; each mask is read as text, one byte per pair, and summed
+    into one byte per pair. At r > 0 the flaw pattern of `_exponent_row`
+    is read off the same masks: a pair is flawed where two of the nodes
+    0..cut−1 above are connected, or where i ~ i' is asked for and i
+    reaches no point below but i'; at even r the count drops by one where
+    s+1 and (s+1)' are apart.
     """
     if not labels:
         return ()  # an empty class, NC2 at odd points
@@ -279,16 +286,17 @@ def _sliced_table(labels: tuple[Partition, ...], points: int, r: int) -> tuple[b
     row_bytes = -(-size // 8)
     ups = [_node_pairs(p.rgs, range(points)) for p in labels]
     below = [points + i if i < cut else i for i in range(points)]
-    cols: dict[tuple[int, int], int] = {}  # node pair -> the columns that join it
+    cols: dict[tuple[int, int], int] = {}  # node pair -> the columns that link it
     for b, q in enumerate(labels):
         for pair in _node_pairs(q.rgs, below):
             cols[pair] = cols.get(pair, 0) | 1 << b
-    step = max(1, _CHUNK_BITS // (8 * row_bytes))
+    bits = _CHUNK_BITS * 16**2 // max(width, 16) ** 2
+    step = max(1, bits // (8 * row_bytes))
     table: list[bytes] = []
     for start in range(0, size, step):
         count = min(step, size - start)
         length = 8 * row_bytes * count
-        # node pair -> the rows that join it above; rows are whole bytes,
+        # node pair -> the rows that link it above; rows are whole bytes,
         # so a row's fill is one slice assignment
         fills = defaultdict(lambda: bytearray(length // 8))
         for a, pairs in enumerate(ups[start : start + count]):
@@ -296,18 +304,16 @@ def _sliced_table(labels: tuple[Partition, ...], points: int, r: int) -> tuple[b
                 fills[pair][a * row_bytes : (a + 1) * row_bytes] = b"\xff" * row_bytes
         every_row = int.from_bytes((b"\x01" + bytes(row_bytes - 1)) * count, "little")
         C = [[0] * width for _ in range(width)]
-        for u in range(width):
-            for v in range(u + 1, width):
-                rows = int.from_bytes(fills.get((u, v), b""), "little")
-                C[u][v] = C[v][u] = rows | cols.get((u, v), 0) * every_row
+        for u, v in fills.keys() | cols.keys():
+            rows = int.from_bytes(fills.get((u, v), b""), "little")
+            C[u][v] = C[v][u] = rows | cols.get((u, v), 0) * every_row
         for k in range(width):
             Ck = C[k]
-            for i in range(width):
-                if i == k or not Ck[i]:
-                    continue
+            linked = list(compress(range(width), Ck))  # no update here moves C[k]
+            for at, i in enumerate(linked):
                 Ci, Cik = C[i], Ck[i]
-                for j in range(i + 1, width):
-                    if j != k and (via := Cik & Ck[j]):
+                for j in linked[at + 1 :]:
+                    if via := Cik & Ck[j]:
                         Ci[j] = C[j][i] = Ci[j] | via
         zeros = int.from_bytes(b"0" * length, "little")
         ones = int.from_bytes(b"\x01" * length, "little")
@@ -337,12 +343,13 @@ def _sliced_table(labels: tuple[Partition, ...], points: int, r: int) -> tuple[b
 
 
 def _node_pairs(rgs: tuple[int, ...], place: Sequence[int]) -> list[tuple[int, int]]:
-    """Every node pair u < v that a block of rgs joins, with position pos
-    drawn on node place[pos]."""
+    """The node pairs u < v that link each block of rgs, with position pos
+    drawn on node place[pos]: its nodes in order, each to the next, which
+    connect the block as all of its pairs would."""
     blocks: dict[int, list[int]] = {}
     for node, b in zip(place, rgs):
         blocks.setdefault(b, []).append(node)
-    return [pair for nodes in blocks.values() for pair in combinations(sorted(nodes), 2)]
+    return [pair for nodes in blocks.values() for pair in pairwise(sorted(nodes))]
 
 
 def _pair_exponent(p: Partition, q: Partition, r: int = 0) -> int:

@@ -23,7 +23,7 @@ to the union of the blocks that meet it, block by block, and
 `join_closure` grows a mask by the blocks of both partitions to a
 fixpoint, which is one or more whole components. This kernel counts the
 loops of one pair at a time: a composition, a single matrix entry, and
-every pair of a level table wider than 16 nodes. A table of at most 16
+every pair of a level table wider than 255 nodes. A table of at most 255
 nodes is filled by `gram`, all pairs at once, from the node pairs each
 block joins.
 """
@@ -389,7 +389,7 @@ def join_closure(up: Callable[[int], int], lo: Callable[[int], int], m: int) -> 
 
     This is the package's loop-count kernel for one pair at a time:
     composition, single pair and cut graphs, the flaw test and the level
-    tables wider than 16 nodes run on it. `up` and
+    tables wider than 255 nodes run on it. `up` and
     `lo` are the spreaders of two partitions drawn on one set of nodes.
     The mask grows by whole blocks of either partition until neither adds
     a node: then it is a union of blocks of both, which is a union of

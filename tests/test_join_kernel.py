@@ -3,7 +3,7 @@
 `block_forest`, `PairForest` and the forest versions of `compose` and of
 the level-r entry are the package's earlier loop-count kernel, kept here
 unchanged as oracles for `spreader`, `join_closure` and both paths of
-the exponent table: bit-sliced on at most 16 nodes, pair by pair beyond.
+the exponent table: bit-sliced on at most 255 nodes, pair by pair beyond.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ncgram.gram import _FLAW, _cut, _exponent_row, _exponent_table, _pair_exponent
+from ncgram.gram import _FLAW, _cut, _exponent_row, _exponent_table, _pair_exponent, _sliced_table
 from ncgram.partitions import (
     Partition,
     PartitionClass,
@@ -124,7 +124,7 @@ def oracle_table(labels: Sequence[Partition], n: int, r: int) -> list[list[int]]
 # ---------------------------------------------------------------------------
 # the kernel on arbitrary node sets
 
-# 16/17 nodes lie on either side of the exponent table's 16-node cut
+# 8/9 and 16/17 nodes lie on either side of one and two bytes of mask
 WIDTHS = st.one_of(st.sampled_from([8, 9, 16, 17, 24]), st.integers(1, 24))
 
 
@@ -269,16 +269,32 @@ def test_sliced_tables_match_the_pair_kernel_across_row_chunks():
         assert list(_exponent_table(labels, 7, r)) == row_kernel_table(labels, 7, r)
 
 
-def test_exponent_tables_on_either_side_of_the_16_node_cut():
-    # level 8 of 11 points is 16 nodes, bit-sliced, and level 10 is 17,
-    # pair by pair: W(11, 8) and a slice of NC(11), whose flaw patterns
-    # are mostly broken, checked on both
+def test_wide_sliced_tables_match_both_oracles():
+    # level 8 of 11 points is 16 nodes and level 10 is 17, where the row
+    # chunks start to shrink with the square of the width: W(11, 8) and a
+    # slice of NC(11), whose flaw patterns are mostly broken; W(12, 8) is
+    # 350 rows on 17 nodes, two chunks
     stratum = tuple(w_stratum(11, 8))
     sliced = tuple(enumerate_partitions(11, NC)[::600])
-    for labels, r in ((stratum, 8), (stratum, 10), (sliced, 8), (sliced, 10)):
-        want = [bytes(row) for row in oracle_table(labels, 11, r)]
-        assert list(_exponent_table(labels, 11, r)) == want
-        assert row_kernel_table(labels, 11, r) == want
+    cases = ((stratum, 11, 8), (stratum, 11, 10), (sliced, 11, 8), (sliced, 11, 10))
+    for labels, n, r in cases + ((tuple(w_stratum(12, 8)), 12, 8),):
+        want = [bytes(row) for row in oracle_table(labels, n, r)]
+        assert list(_exponent_table(labels, n, r)) == want
+        assert row_kernel_table(labels, n, r) == want
+
+
+def test_exponent_tables_on_either_side_of_the_255_node_cut():
+    # level 168 of 170 points is 255 nodes, bit-sliced, and level 169 of
+    # 171 is 256, pair by pair: a slice of each top stratum and the two
+    # extreme partitions, at the top level and at level 0 (sliced on both)
+    for n, r in ((170, 168), (171, 169)):
+        labels = (*w_stratum(n, r)[::20], Partition.singletons(n), Partition.one_block(n))
+        for level in (r, 0):
+            want = [bytes(row) for row in oracle_table(labels, n, level)]
+            assert list(_exponent_table(labels, n, level)) == want
+            assert row_kernel_table(labels, n, level) == want
+            if n + _cut(level) == 255:
+                assert list(_sliced_table(labels, n, level)) == want
 
 
 def test_exponent_table_of_no_labels_is_empty():
@@ -304,30 +320,34 @@ def test_sliced_tables_match_the_pair_entries(case):
 
 def test_exponent_table_memory_is_bounded_by_the_row_chunks():
     # NC(8) at level 0: the 1430 × 1430 bytes of the table itself and the
-    # masks of one chunk of rows, not a spread table per label
-    labels = tuple(enumerate_partitions(8, NC))
-    tracemalloc.start()
-    try:
-        _exponent_table(labels, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
+    # masks of one chunk of rows, not a spread table per label; W(42, 39)
+    # is 902 rows on 62 nodes, whose 62² masks shrink each chunk
+    cases = ((tuple(enumerate_partitions(8, NC)), 8, 0), (tuple(w_stratum(42, 39)), 42, 39))
+    for labels, n, r in cases:
+        tracemalloc.start()
+        try:
+            _exponent_table(labels, n, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 def test_exponent_tables_hold_loop_counts_past_a_byte():
     # 300 singletons over themselves close 300 loops, more than a byte holds
     n = 300
     assert e_r(Partition.singletons(n), Partition.singletons(n), 0, 4) == 4**n
-    n = 600
-    labels = (
-        Partition.singletons(n),
-        Partition.one_block(n),
-        Partition(0, n, tuple(i // 2 for i in range(n))),
-        Partition(0, n, (0, *range(1, n - 1), 0)),
-    )
-    for r in (0, 1, 2, 5):
-        assert [list(row) for row in _exponent_table(labels, n, r)] == oracle_table(labels, n, r)
+    # at level 0, 255 points make the widest bit-sliced table, whose byte
+    # sums just hold 255 loops; 256 points are filled pair by pair
+    for n in (255, 256, 600):
+        labels = (
+            Partition.singletons(n),
+            Partition.one_block(n),
+            Partition(0, n, tuple(i // 2 for i in range(n))),
+            Partition(0, n, (0, *range(1, n - 1), 0)),
+        )
+        for r in (0, 1, 2, 5):
+            assert [list(row) for row in _exponent_table(labels, n, r)] == oracle_table(labels, n, r)
     m = build_A(n, n - 1, 4)
     want = oracle_table(m.row_labels, n, n - 1)
     assert m.entries == tuple(tuple(0 if e == _FLAW else 4**e for e in row) for row in want)
