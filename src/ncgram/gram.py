@@ -6,13 +6,13 @@ components of the pair graph of p over q, which is the join p ∨ q. The
 Gram matrix is level 0 of the level matrices of `tutte`: one exponent
 table, `_exponent_table`, holds the loop counts at any level r (with a
 flaw sentinel at r > 0), and one reader, `_table_matrix`, turns it into
-every Gram and level matrix. The table is filled by one of two paths. On
-at most 255 nodes (points plus the verticals cut at level r) it is
-bit-sliced: each pair of a chunk of rows is one bit of a mask per node
-pair, and a Warshall closure over the nodes connects the components of
-every pair at once. A wider table, past what one byte counts, is filled
-pair by pair by the join kernel of `partitions`, which also gives a
-single entry. With
+every Gram and level matrix. The table is bit-sliced at any width (the
+points plus the verticals cut at level r): each pair of a chunk of rows
+is one bit of a mask per linked node pair, vertex elimination over the
+nodes connects the components of every pair at once, and each pair's
+roots are summed in a lane of 1, 2 or 4 bytes, by the node count. A
+single entry is counted by the join kernel of `partitions`
+(`_exponent_row`), which is also the table's oracle in the tests. With
 N given, the entries are the integers N^e, looked up in a table of powers;
 with N = None the Gram matrix is symbolic, and its entries are the
 exponents e of the monomials X^e.
@@ -43,12 +43,13 @@ determinant.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from functools import cache, reduce
-from itertools import compress, pairwise
+from itertools import pairwise
 from math import log2
 from operator import or_
 from typing import Sequence
@@ -221,78 +222,59 @@ def _exponent_row(up, lows, points: int, r: int) -> bytearray | array:
     return row
 
 
-def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> tuple:
-    """The exponent of every pair of (0, points) labels, one row each.
-
-    Level 0 gives the plain loop counts rl(q*, p) of the Gram matrix, and
-    a level r > 0 the counts with `_FLAW` on flawed pairs. A table on at
-    most `_SLICED_NODES` nodes (points + `_cut(r)`) is filled bit-sliced,
-    all pairs at once (`_sliced_table`). A wider one is filled pair by
-    pair: both levels are symmetric in p and q (swapping the rows of the
-    pair graph swaps upper with lower points in the flaw pattern), so only
-    the upper triangle is computed; each row segment is written into its
-    row and, by a strided slice, its column of one flat table.
-    """
-    cut = _cut(r)
-    if points + cut <= _SLICED_NODES:
-        return _sliced_table(labels, points, r)
-    ups = [stacked_spreader(p, cut, False) for p in labels]
-    lows = [stacked_spreader(p, cut, True) for p in labels]
-    size = len(labels)
-    flat = _exponents(points, size * size)
-    for a in range(size):
-        segment = _exponent_row(ups[a], lows[a:], points, r)
-        start = a * size + a
-        flat[start : (a + 1) * size] = segment
-        flat[start::size] = segment
-    rows = (flat[a * size : (a + 1) * size] for a in range(size))
-    return tuple(rows if isinstance(flat, array) else map(bytes, rows))
-
-
-#: The most nodes `_sliced_table` takes: it sums the component roots of a
-#: pair in one byte, which no count of at most 255 carries out of.
-_SLICED_NODES = 255
-
-#: Bits of each pair mask of one chunk of rows in `_sliced_table` on at
-#: most 16 nodes, and (16/width)² as many on more, so the width² masks of
-#: a chunk hold at most 2^25 bits at any table size.
+#: Bits of each pair mask of one chunk of rows in `_exponent_table` on at
+#: most 16 nodes, and (16/width)² as many on more, so the at most width²
+#: masks of a chunk hold at most 2^25 bits at any table size.
 _CHUNK_BITS = 1 << 17
 
 
-def _sliced_table(labels: tuple[Partition, ...], points: int, r: int) -> tuple[bytes, ...]:
-    """`_exponent_table` on at most `_SLICED_NODES` nodes, by mask
-    operations on all pairs of a chunk of rows at once (bit slicing).
+def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> tuple:
+    """The exponent of every pair of (0, points) labels, one row each, by
+    mask operations on all pairs of a chunk of rows at once (bit slicing).
 
+    Level 0 gives the plain loop counts rl(q*, p) of the Gram matrix, and
+    a level r > 0 the counts with `_FLAW` on flawed pairs, as
+    `_exponent_row` gives them. The 2·cut terminals of the cut graph are
+    its lowest nodes: upper point i < cut is node i and its lower point
+    node cut + i; any other point i is node cut + i, above and below.
     Pair (a, b) of the chunk is bit a·W + b of a mask, W the label count
     rounded up to whole bytes. Node pair u < v starts from the rows whose
     label, drawn above, links u and v (`_node_pairs`), and the columns
-    whose label, drawn below, links them, repeated in every row.
-    Warshall's closure C_ij |= C_ik & C_kj over the nodes k then connects
-    every two nodes of a component, pair by pair; it visits only the nodes
-    connected to k in some pair, which on a wide level are few. The
-    components of a pair are its roots, the nodes with no smaller node
-    connected; each mask is read as text, one byte per pair, and summed
-    into one byte per pair. At r > 0 the flaw pattern of `_exponent_row`
-    is read off the same masks: a pair is flawed where two of the nodes
-    0..cut−1 above are connected, or where i ~ i' is asked for and i
-    reaches no point below but i'; at even r the count drops by one where
-    s+1 and (s+1)' are apart.
+    whose label, drawn below, links them, repeated in every row; each node
+    keeps only its nonempty pairs. Vertex elimination, k from the top node
+    down, sets C_ij |= C_ik & C_kj for the neighbours i, j of k below
+    max(k, 2·cut), so it also closes the terminals among themselves. Once
+    every node above v is eliminated, v is linked in a pair to a smaller
+    node exactly where it is connected to one (a path to one, cut at its
+    first node below v, runs above v), so the components of a pair are
+    its roots, the nodes with no smaller neighbour. Each mask is read as
+    text, one lane per pair, and summed into one lane per pair: 1 byte
+    below 256 nodes, 2 below 65,536 and 4 beyond, so no count carries out
+    of its lane. At r > 0 the flaw pattern of `_exponent_row` is read off
+    the terminals' masks: a pair is flawed where two of the nodes 0..cut−1
+    above are connected, or where i ~ i' is asked for and i reaches no
+    point below but i'; at even r the count drops by one where s+1 and
+    (s+1)' are apart. Rows are bytes below 256 points and `_exponents`
+    arrays from there on.
     """
     if not labels:
         return ()  # an empty class, NC2 at odd points
     cut = _cut(r)
     width = points + cut
+    terminals = 2 * cut
     size = len(labels)
     row_bytes = -(-size // 8)
-    ups = [_node_pairs(p.rgs, range(points)) for p in labels]
-    below = [points + i if i < cut else i for i in range(points)]
+    lane = 1 if width < 1 << 8 else 2 if width < 1 << 16 else 4
+    codec = {1: "latin-1", 2: "utf-16-be", 4: "utf-32-be"}[lane]
+    above = [i if i < cut else cut + i for i in range(points)]
+    ups = [_node_pairs(p.rgs, above) for p in labels]
     cols: dict[tuple[int, int], int] = {}  # node pair -> the columns that link it
     for b, q in enumerate(labels):
-        for pair in _node_pairs(q.rgs, below):
+        for pair in _node_pairs(q.rgs, range(cut, width)):
             cols[pair] = cols.get(pair, 0) | 1 << b
     bits = _CHUNK_BITS * 16**2 // max(width, 16) ** 2
     step = max(1, bits // (8 * row_bytes))
-    table: list[bytes] = []
+    table: list = []
     for start in range(0, size, step):
         count = min(step, size - start)
         length = 8 * row_bytes * count
@@ -303,42 +285,54 @@ def _sliced_table(labels: tuple[Partition, ...], points: int, r: int) -> tuple[b
             for pair in pairs:
                 fills[pair][a * row_bytes : (a + 1) * row_bytes] = b"\xff" * row_bytes
         every_row = int.from_bytes((b"\x01" + bytes(row_bytes - 1)) * count, "little")
-        C = [[0] * width for _ in range(width)]
+        C: list[dict[int, int]] = [{} for _ in range(width)]  # node -> linked node -> mask
         for u, v in fills.keys() | cols.keys():
             rows = int.from_bytes(fills.get((u, v), b""), "little")
             C[u][v] = C[v][u] = rows | cols.get((u, v), 0) * every_row
-        for k in range(width):
-            Ck = C[k]
-            linked = list(compress(range(width), Ck))  # no update here moves C[k]
+        for k in range(width - 1, -1, -1):
+            Ck, top = C[k], max(k, terminals)
+            linked = [u for u in Ck if u < top]  # no update here moves C[k]
             for at, i in enumerate(linked):
                 Ci, Cik = C[i], Ck[i]
                 for j in linked[at + 1 :]:
                     if via := Cik & Ck[j]:
-                        Ci[j] = C[j][i] = Ci[j] | via
-        zeros = int.from_bytes(b"0" * length, "little")
-        ones = int.from_bytes(b"\x01" * length, "little")
+                        Ci[j] = C[j][i] = Ci.get(j, 0) | via
+        zeros = int.from_bytes(("0" * length).encode(codec), "big")
 
-        def bytewise(mask: int) -> int:
-            """One byte per pair, 1 where its bit is set: bit t is byte
-            length−1−t, so big-endian bytes read them back in order."""
-            return int.from_bytes(format(mask, f"0{length}b").encode(), "little") - zeros
+        def lanewise(mask: int) -> int:
+            """One lane per pair, 1 where its bit is set: bit t is the
+            t-th lowest lane, since the text puts the top bit first."""
+            return int.from_bytes(format(mask, f"0{length}b").encode(codec), "big") - zeros
 
+        ones = lanewise((1 << length) - 1)
         total = width * ones
         for v in range(1, width):
-            total -= bytewise(reduce(or_, C[v][:v]))  # v is no root
+            if smaller := reduce(or_, (m for u, m in C[v].items() if u < v), 0):
+                total -= lanewise(smaller)  # v is no root
         if cut:
             joined = cut - 1 + r % 2  # i ~ i' is asked for i < joined
             flaw = 0
             for i in range(cut):
-                flaw |= reduce(or_, C[i][i + 1 : cut], 0)
+                # i is connected to another node above, or, where i ~ i' is
+                # asked for, to another node below or not to i'
+                top = terminals if i < joined else cut
+                others = (m for j, m in C[i].items() if i < j < top and j != cut + i)
+                flaw |= reduce(or_, others, 0)
                 if i < joined:
-                    lows = C[i][points:width]
-                    flaw |= reduce(or_, lows[:i] + lows[i + 1 :], lows[i] ^ (1 << length) - 1)
+                    flaw |= C[i].get(cut + i, 0) ^ (1 << length) - 1
             if joined < cut:  # even r: gluing s+1 to (s+1)' joins two components
-                total -= ones - bytewise(C[cut - 1][width - 1])
-            total &= (ones - bytewise(flaw)) * 255
-        data = total.to_bytes(length, "big")
-        table += (data[o : o + size] for o in range(0, length, 8 * row_bytes))
+                total -= ones - lanewise(C[cut - 1].get(terminals - 1, 0))
+            total &= (ones - lanewise(flaw)) * ((1 << 8 * lane) - 1)
+        data = total.to_bytes(lane * length, "little")
+        starts = range(0, length, 8 * row_bytes)
+        if points < 256:  # the low byte of each lane
+            table += (data[lane * o : lane * (o + size) : lane] for o in starts)
+        else:
+            lanes = array("H" if lane == 2 else "I", data)
+            if sys.byteorder == "big":
+                lanes.byteswap()
+            typecode = _exponents(points, 0).typecode
+            table += (array(typecode, lanes[o : o + size]) for o in starts)
     return tuple(table)
 
 

@@ -22,10 +22,9 @@ components. Blocks are bitmasks over the nodes. A `spreader` maps a mask
 to the union of the blocks that meet it, block by block, and
 `join_closure` grows a mask by the blocks of both partitions to a
 fixpoint, which is one or more whole components. This kernel counts the
-loops of one pair at a time: a composition, a single matrix entry, and
-every pair of a level table wider than 255 nodes. A table of at most 255
-nodes is filled by `gram`, all pairs at once, from the node pairs each
-block joins.
+loops of one pair at a time: a composition and a single matrix entry.
+Every Gram and level table is filled by `gram`, all pairs at once, from
+the node pairs each block joins.
 """
 
 from __future__ import annotations
@@ -388,9 +387,9 @@ def join_closure(up: Callable[[int], int], lo: Callable[[int], int], m: int) -> 
     """The union of the components of the join of two partitions that meet m.
 
     This is the package's loop-count kernel for one pair at a time:
-    composition, single pair and cut graphs, the flaw test and the level
-    tables wider than 255 nodes run on it. `up` and
-    `lo` are the spreaders of two partitions drawn on one set of nodes.
+    composition, single pair and cut graphs and the flaw test run on it;
+    no table does. `up` and `lo` are the spreaders of two partitions drawn
+    on one set of nodes.
     The mask grows by whole blocks of either partition until neither adds
     a node: then it is a union of blocks of both, which is a union of
     components of the join, and every node in it was reached from m.

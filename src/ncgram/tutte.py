@@ -394,8 +394,9 @@ def recursion_det(n: int, N: int) -> int:
     return value
 
 
-def _level_exponents(n: int, N: int) -> tuple[list[int], list[int], list[dict]]:
-    """det A(n,0) as powers: its bases, their exponents, and the trace.
+def _level_exponents(n: int, N: int) -> tuple[list[int], list[list[list[int]]], list[dict]]:
+    """Every det A(m,r), m ≤ n, as powers: the bases, the exponents of
+    level(m, r) at [m][r] (none at m = 0), and the trace.
 
     Base 0 is N, and base k ≥ 1 the integer c_k = N^{deg β_k}·β_k(1/N). As
     deg β_k = ⌊(k−1)/2⌋, the factor β_{r+3}(1/N)/β_{r+2}(1/N) of level r
@@ -408,6 +409,7 @@ def _level_exponents(n: int, N: int) -> tuple[list[int], list[int], list[dict]]:
     # Bottom up, one point count m at a time: level(m, r) needs
     # level(m, r+1) and level(m-1, r-1), or level(m-1, 0) at r = 0.
     below: list[list[int]] = []  # exponents of level(m-1, r) for r = 0..m-2
+    every = [below]
     trace: list[dict] = []
     for m in range(1, n + 1):
         w_counts, y_counts = _strata_counts(m)
@@ -429,7 +431,8 @@ def _level_exponents(n: int, N: int) -> tuple[list[int], list[int], list[dict]]:
                 value[0] += y_counts[r] - w
             levels.append(value)
         below = levels[::-1]
-    return bases, below[0], trace
+        every.append(below)
+    return bases, every, trace
 
 
 def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
@@ -443,5 +446,5 @@ def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
         raise ValueError("n must be positive")
     check_parameter(N, 4, "the recursion needs N >= 4: below, a reversed Beraha value can vanish")
     _check_det_bits(n, PartitionClass.NONCROSSING, N)
-    bases, exponents, trace = _level_exponents(n, N)
-    return power_product(zip(bases, exponents)), trace
+    bases, levels, trace = _level_exponents(n, N)
+    return power_product(zip(bases, levels[n][0])), trace

@@ -2,19 +2,22 @@
 
 `block_forest`, `PairForest` and the forest versions of `compose` and of
 the level-r entry are the package's earlier loop-count kernel, kept here
-unchanged as oracles for `spreader`, `join_closure` and both paths of
-the exponent table: bit-sliced on at most 255 nodes, pair by pair beyond.
+unchanged as oracles for `spreader`, `join_closure` and the bit-sliced
+exponent table, which the pair kernel `_exponent_row` checks as well.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from array import array
 from typing import Sequence
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ncgram.gram import _FLAW, _cut, _exponent_row, _exponent_table, _pair_exponent, _sliced_table
+import ncgram.gram
+import ncgram.partitions
+from ncgram.gram import _FLAW, _cut, _exponent_row, _exponent_table, _pair_exponent
 from ncgram.partitions import (
     Partition,
     PartitionClass,
@@ -239,12 +242,12 @@ def test_pair_entries_match_the_forest_exhaustively():
                     assert e_r(p, q, r, 3) == (0 if want[a][b] == _FLAW else 3 ** want[a][b])
 
 
-def row_kernel_table(labels: Sequence[Partition], n: int, r: int) -> list[bytes]:
+def row_kernel_table(labels: Sequence[Partition], n: int, r: int) -> list:
     """The level-r table row by row on the pair kernel (`_exponent_row`),
     every pair of it, on plain spreaders."""
     cut = _cut(r)
     lows = [stacked_spreader(q, cut, True) for q in labels]
-    return [bytes(_exponent_row(stacked_spreader(p, cut, False), lows, n, r)) for p in labels]
+    return [_exponent_row(stacked_spreader(p, cut, False), lows, n, r) for p in labels]
 
 
 def test_exponent_tables_match_the_forest_exhaustively():
@@ -283,18 +286,48 @@ def test_wide_sliced_tables_match_both_oracles():
         assert row_kernel_table(labels, n, r) == want
 
 
-def test_exponent_tables_on_either_side_of_the_255_node_cut():
-    # level 168 of 170 points is 255 nodes, bit-sliced, and level 169 of
-    # 171 is 256, pair by pair: a slice of each top stratum and the two
-    # extreme partitions, at the top level and at level 0 (sliced on both)
-    for n, r in ((170, 168), (171, 169)):
-        labels = (*w_stratum(n, r)[::20], Partition.singletons(n), Partition.one_block(n))
+def test_exponent_tables_on_either_side_of_a_lane_boundary():
+    # level 168 of 170 points is 255 nodes, summed in 1-byte lanes, and
+    # level 169 of 171 is 256, in 2-byte lanes whose rows are still bytes;
+    # level 398 of 400 points is 600 nodes, whose rows are 16-bit arrays:
+    # a slice of each top stratum and the extreme partitions, at the top
+    # level and at level 0. The one block is left out at 400 points: it
+    # links all 400 terminals, whose closure grows as their cube (25 s)
+    for n, r in ((170, 168), (171, 169), (400, 398)):
+        labels = (*w_stratum(n, r)[::20], Partition.singletons(n))
+        labels += (Partition.one_block(n),) if n < 256 else ()
         for level in (r, 0):
-            want = [bytes(row) for row in oracle_table(labels, n, level)]
-            assert list(_exponent_table(labels, n, level)) == want
-            assert row_kernel_table(labels, n, level) == want
-            if n + _cut(level) == 255:
-                assert list(_sliced_table(labels, n, level)) == want
+            want = oracle_table(labels, n, level)
+            table = _exponent_table(labels, n, level)
+            assert {type(row) for row in table} == {bytes if n < 256 else array}
+            assert [list(row) for row in table] == want
+            assert [list(row) for row in row_kernel_table(labels, n, level)] == want
+
+
+def test_exponent_tables_of_65536_points_sum_in_4_byte_lanes():
+    # the loop counts of the two extreme partitions are known in closed
+    # form: n loops of the singletons over themselves and one otherwise,
+    # and at level 1 every pair but one_block over itself is flawed
+    n = 1 << 16
+    labels = (Partition.singletons(n), Partition.one_block(n))
+    for r, want in ((0, [[n, 1], [1, 1]]), (1, [[_FLAW, _FLAW], [_FLAW, 1]])):
+        table = _exponent_table(labels, n, r)
+        assert all(row.typecode == "Q" for row in table)
+        assert [list(row) for row in table] == want
+
+
+def test_no_table_reaches_the_pair_kernel(monkeypatch):
+    # every table is bit-sliced at any width, so a wide top level builds
+    # with the pair kernel and the join closure both gone
+    def no_pair_kernel(*args):
+        raise AssertionError("a table was filled pair by pair")
+
+    monkeypatch.setattr(ncgram.gram, "_exponent_row", no_pair_kernel)
+    monkeypatch.setattr(ncgram.partitions, "join_closure", no_pair_kernel)
+    assert build_A(300, 298, 4).nrows == 300
+    blocks = (range(600), [0] * 600, [i // 2 for i in range(600)])
+    labels = tuple(Partition(0, 600, tuple(rgs)) for rgs in blocks)
+    assert [list(row) for row in _exponent_table(labels, 600, 5)] == oracle_table(labels, 600, 5)
 
 
 def test_exponent_table_of_no_labels_is_empty():
@@ -337,8 +370,8 @@ def test_exponent_tables_hold_loop_counts_past_a_byte():
     # 300 singletons over themselves close 300 loops, more than a byte holds
     n = 300
     assert e_r(Partition.singletons(n), Partition.singletons(n), 0, 4) == 4**n
-    # at level 0, 255 points make the widest bit-sliced table, whose byte
-    # sums just hold 255 loops; 256 points are filled pair by pair
+    # at level 0, 255 points make the widest table summed in 1-byte lanes,
+    # which just hold 255 loops; 256 points take 2-byte lanes
     for n in (255, 256, 600):
         labels = (
             Partition.singletons(n),

@@ -29,7 +29,7 @@ from ncgram.partitions import (
     kernel,
     stacked_spreader,
 )
-from ncgram.polynomials import beraha
+from ncgram.polynomials import beraha, power_product
 from ncgram.tutte import (
     F_r_value,
     _strata_counts,
@@ -880,7 +880,7 @@ def test_recursion_exponents_match_the_pair_formula_exponents():
     # against Di Francesco's a_{n,i}. The power of N is C_n, that of V_i is
     # a_{n,i} for i ≥ 2, and V_1 = 1 (c_2) absorbs the rest.
     for n in range(1, 41):
-        _, exponents, _ = tutte._level_exponents(n, 4)
+        exponents = tutte._level_exponents(n, 4)[1][n][0]
         a = difrancesco_exponents(n)
         catalan = comb(2 * n, n) // (n + 1)
         assert exponents[0] == catalan
@@ -888,6 +888,18 @@ def test_recursion_exponents_match_the_pair_formula_exponents():
         assert [exponents[i + 1] for i in range(2, n + 1)] == [a[i] for i in range(2, n + 1)], n
         # the same power of N on the formula's side, from its odd U_i
         assert sum(a_i for i, a_i in a.items() if i % 2) == catalan
+
+
+def test_every_level_of_the_recursion_equals_its_determinant():
+    # the recursion is a chain over the levels: each vector it builds on
+    # the way to det A(7, 0), multiplied out, is det A(m, r) by elimination
+    for N in (4, 5):
+        bases, levels, _ = tutte._level_exponents(7, N)
+        for m in range(1, 8):
+            assert len(levels[m]) == m
+            for r, exponents in enumerate(levels[m]):
+                want = determinant(build_A(m, r, N))
+                assert power_product(zip(bases, exponents)) == want, (m, r, N)
 
 
 def test_recursion_trace_is_freed_without_the_cycle_collector():
