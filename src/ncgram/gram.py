@@ -67,9 +67,9 @@ from .partitions import (
 from .polynomials import IntPolynomial
 
 #: Hard cap on elimination size. It admits NC(8) (1430 rows) and refuses
-#: NC(9) (4862). With the cap lifted, NC(9) at N = 4 took 0.7 s for the
-#: exponent table, 0.4 s to read its powers and 16.3 s to eliminate, at a
-#: 461 MiB peak, and its 31,242-bit determinant equals `recursion_det(9, 4)`
+#: NC(9) (4862). With the cap lifted, NC(9) at N = 4 took 1.1 s for the
+#: exponent table and its powers and 6.8 s to eliminate, at a 407 MiB peak
+#: resident set, and its 31,242-bit determinant equals `recursion_det(9, 4)`
 #: (2-core AMD EPYC, Python 3.11): the cap is no longer set by the cost of
 #: either layer, and a cost estimate should replace it. build_gram refuses
 #: a matrix past the cap before computing any entry, since neither

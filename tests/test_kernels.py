@@ -1,6 +1,8 @@
 """The elimination kernel, checked against rational Gaussian elimination,
-against the two Bareiss kernels it replaced and against the dense-update
-loop it replaced after them, all kept here as oracles."""
+against the two Bareiss kernels it replaced, against the dense-update loop
+it replaced after them, and against the row-swapping loop that every input
+took before symmetric input took the upper-triangle loop, all kept here as
+oracles."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from ncgram.gram import build_gram, determinant
 from ncgram.kernels import det_exact, eliminate, rank_exact
 from ncgram.partitions import PartitionClass
 from ncgram.polynomials import IntPolynomial
+from ncgram.tutte import build_A
 
 
 def det_by_fractions(rows: list[list[int]]) -> Fraction:
@@ -227,13 +230,62 @@ def eliminate_dense(rows) -> tuple[int, int]:
     return row, det
 
 
+def eliminate_rows(rows) -> tuple[int, int]:
+    """(rank, determinant) by the row-swapping loop with sparse pivot-row
+    updates, which `eliminate` ran on every input before symmetric input
+    took the upper-triangle loop; copied as it was. Mutates ``rows``."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    num = den = 1
+    row = 0
+    for col in range(ncols):
+        if row == m:
+            break
+        for i in range(row, m):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        if i != row:
+            rows[row], rows[i] = rows[i], rows[row]
+            num = -num
+        rk = rows[row]
+        c = gcd(*rk[col:])  # the columns before col are zero or never read again
+        if c > 1:
+            rk[col:] = [x // c for x in rk[col:]]
+            num *= c
+        pivot = rk[col]
+        num *= pivot
+        tail = rk[col + 1 :]
+        nonzero = [(j, y) for j, y in enumerate(tail, col + 1) if y]
+        for ri in rows[row + 1 :]:
+            aik = ri[col]
+            if aik:
+                g = gcd(pivot, aik)
+                p, q = pivot // g, aik // g
+                if p == 1:
+                    for j, y in nonzero:
+                        ri[j] -= q * y
+                else:
+                    new = [p * x - q * y for x, y in zip(ri[col + 1 :], tail)]
+                    c = gcd(*new)
+                    if c > 1:
+                        new = [x // c for x in new]
+                        num *= c
+                    ri[col + 1 :] = new
+                    den *= p
+                # ri[col] is never read again
+        row += 1
+    if row < m or row < ncols:
+        return row, 0
+    det, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError("the elimination's scale does not divide its pivot product")
+    return row, det
+
+
 def copy(rows):
     return [list(row) for row in rows]
-
-
-def loop_det(rows):
-    """The loop's determinant in input order, on a fresh copy."""
-    return eliminate(copy(rows))[1]
 
 
 def random_matrix(rng, n, lo=-9, hi=9):
@@ -286,19 +338,58 @@ def symmetric_matrices(draw, max_size=8):
     return a
 
 
-@settings(max_examples=300)
-@given(symmetric_matrices())
+@st.composite
+def psd_products(draw, max_size=7):
+    """Z·D·Zᵀ for an integer Z with at most as many columns as rows and a
+    diagonal D ≥ 0: positive semidefinite, and singular whenever Z has fewer
+    columns or D a zero, so zero pivots with zero rows are common."""
+    m = draw(st.integers(min_value=1, max_value=max_size))
+    r = draw(st.integers(min_value=1, max_value=m))
+    z = [[draw(st.sampled_from((-2, -1, 0, 0, 1, 2))) for _ in range(r)] for _ in range(m)]
+    d = [draw(st.sampled_from((0, 1, 2, 3, 4))) for _ in range(r)]
+    return [[sum(zi[t] * d[t] * zj[t] for t in range(r)) for zj in z] for zi in z]
+
+
+@st.composite
+def zero_diagonal_matrices(draw, max_size=7):
+    """Symmetric, indefinite as a rule: some diagonal entries are zero while
+    their rows are not, so the upper-triangle loop may give up."""
+    a = draw(symmetric_matrices(max_size))
+    for i in draw(st.sets(st.integers(min_value=0, max_value=len(a) - 1), min_size=1)):
+        a[i][i] = 0
+    return a
+
+
+@settings(max_examples=400)
+@given(st.one_of(symmetric_matrices(), psd_products(), zero_diagonal_matrices()))
+@example([[1, 2, 0, 1], [2, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+@example([[2, -1, -1, -1], [-1, -1, 0, -1], [-1, 0, -1, -1], [-1, -1, -1, -1]])
+@example([[1, 1], [1, 1]])
+@example([[0, 0], [0, 1]])
 def test_symmetric_determinant_matches_rational_elimination(m):
-    assert loop_det(m) == det_exact(m) == det_by_fractions(m)
+    # in the first example the dense update at pivot 1 turns the last row to
+    # zeros, whose content is 0, and the one at pivot 2 makes it nonzero
+    # again; the second took a row to zeros in an earlier form of the loop
+    before = copy(m)
+    rank, det = eliminate(m)
+    assert m == before  # the input is not touched
+    assert (rank, det) == eliminate_rows(copy(m))
+    assert rank == rank_by_fractions(m)
+    assert det == det_by_fractions(m)
 
 
 def test_symmetric_zero_pivot_falls_back_to_row_swaps():
-    assert loop_det([[0, 1], [1, 0]]) == -1
+    # a zero pivot whose row is not zero: the upper-triangle loop gives up,
+    # and the row-swapping loop runs on the untouched input
+    assert kernels._eliminate_upper([[0, 1], [1, 0]]) is None
+    assert det_exact([[0, 1], [1, 0]]) == -1
     # the second pivot vanishes after one step
-    assert loop_det([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
+    assert kernels._eliminate_upper([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) is None
+    assert det_exact([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
     # the same, where the vanished pivot's row has a nonzero entry after it
-    assert loop_det([[1, 1, 1], [1, 1, 2], [1, 2, 1]]) == -1
-    # singular: a vanishing pivot with a zero column below it
+    assert det_exact([[1, 1, 1], [1, 1, 2], [1, 2, 1]]) == -1
+    # singular: a vanishing pivot with a zero row, which is skipped
+    assert kernels._eliminate_upper([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == (1, 0)
     assert eliminate([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == (1, 0)
     # singular: the last pivot vanishes
     assert eliminate([[1, 1, 2], [1, 2, 3], [2, 3, 5]]) == (2, 0)
@@ -306,12 +397,13 @@ def test_symmetric_zero_pivot_falls_back_to_row_swaps():
 
 def test_gram_row_swap_negates_through_the_general_path():
     # swapping two rows negates the determinant, whichever pivots the
-    # swapped copy meets
+    # swapped copy meets; the copy is not symmetric, so the row-swapping
+    # loop eliminates it
     for n in range(2, 7):
         m = build_gram(n, PartitionClass.NONCROSSING, 4)
         swapped = copy(m.entries)
         swapped[0], swapped[1] = swapped[1], swapped[0]
-        assert loop_det(swapped) == -determinant(m)
+        assert det_exact(swapped) == eliminate_rows(copy(swapped))[1] == -determinant(m)
 
 
 def test_rank_echelon_matches_rational_elimination():
@@ -456,6 +548,14 @@ def test_an_inexact_scale_raises(monkeypatch):
         det_exact([[5, 1], [2, 1]])
     monkeypatch.undo()
     assert det_exact([[5, 1], [2, 1]]) == 3
+    # the same in the upper-triangle loop: a wrong content 2 of the dense
+    # update's new row [14] turns it into [7] at the scale 5 // 2 = 2, which
+    # does not divide the pivot product 5·7
+    monkeypatch.setattr(kernels, "gcd", lambda *a: 2 if a == (5, 14) else gcd(*a))
+    with pytest.raises(ArithmeticError, match="scale"):
+        det_exact([[5, 1], [1, 3]])
+    monkeypatch.undo()
+    assert det_exact([[5, 1], [1, 3]]) == 14
 
 
 def test_ordered_gram_determinant_matches_the_unordered_kernel():
@@ -601,6 +701,43 @@ def test_negative_and_rectangular_input():
     assert rank_exact([[2, 4, 6], [4, 8, 12]]) == 1
     assert rank_exact([[-6, 0, 3], [0, 9, 0]]) == 2
     assert det_exact([[2, 4, 6], [6, 8, 10]]) == 0  # not square
+
+
+# ---------------------------------------------------------------------------
+# the upper-triangle loop never gives up on a positive semidefinite matrix
+
+
+@settings(max_examples=300)
+@given(psd_products())
+def test_positive_semidefinite_input_never_falls_back(m):
+    # a zero diagonal entry of a positive semidefinite matrix has a zero row
+    # and column, and every Schur complement is positive semidefinite again
+    assert kernels._eliminate_upper(m) == (rank_by_fractions(m), det_by_fractions(m))
+
+
+def test_package_matrices_take_no_row_swap(monkeypatch):
+    # Every Gram matrix at an integer N ≥ 1 is Z·D·Zᵀ with D =
+    # diag((N)_b(τ)) ≥ 0 (Lindström, Proc. AMS 1969), so it is positive
+    # semidefinite and the upper-triangle loop never gives up on it; at
+    # X = 2^B it is symmetric but not known to be semidefinite. That no
+    # level matrix A(m, r) gives up was only observed, through m = 8.
+    grams = [
+        build_gram(n, cls, N).entries for cls in PartitionClass for n in range(1, 7) for N in range(1, 6)
+    ]
+    levels = [build_A(n, r, N).entries for n in range(1, 8) for r in range(n) for N in (4, 5)]
+    symbolic = [m for cls in PartitionClass for n in range(1, 7) if (m := build_gram(n, cls, None)).nrows]
+    integer = grams + levels
+    expected = [eliminate_rows(copy(m)) for m in integer]
+    monkeypatch.setattr(kernels, "eliminate", lambda rows: eliminate_rows(copy(rows)))
+    expected_symbolic = [determinant(m) for m in symbolic]
+    monkeypatch.undo()
+
+    def refuse(rows):
+        raise AssertionError("the row-swapping loop ran on a package matrix")
+
+    monkeypatch.setattr(kernels, "_eliminate_rows", refuse)
+    assert [(rank_exact(m), det_exact(m)) for m in integer] == expected
+    assert [determinant(m) for m in symbolic] == expected_symbolic
 
 
 def test_reported_backend_is_consistent():

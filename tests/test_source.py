@@ -242,8 +242,11 @@ def test_the_pair_graph_objects_and_tag_classes_are_gone_from_the_package():
 
 
 def test_only_the_two_entry_points_reach_the_primitive_row_loop():
-    # det_exact and rank_exact hand the loop a fresh copy, which it
-    # mutates, so no caller can eliminate a matrix it still holds
+    # det_exact and rank_exact are the only callers of `eliminate`, and
+    # `eliminate` is the only caller of each function in kernels.py that
+    # runs a loop: it picks the upper-triangle loop or the row-swapping
+    # one, and each works on its own copy, so no caller can eliminate a
+    # matrix it still holds, nor reach a loop past the symmetry check
     found = {
         f"{path.name}:{scope}"
         for path in sorted(SOURCE.glob("*.py"))
@@ -252,6 +255,20 @@ def test_only_the_two_entry_points_reach_the_primitive_row_loop():
         )
     }
     assert found == {"kernels.py:det_exact", "kernels.py:rank_exact"}
+    kernels = ast.parse((SOURCE / "kernels.py").read_text(encoding="utf-8"))
+    loops = {
+        node.name
+        for node in kernels.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(inner, (ast.For, ast.While)) for inner in ast.walk(node))
+    }
+    assert {"_eliminate_upper", "_eliminate_rows"} <= loops
+    assert "eliminate" not in loops
+    callers = {name: set() for name in loops}
+    for path in sorted(SOURCE.glob("*.py")):
+        for scope, name in _references(ast.parse(path.read_text(encoding="utf-8"), str(path)), loops):
+            callers[name].add(f"{path.name}:{scope}")
+    assert callers == {name: {"kernels.py:eliminate"} for name in loops}
 
 
 def _mentions(tree: ast.AST) -> set[str]:
