@@ -8,14 +8,14 @@ table, `_exponent_table`, holds the loop counts at any level r (with a
 flaw sentinel at r > 0), and one reader, `_table_matrix`, turns it into
 every Gram and level matrix. The table is bit-sliced at any width (the
 points plus the verticals cut at level r): each pair of a chunk of rows
-is one bit of a mask per linked node pair, vertex elimination over the
-nodes connects the components of every pair at once, and each pair's
-roots are summed in a lane of 1, 2 or 4 bytes, by the node count. A
-single entry is counted by the join kernel of `partitions`
-(`_exponent_row`), which is also the table's oracle in the tests. With
-N given, the entries are the integers N^e, looked up in a table of powers;
-with N = None the Gram matrix is symbolic, and its entries are the
-exponents e of the monomials X^e.
+is one bit of a mask per linked node pair, vertex elimination over all
+nodes but the cut verticals' ends connects the components of every pair
+at once, and each pair's count is summed in a lane of 1, 2 or 4 bytes,
+by the point count. A single entry is counted by the join kernel of
+`partitions` (`_exponent_row`), which is also the table's oracle in the
+tests. With N given, the entries are the integers N^e, looked up in a
+table of powers; with N = None the Gram matrix is symbolic, and its
+entries are the exponents e of the monomials X^e.
 
 Every elimination is the one exact integer kernel in `kernels`, so a
 symbolic determinant is one integer determinant, at X = 2^B (Kronecker
@@ -242,20 +242,20 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
     label, drawn above, links u and v (`_node_pairs`), and the columns
     whose label, drawn below, links them, repeated in every row; each node
     keeps only its nonempty pairs. Vertex elimination, k from the top node
-    down, sets C_ij |= C_ik & C_kj for the neighbours i, j of k below
-    max(k, 2·cut), so it also closes the terminals among themselves. Once
-    every node above v is eliminated, v is linked in a pair to a smaller
-    node exactly where it is connected to one (a path to one, cut at its
-    first node below v, runs above v), so the components of a pair are
-    its roots, the nodes with no smaller neighbour. Each mask is read as
-    text, one lane per pair, and summed into one lane per pair: 1 byte
-    below 256 nodes, 2 below 65,536 and 4 beyond, so no count carries out
-    of its lane. At r > 0 the flaw pattern of `_exponent_row` is read off
-    the terminals' masks: a pair is flawed where two of the nodes 0..cut−1
-    above are connected, or where i ~ i' is asked for and i reaches no
-    point below but i'; at even r the count drops by one where s+1 and
-    (s+1)' are apart. Rows are bytes below 256 points and `_exponents`
-    arrays from there on.
+    down to 2·cut, sets C_ij |= C_ik & C_kj for the neighbours i, j < k of
+    k and never eliminates a terminal. Once every node above v is
+    eliminated, v is linked in a pair to a smaller node exactly where it
+    is connected to one (a path to one, cut at its first node below v,
+    runs above v): two terminals are linked where the other nodes join
+    them, and a non-terminal with no smaller neighbour is a root, the
+    smallest node of its component. At r > 0 a pair is flawed, as in
+    `_exponent_row`, where a terminal link other than some i–i' is set or
+    an i–i' asked for is not; a flawless pair's terminals make cut
+    components, so its exponent is cut plus its non-terminal roots, at
+    most `points`. Each mask is read as text, one lane per pair, and
+    summed into one lane per pair of 1 byte below 256 points, 2 below
+    65,536 and 4 beyond, so no count carries; the rows are the lanes, as
+    bytes below 256 points and `_exponents` arrays from there on.
     """
     if not labels:
         return ()  # an empty class, NC2 at odd points
@@ -264,7 +264,7 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
     terminals = 2 * cut
     size = len(labels)
     row_bytes = -(-size // 8)
-    lane = 1 if width < 1 << 8 else 2 if width < 1 << 16 else 4
+    lane = 1 if points < 1 << 8 else 2 if points < 1 << 16 else 4
     codec = {1: "latin-1", 2: "utf-16-be", 4: "utf-32-be"}[lane]
     above = [i if i < cut else cut + i for i in range(points)]
     ups = [_node_pairs(p.rgs, above) for p in labels]
@@ -289,9 +289,9 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
         for u, v in fills.keys() | cols.keys():
             rows = int.from_bytes(fills.get((u, v), b""), "little")
             C[u][v] = C[v][u] = rows | cols.get((u, v), 0) * every_row
-        for k in range(width - 1, -1, -1):
-            Ck, top = C[k], max(k, terminals)
-            linked = [u for u in Ck if u < top]  # no update here moves C[k]
+        for k in range(width - 1, terminals - 1, -1):
+            Ck = C[k]
+            linked = [u for u in Ck if u < k]  # no update here moves C[k]
             for at, i in enumerate(linked):
                 Ci, Cik = C[i], Ck[i]
                 for j in linked[at + 1 :]:
@@ -305,28 +305,22 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
             return int.from_bytes(format(mask, f"0{length}b").encode(codec), "big") - zeros
 
         ones = lanewise((1 << length) - 1)
-        total = width * ones
-        for v in range(1, width):
+        total = points * ones  # cut terminals and width − 2·cut others
+        for v in range(terminals, width):
             if smaller := reduce(or_, (m for u, m in C[v].items() if u < v), 0):
                 total -= lanewise(smaller)  # v is no root
-        if cut:
-            joined = cut - 1 + r % 2  # i ~ i' is asked for i < joined
+        if cut:  # flawed: a terminal link but i–i', or no i–i' where asked for
             flaw = 0
-            for i in range(cut):
-                # i is connected to another node above, or, where i ~ i' is
-                # asked for, to another node below or not to i'
-                top = terminals if i < joined else cut
-                others = (m for j, m in C[i].items() if i < j < top and j != cut + i)
+            for u in range(terminals):
+                others = (m for v, m in C[u].items() if v < terminals and abs(v - u) != cut)
                 flaw |= reduce(or_, others, 0)
-                if i < joined:
-                    flaw |= C[i].get(cut + i, 0) ^ (1 << length) - 1
-            if joined < cut:  # even r: gluing s+1 to (s+1)' joins two components
-                total -= ones - lanewise(C[cut - 1].get(terminals - 1, 0))
+            for i in range(cut - 1 + r % 2):  # i ~ i' is asked for
+                flaw |= C[i].get(cut + i, 0) ^ (1 << length) - 1
             total &= (ones - lanewise(flaw)) * ((1 << 8 * lane) - 1)
         data = total.to_bytes(lane * length, "little")
         starts = range(0, length, 8 * row_bytes)
-        if points < 256:  # the low byte of each lane
-            table += (data[lane * o : lane * (o + size) : lane] for o in starts)
+        if lane == 1:
+            table += (data[o : o + size] for o in starts)
         else:
             lanes = array("H" if lane == 2 else "I", data)
             if sys.byteorder == "big":

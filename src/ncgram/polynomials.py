@@ -97,7 +97,9 @@ class IntPolynomial:
         return result
 
     def shift(self, k: int) -> IntPolynomial:
-        """Multiply by X^k."""
+        """Multiply by X^k, for k ≥ 0."""
+        if k < 0:
+            raise ValueError("negative shift")
         if self.is_zero():
             return self
         return IntPolynomial((0,) * k + self.coeffs)

@@ -287,15 +287,13 @@ def test_wide_sliced_tables_match_both_oracles():
 
 
 def test_exponent_tables_on_either_side_of_a_lane_boundary():
-    # level 168 of 170 points is 255 nodes, summed in 1-byte lanes, and
-    # level 169 of 171 is 256, in 2-byte lanes whose rows are still bytes;
-    # level 398 of 400 points is 600 nodes, whose rows are 16-bit arrays:
-    # a slice of each top stratum and the extreme partitions, at the top
-    # level and at level 0. The one block is left out at 400 points: it
-    # links all 400 terminals, whose closure grows as their cube (25 s)
+    # level 168 of 170 points is 255 nodes and level 169 of 171 is 256,
+    # both summed in 1-byte lanes, which are sized by the points; level 398
+    # of 400 points is 600 nodes in 2-byte lanes, whose rows are 16-bit
+    # arrays: a slice of each top stratum and the extreme partitions, at
+    # the top level and at level 0
     for n, r in ((170, 168), (171, 169), (400, 398)):
-        labels = (*w_stratum(n, r)[::20], Partition.singletons(n))
-        labels += (Partition.one_block(n),) if n < 256 else ()
+        labels = (*w_stratum(n, r)[::20], Partition.singletons(n), Partition.one_block(n))
         for level in (r, 0):
             want = oracle_table(labels, n, level)
             table = _exponent_table(labels, n, level)
@@ -381,6 +379,11 @@ def test_exponent_tables_hold_loop_counts_past_a_byte():
         )
         for r in (0, 1, 2, 5):
             assert [list(row) for row in _exponent_table(labels, n, r)] == oracle_table(labels, n, r)
+    # a flawless pair at 255 points and level 1, on 256 nodes: p = {1, 2}
+    # plus singletons over itself makes 254 components, in a 1-byte lane
+    pair = (Partition(0, 255, (0, 0, *range(1, 254))),)
+    assert list(_exponent_table(pair, 255, 1)[0]) == [254]
+    assert oracle_table(pair, 255, 1) == [[254]] == [list(row) for row in row_kernel_table(pair, 255, 1)]
     m = build_A(n, n - 1, 4)
     want = oracle_table(m.row_labels, n, n - 1)
     assert m.entries == tuple(tuple(0 if e == _FLAW else 4**e for e in row) for row in want)

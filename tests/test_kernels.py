@@ -19,7 +19,7 @@ from ncgram.gram import build_gram, determinant
 from ncgram.kernels import det_exact, eliminate, rank_exact
 from ncgram.partitions import PartitionClass
 from ncgram.polynomials import IntPolynomial
-from ncgram.tutte import build_A
+from ncgram.tutte import build_A, build_B
 
 
 def det_by_fractions(rows: list[list[int]]) -> Fraction:
@@ -720,7 +720,8 @@ def test_package_matrices_take_no_row_swap(monkeypatch):
     # diag((N)_b(τ)) ≥ 0 (Lindström, Proc. AMS 1969), so it is positive
     # semidefinite and the upper-triangle loop never gives up on it; at
     # X = 2^B it is symmetric but not known to be semidefinite. That no
-    # level matrix A(m, r) gives up was only observed, through m = 8.
+    # level matrix A(m, r) at N ∈ {4, 5} gives up was only observed, through
+    # m = 8; at N ≤ 3 some do (the next test).
     grams = [
         build_gram(n, cls, N).entries for cls in PartitionClass for n in range(1, 7) for N in range(1, 6)
     ]
@@ -738,6 +739,32 @@ def test_package_matrices_take_no_row_swap(monkeypatch):
     monkeypatch.setattr(kernels, "_eliminate_rows", refuse)
     assert [(rank_exact(m), det_exact(m)) for m in integer] == expected
     assert [determinant(m) for m in symbolic] == expected_symbolic
+
+
+def test_level_matrices_below_four_take_the_row_swaps(monkeypatch):
+    # at N ∈ {1, 2, 3}, 22 of the 126 matrices A(m, r) and B(m, r) with
+    # m ≤ 6 have a zero pivot whose row is not zero, A(3, 1) at N = 1 the
+    # first, and so have the NC Gram matrices of 5 and 6 points at N = −1:
+    # the row-swapping loop gives their determinant and rank
+    cases = {
+        (build.__name__, m, r, N): build(m, r, N).entries
+        for build in (build_A, build_B)
+        for m in range(1, 7)
+        for r in range(m)
+        for N in (1, 2, 3)
+    }
+    for n in (5, 6):
+        cases["gram", n, -1] = build_gram(n, PartitionClass.NONCROSSING, None).evaluate(-1).entries
+    swapped = []
+    rows_loop = kernels._eliminate_rows
+    monkeypatch.setattr(kernels, "_eliminate_rows", lambda rows: swapped.append(rows) or rows_loop(rows))
+    fell = set()
+    for case, m in cases.items():
+        swapped.clear()
+        assert (rank_exact(m), det_exact(m)) == (rank_by_fractions(m), det_by_fractions(m))
+        if swapped:
+            fell.add(case)
+    assert {("build_A", 3, 1, 1), ("gram", 5, -1), ("gram", 6, -1)} <= fell
 
 
 def test_reported_backend_is_consistent():

@@ -61,6 +61,16 @@ def test_divexact_inverts_multiplication(a, b):
     assert (p * q).divexact(q) == p
 
 
+def test_negative_shift_and_power_are_refused():
+    # X^k for k < 0 is no polynomial, so neither a shift nor a power takes it
+    for p in (poly(1, 2), poly(0)):
+        with pytest.raises(ValueError):
+            p.shift(-1)
+        with pytest.raises(ValueError):
+            p ** -1
+    assert poly(1, 2).shift(0) == poly(1, 2)
+
+
 def test_divexact_rejects_inexact():
     with pytest.raises(ValueError):
         (X**2 + 1).divexact(X + 1)
