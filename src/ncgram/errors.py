@@ -30,8 +30,8 @@ def refuse_past(budget: int, what: str, size, steps: range) -> None:
 
 def check_parameter(N, least: int | None = 1, message: str = "N must be positive") -> None:
     """Raise ValueError unless the loop parameter N is an int, and of at least
-    `least` unless that is None."""
-    if not isinstance(N, int):
+    `least` unless that is None. A bool is refused, though `bool` is an int."""
+    if not isinstance(N, int) or isinstance(N, bool):
         raise ValueError(f"N must be an integer, not {type(N).__name__}")
     if least is not None and N < least:
         raise ValueError(message)

@@ -11,11 +11,13 @@ points plus the verticals cut at level r): each pair of a chunk of rows
 is one bit of a mask per linked node pair, vertex elimination over all
 nodes but the cut verticals' ends connects the components of every pair
 at once, and each pair's count is summed in a lane of 1, 2 or 4 bytes,
-by the point count. A single entry is counted by the join kernel of
-`partitions` (`_exponent_row`), which is also the table's oracle in the
-tests. With N given, the entries are the integers N^e, looked up in a
-table of powers; with N = None the Gram matrix is symbolic, and its
-entries are the exponents e of the monomials X^e.
+by the point count. A single entry is counted by `_exponent_row`, one
+walk with the join kernel of `partitions` over the components of the
+same cut graph (`partitions.stacked_places` places the nodes of both),
+in which each component's terminals decide the flaw; it is also the
+table's oracle in the tests. With N given, the entries are the integers
+N^e, looked up in a table of powers; with N = None the Gram matrix is
+symbolic, and its entries are the exponents e of the monomials X^e.
 
 Every elimination is the one exact integer kernel in `kernels`, so a
 symbolic determinant is one integer determinant, at X = 2^B (Kronecker
@@ -62,6 +64,7 @@ from .partitions import (
     count_partitions,
     enumerate_partitions,
     join_closure,
+    stacked_places,
     stacked_spreader,
 )
 from .polynomials import IntPolynomial
@@ -182,42 +185,32 @@ def _exponent_row(up, lows, points: int, r: int) -> bytearray | array:
     the number of components of the pair graph of p over q, or `_FLAW` if
     the pair has a level-r flaw (`tutte.has_r_flaw`).
 
-    With s = r // 2, the cut graph leaves out the verticals of the points
-    1..s+1: nodes 0..s above and nodes n..n+s below. Their closures above
-    come first, each checked as it is found: the closure of i may hold no
-    other of these points above, and where the pattern asks for i ~ i'
-    (i ≤ s, and s+1 at odd r) exactly i' of those below. That settles
-    the points below too: of two connected points below, one is some j'
-    with j ~ j' asked for, so both lie in the closure of j, whose check
-    fails. On a flawless pair the other components are counted, and the
-    cut verticals are glued back: i ~ i' holds already where the pattern
-    asks for it, and at even r gluing s+1 to (s+1)' joins two components
-    unless they are one.
+    The cut graph's components are walked lowest node first, so those that
+    hold terminals (the ends of the cut verticals, nodes 0..2·cut−1) come
+    first, and each component's terminals decide: none adds a component;
+    exactly i and i′ (node cut + i), or at even r one end of the s+1
+    vertical alone (s = r // 2), is allowed; any other set is a flaw.
+    Glued back, the cut verticals leave a flawless pair's terminals in cut
+    components, so its exponent is cut plus its terminal-free components.
     """
     cut = _cut(r)
     width = points + cut
-    above = (1 << cut) - 1
-    below = above << points
-    joined = cut - 1 + r % 2 if cut else 0  # i ~ i' is asked for i < joined
-    last_below = 1 << (width - 1)
+    terminals = (1 << 2 * cut) - 1
+    allowed = {1 << i | 1 << (cut + i) for i in range(cut)}
+    if cut and not r % 2:  # the s+1 vertical may stay cut
+        allowed |= {1 << (cut - 1), 1 << (2 * cut - 1)}
     row = _exponents(points, len(lows))
     for b, lo in enumerate(lows):
         rest = (1 << width) - 1
-        count = 0
-        for i in range(cut):
-            component = join_closure(up, lo, 1 << i)
-            if component & above != 1 << i or (
-                i < joined and component & below != 1 << (points + i)
-            ):
-                break
+        count = cut
+        while rest:
+            component = join_closure(up, lo, rest & -rest)
             rest ^= component
-            count += 1
-        else:
-            if joined < cut and not component & last_below:
-                count -= 1  # even r: gluing s+1 to (s+1)' joins two components
-            while rest:
-                rest ^= join_closure(up, lo, rest & -rest)
+            if not component & terminals:
                 count += 1
+            elif component & terminals not in allowed:
+                break
+        else:
             row[b] = count
     return row
 
@@ -234,9 +227,8 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
 
     Level 0 gives the plain loop counts rl(q*, p) of the Gram matrix, and
     a level r > 0 the counts with `_FLAW` on flawed pairs, as
-    `_exponent_row` gives them. The 2·cut terminals of the cut graph are
-    its lowest nodes: upper point i < cut is node i and its lower point
-    node cut + i; any other point i is node cut + i, above and below.
+    `_exponent_row` gives them, on the nodes of `stacked_places`, whose
+    2·cut terminals (the ends of the cut verticals) are the lowest.
     Pair (a, b) of the chunk is bit a·W + b of a mask, W the label count
     rounded up to whole bytes. Node pair u < v starts from the rows whose
     label, drawn above, links u and v (`_node_pairs`), and the columns
@@ -266,11 +258,11 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
     row_bytes = -(-size // 8)
     lane = 1 if points < 1 << 8 else 2 if points < 1 << 16 else 4
     codec = {1: "latin-1", 2: "utf-16-be", 4: "utf-32-be"}[lane]
-    above = [i if i < cut else cut + i for i in range(points)]
+    above, below = (stacked_places(points, cut, side) for side in (False, True))
     ups = [_node_pairs(p.rgs, above) for p in labels]
     cols: dict[tuple[int, int], int] = {}  # node pair -> the columns that link it
     for b, q in enumerate(labels):
-        for pair in _node_pairs(q.rgs, range(cut, width)):
+        for pair in _node_pairs(q.rgs, below):
             cols[pair] = cols.get(pair, 0) | 1 << b
     bits = _CHUNK_BITS * 16**2 // max(width, 16) ** 2
     step = max(1, bits // (8 * row_bytes))

@@ -424,17 +424,21 @@ def component_labels(components: list[int], nodes: Iterable[int]) -> tuple[int, 
     return _canonical(index[1 << node] for node in nodes)
 
 
-def stacked_spreader(p: Partition, cut: int, below: bool) -> Callable[[int], int]:
-    """The `spreader` of a (0, n) partition drawn in a pair graph over n + cut nodes.
-
-    The pair graph draws one partition above another on the same n points,
-    with a vertical edge from each upper point to the lower point below it.
-    Node i is upper point i glued to lower point i, except that the first
-    `cut` points have no vertical: there node i is the upper point alone,
-    and node n + i the lower one.
+def stacked_places(points: int, cut: int, below: bool) -> list[int]:
+    """The node of each point of a partition drawn below or above in a cut
+    graph: one partition over another, each upper point joined to the
+    lower point below it by a vertical, but for the first `cut` points.
+    Their 2·cut ends, the terminals, are the lowest nodes: upper point
+    i < cut is node i and lower point i node cut + i. Every other point
+    i, upper glued to lower, is node cut + i, of points + cut nodes.
     """
-    n = p.points
-    return spreader(p.rgs, [n + i if below and i < cut else i for i in range(n)])
+    return [i if i < cut and not below else cut + i for i in range(points)]
+
+
+def stacked_spreader(p: Partition, cut: int, below: bool) -> Callable[[int], int]:
+    """The `spreader` of a (0, n) partition drawn in a cut graph, on the
+    nodes of `stacked_places`."""
+    return spreader(p.rgs, stacked_places(p.points, cut, below))
 
 
 def compose(t: Partition, s: Partition) -> Composition:

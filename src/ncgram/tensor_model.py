@@ -59,6 +59,8 @@ class DenseTensor:
 
     def __post_init__(self) -> None:
         check_parameter(self.dimension_per_leg, 1, "dimension per leg must be positive")
+        if self.legs < 0:
+            raise ValueError("leg count must be non-negative")
         _check_dense(self.dimension_per_leg, self.legs)
 
 

@@ -14,10 +14,11 @@ Points of a pair (p, q) live on a graph: nodes 1..n carry p, nodes
 those of the join p ∨ q, found by the join kernel of `partitions` on
 block bitmasks: with every vertical the pair graph, whose component
 count is the loop count rl(q*, p); at level r = 2s or 2s+1, with the
-verticals of 1..s+1 cut, the cut graph. A glued pair i, i' is bit i-1,
-and a cut i' is bit n+i-1. Every entry of a level matrix is one of
-`gram`'s exponents, so the level-r matrix is read off the same exponent
-table as the Gram matrix, which is level 0.
+verticals of 1..s+1 cut, the cut graph. Its nodes are placed by
+`partitions.stacked_places`, terminals lowest: a cut i is bit i-1, and
+any other i', cut or glued to i, is bit s+i. Every entry of a level
+matrix is one of `gram`'s exponents, so the level-r matrix is read off
+the same exponent table as the Gram matrix, which is level 0.
 
 The strata form a chain W(n,0) ⊇ W(n,1) ⊇ … ⊇ W(n,n−1) ⊋ W(n,n) = ∅,
 with Y(n,r) = W(n,r) \\ W(n,r+1), so each partition sits at one level.
@@ -297,8 +298,7 @@ def classify_structure(p: Partition, q: Partition, r: int) -> tuple[int, ...] | 
         stacked_spreader(p, cut, False), stacked_spreader(q, cut, True), n + cut
     )
     # 1..s+1, then the cut 1'..(s+1)', then (s+2)' at odd r, glued to s+2
-    nodes = [*range(cut), *range(n, n + cut), *range(cut, cut + odd)]
-    return _structures(s, odd).get(component_labels(components, nodes))
+    return _structures(s, odd).get(component_labels(components, range(2 * cut + odd)))
 
 
 # ---------------------------------------------------------------------------

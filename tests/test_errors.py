@@ -91,8 +91,9 @@ def test_every_entry_point_takes_an_integer_parameter_only(name):
     call = _TAKES_N[name]
     call(4)
     # 4.0 and 9/2 once passed the range checks and gave floats, rationals
-    # or a misleading error; "4" failed on the comparison
-    for N in (4.0, 2.5, Fraction(9, 2), "4"):
+    # or a misleading error; "4" failed on the comparison; True, an int
+    # subclass, passed as N = 1
+    for N in (4.0, 2.5, Fraction(9, 2), "4", True):
         with pytest.raises(ValueError, match="N must be an integer"):
             call(N)
     with pytest.raises(ValueError):

@@ -36,9 +36,10 @@ def det_by_fractions(rows: list[list[int]]) -> Fraction:
             det = -det
         det *= a[k][k]
         for i in range(k + 1, n):
-            factor = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
+            if a[i][k]:
+                factor = a[i][k] / a[k][k]
+                for j in range(k, n):
+                    a[i][j] -= factor * a[k][j]
     return det
 
 
@@ -53,9 +54,10 @@ def rank_by_fractions(rows: list[list[int]]) -> int:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
         for i in range(rank + 1, m):
-            factor = a[i][col] / a[rank][col]
-            for j in range(col, n):
-                a[i][j] -= factor * a[rank][j]
+            if a[i][col]:
+                factor = a[i][col] / a[rank][col]
+                for j in range(col, n):
+                    a[i][j] -= factor * a[rank][j]
         rank += 1
     return rank
 

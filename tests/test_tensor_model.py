@@ -205,6 +205,14 @@ def test_dense_budget_refuses_from_small_powers():
     assert tensor_model.DenseTensor(1, 10**9, {}).legs == 10**9
 
 
+def test_dense_tensor_refuses_a_negative_leg_count():
+    # N^e for no e in the empty step range of −1 legs, so the budget check
+    # alone let it through
+    with pytest.raises(ValueError, match="leg count must be non-negative"):
+        tensor_model.DenseTensor(2, -1, {})
+    assert tensor_model.DenseTensor(2, 0, {}).legs == 0
+
+
 # ---------------------------------------------------------------------------
 # matrices and functor laws
 

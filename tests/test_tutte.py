@@ -27,6 +27,7 @@ from ncgram.partitions import (
     involution,
     join_components,
     kernel,
+    stacked_places,
     stacked_spreader,
 )
 from ncgram.polynomials import beraha, power_product
@@ -128,7 +129,8 @@ def kernel_labels(p: Partition, q: Partition, keep_from: int) -> tuple[int, ...]
     components = join_components(
         stacked_spreader(p, cut, False), stacked_spreader(q, cut, True), n + cut
     )
-    return component_labels(components, [*range(n), *(n + i if i < cut else i for i in range(n))])
+    nodes = [*stacked_places(n, cut, False), *stacked_places(n, cut, True)]
+    return component_labels(components, nodes)
 
 
 def oracle_labels(p: Partition, q: Partition, keep_from: int) -> tuple[int, ...]:
