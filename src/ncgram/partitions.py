@@ -80,11 +80,13 @@ class Partition:
     rgs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rgs, tuple):
+            raise TypeError(f"RGS must be a tuple, not {type(self.rgs).__name__}")
         if self.upper < 0 or self.lower < 0:
             raise ValueError("negative row size")
         if len(self.rgs) != self.upper + self.lower:
             raise ValueError("RGS length does not match point count")
-        if tuple(self.rgs) != _canonical(self.rgs):
+        if self.rgs != _canonical(self.rgs):
             raise ValueError(f"RGS {self.rgs!r} is not in canonical form")
 
     # -- constructors ------------------------------------------------------

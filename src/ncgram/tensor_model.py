@@ -1,14 +1,14 @@
-"""Dense ground-truth model of the linear maps attached to partitions.
+"""Ground-truth model of the linear maps attached to partitions.
 
 A partition p on (k, l) points acts on tensor legs: the matrix entry at
 (lower multi-index j, upper multi-index i) is 1 when (i, j) labels every
 block of p constantly, else 0. So the nonzero entries are the N^{b(p)}
-block-constant labellings, one value in [N] per block, and every vector
-and matrix here is read off them. This module realizes those maps as
-literal dicts/lists of integers so the structural laws (tensor,
-involution, composition with loop scaling) and the basis expansion can be
-verified by brute force at small N. It is an oracle, not a production
-path: sizes are capped hard at N^legs ≤ 10^6.
+block-constant labellings, one value in [N] per block. A vector is the
+dict of its support, a map the set of its nonzero (row, col) cells, which
+`matrix_of` writes out densely and the structural laws (tensor,
+involution, composition with loop scaling) compare, at small N by brute
+force as the basis expansion is. It is an oracle, not a production path:
+dense sizes are capped hard at N^legs ≤ 10^6.
 
 Multi-indices are 1-based tuples over [N] = {1, …, N}, leftmost leg most
 significant in any flattened enumeration.
@@ -16,6 +16,7 @@ significant in any flattened enumeration.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -38,14 +39,16 @@ DENSE_BUDGET = 10**6
 #: Work `check_functor_laws` may take, counted in dense matrix entries, of
 #: which its tensor law reads the most. With P = Σ_{k,l} Bell(k+l) the
 #: partitions up to max_points per row and S = Σ_{k,l} Bell(k+l)·N^(k+l)
-#: the entries of their matrices, that law compares S² entries over P²
-#: cases, and each case costs about 200 entries more (10 µs against 45 ns
-#: per entry, measured). So the work is 200·P² + S². The budget admits
-#: N = 4 at max_points 2 (21M, 1.0 s) and N = 1 at 3 (29M, 1.4 s); it
-#: refuses N = 5 at 2 (116M, 5.2 s), N = 2 at 3 (326M, 18.3 s) and, with
-#: it, N = 3 at 3 (31.5G) and every max_points from 4 on (N = 1 at 4: 9.3G),
-#: runs that were stopped unfinished after 60–90 s (2-core AMD EPYC,
-#: Python 3.11, in-process).
+#: the entries of their matrices, dense laws compared S² entries over P²
+#: cases, at about 200 entries more per case: work 200·P² + S². The laws
+#: compare only the N^b(p) nonzero cells now, so this over-counts their
+#: work; it is kept, and with it the refusals. It admits N = 4 at max_points
+#: 2 (21M, 0.28 s; dense 1.0 s) and N = 1 at 3 (29M, 1.9 s, mostly diagram
+#: operations); it refuses N = 5 at 2 (116M, 2.0 s; dense 4.9 s), N = 2 at 3
+#: (326M, 5.9 s; dense 19.2 s) and, with it, N = 3 at 3 (31.5G) and every
+#: max_points from 4 on (N = 1 at 4: 9.3G), whose dense runs were stopped
+#: after 60–90 s (2-core AMD EPYC, Python 3.11, in-process, best of 3;
+#: the refused runs timed once).
 LAWS_WORK_BUDGET = 10**8
 
 
@@ -122,50 +125,32 @@ def matrix_of(p: Partition, N: int) -> list[list[int]]:
 
     Row/column enumeration order is row-major over [N]^legs with the
     leftmost leg most significant. Zeros everywhere but at the N^{b(p)}
-    block-constant labellings.
+    cells of `_cells`.
     """
     check_parameter(N)
     _check_dense(N, p.points)
-    k = p.upper
-    out = [[0] * N**k for _ in range(N**p.lower)]
-    for labels in _labellings(p, N):
-        out[_flat(labels[k:], N)][_flat(labels[:k], N)] = 1
+    out = [[0] * N**p.upper for _ in range(N**p.lower)]
+    for row, col in _cells(p, N):
+        out[row][col] = 1
     return out
 
 
-def _flat(index: tuple[int, ...], N: int) -> int:
-    """Row-major position of a multi-index over [N], leftmost leg most significant."""
-    pos = 0
-    for v in index:
-        pos = pos * N + v - 1
-    return pos
-
-
-def _kron(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    out = []
-    for ra in a:
-        for rb in b:
-            out.append([x * y for x in ra for y in rb])
-    return out
-
-
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = []
-    for ra in a:
-        row = [0] * cols
-        for t, x in enumerate(ra):
-            if x:
-                rb = b[t]
-                for c in range(cols):
-                    row[c] += x * rb[c]
-        out.append(row)
-    return out
-
-
-def _transpose(a: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*a)] if a else []
+def _cells(p: Partition, N: int) -> frozenset[tuple[int, int]]:
+    """The (row, col) of each nonzero entry of the map of p. Block b has a
+    row weight, Σ N^(l−1−t) over its lower points t, and a column weight,
+    Σ N^(k−1−t) over its upper points t; label v on it adds v − 1 times
+    each, and each cell sums one label per block."""
+    k, last = p.upper, p.points - 1
+    rows, cols = [0] * p.block_count, [0] * p.block_count
+    for pos, b in enumerate(p.rgs):
+        if pos < k:
+            cols[b] += N ** (k - 1 - pos)
+        else:
+            rows[b] += N ** (last - pos)
+    cells = [(0, 0)]
+    for row, col in zip(rows, cols):
+        cells = [(r + v * row, c + v * col) for r, c in cells for v in range(N)]
+    return frozenset(cells)
 
 
 def _partitions_up_to(max_points: int) -> list[Partition]:
@@ -184,39 +169,49 @@ def check_functor_laws(N: int, max_points: int) -> list[dict]:
     Law 1: the map of q ⊗ p is the Kronecker product of the maps.
     Law 2: the map of p* is the transpose.
     Law 3: N^{rl(q,p)} · map(q∘p) = map(q) · map(p) for composable pairs
-    (stated integrally to stay division-free).
+    (stated integrally to stay division-free). Each law compares `_cells`
+    and the result's shape (upper, lower), which cells alone do not fix.
 
     Returns one report dict per law with the first counterexample, if any.
     """
     check_parameter(N)
-    if max_points < 1:
-        raise ValueError("max_points must be positive")
-    # The largest matrix is that of q ⊗ p for two (max_points, max_points)
+    if not isinstance(max_points, int) or isinstance(max_points, bool) or max_points < 1:
+        raise ValueError(f"max_points must be a positive integer, not {max_points!r}")
+    # The largest map is that of q ⊗ p for two (max_points, max_points)
     # partitions, so refuse before any is built.
     _check_dense(N, 4 * max_points)
     _check_law_work(N, max_points)
     parts = _partitions_up_to(max_points)
-    mats = {p: matrix_of(p, N) for p in parts}
+    cells = {p: _cells(p, N) for p in parts}
+    cols_of_row: dict[Partition, dict[int, list[int]]] = {p: {} for p in parts}
+    for p in parts:
+        for row, col in cells[p]:
+            cols_of_row[p].setdefault(row, []).append(col)
     composed = {(q, p): compose(q, p) for q in parts for p in parts if p.lower == q.upper}
+
+    def kron_holds(q: Partition, p: Partition) -> bool:
+        t, rows, cols = tensor(q, p), N**p.lower, N**p.upper
+        kron = {(a * rows + b, c * cols + d) for a, c in cells[q] for b, d in cells[p]}
+        return (t.upper, t.lower) == (q.upper + p.upper, q.lower + p.lower) and _cells(t, N) == kron
+
+    def transpose_holds(p: Partition) -> bool:
+        t, transposed = involution(p), {(col, row) for row, col in cells[p]}
+        return (t.upper, t.lower) == (p.lower, p.upper) and _cells(t, N) == transposed
+
+    def product_holds(q: Partition, p: Partition, loops: int) -> bool:
+        t = composed[q, p][0]
+        counts = Counter((r, c) for r, mid in cells[q] for c in cols_of_row[p].get(mid, ()))
+        scaled = dict.fromkeys(_cells(t, N), N**loops)
+        return (t.upper, t.lower) == (p.upper, q.lower) and counts == scaled
+
     fixed = {"N": N, "max_points": max_points}
     return [
-        _run_law(
-            "tensor",
-            [dict(q=q, p=p) for q in parts for p in parts],
-            lambda q, p: matrix_of(tensor(q, p), N) == _kron(mats[q], mats[p]),
-            **fixed,
-        ),
-        _run_law(
-            "involution",
-            [dict(p=p) for p in parts],
-            lambda p: matrix_of(involution(p), N) == _transpose(mats[p]),
-            **fixed,
-        ),
+        _run_law("tensor", [dict(q=q, p=p) for q in parts for p in parts], kron_holds, **fixed),
+        _run_law("involution", [dict(p=p) for p in parts], transpose_holds, **fixed),
         _run_law(
             "composition",
             [dict(q=q, p=p, loops=loops) for (q, p), (_, loops) in composed.items()],
-            lambda q, p, loops: _matmul(mats[q], mats[p])
-            == [[N**loops * e for e in row] for row in matrix_of(composed[q, p][0], N)],
+            product_holds,
             **fixed,
         ),
     ]

@@ -98,3 +98,12 @@ def test_every_entry_point_takes_an_integer_parameter_only(name):
             call(N)
     with pytest.raises(ValueError):
         call(0)
+
+
+def test_law_checks_take_a_positive_integer_max_points_only():
+    # True once ran the max-points-1 suite and reported "max_points": true,
+    # and a float failed with a TypeError deep inside the budget checks
+    assert check_functor_laws(2, 1)[0]["max_points"] == 1
+    for max_points in (True, 1.0, 1.5, Fraction(3, 2), "1", 0, -1):
+        with pytest.raises(ValueError, match="max_points must be a positive integer"):
+            check_functor_laws(2, max_points)

@@ -133,6 +133,15 @@ def test_canonical_rgs_enforced():
         Partition(0, 4, (0, 1, 3, 2))
 
 
+def test_a_list_rgs_is_refused():
+    # a list RGS once passed every check and made a partition that could not
+    # be hashed and was not equal to the same RGS as a tuple
+    with pytest.raises(TypeError, match="RGS must be a tuple, not list"):
+        Partition(0, 2, [0, 0])
+    assert Partition(0, 2, (0, 0)) == Partition.one_block(2)
+    assert hash(Partition(0, 2, (0, 0))) == hash(Partition.one_block(2))
+
+
 def test_from_blocks_roundtrip():
     p = Partition.from_lower_blocks(4, [[1, 3], [2], [4]])
     assert p.rgs == (0, 1, 0, 2)

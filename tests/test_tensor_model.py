@@ -284,6 +284,124 @@ def test_functor_laws_report_a_broken_operation(monkeypatch, law, name, broken):
     assert [r["status"] for r in reports.values() if r["law"] != law] == ["pass", "pass"]
 
 
+
+# the dense law body that the support checks replaced, kept as their oracle
+
+
+def _kron(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    out = []
+    for ra in a:
+        for rb in b:
+            out.append([x * y for x in ra for y in rb])
+    return out
+
+
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    inner = len(b)
+    cols = len(b[0]) if inner else 0
+    out = []
+    for ra in a:
+        row = [0] * cols
+        for t, x in enumerate(ra):
+            if x:
+                rb = b[t]
+                for c in range(cols):
+                    row[c] += x * rb[c]
+        out.append(row)
+    return out
+
+
+def _transpose(a: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def dense_functor_laws(N: int, max_points: int) -> list[dict]:
+    """The three law reports from dense matrices. The diagram operations are
+    looked up on `tensor_model`, so a test that breaks one there breaks it
+    here too."""
+    parts = tensor_model._partitions_up_to(max_points)
+    mats = {p: matrix_of(p, N) for p in parts}
+    composed = {(q, p): tensor_model.compose(q, p) for q in parts for p in parts if p.lower == q.upper}
+    fixed = {"N": N, "max_points": max_points}
+    return [
+        tensor_model._run_law(
+            "tensor",
+            [dict(q=q, p=p) for q in parts for p in parts],
+            lambda q, p: matrix_of(tensor_model.tensor(q, p), N) == _kron(mats[q], mats[p]),
+            **fixed,
+        ),
+        tensor_model._run_law(
+            "involution",
+            [dict(p=p) for p in parts],
+            lambda p: matrix_of(tensor_model.involution(p), N) == _transpose(mats[p]),
+            **fixed,
+        ),
+        tensor_model._run_law(
+            "composition",
+            [dict(q=q, p=p, loops=loops) for (q, p), (_, loops) in composed.items()],
+            lambda q, p, loops: _matmul(mats[q], mats[p])
+            == [[N**loops * e for e in row] for row in matrix_of(composed[q, p][0], N)],
+            **fixed,
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        (None, None),
+        ("tensor", _swapped_tensor),
+        ("involution", _identity_involution),
+        ("compose", _compose_with_extra_loop),
+    ],
+    ids=["intact", "tensor", "involution", "composition"],
+)
+def test_support_laws_match_the_dense_oracle(monkeypatch, name, broken):
+    if name is not None:
+        monkeypatch.setattr(tensor_model, name, broken)
+    for N, max_points in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
+        got, want = check_functor_laws(N, max_points), dense_functor_laws(N, max_points)
+        if N == 1 and name == "involution":
+            # at N = 1 every map is the 1×1 matrix [[1]], so the dense
+            # matrices cannot tell p from p*; the shape check can
+            assert want[1]["status"] == "pass"
+            assert got[1]["counterexample"] == {"p": "0|1|0"}
+            got, want = got[::2], want[::2]
+        assert got == want, (N, max_points)
+
+
+def _upper_point_moved_down(p, q):
+    """p ⊗ q with its last upper point made the first lower point."""
+    t = tensor(p, q)
+    return Partition(t.upper - 1, t.lower + 1, t.rgs) if t.upper else t
+
+
+def _compose_upside_down(t, s):
+    composed, loops = compose(t, s)
+    return involution(composed), loops
+
+
+@pytest.mark.parametrize(
+    "law, name, broken, counterexample",
+    [
+        ("tensor", "tensor", _upper_point_moved_down, {"q": "0|0|", "p": "1|0|0"}),
+        ("involution", "involution", _identity_involution, {"p": "0|1|0"}),
+        ("composition", "compose", _compose_upside_down, {"q": "0|0|", "p": "1|0|0", "loops": 0}),
+    ],
+    ids=["tensor", "involution", "composition"],
+)
+def test_every_law_checks_the_shape(monkeypatch, law, name, broken, counterexample):
+    # each mutant returns a partition of the wrong shape; at N = 1 every map
+    # is the 1×1 matrix [[1]], so there only the shape shows the fault
+    monkeypatch.setattr(tensor_model, name, broken)
+    for N in (1, 2):
+        reports = {r["law"]: r for r in check_functor_laws(N, 1)}
+        assert reports[law]["status"] == "fail"
+        assert reports[law]["counterexample"] == counterexample
+    dense = {r["law"]: r["status"] for r in dense_functor_laws(1, 1)}
+    assert dense[law] == "pass"
+    assert {r["law"]: r["status"] for r in dense_functor_laws(2, 1)}[law] == "fail"
+
 def _count_plus_one(points, cls):
     return count_partitions(points, cls) + 1
 
