@@ -82,6 +82,8 @@ class Partition:
     def __post_init__(self) -> None:
         if not isinstance(self.rgs, tuple):
             raise TypeError(f"RGS must be a tuple, not {type(self.rgs).__name__}")
+        if type(self.upper) is not int or type(self.lower) is not int:
+            raise TypeError(f"row sizes must be ints, not ({self.upper!r}, {self.lower!r})")
         if self.upper < 0 or self.lower < 0:
             raise ValueError("negative row size")
         if len(self.rgs) != self.upper + self.lower:

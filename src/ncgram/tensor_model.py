@@ -7,8 +7,10 @@ block-constant labellings, one value in [N] per block. A vector is the
 dict of its support, a map the set of its nonzero (row, col) cells, which
 `matrix_of` writes out densely and the structural laws (tensor,
 involution, composition with loop scaling) compare, at small N by brute
-force as the basis expansion is. It is an oracle, not a production path:
-dense sizes are capped hard at N^legs ≤ 10^6.
+force. The expansion of a vector over the partitions with at most N
+blocks is in closed form, by Möbius inversion over the groupings of its
+blocks. It is an oracle, not a production path: dense sizes are capped
+hard at N^legs ≤ 10^6.
 
 Multi-indices are 1-based tuples over [N] = {1, …, N}, leftmost leg most
 significant in any flattened enumeration.
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
@@ -30,9 +31,11 @@ from .partitions import (
     count_partitions,
     enumerate_partitions,
     involution,
+    iter_partitions,
     refines,
     tensor,
 )
+from .polynomials import IntPolynomial
 
 DENSE_BUDGET = 10**6
 
@@ -276,44 +279,54 @@ def _check_law_work(N: int, max_points: int) -> None:
     refuse_past(LAWS_WORK_BUDGET, "law work", work, range(2 * max_points + 1))
 
 
-def express_in_bounded_basis(q: Partition, N: int) -> dict[Partition, Fraction]:
+def express_in_bounded_basis(q: Partition, N: int) -> dict[Partition, int]:
     """Coefficients writing the vector of q over partitions with ≤ N blocks.
 
-    Layer by layer from N blocks down to 1, each coarsening p ⪰ q gets
-    α_p = 1 − Σ α_{p'} over the finer coarsenings p' already assigned.
-    Partitions outside the returned mapping have coefficient 0. The
-    combination satisfies Σ α_p · vector_of(p) = vector_of(q) exactly.
+    Let E_τ be the sum of the e_i whose kernel is exactly τ; it is 0 when
+    b(τ) > N, and vector_of(q) = Σ_{τ ⪰ q} E_τ. Möbius inversion on the
+    partition lattice (Rota, "On the foundations of combinatorial theory
+    I", 1964) gives E_τ = Σ_{p ⪰ τ} μ(τ, p)·vector_of(p), so each coarsening
+    p of q with b(p) ≤ N gets α_p = Σ μ(τ, p) over the τ in [q, p] with
+    b(τ) ≤ N. That interval is the product of one Π_m per block of p, m
+    the number of q's blocks inside it, so α_p sums the coefficients of
+    X^0 … X^N in ∏ G_m, where G_m = Σ_{τ ∈ Π_m} μ(τ, 1̂)·X^{b(τ)} has X^k
+    coefficient S(m, k)·(−1)^{k−1}·(k−1)!: G_1 = X and
+    G_m = (X − X²)·G′_{m−1}. Every coefficient is an integer, and every
+    coarsening is one grouping of q's blocks. Partitions outside the
+    returned mapping have coefficient 0; the combination satisfies
+    Σ α_p · vector_of(p) = vector_of(q) exactly.
     """
     if q.upper != 0:
         raise ShapeError("expansion needs a partition with no upper points")
     check_parameter(N)
     if q.block_count <= N:
-        return {q: Fraction(1)}
-    coarsenings = [
-        p
-        for p in enumerate_partitions(q.points, PartitionClass.ALL)
-        if p.block_count <= N and refines(q, p)
-    ]
-    alpha: dict[Partition, Fraction] = {}
-    for blocks in range(N, 0, -1):
-        for p in coarsenings:
-            if p.block_count != blocks:
-                continue
-            finer_sum = sum(
-                (c for prev, c in alpha.items() if refines(prev, p)),
-                Fraction(0),
-            )
-            alpha[p] = 1 - finer_sum
+        return {q: 1}
+    X = IntPolynomial.x()
+    G = {1: X}
+    for m in range(2, q.block_count + 1):  # (1 − X)·X·G′, and X·G′ scales X^k by k
+        G[m] = (1 - X) * IntPolynomial(k * c for k, c in enumerate(G[m - 1].coeffs))
+    alpha: dict[Partition, int] = {}
+    for g in iter_partitions(q.block_count):
+        if g.block_count <= N:
+            interval = IntPolynomial((1,))
+            for m in Counter(g.rgs).values():
+                interval *= G[m]
+            p = Partition(0, q.points, tuple(g.rgs[b] for b in q.rgs))
+            alpha[p] = sum(interval.coeffs[: N + 1])
     return alpha
 
 
-def reconstruct(coefficients: dict[Partition, Fraction], N: int) -> dict[tuple[int, ...], Fraction]:
-    """Σ α_p · vector_of(p) as an exact sparse vector (zeros dropped)."""
+def reconstruct(coefficients: dict[Partition, int], N: int) -> dict[tuple[int, ...], int]:
+    """Σ α_p · vector_of(p) as an exact sparse vector (zeros dropped).
+
+    Every partition of `coefficients` must have the same shape."""
     check_parameter(N)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    if len({(p.upper, p.lower) for p in coefficients}) > 1:
+        raise ShapeError("coefficients name partitions of different shapes")
+    acc: dict[tuple[int, ...], int] = {}
     for p, c in coefficients.items():
         if not c:
             continue
         for idx in vector_of(p, N).entries:
-            acc[idx] = acc.get(idx, Fraction(0)) + c
+            acc[idx] = acc.get(idx, 0) + c
     return {idx: v for idx, v in acc.items() if v}

@@ -142,6 +142,14 @@ def test_a_list_rgs_is_refused():
     assert hash(Partition(0, 2, (0, 0))) == hash(Partition.one_block(2))
 
 
+@pytest.mark.parametrize("upper, lower", [(0.0, 2), (True, 1), (0, 2.0), (0, True)])
+def test_a_row_size_that_is_not_an_int_is_refused(upper, lower):
+    # Partition(0.0, 2, (0, 0)) once equalled Partition(0, 2, (0, 0)) but
+    # wrote '0.0|2|00', which from_text refuses; True wrote 'True|1|00'
+    with pytest.raises(TypeError, match="row sizes must be ints"):
+        Partition(upper, lower, (0,) * int(upper + lower))
+
+
 def test_from_blocks_roundtrip():
     p = Partition.from_lower_blocks(4, [[1, 3], [2], [4]])
     assert p.rgs == (0, 1, 0, 2)

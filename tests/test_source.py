@@ -202,6 +202,20 @@ def test_the_union_find_is_gone_from_the_package():
     assert found == []
 
 
+def test_the_tensor_model_imports_no_fractions():
+    # the basis expansion is Möbius inversion over ℤ; the Fraction layer
+    # loop it replaced lives on only as a test oracle
+    # (tests/test_tensor_model.py)
+    tree = ast.parse((SOURCE / "tensor_model.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    ]
+    assert found == []
+
+
 def test_one_reader_turns_the_exponent_table_into_every_matrix():
     # the Gram matrix is level 0 of the level matrices: one function reads
     # any level-r table, so no second route from a pair to its entry exists

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncgram import tensor_model
-from ncgram.errors import BudgetError, ShapeError
+from ncgram.errors import BudgetError, ShapeError, check_parameter
 from ncgram.partitions import (
     Corner,
     Partition,
@@ -22,6 +22,7 @@ from ncgram.partitions import (
     enumerate_partitions,
     involution,
     kernel,
+    refines,
     rotate,
     tensor,
 )
@@ -476,8 +477,70 @@ def test_expansion_reconstructs_exactly():
 
 
 def test_expansion_coefficients_observed_integral():
-    # integrality is observed, not contractual — keep it visible here
-    for q in enumerate_partitions(4, ALL):
-        for N in (2, 3):
-            for value in express_in_bounded_basis(q, N).values():
-                assert value.denominator == 1
+    # integrality is proven by the Möbius form: each coefficient is a sum of
+    # Möbius values μ(τ, p), so it is computed, and returned, as an int
+    for n in range(7):
+        for q in enumerate_partitions(n, ALL):
+            for N in range(1, 5):
+                for value in express_in_bounded_basis(q, N).values():
+                    assert type(value) is int, (q, N, value)
+
+
+def layered_expansion(q: Partition, N: int) -> dict[Partition, Fraction]:
+    """Coefficients writing the vector of q over partitions with ≤ N blocks.
+
+    Layer by layer from N blocks down to 1, each coarsening p ⪰ q gets
+    α_p = 1 − Σ α_{p'} over the finer coarsenings p' already assigned.
+    Partitions outside the returned mapping have coefficient 0. The
+    combination satisfies Σ α_p · vector_of(p) = vector_of(q) exactly.
+    """
+    if q.upper != 0:
+        raise ShapeError("expansion needs a partition with no upper points")
+    check_parameter(N)
+    if q.block_count <= N:
+        return {q: Fraction(1)}
+    coarsenings = [
+        p
+        for p in enumerate_partitions(q.points, PartitionClass.ALL)
+        if p.block_count <= N and refines(q, p)
+    ]
+    alpha: dict[Partition, Fraction] = {}
+    for blocks in range(N, 0, -1):
+        for p in coarsenings:
+            if p.block_count != blocks:
+                continue
+            finer_sum = sum(
+                (c for prev, c in alpha.items() if refines(prev, p)),
+                Fraction(0),
+            )
+            alpha[p] = 1 - finer_sum
+    return alpha
+
+
+def test_expansion_matches_the_layered_oracle():
+    # the Bell filter and Fraction layer loop the Möbius form replaced, kept
+    # as an oracle: same keys, same values on every q with n ≤ 6 at N ≤ 4
+    cases = 0
+    for n in range(7):
+        for q in enumerate_partitions(n, ALL):
+            for N in range(1, 5):
+                assert express_in_bounded_basis(q, N) == layered_expansion(q, N), (q, N)
+                cases += 1
+    assert cases == 1116
+
+
+def test_expansion_keys_are_the_bounded_coarsenings():
+    # the groupings of q's blocks list exactly the Bell filter's coarsenings;
+    # a q that fits in N blocks is its own expansion
+    bell = enumerate_partitions(7, ALL)
+    for q in bell:
+        want = {p for p in bell if p.block_count <= 3 and refines(q, p)} if q.block_count > 3 else {q}
+        assert set(express_in_bounded_basis(q, 3)) == want, q
+
+
+def test_reconstruct_refuses_mixed_shapes():
+    # a pair and the 3-point singletons once summed into one dict of 2- and
+    # 3-tuples
+    with pytest.raises(ShapeError, match="different shapes"):
+        reconstruct({Partition.pair(): 1, Partition.singletons(3): 1}, 2)
+    assert reconstruct({Partition.pair(): 1, Partition.singletons(2): -1}, 2) == {(1, 2): -1, (2, 1): -1}
