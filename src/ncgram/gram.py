@@ -11,10 +11,10 @@ points plus the verticals cut at level r): each pair of a chunk of rows
 is one bit of a mask per linked node pair, vertex elimination over all
 nodes but the cut verticals' ends connects the components of every pair
 at once, and each pair's count is summed in a lane of 1, 2 or 4 bytes,
-by the point count. A single entry is counted by `_exponent_row`, one
-walk with the join kernel of `partitions` over the components of the
-same cut graph (`partitions.stacked_places` places the nodes of both),
-in which each component's terminals decide the flaw; it is also the
+by the point count. A single entry, `_pair_exponent`, is one call of
+`partitions.join_labels` on the same cut graph (`partitions.stacked_places`
+places the nodes of both): the canonical labels of its terminals decide
+the flaw, and the component count gives the exponent; it is also the
 table's oracle in the tests. With N given, the entries are the integers
 N^e, looked up in a table of powers; with N = None the Gram matrix is
 symbolic, and its entries are the exponents e of the monomials X^e.
@@ -63,7 +63,7 @@ from .partitions import (
     PartitionClass,
     count_partitions,
     enumerate_partitions,
-    join_closure,
+    join_labels,
     stacked_places,
     stacked_spreader,
 )
@@ -172,49 +172,6 @@ def _cut(r: int) -> int:
     return r // 2 + 1 if r else 0
 
 
-def _exponents(points: int, length: int) -> bytearray | array:
-    """`length` zero exponents of at most `points`, a byte each below 256 points."""
-    return bytearray(length) if points < 256 else array("H" if points < 1 << 16 else "Q", [0]) * length
-
-
-def _exponent_row(up, lows, points: int, r: int) -> bytearray | array:
-    """The exponents of one row partition p against a run of columns q.
-
-    `up` is the `stacked_spreader` of p on top and `lows` are those of the
-    columns below it, all with `_cut(r)` verticals cut. The exponent is
-    the number of components of the pair graph of p over q, or `_FLAW` if
-    the pair has a level-r flaw (`tutte.has_r_flaw`).
-
-    The cut graph's components are walked lowest node first, so those that
-    hold terminals (the ends of the cut verticals, nodes 0..2·cut−1) come
-    first, and each component's terminals decide: none adds a component;
-    exactly i and i′ (node cut + i), or at even r one end of the s+1
-    vertical alone (s = r // 2), is allowed; any other set is a flaw.
-    Glued back, the cut verticals leave a flawless pair's terminals in cut
-    components, so its exponent is cut plus its terminal-free components.
-    """
-    cut = _cut(r)
-    width = points + cut
-    terminals = (1 << 2 * cut) - 1
-    allowed = {1 << i | 1 << (cut + i) for i in range(cut)}
-    if cut and not r % 2:  # the s+1 vertical may stay cut
-        allowed |= {1 << (cut - 1), 1 << (2 * cut - 1)}
-    row = _exponents(points, len(lows))
-    for b, lo in enumerate(lows):
-        rest = (1 << width) - 1
-        count = cut
-        while rest:
-            component = join_closure(up, lo, rest & -rest)
-            rest ^= component
-            if not component & terminals:
-                count += 1
-            elif component & terminals not in allowed:
-                break
-        else:
-            row[b] = count
-    return row
-
-
 #: Bits of each pair mask of one chunk of rows in `_exponent_table` on at
 #: most 16 nodes, and (16/width)² as many on more, so the at most width²
 #: masks of a chunk hold at most 2^25 bits at any table size.
@@ -227,7 +184,7 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
 
     Level 0 gives the plain loop counts rl(q*, p) of the Gram matrix, and
     a level r > 0 the counts with `_FLAW` on flawed pairs, as
-    `_exponent_row` gives them, on the nodes of `stacked_places`, whose
+    `_pair_exponent` gives them, on the nodes of `stacked_places`, whose
     2·cut terminals (the ends of the cut verticals) are the lowest.
     Pair (a, b) of the chunk is bit a·W + b of a mask, W the label count
     rounded up to whole bytes. Node pair u < v starts from the rows whose
@@ -241,13 +198,13 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
     runs above v): two terminals are linked where the other nodes join
     them, and a non-terminal with no smaller neighbour is a root, the
     smallest node of its component. At r > 0 a pair is flawed, as in
-    `_exponent_row`, where a terminal link other than some i–i' is set or
-    an i–i' asked for is not; a flawless pair's terminals make cut
+    `_pair_exponent`, where a terminal link other than some i–i' is set
+    or an i–i' asked for is not; a flawless pair's terminals make cut
     components, so its exponent is cut plus its non-terminal roots, at
     most `points`. Each mask is read as text, one lane per pair, and
     summed into one lane per pair of 1 byte below 256 points, 2 below
     65,536 and 4 beyond, so no count carries; the rows are the lanes, as
-    bytes below 256 points and `_exponents` arrays from there on.
+    bytes below 256 points and arrays of 16 or 64 bits from there on.
     """
     if not labels:
         return ()  # an empty class, NC2 at odd points
@@ -317,7 +274,7 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
             lanes = array("H" if lane == 2 else "I", data)
             if sys.byteorder == "big":
                 lanes.byteswap()
-            typecode = _exponents(points, 0).typecode
+            typecode = "H" if points < 1 << 16 else "Q"
             table += (array(typecode, lanes[o : o + size]) for o in starts)
     return tuple(table)
 
@@ -333,12 +290,18 @@ def _node_pairs(rgs: tuple[int, ...], place: Sequence[int]) -> list[tuple[int, i
 
 
 def _pair_exponent(p: Partition, q: Partition, r: int = 0) -> int:
-    """One entry of `_exponent_table`: p over q, at level r."""
+    """One entry of `_exponent_table`: p over q, at level r. It is
+    flawless where the join labels the 2·cut terminals `ends + ends`, each
+    i with i′ alone, or at even r with the s+1 vertical left cut; glued
+    back, the terminals make cut components, so the exponent is cut plus
+    the terminal-free ones."""
     cut = _cut(r)
-    row = _exponent_row(
-        stacked_spreader(p, cut, False), [stacked_spreader(q, cut, True)], p.points, r
-    )
-    return row[0]
+    up, lo = stacked_spreader(p, cut, False), stacked_spreader(q, cut, True)
+    labels, count = join_labels(up, lo, p.points + cut, range(2 * cut))
+    ends = tuple(range(cut))
+    if labels == ends + ends or (r and not r % 2 and labels == ends + ends[:-1] + (cut,)):
+        return count - len(set(labels)) + cut
+    return _FLAW
 
 
 def _table_matrix(

@@ -21,10 +21,12 @@ join, and every loop count in the package is a number of such
 components. Blocks are bitmasks over the nodes. A `spreader` maps a mask
 to the union of the blocks that meet it, block by block, and
 `join_closure` grows a mask by the blocks of both partitions to a
-fixpoint, which is one or more whole components. This kernel counts the
-loops of one pair at a time: a composition and a single matrix entry.
-Every Gram and level table is filled by `gram`, all pairs at once, from
-the node pairs each block joins.
+fixpoint, which is one or more whole components. `join_labels` walks
+the components and returns the canonical labels of the nodes asked for
+and their count: every read of one pair (a composition, a single matrix
+entry and its flaw, a structure) is that one call plus a lookup. Every
+Gram and level table is filled by `gram`, all pairs at once, from the
+node pairs each block joins.
 """
 
 from __future__ import annotations
@@ -390,10 +392,9 @@ def spreader(rgs: Sequence[int], place: Sequence[int]) -> Callable[[int], int]:
 def join_closure(up: Callable[[int], int], lo: Callable[[int], int], m: int) -> int:
     """The union of the components of the join of two partitions that meet m.
 
-    This is the package's loop-count kernel for one pair at a time:
-    composition, single pair and cut graphs and the flaw test run on it;
-    no table does. `up` and `lo` are the spreaders of two partitions drawn
-    on one set of nodes.
+    This is the package's loop-count kernel for one pair at a time, and
+    `join_labels` its one caller; no table runs on it. `up` and `lo` are
+    the spreaders of two partitions drawn on one set of nodes.
     The mask grows by whole blocks of either partition until neither adds
     a node: then it is a union of blocks of both, which is a union of
     components of the join, and every node in it was reached from m.
@@ -404,28 +405,26 @@ def join_closure(up: Callable[[int], int], lo: Callable[[int], int], m: int) -> 
     return m
 
 
-def join_components(up: Callable[[int], int], lo: Callable[[int], int], width: int) -> list[int]:
-    """Every component of the join on nodes 0..width-1, as a mask, in the
-    order of their lowest nodes."""
-    components = []
-    rest = (1 << width) - 1
+def join_labels(
+    up: Callable[[int], int], lo: Callable[[int], int], width: int, nodes: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
+    """The components of the join on nodes 0..width-1, walked lowest node
+    first: the canonical (RGS) labels of `nodes`, in turn, by the
+    component each lies in (a node may be named twice), and the number
+    of components."""
+    wanted = 0
+    for node in nodes:
+        wanted |= 1 << node
+    index, count, rest = {}, 0, (1 << width) - 1
     while rest:
         component = join_closure(up, lo, rest & -rest)
-        components.append(component)
         rest ^= component
-    return components
-
-
-def component_labels(components: list[int], nodes: Iterable[int]) -> tuple[int, ...]:
-    """For each node in turn, its component among the disjoint masks, in
-    canonical (RGS) numbering."""
-    index = {}
-    for j, component in enumerate(components):
-        while component:
-            low = component & -component
-            index[low] = j
-            component ^= low
-    return _canonical(index[1 << node] for node in nodes)
+        met = component & wanted
+        while met:
+            index[met & -met] = count
+            met &= met - 1
+        count += 1
+    return _canonical(index[1 << node] for node in nodes), count
 
 
 def stacked_places(points: int, cut: int, below: bool) -> list[int]:
@@ -462,9 +461,8 @@ def compose(t: Partition, s: Partition) -> Composition:
     width = k + l + m
     up = spreader(s.rgs, range(k + l))
     lo = spreader(t.rgs, range(k, width))
-    components = join_components(up, lo, width)
-    outer = component_labels(components, (*range(k), *range(k + l, width)))
-    return Composition(Partition(k, m, outer), len(components) - len(set(outer)))
+    outer, count = join_labels(up, lo, width, (*range(k), *range(k + l, width)))
+    return Composition(Partition(k, m, outer), count - len(set(outer)))
 
 
 def rotate(p: Partition, corner: Corner) -> Partition:

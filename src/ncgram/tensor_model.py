@@ -9,8 +9,8 @@ dict of its support, a map the set of its nonzero (row, col) cells, which
 involution, composition with loop scaling) compare, at small N by brute
 force. The expansion of a vector over the partitions with at most N
 blocks is in closed form, by Möbius inversion over the groupings of its
-blocks. It is an oracle, not a production path: dense sizes are capped
-hard at N^legs ≤ 10^6.
+blocks, at most 10^6 of them. It is an oracle, not a production path:
+dense sizes are capped hard at N^legs ≤ 10^6.
 
 Multi-indices are 1-based tuples over [N] = {1, …, N}, leftmost leg most
 significant in any flattened enumeration.
@@ -53,6 +53,12 @@ DENSE_BUDGET = 10**6
 #: after 60–90 s (2-core AMD EPYC, Python 3.11, in-process, best of 3;
 #: the refused runs timed once).
 LAWS_WORK_BUDGET = 10**8
+
+#: Groupings of q's blocks, Bell(b(q)), that `express_in_bounded_basis` may
+#: list. For `singletons(b)` at N = 4 it took 0.10, 0.46 and 2.2 s at b = 9,
+#: 10 and 11 (72 MiB peak at 11; 2-core AMD EPYC, Python 3.11, one run
+#: each), about 4.7× more per block: b ≤ 11 is admitted, 12 refused.
+EXPANSION_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -294,13 +300,15 @@ def express_in_bounded_basis(q: Partition, N: int) -> dict[Partition, int]:
     G_m = (X − X²)·G′_{m−1}. Every coefficient is an integer, and every
     coarsening is one grouping of q's blocks. Partitions outside the
     returned mapping have coefficient 0; the combination satisfies
-    Σ α_p · vector_of(p) = vector_of(q) exactly.
+    Σ α_p · vector_of(p) = vector_of(q) exactly. More than
+    EXPANSION_BUDGET groupings raise BudgetError before any is listed.
     """
     if q.upper != 0:
         raise ShapeError("expansion needs a partition with no upper points")
     check_parameter(N)
     if q.block_count <= N:
         return {q: 1}
+    refuse_past(EXPANSION_BUDGET, "block groupings:", count_partitions, range(q.block_count + 1))
     X = IntPolynomial.x()
     G = {1: X}
     for m in range(2, q.block_count + 1):  # (1 − X)·X·G′, and X·G′ scales X^k by k

@@ -11,14 +11,15 @@ exponents, and only the top one is multiplied out.
 
 Points of a pair (p, q) live on a graph: nodes 1..n carry p, nodes
 1'..n' carry q, and vertical edges join i to i'. Its components are
-those of the join p ∨ q, found by the join kernel of `partitions` on
-block bitmasks: with every vertical the pair graph, whose component
-count is the loop count rl(q*, p); at level r = 2s or 2s+1, with the
-verticals of 1..s+1 cut, the cut graph. Its nodes are placed by
-`partitions.stacked_places`, terminals lowest: a cut i is bit i-1, and
-any other i', cut or glued to i, is bit s+i. Every entry of a level
-matrix is one of `gram`'s exponents, so the level-r matrix is read off
-the same exponent table as the Gram matrix, which is level 0.
+those of the join p ∨ q: with every vertical the pair graph, whose
+component count is the loop count rl(q*, p); at level r = 2s or 2s+1,
+with the verticals of 1..s+1 cut, the cut graph, whose nodes
+`partitions.stacked_places` places terminals lowest: a cut i is bit i-1,
+and any other i', cut or glued to i, is bit s+i. The flaw and the
+structures below are canonical labels of its leftmost points, read off
+one `partitions.join_labels` walk. Every entry of a level matrix is one
+of `gram`'s exponents, so the level-r matrix is read off the same
+exponent table as the Gram matrix, which is level 0.
 
 The strata form a chain W(n,0) ⊇ W(n,1) ⊇ … ⊇ W(n,n−1) ⊋ W(n,n) = ∅,
 with Y(n,r) = W(n,r) \\ W(n,r+1), so each partition sits at one level.
@@ -54,8 +55,7 @@ from .partitions import (
     PartitionClass,
     _canonical,
     _enumerate,
-    component_labels,
-    join_components,
+    join_labels,
     stacked_spreader,
 )
 from .polynomials import IntPolynomial, beraha, power_product
@@ -294,11 +294,10 @@ def classify_structure(p: Partition, q: Partition, r: int) -> tuple[int, ...] | 
         raise ValueError(f"structure level r={r} out of range for n={n}")
     s, odd = r // 2, r % 2 == 1
     cut = s + 1
-    components = join_components(
-        stacked_spreader(p, cut, False), stacked_spreader(q, cut, True), n + cut
-    )
+    up, lo = stacked_spreader(p, cut, False), stacked_spreader(q, cut, True)
     # 1..s+1, then the cut 1'..(s+1)', then (s+2)' at odd r, glued to s+2
-    return _structures(s, odd).get(component_labels(components, range(2 * cut + odd)))
+    labels, _ = join_labels(up, lo, n + cut, range(2 * cut + odd))
+    return _structures(s, odd).get(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -224,13 +224,13 @@ def test_gram_negative_points_rejected(capsys):
 )
 def test_over_budget_jobs_exit_before_the_build(capsys, monkeypatch, argv):
     # 4862 (and Bell(8) = 4140) labels exceed the budget of 2000; the pair
-    # loop must never start, so an exponent table or a join closure
-    # computed by any matrix builder would fail the test.
+    # loop must never start, so an exponent table or a single entry's
+    # join labels computed by any matrix builder would fail the test.
     def no_pair_loop(*args):
         raise AssertionError("the Gram pair loop ran")
 
     monkeypatch.setattr(gram, "_exponent_table", no_pair_loop)
-    monkeypatch.setattr(gram, "join_closure", no_pair_loop)
+    monkeypatch.setattr(gram, "join_labels", no_pair_loop)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""

@@ -444,7 +444,7 @@ def test_build_refuses_over_budget_before_the_pair_loop(monkeypatch):
 
     # every pair is computed in the exponent table, by the join kernel
     monkeypatch.setattr(ncgram.gram, "_exponent_table", no_pair_loop)
-    monkeypatch.setattr(ncgram.gram, "join_closure", no_pair_loop)
+    monkeypatch.setattr(ncgram.gram, "join_labels", no_pair_loop)
     assert len(enumerate_partitions(9, NC)) > DET_DIMENSION_BUDGET
     with pytest.raises(BudgetError):
         build_gram(9, NC, 4)

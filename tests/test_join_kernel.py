@@ -2,8 +2,11 @@
 
 `block_forest`, `PairForest` and the forest versions of `compose` and of
 the level-r entry are the package's earlier loop-count kernel, kept here
-unchanged as oracles for `spreader`, `join_closure` and the bit-sliced
-exponent table, which the pair kernel `_exponent_row` checks as well.
+unchanged as oracles for `spreader`, `join_closure`, `join_labels` and
+the bit-sliced exponent table. `_exponent_row`, the package's earlier
+pair kernel, which read each component's terminals against a set of
+allowed masks, is kept here unchanged as well: it checks the tables row
+by row, and the label reads of `_pair_exponent`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 import ncgram.gram
 import ncgram.partitions
-from ncgram.gram import _FLAW, _cut, _exponent_row, _exponent_table, _pair_exponent
+from ncgram.gram import _FLAW, _cut, _exponent_table, _pair_exponent
 from ncgram.partitions import (
     Partition,
     PartitionClass,
@@ -25,8 +28,9 @@ from ncgram.partitions import (
     compose,
     enumerate_partitions,
     join_closure,
-    join_components,
+    join_labels,
     spreader,
+    stacked_places,
     stacked_spreader,
 )
 from ncgram.tutte import build_A, e_r, has_r_flaw, w_stratum
@@ -165,16 +169,39 @@ def forest_components(first: tuple[int, ...], second: tuple[int, ...]) -> list[i
     return sorted(masks.values(), key=lambda c: c & -c)
 
 
+def forest_labels(
+    first: tuple[int, ...], second: tuple[int, ...], nodes: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
+    """The canonical labels of nodes by their components on the forest,
+    and the number of components."""
+    components = forest_components(first, second)
+    index = [next(j for j, c in enumerate(components) if c >> node & 1) for node in nodes]
+    return _canonical(index), len(components)
+
+
 @given(rgs_pairs())
 @example(((0,) * 8, tuple(range(8))))
 @example((tuple(range(17)), (0,) * 17))
 @example((tuple(i // 2 for i in range(16)), (0,) + tuple((i + 1) // 2 for i in range(15))))
 @example(((0, *range(1, 15), 0), tuple(range(16))))
-def test_join_components_match_the_forest(pair):
+def test_join_labels_match_the_forest(pair):
+    # labels of every node fix the components; the top half, read top
+    # down, checks the canonical numbering of a subset in another order
     first, second = pair
     width = len(first)
     up, lo = spreader(first, range(width)), spreader(second, range(width))
-    assert join_components(up, lo, width) == forest_components(first, second)
+    for nodes in (range(width), range(width - 1, width // 2 - 1, -1)):
+        assert join_labels(up, lo, width, nodes) == forest_labels(first, second, nodes)
+
+
+def test_join_labels_take_a_node_more_than_once():
+    # glued points share a node in the stacked places, so the nodes of
+    # both rows name each of those twice
+    nodes = [*stacked_places(6, 2, False), *stacked_places(6, 2, True)]
+    assert len(nodes) == 12 and len(set(nodes)) == 8
+    first, second = (0, 1, 0, 2, 2, 1, 3, 1), (0, 0, 1, 2, 1, 3, 3, 4)
+    up, lo = spreader(first, range(8)), spreader(second, range(8))
+    assert join_labels(up, lo, 8, nodes) == forest_labels(first, second, nodes)
 
 
 @given(rgs_pairs(), st.data())
@@ -242,6 +269,49 @@ def test_pair_entries_match_the_forest_exhaustively():
                     assert e_r(p, q, r, 3) == (0 if want[a][b] == _FLAW else 3 ** want[a][b])
 
 
+def _exponents(points: int, length: int) -> bytearray | array:
+    """`length` zero exponents of at most `points`, a byte each below 256 points."""
+    return bytearray(length) if points < 256 else array("H" if points < 1 << 16 else "Q", [0]) * length
+
+
+def _exponent_row(up, lows, points: int, r: int) -> bytearray | array:
+    """The exponents of one row partition p against a run of columns q.
+
+    `up` is the `stacked_spreader` of p on top and `lows` are those of the
+    columns below it, all with `_cut(r)` verticals cut. The exponent is
+    the number of components of the pair graph of p over q, or `_FLAW` if
+    the pair has a level-r flaw (`tutte.has_r_flaw`).
+
+    The cut graph's components are walked lowest node first, so those that
+    hold terminals (the ends of the cut verticals, nodes 0..2·cut−1) come
+    first, and each component's terminals decide: none adds a component;
+    exactly i and i′ (node cut + i), or at even r one end of the s+1
+    vertical alone (s = r // 2), is allowed; any other set is a flaw.
+    Glued back, the cut verticals leave a flawless pair's terminals in cut
+    components, so its exponent is cut plus its terminal-free components.
+    """
+    cut = _cut(r)
+    width = points + cut
+    terminals = (1 << 2 * cut) - 1
+    allowed = {1 << i | 1 << (cut + i) for i in range(cut)}
+    if cut and not r % 2:  # the s+1 vertical may stay cut
+        allowed |= {1 << (cut - 1), 1 << (2 * cut - 1)}
+    row = _exponents(points, len(lows))
+    for b, lo in enumerate(lows):
+        rest = (1 << width) - 1
+        count = cut
+        while rest:
+            component = join_closure(up, lo, rest & -rest)
+            rest ^= component
+            if not component & terminals:
+                count += 1
+            elif component & terminals not in allowed:
+                break
+        else:
+            row[b] = count
+    return row
+
+
 def row_kernel_table(labels: Sequence[Partition], n: int, r: int) -> list:
     """The level-r table row by row on the pair kernel (`_exponent_row`),
     every pair of it, on plain spreaders."""
@@ -263,6 +333,17 @@ def test_exponent_tables_match_the_forest_exhaustively():
         assert row_kernel_table(labels, n, r) == want
         if r == 0:
             assert list(_exponent_table(labels, n)) == want
+
+
+def test_pair_labels_match_the_row_kernel_exhaustively():
+    # the terminal labels of `_pair_exponent` against the allowed terminal
+    # masks of `_exponent_row`, on every pair at every level
+    cases = [(NC, n) for n in range(1, 7)] + [(ALL, n) for n in range(1, 6)]
+    for cls, n in cases:
+        labels = enumerate_partitions(n, cls)
+        for r in range(n):
+            want = [list(row) for row in row_kernel_table(labels, n, r)]
+            assert [[_pair_exponent(p, q, r) for q in labels] for p in labels] == want, (cls, n, r)
 
 
 def test_sliced_tables_match_the_pair_kernel_across_row_chunks():
@@ -320,7 +401,7 @@ def test_no_table_reaches_the_pair_kernel(monkeypatch):
     def no_pair_kernel(*args):
         raise AssertionError("a table was filled pair by pair")
 
-    monkeypatch.setattr(ncgram.gram, "_exponent_row", no_pair_kernel)
+    monkeypatch.setattr(ncgram.gram, "_pair_exponent", no_pair_kernel)
     monkeypatch.setattr(ncgram.partitions, "join_closure", no_pair_kernel)
     assert build_A(300, 298, 4).nrows == 300
     blocks = (range(600), [0] * 600, [i // 2 for i in range(600)])

@@ -57,7 +57,7 @@ def test_every_budget_is_in_the_table_with_its_value():
                 if isinstance(target, ast.Name) and target.id.endswith("_BUDGET"):
                     module = importlib.import_module(f"ncgram.{path.stem}")
                     found[target.id] = getattr(module, target.id)
-    assert len(found) == 6
+    assert len(found) == 7
     for name, value in found.items():
         row = re.search(rf"^\| `{name}` \| ([0-9^]+) \|", text, re.M)
         assert row, name

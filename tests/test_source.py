@@ -229,6 +229,25 @@ def test_one_reader_turns_the_exponent_table_into_every_matrix():
     assert found == {"gram.py:_table_matrix"}
 
 
+def test_one_labelled_walk_reaches_the_join_closure():
+    # a composition, a single entry with its flaw and a structure each read
+    # the canonical component labels of one `join_labels` walk, so no other
+    # walk over the join's components exists
+    def callers(name: str) -> list[str]:
+        return sorted(
+            f"{path.name}:{scope}"
+            for path in sorted(SOURCE.glob("*.py"))
+            for scope, _ in _references(
+                ast.parse(path.read_text(encoding="utf-8"), str(path)), {name}
+            )
+            if scope != "<module>"
+        )
+
+    assert callers("join_closure") == ["partitions.py:join_labels"]
+    readers = ["gram.py:_pair_exponent", "partitions.py:compose", "tutte.py:classify_structure"]
+    assert callers("join_labels") == readers
+
+
 def test_the_pair_graph_objects_and_tag_classes_are_gone_from_the_package():
     # a pair reaches its loop count through the join kernel alone, and the
     # structures are the paper's brackets (i,), (i, i + 1) and (0,)
@@ -242,6 +261,10 @@ def test_the_pair_graph_objects_and_tag_classes_are_gone_from_the_package():
         "StructPair",
         "StructZero",
         "_level_matrix",
+        "_exponent_row",
+        "_exponents",
+        "join_components",
+        "component_labels",
     )
     found = [
         f"{path.name}:{lineno} {name}"

@@ -538,6 +538,26 @@ def test_expansion_keys_are_the_bounded_coarsenings():
         assert set(express_in_bounded_basis(q, 3)) == want, q
 
 
+def test_expansion_refuses_past_the_budget_before_any_grouping(monkeypatch):
+    # Bell(12) = 4,213,597 groupings pass the budget and Bell(11) = 678,570
+    # do not; a q within N blocks lists no grouping, so it is never refused
+    class Listed(Exception):
+        pass
+
+    def no_groupings(*args):
+        raise Listed
+
+    monkeypatch.setattr(tensor_model, "iter_partitions", no_groupings)
+    assert count_partitions(11) <= tensor_model.EXPANSION_BUDGET < count_partitions(12)
+    twelve = Partition(0, 13, (0, *range(12)))
+    for q in (Partition.singletons(12), Partition.singletons(10**4), twelve):
+        with pytest.raises(BudgetError, match="groupings"):
+            express_in_bounded_basis(q, 4)
+    with pytest.raises(Listed):
+        express_in_bounded_basis(Partition.singletons(11), 4)
+    assert express_in_bounded_basis(Partition.singletons(12), 12) == {Partition.singletons(12): 1}
+
+
 def test_reconstruct_refuses_mixed_shapes():
     # a pair and the 3-point singletons once summed into one dict of 2- and
     # 3-tuples

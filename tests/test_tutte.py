@@ -21,11 +21,10 @@ from ncgram.gram import DET_DIMENSION_BUDGET, RECURSION_BIT_BUDGET, build_gram, 
 from ncgram.partitions import (
     Partition,
     PartitionClass,
-    component_labels,
     compose,
     enumerate_partitions,
     involution,
-    join_components,
+    join_labels,
     kernel,
     stacked_places,
     stacked_spreader,
@@ -126,11 +125,10 @@ def kernel_labels(p: Partition, q: Partition, keep_from: int) -> tuple[int, ...]
     node order and numbered canonically: the first keep_from - 1 verticals
     are cut, so q's points there are nodes of their own."""
     n, cut = p.lower, keep_from - 1
-    components = join_components(
-        stacked_spreader(p, cut, False), stacked_spreader(q, cut, True), n + cut
-    )
+    up, lo = stacked_spreader(p, cut, False), stacked_spreader(q, cut, True)
     nodes = [*stacked_places(n, cut, False), *stacked_places(n, cut, True)]
-    return component_labels(components, nodes)
+    labels, _ = join_labels(up, lo, n + cut, nodes)
+    return labels
 
 
 def oracle_labels(p: Partition, q: Partition, keep_from: int) -> tuple[int, ...]:
@@ -894,14 +892,30 @@ def test_recursion_exponents_match_the_pair_formula_exponents():
 
 def test_every_level_of_the_recursion_equals_its_determinant():
     # the recursion is a chain over the levels: each vector it builds on
-    # the way to det A(7, 0), multiplied out, is det A(m, r) by elimination
+    # the way to det A(7, 0), multiplied out, is det A(m, r) by elimination,
+    # and so is each step of the chain, with det B(m, r) eliminated too:
+    # det A(m, r) = (c_{r+3}/(c_{r+2}·N^{1−r%2}))^{#W(m, r+1)} · det B(m, r)
+    # · det A(m, r+1), and det B(m, r) = f^{#Y(m, r)} · det A(m−1, max(r−1, 0))
+    # with f = 1 at odd r and N otherwise
     for N in (4, 5):
         bases, levels, _ = tutte._level_exponents(7, N)
+        A = {}
         for m in range(1, 8):
             assert len(levels[m]) == m
             for r, exponents in enumerate(levels[m]):
-                want = determinant(build_A(m, r, N))
-                assert power_product(zip(bases, exponents)) == want, (m, r, N)
+                A[m, r] = determinant(build_A(m, r, N))
+                assert power_product(zip(bases, exponents)) == A[m, r], (m, r, N)
+        steps = 0
+        for m in range(2, 8):
+            w_counts, y_counts = _strata_counts(m)
+            for r in range(m - 1):
+                B = determinant(build_B(m, r, N))
+                ratio = Fraction(bases[r + 3], bases[r + 2] * N ** (1 - r % 2))
+                assert A[m, r] == ratio ** w_counts[r + 1] * B * A[m, r + 1], (m, r, N)
+                f = 1 if r % 2 else N
+                assert B == f ** y_counts[r] * A[m - 1, max(r - 1, 0)], (m, r, N)
+                steps += 1
+        assert steps == 21
 
 
 def test_recursion_trace_is_freed_without_the_cycle_collector():
