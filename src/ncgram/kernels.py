@@ -70,6 +70,7 @@ for benchmark records.
 from __future__ import annotations
 
 from math import gcd, prod
+from operator import eq
 
 INTEGER_BACKEND = "python"
 
@@ -83,7 +84,7 @@ def eliminate(rows) -> tuple[int, int]:
     loop on a copy of ``rows``. The determinant is 0 unless the input is
     square and of full rank.
     """
-    if list(map(tuple, rows)) == list(zip(*rows)):
+    if all(len(row) == len(rows) for row in rows) and all(map(eq, map(tuple, rows), zip(*rows))):
         found = _eliminate_upper(rows)
         if found is not None:
             return found

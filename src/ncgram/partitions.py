@@ -49,7 +49,7 @@ class PartitionClass(Enum):
 
 
 class Corner(Enum):
-    """The four corner rotations: which extremal point moves to the other row."""
+    """The four corner rotations: the row an extremal point leaves, its side, its direction."""
 
     UPPER_RIGHT_DOWN = "upper_right_down"
     LOWER_RIGHT_UP = "lower_right_up"
@@ -101,18 +101,15 @@ class Partition:
     ) -> Partition:
         """Build from explicit blocks of (row, index) labels; must cover all points."""
         ids = [-1] * (upper + lower)
+        rows = {"upper": (upper, 0), "lower": (lower, upper)}  # row -> (size, first position)
         for b, block in enumerate(blocks):
             for row, index in block:
-                if row == "upper":
-                    if not 1 <= index <= upper:
-                        raise ValueError(f"upper index {index} out of range")
-                    pos = index - 1
-                elif row == "lower":
-                    if not 1 <= index <= lower:
-                        raise ValueError(f"lower index {index} out of range")
-                    pos = upper + index - 1
-                else:
+                if row not in rows:
                     raise ValueError(f"unknown row {row!r}")
+                size, first = rows[row]
+                if not 1 <= index <= size:
+                    raise ValueError(f"{row} index {index} out of range")
+                pos = first + index - 1
                 if ids[pos] != -1:
                     raise ValueError("blocks are not disjoint")
                 ids[pos] = b
@@ -240,9 +237,16 @@ def iter_partitions(
     the strings outside the class left out. Matrix labels and cache keys
     follow this order.
     """
+    _check_class(points, cls)
+    return _enumerate(points, cls, 0, 0)  # a generator: the checks above run at the call
+
+
+def _check_class(points: int, cls: PartitionClass) -> None:
+    """Refuse a negative point count, and a class that is not a `PartitionClass` member."""
     if points < 0:
         raise ValueError("negative point count")
-    return _enumerate(points, cls, 0, 0)  # a generator: the check above runs at the call
+    if not isinstance(cls, PartitionClass):
+        raise TypeError(f"partition class must be a PartitionClass, not {cls!r}")
 
 
 def _enumerate(
@@ -299,8 +303,7 @@ def count_partitions(points: int, cls: PartitionClass = PartitionClass.ALL) -> i
     """len(enumerate_partitions(points, cls)) in closed form, enumerating
     nothing: the Bell number B_n for ALL, the Catalan number C_n for
     NONCROSSING, and C_{n/2} for NONCROSSING_PAIRS (0 at odd n)."""
-    if points < 0:
-        raise ValueError("negative point count")
+    _check_class(points, cls)
     if cls is PartitionClass.NONCROSSING_PAIRS:
         return 0 if points % 2 else _catalan(points // 2)
     if cls is PartitionClass.NONCROSSING:
@@ -467,30 +470,16 @@ def compose(t: Partition, s: Partition) -> Composition:
 
 def rotate(p: Partition, corner: Corner) -> Partition:
     """Move one extremal point to the same side of the other row."""
-    k, l = p.upper, p.lower
-    if corner is Corner.UPPER_RIGHT_DOWN:
-        if k == 0:
-            raise RotationUndefined("no upper point to rotate down")
-        order = list(range(k - 1)) + list(range(k, k + l)) + [k - 1]
-        shape = (k - 1, l + 1)
-    elif corner is Corner.LOWER_RIGHT_UP:
-        if l == 0:
-            raise RotationUndefined("no lower point to rotate up")
-        order = list(range(k)) + [k + l - 1] + list(range(k, k + l - 1))
-        shape = (k + 1, l - 1)
-    elif corner is Corner.UPPER_LEFT_DOWN:
-        if k == 0:
-            raise RotationUndefined("no upper point to rotate down")
-        order = list(range(1, k)) + [0] + list(range(k, k + l))
-        shape = (k - 1, l + 1)
-    elif corner is Corner.LOWER_LEFT_UP:
-        if l == 0:
-            raise RotationUndefined("no lower point to rotate up")
-        order = [k] + list(range(k)) + list(range(k + 1, k + l))
-        shape = (k + 1, l - 1)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(corner)
-    return Partition(shape[0], shape[1], _canonical(p.rgs[pos] for pos in order))
+    row, side, direction = corner.value.split("_")
+    upper, lower = list(range(p.upper)), list(range(p.upper, p.points))
+    source, target = (upper, lower) if row == "upper" else (lower, upper)
+    if not source:
+        raise RotationUndefined(f"no {row} point to rotate {direction}")
+    if side == "right":
+        target.append(source.pop())
+    else:
+        target.insert(0, source.pop(0))
+    return Partition(len(upper), len(lower), _canonical(p.rgs[pos] for pos in upper + lower))
 
 
 def kernel(labels: Sequence[int]) -> Partition:

@@ -63,8 +63,6 @@ class IntPolynomial:
         return IntPolynomial(-c for c in self.coeffs)
 
     def __sub__(self, other: IntPolynomial | int) -> IntPolynomial:
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
         return self + (-other)
 
     def __rsub__(self, other: int) -> IntPolynomial:
@@ -144,17 +142,21 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)})"
 
 
+def _family(cache: list[IntPolynomial], a, b, n: int) -> IntPolynomial:
+    """P_n of P_{k+1} = a·P_k − b·P_{k−1}, a and b polynomials or ints, extending `cache`."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    while len(cache) <= n:
+        cache.append(a * cache[-1] - b * cache[-2])
+    return cache[n]
+
+
 _beraha_cache = [IntPolynomial(), IntPolynomial((1,))]  # β_0 = 0, β_1 = 1
 
 
 def beraha(n: int) -> IntPolynomial:
     """Reversed Beraha polynomial β_n: β_{n+1} = β_n − X·β_{n−1}."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    x = IntPolynomial.x()
-    while len(_beraha_cache) <= n:
-        _beraha_cache.append(_beraha_cache[-1] - x * _beraha_cache[-2])
-    return _beraha_cache[n]
+    return _family(_beraha_cache, 1, IntPolynomial.x(), n)
 
 
 _dilated_cache = [IntPolynomial((1,)), IntPolynomial.x()]  # U_0 = 1, U_1 = X
@@ -166,12 +168,7 @@ def chebyshev_dilated(n: int) -> IntPolynomial:
     All roots lie in the open interval (−2, 2), hence U_n(v) ≠ 0 for
     integers |v| ≥ 2 — the fact the determinant formulas lean on.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    x = IntPolynomial.x()
-    while len(_dilated_cache) <= n:
-        _dilated_cache.append(x * _dilated_cache[-1] - _dilated_cache[-2])
-    return _dilated_cache[n]
+    return _family(_dilated_cache, IntPolynomial.x(), 1, n)
 
 
 _classical_cache = [IntPolynomial((1,)), IntPolynomial((0, 2))]  # 𝒰_0 = 1, 𝒰_1 = 2X
@@ -183,12 +180,7 @@ def chebyshev_classical(n: int) -> IntPolynomial:
     Satisfies 𝒰_n(cos t) = sin((n+1)t)/sin t and the dilation relation
     U_n(2x) = 𝒰_n(x).
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    two_x = IntPolynomial((0, 2))
-    while len(_classical_cache) <= n:
-        _classical_cache.append(two_x * _classical_cache[-1] - _classical_cache[-2])
-    return _classical_cache[n]
+    return _family(_classical_cache, IntPolynomial((0, 2)), 1, n)
 
 
 def check_beraha_chebyshev_relation(j_max: int) -> dict:

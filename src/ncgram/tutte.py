@@ -144,9 +144,7 @@ def has_r_flaw(p: Partition, q: Partition, r: int) -> bool:
     1'..(s+1)', i is connected to i' for i ≤ s, and for odd r also s+1 to
     (s+1)'. Level 0 never has flaws.
     """
-    n = _check_pair(p, q)
-    _check_level(n, r, "flaw")
-    return _pair_exponent(p, q, r) == _FLAW
+    return e_r(p, q, r, 1) == 0
 
 
 def e_r(p: Partition, q: Partition, r: int, N: int) -> int:
@@ -344,18 +342,13 @@ def F_r_value(p: Partition, q: Partition, r: int, N: int) -> Fraction:
         raise ValueError("row partition is not in the level r stratum")
     if not in_W(q, r + 1):
         raise ValueError("column partition is not in the level r+1 stratum")
-    s = r // 2
-    t = s + 1 if r % 2 == 1 else s
-    z = Fraction(1, N)
-    total = Fraction(0)
-    for j in range(1, s + 2):
-        term = e_r(p, f_manip(j, q, r), r, N)
+    s, z, total = r // 2, Fraction(1, N), Fraction(0)
+    columns = [(1, f_manip(j, q, r), s - j + 2, 2 * j - 1) for j in range(1, s + 2)]
+    columns += [(-1, g_manip(j, q, r), s - j + 1, 2 * j) for j in range(1, s + 1 + r % 2)]
+    for sign, column, power, k in columns:
+        term = e_r(p, column, r, N)
         if term:
-            total += Fraction(term, N ** (s - j + 2)) * beraha(2 * j - 1).evaluate(z)
-    for j in range(1, t + 1):
-        term = e_r(p, g_manip(j, q, r), r, N)
-        if term:
-            total -= Fraction(term, N ** (s - j + 1)) * beraha(2 * j).evaluate(z)
+            total += Fraction(sign * term, N**power) * beraha(k).evaluate(z)
     return total
 
 

@@ -27,8 +27,10 @@ from ncgram.partitions import (
     Partition,
     PartitionClass,
     compose,
+    count_partitions,
     enumerate_partitions,
     involution,
+    iter_partitions,
     mirror,
 )
 from ncgram.polynomials import IntPolynomial
@@ -47,6 +49,26 @@ def entry_by_labels(m: ExactMatrix, p: Partition, q: Partition):
 
 # ---------------------------------------------------------------------------
 # construction
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_partitions(4, "nc2"),
+        lambda: enumerate_partitions(5, "all"),
+        lambda: iter_partitions(3, None),
+        lambda: count_partitions(5, "all"),
+        lambda: build_gram(4, "all"),
+        lambda: build_gram(4, "all", 4),
+    ],
+    ids=["nc2", "all", "none", "count", "symbolic-gram", "gram"],
+)
+def test_a_class_given_as_anything_but_a_member_is_refused(call):
+    # a string once fell through to another class: "nc2" listed NC(4),
+    # "all" listed 42 partitions of 5 points against a count of 52, and
+    # build_gram(4, "all") built the 14 NC rows
+    with pytest.raises(TypeError, match="^partition class must be a PartitionClass, not "):
+        call()
 
 
 def test_two_point_matrix_by_hand():

@@ -7,6 +7,7 @@ oracles."""
 from __future__ import annotations
 
 import random
+from itertools import product
 from fractions import Fraction
 from math import gcd
 
@@ -767,6 +768,29 @@ def test_level_matrices_below_four_take_the_row_swaps(monkeypatch):
         if swapped:
             fell.add(case)
     assert {("build_A", 3, 1, 1), ("gram", 5, -1), ("gram", 6, -1)} <= fell
+
+
+def test_the_symmetry_test_decides_as_the_transposed_copy_did(monkeypatch):
+    # symmetry was once decided against a full transposed copy; the lazy
+    # row-by-column test must send the same inputs to the upper-triangle
+    # loop: empty, rows without columns, non-square, ragged, symmetric and
+    # not, as lists and as tuples
+    def symmetric_by_copy(rows) -> bool:
+        return list(map(tuple, rows)) == list(zip(*rows))
+
+    cases = [[], [[]], [[], []], [[1, 2, 3], [2, 4, 5]], [[1, 2], [2, 4], [3, 5]]]
+    cases += [[[1, 2], [2]], [[1], [1, 2]], [[1, 2, 3], [2, 4]]]
+    cases += [[list(row[:3]), list(row[3:6]), list(row[6:])] for row in product((0, 1), repeat=9)]
+    cases += [tuple(map(tuple, m)) for m in cases]
+    upper_loop = kernels._eliminate_upper
+    took = []
+    monkeypatch.setattr(kernels, "_eliminate_upper", lambda rows: took.append(rows) or upper_loop(rows))
+    monkeypatch.setattr(kernels, "_eliminate_rows", lambda rows: None)
+    for rows in cases:
+        took.clear()
+        eliminate(rows)
+        assert bool(took) == symmetric_by_copy(rows), rows
+    assert sum(map(symmetric_by_copy, cases)) == 2 * (1 + 2**6)
 
 
 def test_reported_backend_is_consistent():

@@ -18,6 +18,7 @@ from ncgram.partitions import (
     Corner,
     Partition,
     PartitionClass,
+    _canonical,
     compose,
     count_partitions,
     enumerate_partitions,
@@ -154,6 +155,26 @@ def test_from_blocks_roundtrip():
     p = Partition.from_lower_blocks(4, [[1, 3], [2], [4]])
     assert p.rgs == (0, 1, 0, 2)
     assert p.lower_blocks() == ((1, 3), (2,), (4,))
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([[("middle", 1)]], "unknown row 'middle'"),
+        ([[("upper", 0)], [("upper", 1)], [("lower", 1)]], "upper index 0 out of range"),
+        ([[("upper", 1), ("upper", 3)], [("lower", 1)]], "upper index 3 out of range"),
+        ([[("upper", 1), ("upper", 2)], [("lower", 0)]], "lower index 0 out of range"),
+        ([[("upper", 1), ("upper", 2)], [("lower", 2)]], "lower index 2 out of range"),
+        ([[("upper", 1), ("lower", 1)], [("upper", 2), ("upper", 1)]], "blocks are not disjoint"),
+        ([[("upper", 1), ("lower", 1)]], "blocks do not cover all points"),
+    ],
+)
+def test_from_blocks_refusals(blocks, message):
+    # a (2, 1) partition: each row is checked against its own size
+    with pytest.raises(ValueError) as caught:
+        Partition.from_blocks(2, 1, blocks)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
 
 
 def test_text_form():
@@ -461,6 +482,57 @@ def test_rotations_invert():
     for p in partitions_of(2, 2):
         for corner, back in inverse.items():
             assert rotate(rotate(p, corner), back) == p
+
+
+def rotate_by_cases(p: Partition, corner: Corner) -> Partition:
+    """`rotate` as it was written before it read the corner as row, side
+    and direction: one branch per corner, kept as its oracle."""
+    k, l = p.upper, p.lower
+    if corner is Corner.UPPER_RIGHT_DOWN:
+        if k == 0:
+            raise RotationUndefined("no upper point to rotate down")
+        order = list(range(k - 1)) + list(range(k, k + l)) + [k - 1]
+        shape = (k - 1, l + 1)
+    elif corner is Corner.LOWER_RIGHT_UP:
+        if l == 0:
+            raise RotationUndefined("no lower point to rotate up")
+        order = list(range(k)) + [k + l - 1] + list(range(k, k + l - 1))
+        shape = (k + 1, l - 1)
+    elif corner is Corner.UPPER_LEFT_DOWN:
+        if k == 0:
+            raise RotationUndefined("no upper point to rotate down")
+        order = list(range(1, k)) + [0] + list(range(k, k + l))
+        shape = (k - 1, l + 1)
+    elif corner is Corner.LOWER_LEFT_UP:
+        if l == 0:
+            raise RotationUndefined("no lower point to rotate up")
+        order = [k] + list(range(k)) + list(range(k + 1, k + l))
+        shape = (k + 1, l - 1)
+    else:  # pragma: no cover - enum is exhaustive
+        raise ValueError(corner)
+    return Partition(shape[0], shape[1], _canonical(p.rgs[pos] for pos in order))
+
+
+def _outcome(rotation, p: Partition, corner: Corner):
+    try:
+        return rotation(p, corner)
+    except Exception as error:  # the type and message are compared
+        return type(error), str(error)
+
+
+def test_rotate_matches_the_case_oracle_on_every_small_partition():
+    # every (k, l) partition with k, l ≤ 4, built from the RGS directly so
+    # that no rotation makes the inputs: 6,815 partitions, 27,260 rotations
+    cases = [
+        Partition(k, l, p.rgs)
+        for k in range(5)
+        for l in range(5)
+        for p in enumerate_partitions(k + l, ALL)
+    ]
+    assert len(cases) * len(Corner) == 27260
+    for p in cases:
+        for corner in Corner:
+            assert _outcome(rotate, p, corner) == _outcome(rotate_by_cases, p, corner)
 
 
 def test_rotate_empty_row_is_undefined():

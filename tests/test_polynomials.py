@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ncgram import polynomials
 from ncgram.polynomials import (
     IntPolynomial,
     beraha,
@@ -84,6 +85,66 @@ def test_evaluate_at_fraction_is_exact():
 
 # ---------------------------------------------------------------------------
 # the two polynomial families
+
+
+# The three families as each was written before one recurrence helper
+# extended them all, kept as oracles with caches of their own.
+
+_oracle_beraha_cache = [IntPolynomial(), IntPolynomial((1,))]  # β_0 = 0, β_1 = 1
+
+
+def beraha_by_loop(n: int) -> IntPolynomial:
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    x = IntPolynomial.x()
+    while len(_oracle_beraha_cache) <= n:
+        _oracle_beraha_cache.append(_oracle_beraha_cache[-1] - x * _oracle_beraha_cache[-2])
+    return _oracle_beraha_cache[n]
+
+
+_oracle_dilated_cache = [IntPolynomial((1,)), IntPolynomial.x()]  # U_0 = 1, U_1 = X
+
+
+def chebyshev_dilated_by_loop(n: int) -> IntPolynomial:
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    x = IntPolynomial.x()
+    while len(_oracle_dilated_cache) <= n:
+        _oracle_dilated_cache.append(x * _oracle_dilated_cache[-1] - _oracle_dilated_cache[-2])
+    return _oracle_dilated_cache[n]
+
+
+_oracle_classical_cache = [IntPolynomial((1,)), IntPolynomial((0, 2))]  # 𝒰_0 = 1, 𝒰_1 = 2X
+
+
+def chebyshev_classical_by_loop(n: int) -> IntPolynomial:
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    two_x = IntPolynomial((0, 2))
+    while len(_oracle_classical_cache) <= n:
+        _oracle_classical_cache.append(two_x * _oracle_classical_cache[-1] - _oracle_classical_cache[-2])
+    return _oracle_classical_cache[n]
+
+
+@pytest.mark.parametrize("descending", [True, False])
+@pytest.mark.parametrize(
+    "family, cache, oracle",
+    [
+        (beraha, "_beraha_cache", beraha_by_loop),
+        (chebyshev_dilated, "_dilated_cache", chebyshev_dilated_by_loop),
+        (chebyshev_classical, "_classical_cache", chebyshev_classical_by_loop),
+    ],
+)
+def test_each_family_matches_its_loop_oracle(monkeypatch, family, cache, oracle, descending):
+    # from a cache holding only P_0 and P_1: the first call extends it to
+    # n = 60 at once when descending, one term a call when ascending
+    monkeypatch.setattr(polynomials, cache, getattr(polynomials, cache)[:2])
+    ns = range(60, -1, -1) if descending else range(61)
+    assert [family(n) for n in ns] == [oracle(n) for n in ns]
+    assert len(getattr(polynomials, cache)) == 61
+    for call in (family, oracle):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            call(-1)
 
 
 def test_beraha_first_values():

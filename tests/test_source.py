@@ -131,6 +131,38 @@ def test_only_the_one_refusal_rule_raises_the_budget_error():
     assert found == ["errors.py:refuse_past"]
 
 
+def _appends(tree: ast.AST, scope: str = "<module>"):
+    """(innermost enclosing function, receiver) for each `name.append(...)`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _appends(node, node.name)
+            continue
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "append"
+            and isinstance(node.func.value, ast.Name)
+        ):
+            yield scope, node.func.value.id
+        yield from _appends(node, scope)
+
+
+def test_each_case_family_is_one_rule():
+    # the four corner rotations are one rule read off the corner, so the
+    # refusal of an empty row is raised at one site; the three polynomial
+    # families are one recurrence, so one helper extends every cache
+    found = [
+        f"{path.name}:{scope}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope, raised in _raises(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if "RotationUndefined" in raised
+    ]
+    assert found == ["partitions.py:rotate"]
+    polynomials = ast.parse((SOURCE / "polynomials.py").read_text(encoding="utf-8"))
+    extenders = [scope for scope, receiver in _appends(polynomials) if "cache" in receiver]
+    assert extenders == ["_family"]
+
+
 def _status_setters(tree: ast.AST, scope: str = "<module>"):
     """The innermost enclosing function of each dict display, assignment or
     update call that gives a "status" of "pass" or "fail"."""
