@@ -7,17 +7,20 @@ Gram matrix is level 0 of the level matrices of `tutte`: one exponent
 table, `_exponent_table`, holds the loop counts at any level r (with a
 flaw sentinel at r > 0), and one reader, `_table_matrix`, turns it into
 every Gram and level matrix. The table is bit-sliced at any width (the
-points plus the verticals cut at level r): each pair of a chunk of rows
-is one bit of a mask per linked node pair, vertex elimination over all
-nodes but the cut verticals' ends connects the components of every pair
-at once, and each pair's count is summed in a lane of 1, 2 or 4 bytes,
-by the point count. A single entry, `_pair_exponent`, is one call of
+points plus the verticals cut at level r): each label is walked once for
+the node pairs its blocks link, each pair of a chunk of rows is one bit
+of a mask per linked node pair, vertex elimination over all nodes but
+the cut verticals' ends connects the components of every pair at once,
+and each pair's count of component roots is added up in bit planes and
+read into a lane of 1, 2 or 4 bytes, by the point count, one read per
+plane. A single entry, `_pair_exponent`, is one call of
 `partitions.join_labels` on the same cut graph (`partitions.stacked_places`
 places the nodes of both): the canonical labels of its terminals decide
 the flaw, and the component count gives the exponent; it is also the
 table's oracle in the tests. With N given, the entries are the integers
-N^e, looked up in a table of powers; with N = None the Gram matrix is
-symbolic, and its entries are the exponents e of the monomials X^e.
+N^e, looked up in a table of powers, one C call per row; with N = None
+the Gram matrix is symbolic, and its entries are the exponents e of the
+monomials X^e.
 
 Every elimination is the one exact integer kernel in `kernels`, so a
 symbolic determinant is one integer determinant, at X = 2^B (Kronecker
@@ -51,9 +54,8 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from functools import cache, reduce
-from itertools import pairwise
 from math import log2
-from operator import or_
+from operator import itemgetter, or_
 from typing import Sequence
 
 from . import kernels
@@ -162,8 +164,13 @@ class ExactMatrix:
 
 
 def _read_powers(table, powers: list[int]) -> tuple[tuple[int, ...], ...]:
-    """The matrix whose entry (i, j) is powers[table[i][j]]."""
-    return tuple(tuple(map(powers.__getitem__, row)) for row in table)
+    """The matrix whose entry (i, j) is powers[table[i][j]], read one row
+    per C call. The rows have one length; `itemgetter` gives a bare entry,
+    not a tuple, for one index and refuses none, so rows shorter than two
+    are read entry by entry."""
+    if table and len(table[0]) < 2:
+        return tuple(tuple(powers[e] for e in row) for row in table)
+    return tuple(itemgetter(*row)(powers) for row in table)
 
 
 def _cut(r: int) -> int:
@@ -187,23 +194,35 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
     `_pair_exponent` gives them, on the nodes of `stacked_places`, whose
     2·cut terminals (the ends of the cut verticals) are the lowest.
     Pair (a, b) of the chunk is bit a·W + b of a mask, W the label count
-    rounded up to whole bytes. Node pair u < v starts from the rows whose
-    label, drawn above, links u and v (`_node_pairs`), and the columns
-    whose label, drawn below, links them, repeated in every row; each node
-    keeps only its nonempty pairs. Vertex elimination, k from the top node
-    down to 2·cut, sets C_ij |= C_ik & C_kj for the neighbours i, j < k of
-    k and never eliminates a terminal. Once every node above v is
-    eliminated, v is linked in a pair to a smaller node exactly where it
-    is connected to one (a path to one, cut at its first node below v,
-    runs above v): two terminals are linked where the other nodes join
-    them, and a non-terminal with no smaller neighbour is a root, the
-    smallest node of its component. At r > 0 a pair is flawed, as in
-    `_pair_exponent`, where a terminal link other than some i–i' is set
-    or an i–i' asked for is not; a flawless pair's terminals make cut
+    rounded up to whole bytes. Each label is walked once (`_links`) for
+    the consecutive positions s < t of its blocks, which link them as all
+    of their pairs would; `stacked_places` is increasing, so s, t drawn
+    above or below are the node pair u < v it links. Node pair u < v
+    starts from the rows whose label, drawn above, links u and v, and the
+    columns whose label, drawn below, links them, repeated in every row;
+    each node keeps only its nonempty pairs. Vertex elimination, k from
+    the top node down to 2·cut, sets C_ij |= C_ik & C_kj for the
+    neighbours i, j < k of k and never eliminates a terminal. Once every
+    node above v is eliminated, v is linked in a pair to a smaller node
+    exactly where it is connected to one (a path to one, cut at its first
+    node below v, runs above v): two terminals are linked where the other
+    nodes join them, and a non-terminal with no smaller neighbour is a
+    root, the smallest node of its component. At r > 0 a pair is flawed,
+    as in `_pair_exponent`, where a terminal link other than some i–i' is
+    set or an i–i' asked for is not; a flawless pair's terminals make cut
     components, so its exponent is cut plus its non-terminal roots, at
-    most `points`. Each mask is read as text, one lane per pair, and
-    summed into one lane per pair of 1 byte below 256 points, 2 below
-    65,536 and 4 beyond, so no count carries; the rows are the lanes, as
+    most `points`.
+
+    The non-roots are counted in bit planes (`_add_to_planes`): each
+    non-terminal's mask of pairs where it has a smaller neighbour is added
+    with a ripple carry, plane k holding bit k of every pair's count. A
+    mask is read as text, one lane per pair of 1 byte below 256 points,
+    2 below 65,536 and 4 beyond, so ⌈log₂(points + 1)⌉ planes take as many
+    reads, not one per non-terminal. The exponent is points less the
+    non-roots, which number at most points − cut, and the sum of
+    2^k·lanewise(plane k) holds each pair's count in its own lane; no lane
+    reaches its limit 2^(8·lane), so no count carries into the next lane
+    and the subtraction borrows across none. The rows are the lanes, as
     bytes below 256 points and arrays of 16 or 64 bits from there on.
     """
     if not labels:
@@ -216,10 +235,11 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
     lane = 1 if points < 1 << 8 else 2 if points < 1 << 16 else 4
     codec = {1: "latin-1", 2: "utf-16-be", 4: "utf-32-be"}[lane]
     above, below = (stacked_places(points, cut, side) for side in (False, True))
-    ups = [_node_pairs(p.rgs, above) for p in labels]
+    links = [_links(p.rgs) for p in labels]
     cols: dict[tuple[int, int], int] = {}  # node pair -> the columns that link it
-    for b, q in enumerate(labels):
-        for pair in _node_pairs(q.rgs, below):
+    for b, pairs in enumerate(links):
+        for s, t in pairs:
+            pair = below[s], below[t]
             cols[pair] = cols.get(pair, 0) | 1 << b
     bits = _CHUNK_BITS * 16**2 // max(width, 16) ** 2
     step = max(1, bits // (8 * row_bytes))
@@ -230,9 +250,10 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
         # node pair -> the rows that link it above; rows are whole bytes,
         # so a row's fill is one slice assignment
         fills = defaultdict(lambda: bytearray(length // 8))
-        for a, pairs in enumerate(ups[start : start + count]):
-            for pair in pairs:
-                fills[pair][a * row_bytes : (a + 1) * row_bytes] = b"\xff" * row_bytes
+        for a, pairs in enumerate(links[start : start + count]):
+            row = slice(a * row_bytes, (a + 1) * row_bytes)
+            for s, t in pairs:
+                fills[above[s], above[t]][row] = b"\xff" * row_bytes
         every_row = int.from_bytes((b"\x01" + bytes(row_bytes - 1)) * count, "little")
         C: list[dict[int, int]] = [{} for _ in range(width)]  # node -> linked node -> mask
         for u, v in fills.keys() | cols.keys():
@@ -254,10 +275,13 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
             return int.from_bytes(format(mask, f"0{length}b").encode(codec), "big") - zeros
 
         ones = lanewise((1 << length) - 1)
-        total = points * ones  # cut terminals and width − 2·cut others
+        planes: list[int] = []  # bit k of each pair's count of non-roots
         for v in range(terminals, width):
             if smaller := reduce(or_, (m for u, m in C[v].items() if u < v), 0):
-                total -= lanewise(smaller)  # v is no root
+                _add_to_planes(planes, smaller)  # v is no root
+        total = points * ones  # cut terminals and width − 2·cut others
+        for k, plane in enumerate(planes):
+            total -= lanewise(plane) << k
         if cut:  # flawed: a terminal link but i–i', or no i–i' where asked for
             flaw = 0
             for u in range(terminals):
@@ -279,14 +303,27 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
     return tuple(table)
 
 
-def _node_pairs(rgs: tuple[int, ...], place: Sequence[int]) -> list[tuple[int, int]]:
-    """The node pairs u < v that link each block of rgs, with position pos
-    drawn on node place[pos]: its nodes in order, each to the next, which
-    connect the block as all of its pairs would."""
-    blocks: dict[int, list[int]] = {}
-    for node, b in zip(place, rgs):
-        blocks.setdefault(b, []).append(node)
-    return [pair for nodes in blocks.values() for pair in pairwise(sorted(nodes))]
+def _links(rgs: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The positions s < t of each block of rgs that follow one another in
+    it, in one pass: a block is connected by its consecutive positions, as
+    by all of its pairs."""
+    last: dict[int, int] = {}  # block -> its latest position so far
+    links = []
+    for t, b in enumerate(rgs):
+        if b in last:
+            links.append((last[b], t))
+        last[b] = t
+    return links
+
+
+def _add_to_planes(planes: list[int], mask: int) -> None:
+    """Add a 0/1 mask to the counts held in bit planes, plane k holding
+    bit k of every count: a ripple-carry adder on all of them at once."""
+    for k, plane in enumerate(planes):
+        planes[k], mask = plane ^ mask, plane & mask
+        if not mask:
+            return
+    planes.append(mask)
 
 
 def _pair_exponent(p: Partition, q: Partition, r: int = 0) -> int:

@@ -270,6 +270,8 @@ def _enumerate(
     # Depth first over (prefix, blocks opened, open stack, blocks waiting);
     # each node's choices go on in descending order, so the smallest is
     # taken next and the partitions come out in RGS-lexicographic order.
+    # At the last position each choice completes a partition, which is
+    # yielded in place, smallest first, and never goes on the work list.
     # The work list holds at most points + 1 branches per position, so a
     # consumer that does not keep the partitions needs memory polynomial
     # in `points`, not in the size of the class.
@@ -279,11 +281,27 @@ def _enumerate(
     while todo:
         prefix, blocks, stack, waiting = todo.pop()
         i = len(prefix)
-        if i == points:
+        if i == points:  # a complete start: every branch stops at the last position
             yield _generated(points, prefix)
             continue
         room = points - i - 1  # the positions after this one
-        if waiting + pairs <= room:
+        opens = waiting + pairs <= room
+        # the open blocks this position may join: stack[low], ..., stack[top]
+        if cls is PartitionClass.ALL:
+            low, top = 0, len(stack) - 1
+        elif pairs:
+            low = top = len(stack) - 1
+        else:
+            low = waiting - 1 if waiting else 0
+            # with no room to spare, only taking block u−1 off the wait fits
+            top = low if waiting > room else len(stack) - 1
+        if not room:  # the last position: each choice completes a partition
+            for b in stack[low : top + 1]:
+                yield _generated(points, prefix + (b,))
+            if opens:
+                yield _generated(points, prefix + (blocks,))
+            continue
+        if opens:
             todo.append((prefix + (blocks,), blocks + 1, stack + (blocks,), waiting + pairs))
         if cls is PartitionClass.ALL:
             for b in reversed(stack):
@@ -292,9 +310,6 @@ def _enumerate(
             if stack:
                 todo.append((prefix + (stack[-1],), blocks, stack[:-1], waiting - 1))
         else:
-            low = waiting - 1 if waiting else 0
-            # with no room to spare, only taking block u−1 off the wait fits
-            top = low if waiting > room else len(stack) - 1
             for j in range(top, low - 1, -1):
                 todo.append((prefix + (stack[j],), blocks, stack[: j + 1], waiting - (j < waiting)))
 
@@ -470,6 +485,8 @@ def compose(t: Partition, s: Partition) -> Composition:
 
 def rotate(p: Partition, corner: Corner) -> Partition:
     """Move one extremal point to the same side of the other row."""
+    if not isinstance(corner, Corner):
+        raise TypeError(f"corner must be a Corner, not {corner!r}")
     row, side, direction = corner.value.split("_")
     upper, lower = list(range(p.upper)), list(range(p.upper, p.points))
     source, target = (upper, lower) if row == "upper" else (lower, upper)

@@ -802,6 +802,37 @@ def test_evaluate_symbolic_matrix():
             m.evaluate(N)
 
 
+def test_short_rows_are_read_as_tuples():
+    # the powers are read one row per C call, which gives a bare entry, not
+    # a tuple, for a row of one: every matrix of one row or none keeps the
+    # tuple rows it had when each entry was read on its own
+    for N in (3, 5):
+        assert [build_gram(1, cls, N).entries for cls in PartitionClass] == [((N,),), ((N,),), ()]
+        assert build_gram(2, PartitionClass.NONCROSSING_PAIRS, N).entries == ((N,),)
+        # W(m, m − 1) is one partition, over itself N^⌈m/2⌉
+        assert [build_A(m, m - 1, N).entries for m in range(1, 8)] == [
+            ((N**e,),) for e in (1, 1, 2, 2, 3, 3, 4)
+        ]
+    one = build_gram(1, NC, None)
+    assert one.entries == (b"\x01",)
+    assert one.evaluate(-2).entries == ((-2,),)
+    p = Partition.singletons(1)
+    assert ExactMatrix(((4,),), (p,), (p,), is_symbolic=True).evaluate(-2).entries == ((16,),)
+    empty = ExactMatrix((), (), (), is_symbolic=True).evaluate(5)
+    assert empty.entries == () and not empty.is_symbolic
+
+
+def test_every_row_of_a_built_matrix_is_a_tuple():
+    built = [build_gram(n, cls, N) for cls in PartitionClass for n in range(1, 6) for N in (1, 4)]
+    built += [build_A(n, r, 4) for n in range(1, 7) for r in range(n)]
+    built += [build_B(n, r, 4) for n in range(2, 7) for r in range(n - 1)]
+    built += [build_gram(n, cls, None).evaluate(-3) for cls in PartitionClass for n in range(1, 6)]
+    for m in built:
+        assert type(m.entries) is tuple
+        assert all(type(row) is tuple for row in m.entries)
+        assert all(type(e) is int for row in m.entries for e in row)
+
+
 def test_symbolic_gram_matrix_holds_the_loop_count_exponents():
     # build_gram(n, cls, None) has the labels of every numeric Gram matrix,
     # the loop counts rl(q*, p) as entries, evaluates to the numeric matrix

@@ -383,6 +383,18 @@ def test_exponent_tables_on_either_side_of_a_lane_boundary():
             assert [list(row) for row in row_kernel_table(labels, n, level)] == want
 
 
+def test_root_counts_carry_across_the_bit_planes():
+    # the one block over itself or over the singletons has n − 1 non-roots
+    # at level 0, so at n = 2^k − 1, 2^k and 2^k + 1 the count in the bit
+    # planes stops short of the top plane, fills every plane, and carries
+    # into a new one; the top level r = n − 1 counts them on its cut graph
+    for n in sorted({2**k + d for k in range(1, 8) for d in (-1, 0, 1)}):
+        labels = (Partition.one_block(n), Partition.singletons(n))
+        for r in (0, n - 1):
+            want = [[_pair_exponent(p, q, r) for q in labels] for p in labels]
+            assert [list(row) for row in _exponent_table(labels, n, r)] == want, (n, r)
+
+
 def test_exponent_tables_of_65536_points_sum_in_4_byte_lanes():
     # the loop counts of the two extreme partitions are known in closed
     # form: n loops of the singletons over themselves and one otherwise,

@@ -19,6 +19,7 @@ from ncgram.partitions import (
     Partition,
     PartitionClass,
     _canonical,
+    _enumerate,
     compose,
     count_partitions,
     enumerate_partitions,
@@ -302,6 +303,34 @@ def test_odd_points_start_no_pair_search():
     assert enumerate_partitions(10**6 + 1, PartitionClass.NONCROSSING_PAIRS) == []
 
 
+def started_like(p: Partition, opened: int, waiting: int) -> bool:
+    """The filter of a generator start: the RGS begins 0, 1, …, opened − 1
+    and none of the blocks 0, …, waiting − 1 is a singleton."""
+    sizes = [p.rgs.count(b) for b in range(waiting)]
+    return p.rgs[:opened] == tuple(range(opened)) and min(sizes, default=2) >= 2
+
+
+def test_the_generator_matches_the_filter_from_every_start():
+    # every start `tutte.w_stratum` makes (NC, n ≤ 10, every level r: the
+    # prefix 0..s and s + r mod 2 blocks waiting, r = 2s or 2s + 1), among
+    # them those whose first free position is the last one (r = n − 1),
+    # the NC2 starts of each parity, and the unwaited ALL starts; the leaves
+    # are yielded in place, in the order of the full class
+    starts = [
+        (NC, n, s + 1 if r else 0, s + r % 2)
+        for n in range(11)
+        for r in range(n + 1)
+        for s in [r // 2]
+    ]
+    starts += [(NC2, n, o, o) for n in range(13) for o in range(n + 2)]
+    starts += [(ALL, n, o, 0) for n in range(8) for o in range(n + 2)]
+    assert (NC, 4, 2, 1) in starts and (NC, 5, 3, 2) in starts  # w_stratum(4, 3), (5, 4)
+    full = {(cls, n): enumerate_partitions(n, cls) for cls, n, _, _ in starts}
+    for cls, n, opened, waiting in starts:
+        want = [p for p in full[cls, n] if started_like(p, opened, waiting)]
+        assert list(_enumerate(n, cls, opened, waiting)) == want, (cls, n, opened, waiting)
+
+
 def test_iter_partitions_yields_the_list_order_lazily():
     for cls in PartitionClass:
         for n in range(8):
@@ -540,6 +569,13 @@ def test_rotate_empty_row_is_undefined():
         rotate(Partition.pair(), Corner.UPPER_RIGHT_DOWN)
     with pytest.raises(RotationUndefined):
         rotate(involution(Partition.pair()), Corner.LOWER_LEFT_UP)
+
+
+@pytest.mark.parametrize("corner", ["upper_right_down", None])
+def test_rotate_refuses_a_corner_that_is_not_a_member(corner):
+    # as a class must be a PartitionClass member, a corner must be a Corner
+    with pytest.raises(TypeError, match="corner must be a Corner"):
+        rotate(Partition.identity(1), corner)
 
 
 def test_rotation_compositional_identity():

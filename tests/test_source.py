@@ -297,6 +297,7 @@ def test_the_pair_graph_objects_and_tag_classes_are_gone_from_the_package():
         "_exponents",
         "join_components",
         "component_labels",
+        "_node_pairs",
     )
     found = [
         f"{path.name}:{lineno} {name}"
