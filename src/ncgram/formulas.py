@@ -7,10 +7,10 @@ determinant found by exact elimination, `gram.determinant`).
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, log2
 
-from .errors import check_parameter
-from .gram import _decimal_text, build_gram, determinant
+from .errors import check_parameter, refuse_past
+from .gram import SYMBOLIC_BIT_BUDGET, _decimal_text, build_gram, determinant
 from .partitions import PartitionClass
 from .polynomials import chebyshev_dilated, power_product
 
@@ -37,11 +37,22 @@ def difrancesco_det(n: int, N: int) -> int:
     the determinant of an integer matrix, so `power_product` divides
     exactly. Each odd U_i(N) is N times an integer, and N is pulled out
     first: its total exponent is positive and absorbs that of U_1 = N, so
-    below 18 pairs nothing is left to divide by.
+    below 18 pairs nothing is left to divide by, and the budget below
+    refuses every n past 13 at any N.
+
+    A value of more than `gram.SYMBOLIC_BIT_BUDGET` bits, Σ a_{n′,i}·log₂U_i(N)
+    at n′ = 1, 2, …, n pairs, is refused with BudgetError before any power
+    is formed.
     """
     if n < 1:
         raise ValueError("n must be positive")
     check_parameter(N, 2, "N must be at least 2")
+
+    def bits(pairs: int) -> float:
+        exponents = difrancesco_exponents(pairs).items()
+        return sum(a * log2(chebyshev_dilated(i).evaluate(N)) for i, a in exponents)
+
+    refuse_past(SYMBOLIC_BIT_BUDGET, "bits of the pair formula's value", bits, range(1, n + 1))
     exponents = difrancesco_exponents(n)
     powers = [(chebyshev_dilated(i).evaluate(N) // N ** (i % 2), a) for i, a in exponents.items()]
     return power_product([(N, sum(a for i, a in exponents.items() if i % 2)), *powers])

@@ -81,11 +81,15 @@ from .polynomials import IntPolynomial
 #: determinant nor rank takes it.
 DET_DIMENSION_BUDGET = 2000
 
-#: Cap on the bits B·(D + 1) of the one integer a symbolic determinant
-#: eliminates, for m rows, B = bit_length(m^m)//2 + 2 and D the Leibniz
-#: degree bound; checked after the exponent table is built. It admits
-#: NC(7) (2.4M bits), NC2(14) (4.8M) and ALL(7) (10.2M), and refuses NC(8)
-#: (37.5M) and NC2(16) (75M).
+#: Cap on the bits of the two largest integers the package forms: the one
+#: integer a symbolic determinant eliminates, B·(D + 1) for m rows, with
+#: B = bit_length(m^m)//2 + 2 and D the Leibniz degree bound, checked after
+#: the exponent table is built; and the value of the pair formula
+#: `formulas.difrancesco_det`, Σ a_{n,i}·log₂U_i(N) read off its exponents
+#: before any power is formed. It admits NC(7) (2.4M bits), NC2(14) (4.8M),
+#: ALL(7) (10.2M) and the pair formula at n ≤ 12 for N ≤ 5 (5.7M at most),
+#: and refuses NC(8) (37.5M), NC2(16) (75M) and the pair formula at
+#: (13, 4) (18.6M bits; 5.0 s to form when it ran).
 SYMBOLIC_BIT_BUDGET = 1 << 24
 
 #: Bits a numeric determinant may have by its Hadamard bound: a Gram matrix

@@ -31,10 +31,7 @@ symmetric input to the upper-triangle loop, `_eliminate_upper`:
   of a semidefinite matrix. A zero pivot with a nonzero row is the one
   case this loop cannot take.
 
-The determinant is ∏ S_k[k] = ∏ T_k[k]·c_k / ∏ d_k. Both products are
-formed at the end, each half first, so that the large multiplications
-pair numbers of about the same size, and divided once; that division
-must be exact, and `ArithmeticError` is raised if it is not.
+The determinant is ∏ S_k[k] = ∏ T_k[k]·c_k / ∏ d_k.
 
 Input that is not symmetric or not square, and a zero pivot with a
 nonzero row, take the row-swapping loop, `_eliminate_rows`, on a copy of
@@ -44,10 +41,17 @@ row with a_ik = 0 is left untouched, and any other row is updated on the
 columns after k, with g = gcd(a_kk, a_ik), p = a_kk/g and q = a_ik/g:
 row_i ← row_i − q·row_k over the pivot row's nonzero columns when p = 1,
 and row_i ← (p·row_i − q·row_k)/c' over every column otherwise, c' the
-new row's content. Then det A = sign · ∏ pivots · ∏ c · ∏ c' / ∏ p,
-divided once and checked as above. A column without a pivot is skipped,
-so this loop gives the rank of any matrix, square or not; zero rows are
-never divided, and a zero or empty matrix needs no special case.
+new row's content. Then det A = sign · ∏ pivots · ∏ c · ∏ c' / ∏ p. A
+column without a pivot is skipped, so this loop gives the rank of any
+matrix, square or not; zero rows are never divided, and a zero or empty
+matrix needs no special case.
+
+Every determinant ends in the one exact finish, `polynomials.power_product`:
+each loop collects its factors as powers with exponent ±1 and hands them
+over once, at full rank. The product of the positive powers and that of
+the negative ones, the scale, are formed in balanced trees, so that the large multiplications
+pair numbers of about the same size, and divided once; that division
+must be exact, and `ArithmeticError` is raised if it is not.
 
 Skipping zeros is what pays. Bareiss elimination (Math. Comp. 22, 1968)
 divides by the previous pivot, so every step rescales every remaining
@@ -69,8 +73,10 @@ for benchmark records.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 from operator import eq
+
+from .polynomials import power_product
 
 INTEGER_BACKEND = "python"
 
@@ -98,7 +104,7 @@ def _eliminate_upper(rows) -> tuple[int, int] | None:
     n = len(rows)
     rows = [list(row) for row in rows]
     scale = [1] * n  # d_i: row i holds d_i·S_i until it becomes the pivot row
-    nums, dens = [], []
+    factors = []  # (pivot·content, 1) and (scale, −1) for each pivot
     for k, rk in enumerate(rows):
         c = gcd(*rk[k:])
         if not rk[k]:
@@ -108,8 +114,7 @@ def _eliminate_upper(rows) -> tuple[int, int] | None:
         if c > 1:
             rk[k:] = [x // c for x in rk[k:]]
         pivot = rk[k]  # S_k[k] = pivot·c/scale[k]
-        nums.append(pivot * c)
-        dens.append(scale[k])
+        factors += (pivot * c, 1), (scale[k], -1)
         per = scale[k] * pivot
         nonzero = [(j, y) for j, y in enumerate(rk[k + 1 :], k + 1) if y]
         for t, (i, aki) in enumerate(nonzero):
@@ -128,16 +133,17 @@ def _eliminate_upper(rows) -> tuple[int, int] | None:
                 new = [x // e for x in new]
             ri[i:] = new
             scale[i] = scale[i] * b // e
-    if len(nums) < n:
-        return len(nums), 0
-    return n, _exact_quotient(_product(nums), _product(dens))
+    rank = len(factors) // 2
+    if rank < n:
+        return rank, 0
+    return n, power_product(factors)
 
 
 def _eliminate_rows(rows) -> tuple[int, int]:
     """(rank, determinant) by the row-swapping loop; mutates ``rows``."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
-    num = den = 1
+    factors = []  # −1 per swap, the contents and pivots, and 1/p per dense update
     row = 0
     for col in range(ncols):
         if row == m:
@@ -149,14 +155,13 @@ def _eliminate_rows(rows) -> tuple[int, int]:
             continue
         if i != row:
             rows[row], rows[i] = rows[i], rows[row]
-            num = -num
+            factors.append((-1, 1))
         rk = rows[row]
         c = gcd(*rk[col:])  # the columns before col are zero or never read again
         if c > 1:
             rk[col:] = [x // c for x in rk[col:]]
-            num *= c
         pivot = rk[col]
-        num *= pivot
+        factors.append((pivot * c, 1))
         tail = rk[col + 1 :]
         nonzero = [(j, y) for j, y in enumerate(tail, col + 1) if y]
         for ri in rows[row + 1 :]:
@@ -172,32 +177,14 @@ def _eliminate_rows(rows) -> tuple[int, int]:
                     c = gcd(*new)
                     if c > 1:
                         new = [x // c for x in new]
-                        num *= c
+                        factors.append((c, 1))
                     ri[col + 1 :] = new
-                    den *= p
+                    factors.append((p, -1))
                 # ri[col] is never read again
         row += 1
     if row < m or row < ncols:
         return row, 0
-    return row, _exact_quotient(num, den)
-
-
-def _product(factors: list[int]) -> int:
-    """∏ factors, each half first, so that the large products pair numbers
-    of about the same size. A running product of the 877 pivots of ALL(7)
-    at X = 2^B, whose determinant has 10.2M bits, took 9.7 s of its 10.3 s
-    elimination (2-core AMD EPYC, Python 3.11)."""
-    if len(factors) <= 2:
-        return prod(factors)
-    half = len(factors) // 2
-    return _product(factors[:half]) * _product(factors[half:])
-
-
-def _exact_quotient(num: int, den: int) -> int:
-    det, rest = divmod(num, den)
-    if rest:
-        raise ArithmeticError("the elimination's scale does not divide its pivot product")
-    return det
+    return row, power_product(factors)
 
 
 def det_exact(rows) -> int:

@@ -275,7 +275,7 @@ def _enumerate(
     # The work list holds at most points + 1 branches per position, so a
     # consumer that does not keep the partitions needs memory polynomial
     # in `points`, not in the size of the class.
-    pairs = cls is PartitionClass.NONCROSSING_PAIRS
+    pairs, every = cls is PartitionClass.NONCROSSING_PAIRS, cls is PartitionClass.ALL
     start, free = tuple(range(opened)), points - opened - waiting  # positions no wait needs
     todo = [(start, opened, start, waiting)] if free >= 0 and not (pairs and free % 2) else []
     while todo:
@@ -287,10 +287,10 @@ def _enumerate(
         room = points - i - 1  # the positions after this one
         opens = waiting + pairs <= room
         # the open blocks this position may join: stack[low], ..., stack[top]
-        if cls is PartitionClass.ALL:
+        if every:
             low, top = 0, len(stack) - 1
-        elif pairs:
-            low = top = len(stack) - 1
+        elif pairs:  # an empty stack has no top to join
+            low, top = max(len(stack) - 1, 0), len(stack) - 1
         else:
             low = waiting - 1 if waiting else 0
             # with no room to spare, only taking block u−1 off the wait fits
@@ -303,15 +303,10 @@ def _enumerate(
             continue
         if opens:
             todo.append((prefix + (blocks,), blocks + 1, stack + (blocks,), waiting + pairs))
-        if cls is PartitionClass.ALL:
-            for b in reversed(stack):
-                todo.append((prefix + (b,), blocks, stack, 0))
-        elif pairs:
-            if stack:
-                todo.append((prefix + (stack[-1],), blocks, stack[:-1], waiting - 1))
-        else:
-            for j in range(top, low - 1, -1):
-                todo.append((prefix + (stack[j],), blocks, stack[: j + 1], waiting - (j < waiting)))
+        # joining stack[j] closes the blocks above it, and in NC2 itself; in ALL none closes
+        for j in range(top, low - 1, -1):
+            kept = stack if every else stack[: j + 1 - pairs]
+            todo.append((prefix + (stack[j],), blocks, kept, waiting - (j < waiting)))
 
 
 def count_partitions(points: int, cls: PartitionClass = PartitionClass.ALL) -> int:

@@ -2,8 +2,11 @@
 
 Everything here is exact: coefficients are Python ints, evaluations at
 rationals return `fractions.Fraction`, and `power_product` multiplies out
-signed powers of integer values into one integer, the last step of both
-determinant formulas. No float is used here; the package's one float sizes a budget.
+signed powers of integer values into one integer. It is the one exact
+finish of every determinant: the recursion and the pair formula end in
+it, and so do both elimination loops of `kernels`, whose pivots, contents
+and scales are powers with exponent ±1. No float is used here; the
+package's floats only size budgets.
 
 The square-root relation between the two families is mechanized by the
 substitution N = x², which turns it into a genuine polynomial identity
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
 from .errors import check_parameter
@@ -213,17 +217,30 @@ def check_beraha_chebyshev_relation(j_max: int) -> dict:
 
 
 def power_product(powers: Iterable[tuple[int, int]]) -> int:
-    """∏ base^e over (base, e) pairs with signed e: the positive powers
-    over the negative ones, one division, ArithmeticError if inexact."""
-    num = den = 1
+    """∏ base^e over (base, e) pairs with signed e, the one exact finish of
+    every determinant: the recursion's, the pair formula's and both
+    elimination loops' in `kernels`.
+
+    The positive powers and the negative ones are each multiplied out in a
+    balanced tree, pairing neighbours until one number is left, so that
+    the large products pair numbers of about the same size; then the
+    first product is divided by the second, the scale, once. A running
+    product of the 877 pivots of ALL(7) at X = 2^B, whose determinant has
+    10.2M bits, took 9.7 s of its 10.3 s elimination (2-core AMD EPYC,
+    Python 3.11). A quotient that is not exact raises ArithmeticError.
+    """
+    num, den = [1], [1]
     for base, e in powers:
         if e > 0:
-            num *= base**e
+            num.append(base**e)
         elif e < 0:
-            den *= base**-e
-    value, rest = divmod(num, den)
+            den.append(base**-e)
+    for factors in num, den:
+        while len(factors) > 1:
+            factors[:] = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    value, rest = divmod(num[0], den[0])
     if rest:
-        raise ArithmeticError("the power product is not an integer")
+        raise ArithmeticError("the scale does not divide the product of the positive powers")
     return value
 
 

@@ -73,8 +73,9 @@ def _check_pair(p: Partition, q: Partition) -> int:
     return p.lower
 
 
-def _check_level(n: int, r: int, what: str) -> None:
-    if not 0 <= r < n:
+def _check_level(n: int, r: int, what: str, low: int = 0, high: int | None = None) -> None:
+    """Refuse a level r outside low ≤ r < high, where high is n unless given."""
+    if not low <= r < (n if high is None else high):
         raise ValueError(f"{what} level r={r} out of range for n={n}")
 
 
@@ -93,6 +94,7 @@ def in_W(p: Partition, r: int) -> bool:
     if p.upper:
         raise ShapeError("strata are defined on (0, n) partitions")
     n = p.lower
+    # inline, not `_check_level`: sorting a class into strata calls this per partition
     if not 0 <= r <= n:
         raise ValueError(f"stratum level r={r} out of range for n={n}")
     if r == 0:
@@ -122,8 +124,7 @@ def w_stratum(n: int, r: int) -> list[Partition]:
     singletons: the enumeration from that prefix with those blocks
     waiting. W(n,0) is all of NC(0,n), so it starts from nothing.
     """
-    if not 0 <= r <= n:
-        raise ValueError(f"stratum level r={r} out of range for n={n}")
+    _check_level(n, r, "stratum", 0, n + 1)
     s = r // 2
     return list(_enumerate(n, PartitionClass.NONCROSSING, s + 1 if r else 0, s + r % 2))
 
@@ -211,8 +212,7 @@ def _rewire(q: Partition, r: int, i: int, merge: bool) -> Partition:
     n = q.points
     if q.upper:
         raise ShapeError("manipulations are defined on (0, n) partitions")
-    if not 0 <= r < n - 1:
-        raise ValueError(f"manipulation level r={r} out of range for n={n}")
+    _check_level(n, r, "manipulation", 0, n - 1)
     if not in_W(q, r + 1):
         raise ValueError("partition is not in the level r+1 stratum")
     s, odd = r // 2, r % 2 == 1
@@ -288,8 +288,7 @@ def classify_structure(p: Partition, q: Partition, r: int) -> tuple[int, ...] | 
     None when no pattern fits.
     """
     n = _check_pair(p, q)
-    if not 0 <= r < n - 1:
-        raise ValueError(f"structure level r={r} out of range for n={n}")
+    _check_level(n, r, "structure", 0, n - 1)
     s, odd = r // 2, r % 2 == 1
     cut = s + 1
     up, lo = stacked_spreader(p, cut, False), stacked_spreader(q, cut, True)
@@ -336,8 +335,7 @@ def F_r_value(p: Partition, q: Partition, r: int, N: int) -> Fraction:
     """
     check_parameter(N)
     n = _check_pair(p, q)
-    if not 1 <= r < n - 1:
-        raise ValueError(f"column level r={r} out of range for n={n}")
+    _check_level(n, r, "column", 1, n - 1)
     if not in_W(p, r):
         raise ValueError("row partition is not in the level r stratum")
     if not in_W(q, r + 1):
@@ -394,7 +392,8 @@ def _level_exponents(n: int, N: int) -> tuple[list[int], list[list[list[int]]], 
     deg β_k = ⌊(k−1)/2⌋, the factor β_{r+3}(1/N)/β_{r+2}(1/N) of level r
     is c_{r+3}/c_{r+2}, over N at even r, so every exponent is a sum of
     strata counts, the same at any N. The trace lists the steps of the
-    top-down expansion, m and then r ascending, each m's base case last.
+    top-down expansion, m and then r ascending, each m's base case last;
+    each m's steps are made in the same descending walk as its exponents.
     """
     # c_k is β_k with its coefficients reversed, at N
     bases = [N] + [IntPolynomial(beraha(k).coeffs[::-1]).evaluate(N) for k in range(1, n + 2)]
@@ -405,23 +404,22 @@ def _level_exponents(n: int, N: int) -> tuple[list[int], list[list[list[int]]], 
     trace: list[dict] = []
     for m in range(1, n + 1):
         w_counts, y_counts = _strata_counts(m)
-        for r in range(m - 1):
+        value = [(m + 1) // 2] + [0] * (n + 1)
+        levels, steps = [value], []
+        for r in range(m - 2, -1, -1):
             if bases[r + 2] == 0:
                 raise ArithmeticError(f"reversed Beraha value {r + 2} vanished at 1/{N}")
             factor = Fraction(bases[r + 3], bases[r + 2] * N ** (1 - r % 2))
             case, w = "odd" if r % 2 else "even" if r else "zero", w_counts[r + 1]
-            trace.append(dict(level_n=m, r=r, factor_beta=str(factor), exponent=w, B_case=case))
-        trace.append({"level_n": m, "r": m - 1, "base_value": str(N ** ((m + 1) // 2))})
-        value = [(m + 1) // 2] + [0] * (n + 1)
-        levels = [value]
-        for r in range(m - 2, -1, -1):
-            w = w_counts[r + 1]
+            steps.append(dict(level_n=m, r=r, factor_beta=str(factor), exponent=w, B_case=case))
             value = [a + b for a, b in zip(value, below[max(r - 1, 0)])]
             value[r + 3] += w
             value[r + 2] -= w
             if r % 2 == 0:  # N per Y(m,r) element from B, and the factor's 1/N
                 value[0] += y_counts[r] - w
             levels.append(value)
+        trace += reversed(steps)
+        trace.append({"level_n": m, "r": m - 1, "base_value": str(N ** ((m + 1) // 2))})
         below = levels[::-1]
         every.append(below)
     return bases, every, trace

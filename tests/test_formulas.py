@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import decimal
+import time
 from fractions import Fraction
 
 import pytest
 
 from ncgram import formulas
+from ncgram.errors import BudgetError
 from ncgram.formulas import (
     difrancesco_check,
     difrancesco_det,
@@ -107,3 +109,15 @@ def test_input_validation():
         difrancesco_det(0, 4)
     with pytest.raises(ValueError):
         difrancesco_det(2, 1)
+
+
+def test_the_pair_formula_is_refused_before_any_power_is_formed():
+    # its bits, Σ a_{n′,i}·log₂U_i(N), at n′ = 1, 2, … pairs: (12, 5) has
+    # 5.7M and is admitted, (13, 4) 18.6M, past SYMBOLIC_BIT_BUDGET, and
+    # (20, 4) about 2.5·10^11, which the powers would have taken to form
+    assert difrancesco_det(12, 5).bit_length() == 5_677_002
+    for n, over in ((13, ""), (20, "over "), (10**6, "over ")):
+        started = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"pair formula's value {over}18560396"):
+            difrancesco_det(n, 4)
+        assert time.perf_counter() - started < 1

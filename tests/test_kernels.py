@@ -7,6 +7,7 @@ oracles."""
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
 from fractions import Fraction
 from math import gcd
@@ -795,3 +796,39 @@ def test_the_symmetry_test_decides_as_the_transposed_copy_did(monkeypatch):
 
 def test_reported_backend_is_consistent():
     assert kernels.INTEGER_BACKEND == "python"
+
+
+def test_each_loop_reaches_the_finish_once_per_full_rank_determinant(monkeypatch):
+    # both loops hand their factors to `polynomials.power_product` once, at
+    # full rank; a loop that gives up (the upper triangle at a zero pivot
+    # whose row is not zero) or a matrix of lower rank never reaches it
+    finish = kernels.power_product
+    callers = []
+
+    def spy(factors):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return finish(factors)
+
+    monkeypatch.setattr(kernels, "power_product", spy)
+    gram = build_gram(5, PartitionClass.NONCROSSING, 4).entries
+    swapped = [gram[1], gram[0], *gram[2:]]
+    cases = [
+        (gram, "_eliminate_upper"),  # symmetric
+        (swapped, "_eliminate_rows"),  # not symmetric
+        (build_A(4, 2, 2).entries, "_eliminate_rows"),  # N < 4: the upper loop falls back
+    ]
+    for rows, loop in cases:
+        callers.clear()
+        assert det_exact(rows) == det_by_fractions(rows) != 0
+        assert callers == [loop]
+    assert det_exact(swapped) == -det_exact(gram)
+    singular = [
+        build_gram(4, PartitionClass.ALL, 2).entries,  # symmetric, rank 8 of 15
+        build_A(5, 2, 1).entries,  # falls back, rank 13 of 14
+        [[1, 2], [2, 4]],
+        [[1, 2], [3, 6]],
+        [[1, 2, 3]],
+    ]
+    for rows in singular:
+        callers.clear()
+        assert det_exact(rows) == 0 and callers == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from ncgram.polynomials import (
     chebyshev_classical,
     chebyshev_dilated,
     check_beraha_chebyshev_relation,
+    power_product,
 )
 
 X = IntPolynomial.x()
@@ -226,3 +228,42 @@ def test_beraha_zero_detected_for_small_parameter():
     report = beraha_nonzero_at(3, 10)
     assert report["guaranteed"] is False
     assert 6 in report["zeros"]
+
+
+# ---------------------------------------------------------------------------
+# the exact finish of every determinant
+
+signed_powers = st.lists(
+    st.tuples(
+        st.integers(min_value=-40, max_value=40).filter(bool)
+        | st.sampled_from((2**61 - 1, -(3**40), 6**25)),
+        st.integers(min_value=-3, max_value=3),
+    ),
+    max_size=12,
+)
+
+
+@given(signed_powers)
+def test_the_finish_is_the_fraction_product_or_refuses(powers):
+    # the balanced products of the positive and the negative powers,
+    # divided once: the product over ℚ where it is an integer, and a
+    # refusal naming the scale where it is not
+    want = Fraction(1)
+    for base, e in powers:
+        want *= Fraction(base) ** e
+    if want.denominator == 1:
+        assert power_product(powers) == want
+        assert power_product(iter(powers)) == want
+    else:
+        with pytest.raises(ArithmeticError, match="scale"):
+            power_product(powers)
+
+
+def test_the_finish_pairs_factors_of_any_count():
+    # 0 to 9 factors of each sign: an odd count at some level of each tree
+    for count in range(10):
+        factors = [(k + 2, 1) for k in range(count)]
+        assert power_product(factors) == factorial(count + 1)
+        assert power_product(factors + [(k + 2, -1) for k in range(count)]) == 1
+    assert power_product([(-1, 1)] * 3 + [(7, 2), (7, -1)]) == -7
+    assert power_product([(5, 0), (0, 0)]) == 1

@@ -280,6 +280,47 @@ def test_one_labelled_walk_reaches_the_join_closure():
     assert callers("join_labels") == readers
 
 
+def test_every_determinant_ends_in_the_one_exact_finish():
+    # the checked quotient of two balanced products is written once, as
+    # `polynomials.power_product`: both elimination loops, the recursion and
+    # the pair formula hand it their factors, and no other function divides
+    # a product by its scale; kernels imports it, and polynomials imports
+    # nothing from kernels
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    defined = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in {"power_product", "_product", "_exact_quotient"}
+    ]
+    assert defined == ["polynomials.py:power_product"]
+    finishes = [
+        f"{name}:{scope}"
+        for name, tree in trees.items()
+        for scope, raised in _raises(tree)
+        if "scale" in raised
+    ]
+    assert finishes == ["polynomials.py:power_product"]
+    callers = {
+        f"{name}:{scope}"
+        for name, tree in trees.items()
+        for scope, _ in _references(tree, {"power_product"})
+        if scope != "<module>"
+    }
+    assert callers == {
+        "kernels.py:_eliminate_upper",
+        "kernels.py:_eliminate_rows",
+        "tutte.py:recursion_trace",
+        "formulas.py:difrancesco_det",
+    }
+    assert "prod" not in _mentions(trees["kernels.py"])
+    assert "kernels" not in _mentions(trees["polynomials.py"])
+
+
 def test_the_pair_graph_objects_and_tag_classes_are_gone_from_the_package():
     # a pair reaches its loop count through the join kernel alone, and the
     # structures are the paper's brackets (i,), (i, i + 1) and (0,)
@@ -298,6 +339,7 @@ def test_the_pair_graph_objects_and_tag_classes_are_gone_from_the_package():
         "join_components",
         "component_labels",
         "_node_pairs",
+        "_exact_quotient",
     )
     found = [
         f"{path.name}:{lineno} {name}"

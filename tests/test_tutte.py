@@ -1019,3 +1019,44 @@ def test_recursion_trace_shape():
         "exponent": 1,
         "B_case": "zero",
     }
+
+
+def test_every_level_check_keeps_its_bounds_and_message():
+    # one range check serves every level argument; each caller passes its
+    # own bounds, and the messages are the ones each check had inline
+    q = lower(5, [[1, 4], [2, 5], [3]])
+    p = lower(5, [[1, 3], [2, 4], [5]])
+    refused = [
+        (lambda: w_stratum(4, 5), "stratum level r=5 out of range for n=4"),
+        (lambda: w_stratum(4, -1), "stratum level r=-1 out of range for n=4"),
+        (lambda: y_stratum(4, 4), "stratum level r=4 out of range for n=4"),
+        (lambda: in_Y(q, 5), "stratum level r=5 out of range for n=5"),
+        (lambda: in_W(q, 6), "stratum level r=6 out of range for n=5"),
+        (lambda: e_r(p, q, 5, 4), "flaw level r=5 out of range for n=5"),
+        (lambda: build_A(5, 5, 4), "level level r=5 out of range for n=5"),
+        (lambda: f_manip(1, q, 4), "manipulation level r=4 out of range for n=5"),
+        (lambda: g_manip(1, q, -1), "manipulation level r=-1 out of range for n=5"),
+        (lambda: classify_structure(p, q, 4), "structure level r=4 out of range for n=5"),
+        (lambda: F_r_value(p, q, 0, 4), "column level r=0 out of range for n=5"),
+        (lambda: F_r_value(p, q, 4, 4), "column level r=4 out of range for n=5"),
+    ]
+    for call, message in refused:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
+    assert len(w_stratum(4, 4)) == 0 and w_stratum(4, 0) == enumerate_partitions(4, NC)
+    assert classify_structure(p, q, 3) == classify_structure(p, q, 3)
+    assert F_r_value(p, q, 1, 4) == F_r_value(p, q, 1, 4)
+
+
+def test_the_trace_lists_each_point_count_ascending_then_its_base():
+    # each m's steps come out of the descending walk that builds its
+    # exponents, reversed: r = 0, 1, …, m − 2, then the base case at m − 1
+    for N in (4, 5):
+        _, trace = recursion_trace(9, N)
+        assert [(t["level_n"], t["r"]) for t in trace] == [
+            (m, r) for m in range(1, 10) for r in range(m)
+        ]
+        assert ["base_value" in t for t in trace] == [
+            r == m - 1 for m in range(1, 10) for r in range(m)
+        ]
