@@ -18,7 +18,8 @@ plane. A single entry, `_pair_exponent`, is one call of
 places the nodes of both): the canonical labels of its terminals decide
 the flaw, and the component count gives the exponent; it is also the
 table's oracle in the tests. With N given, the entries are the integers
-N^e, looked up in a table of powers, one C call per row; with N = None
+N^e, read one C call per row off one table of powers, `_powers`, which
+forms N^0..N^top by one multiplication each; with N = None
 the Gram matrix is symbolic, and its entries are the exponents e of the
 monomials X^e.
 
@@ -26,7 +27,8 @@ Every elimination is the one exact integer kernel in `kernels`, so a
 symbolic determinant is one integer determinant, at X = 2^B (Kronecker
 substitution). Every entry of an m×m matrix is written X^e_min·X^(e − e_min),
 with e_min its smallest exponent (1 for every Gram matrix, since every pair
-graph has a component), so det = X^(m·e_min)·p(X) with p = det(X^(E − e_min)).
+graph has a component), so det = X^(m·e_min)·p(X) with p = det(X^(E − e_min)),
+each entry read off the table of powers of X at its place e − e_min.
 The degree of p is at most
 
     D = Σ_i max_j e_ij − m·e_min,
@@ -51,11 +53,12 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from functools import cache, reduce
+from itertools import accumulate, repeat
 from math import log2
-from operator import itemgetter, or_
+from operator import itemgetter, mul, or_
 from typing import Sequence
 
 from . import kernels
@@ -160,11 +163,13 @@ class ExactMatrix:
             raise ShapeError("matrix is already over the integers")
         check_parameter(N, None)
         top = max((max(row, default=0) for row in self.entries), default=0)
-        return ExactMatrix(
-            entries=_read_powers(self.entries, [N**e for e in range(top + 1)]),
-            row_labels=self.row_labels,
-            col_labels=self.col_labels,
-        )
+        entries = _read_powers(self.entries, _powers(N, top))
+        return ExactMatrix(entries, self.row_labels, self.col_labels)
+
+
+def _powers(N: int, top: int) -> list[int]:
+    """N^0, N^1, …, N^top, one multiplication each."""
+    return list(accumulate(repeat(N, top), mul, initial=1))
 
 
 def _read_powers(table, powers: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -357,7 +362,7 @@ def _table_matrix(
     table = _exponent_table(labels, points, r)
     if N is None:
         return ExactMatrix(table, labels, labels, is_symbolic=True)
-    powers = [N**e for e in range(points + 1)]
+    powers = _powers(N, points)
     powers[_FLAW] = 0  # no pair graph has 0 components
     return ExactMatrix(_read_powers(table, powers), labels, labels)
 
@@ -483,12 +488,14 @@ def _det_by_substitution(m: ExactMatrix) -> IntPolynomial:
     """
     size = m.nrows
     low = min((min(row, default=0) for row in m.entries), default=0)
-    shifted = replace(m, entries=tuple(tuple(e - low for e in row) for row in m.entries))
-    bound = sum(max(row, default=0) for row in shifted.entries)
+    highs = [max(row, default=0) for row in m.entries]
+    bound = sum(highs) - size * low
     B = (size**size).bit_length() // 2 + 2
     bits = B * (bound + 1)
     refuse_past(SYMBOLIC_BIT_BUDGET, "symbolic determinant bits", lambda _: bits, range(1))
-    value = kernels.det_exact(shifted.evaluate(1 << B).entries)
+    # entry e reads X^(e − low); no entry is below low, so those slots are padding
+    powers = [0] * low + _powers(1 << B, max(highs, default=0) - low)
+    value = kernels.det_exact(_read_powers(m.entries, powers))
     # 2^(B−1) added to every digit makes each one a plain B-bit slice of
     # the binary text; conversion to and from base 2 is linear in the size
     value += int(("1" + "0" * (B - 1)) * (bound + 1), 2)

@@ -331,25 +331,23 @@ def _catalan(n: int) -> int:
 def is_noncrossing(p: Partition) -> bool:
     """True iff no two blocks interleave as a < b < c < d with {a,c}, {b,d} split.
 
-    Single left-to-right pass: a block revisited must be the innermost open one.
-    (The O(n^4) quadruple definition is kept as a test oracle only.)
+    One pass under the generator's rule, over the stack of open blocks: a
+    new block is pushed, a block on the stack closes every block above
+    it, and any other block is a crossing. (The O(n^4) quadruple
+    definition is kept as a test oracle only.)
     """
     if p.upper:
         raise ShapeError("crossing test is defined on (0, n) partitions")
-    last = {}
-    for i, b in enumerate(p.rgs):
-        last[b] = i
     stack: list[int] = []
-    seen = set()
-    for i, b in enumerate(p.rgs):
-        if b in seen:
-            if stack[-1] != b:
-                return False
-        else:
-            seen.add(b)
+    opened = 0
+    for b in p.rgs:
+        if b == opened:
             stack.append(b)
-        while stack and last[stack[-1]] == i:
-            stack.pop()
+            opened += 1
+        elif b in stack:
+            del stack[stack.index(b) + 1 :]
+        else:
+            return False
     return True
 
 

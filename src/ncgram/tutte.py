@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 from .errors import ShapeError, check_parameter, refuse_past
 from .gram import (
@@ -384,24 +385,24 @@ def recursion_det(n: int, N: int) -> int:
     return value
 
 
-def _level_exponents(n: int, N: int) -> tuple[list[int], list[list[list[int]]], list[dict]]:
-    """Every det A(m,r), m ≤ n, as powers: the bases, the exponents of
-    level(m, r) at [m][r] (none at m = 0), and the trace.
+def _level_exponents(n: int, N: int) -> Iterator[tuple[list[int], list[list[int]], list[dict]]]:
+    """Every det A(m,r), m ≤ n, as powers: a walk that yields, for m =
+    1..n, the bases, the exponents of level(m, r) at [r], and m's trace
+    steps.
 
     Base 0 is N, and base k ≥ 1 the integer c_k = N^{deg β_k}·β_k(1/N). As
     deg β_k = ⌊(k−1)/2⌋, the factor β_{r+3}(1/N)/β_{r+2}(1/N) of level r
     is c_{r+3}/c_{r+2}, over N at even r, so every exponent is a sum of
     strata counts, the same at any N. The trace lists the steps of the
-    top-down expansion, m and then r ascending, each m's base case last;
-    each m's steps are made in the same descending walk as its exponents.
+    top-down expansion, r ascending, the base case last; they are made in
+    the same descending walk as the exponents. The walk holds only the
+    point count below the one it builds.
     """
     # c_k is β_k with its coefficients reversed, at N
     bases = [N] + [IntPolynomial(beraha(k).coeffs[::-1]).evaluate(N) for k in range(1, n + 2)]
     # Bottom up, one point count m at a time: level(m, r) needs
     # level(m, r+1) and level(m-1, r-1), or level(m-1, 0) at r = 0.
     below: list[list[int]] = []  # exponents of level(m-1, r) for r = 0..m-2
-    every = [below]
-    trace: list[dict] = []
     for m in range(1, n + 1):
         w_counts, y_counts = _strata_counts(m)
         value = [(m + 1) // 2] + [0] * (n + 1)
@@ -418,11 +419,10 @@ def _level_exponents(n: int, N: int) -> tuple[list[int], list[list[list[int]]], 
             if r % 2 == 0:  # N per Y(m,r) element from B, and the factor's 1/N
                 value[0] += y_counts[r] - w
             levels.append(value)
-        trace += reversed(steps)
-        trace.append({"level_n": m, "r": m - 1, "base_value": str(N ** ((m + 1) // 2))})
+        steps.reverse()
+        steps.append({"level_n": m, "r": m - 1, "base_value": str(N ** ((m + 1) // 2))})
         below = levels[::-1]
-        every.append(below)
-    return bases, every, trace
+        yield bases, below, steps
 
 
 def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
@@ -436,5 +436,7 @@ def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
         raise ValueError("n must be positive")
     check_parameter(N, 4, "the recursion needs N >= 4: below, a reversed Beraha value can vanish")
     _check_det_bits(n, PartitionClass.NONCROSSING, N)
-    bases, levels, trace = _level_exponents(n, N)
-    return power_product(zip(bases, levels[n][0])), trace
+    trace: list[dict] = []
+    for bases, levels, steps in _level_exponents(n, N):
+        trace += steps
+    return power_product(zip(bases, levels[0])), trace

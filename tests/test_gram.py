@@ -18,6 +18,7 @@ from ncgram.gram import (
     DET_DIMENSION_BUDGET,
     ExactMatrix,
     _decimal_text,
+    _powers,
     build_gram,
     determinant,
     rank,
@@ -800,6 +801,20 @@ def test_evaluate_symbolic_matrix():
     for N in (2.5, Fraction(1, 2), "2"):
         with pytest.raises(ValueError, match="N must be an integer"):
             m.evaluate(N)
+
+
+def test_powers_table_equals_the_powers_formed_one_by_one():
+    # N^0..N^top, one multiplication each, behind every numeric matrix,
+    # every evaluation and the substituted symbolic determinant
+    for N in (-3, -1, 0, 1, 4, 10**50):
+        for top in (0, 1, 2, 7):
+            assert _powers(N, top) == [N**e for e in range(top + 1)]
+    # the substitution reads X^(e − e_min) straight off the table, below
+    # e_min too: det [[X³, X⁵], [X⁵, X³]] = X⁶ − X¹⁰
+    labels = tuple(enumerate_partitions(2, NC))
+    m = ExactMatrix(((3, 5), (5, 3)), labels, labels, is_symbolic=True)
+    assert determinant(m) == IntPolynomial([0] * 6 + [1, 0, 0, 0, -1])
+    assert determinant(m.principal_submatrix(1)) == IntPolynomial([0, 0, 0, 1])
 
 
 def test_short_rows_are_read_as_tuples():

@@ -261,6 +261,53 @@ def test_one_reader_turns_the_exponent_table_into_every_matrix():
     assert found == {"gram.py:_table_matrix"}
 
 
+def _powers_over_a_range(tree: ast.AST) -> list[int]:
+    """Lines of the comprehensions that raise to a power of an index drawn
+    from a range, such as [N**e for e in range(top + 1)]."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            continue
+        indices = {
+            name.id
+            for gen in node.generators
+            if isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "range"
+            for name in ast.walk(gen.target)
+            if isinstance(name, ast.Name)
+        }
+        if any(
+            isinstance(sub, ast.BinOp)
+            and isinstance(sub.op, ast.Pow)
+            and any(isinstance(x, ast.Name) and x.id in indices for x in ast.walk(sub.right))
+            for sub in ast.walk(node)
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_one_powers_table_serves_every_matrix():
+    # N^0..N^top is formed once per matrix, one multiplication each, by
+    # `gram._powers`: no comprehension raises to the powers of a range, and
+    # the symbolic determinant reads X^(e − e_min) off its table with no
+    # shifted copy of the matrix
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    found = {name: _powers_over_a_range(tree) for name, tree in trees.items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _powers_over_a_range(ast.parse("[N**e for e in range(top + 1)]")) == [1]
+    readers = {scope for scope, _ in _references(trees["gram.py"], {"_powers"})}
+    assert readers == {"evaluate", "_table_matrix", "_det_by_substitution"}
+    imported = {
+        alias.name
+        for node in ast.walk(trees["gram.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "replace" not in imported
+
+
 def test_one_labelled_walk_reaches_the_join_closure():
     # a composition, a single entry with its flaw and a structure each read
     # the canonical component labels of one `join_labels` walk, so no other

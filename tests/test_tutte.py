@@ -391,6 +391,16 @@ def test_a_wide_top_level_builds_no_spread_table():
     assert peak < 1 << 20
 
 
+def test_a_level_entry_far_past_the_points_forms_its_powers_once_each():
+    # the one entry of A(600, 599) is N^300; the powers up to N^600 are
+    # one multiplication each (0.6 s), where each power formed on its own
+    # took 14 s (2-core AMD EPYC)
+    N = 10**1000
+    start = perf_counter()
+    assert build_A(600, 599, N).entries == ((N**300,),)
+    assert perf_counter() - start < 10
+
+
 def test_top_stratum_is_a_single_partition():
     for n in range(1, 9):
         assert len(w_stratum(n, n - 1)) == 1
@@ -880,7 +890,8 @@ def test_recursion_exponents_match_the_pair_formula_exponents():
     # against Di Francesco's a_{n,i}. The power of N is C_n, that of V_i is
     # a_{n,i} for i ≥ 2, and V_1 = 1 (c_2) absorbs the rest.
     for n in range(1, 41):
-        exponents = tutte._level_exponents(n, 4)[1][n][0]
+        for _, levels, _ in tutte._level_exponents(n, 4):
+            exponents = levels[0]  # level(n, 0) once the walk ends
         a = difrancesco_exponents(n)
         catalan = comb(2 * n, n) // (n + 1)
         assert exponents[0] == catalan
@@ -898,11 +909,10 @@ def test_every_level_of_the_recursion_equals_its_determinant():
     # · det A(m, r+1), and det B(m, r) = f^{#Y(m, r)} · det A(m−1, max(r−1, 0))
     # with f = 1 at odd r and N otherwise
     for N in (4, 5):
-        bases, levels, _ = tutte._level_exponents(7, N)
         A = {}
-        for m in range(1, 8):
-            assert len(levels[m]) == m
-            for r, exponents in enumerate(levels[m]):
+        for m, (bases, levels, _) in enumerate(tutte._level_exponents(7, N), 1):
+            assert len(levels) == m
+            for r, exponents in enumerate(levels):
                 A[m, r] = determinant(build_A(m, r, N))
                 assert power_product(zip(bases, exponents)) == A[m, r], (m, r, N)
         steps = 0
@@ -916,6 +926,21 @@ def test_every_level_of_the_recursion_equals_its_determinant():
                 assert B == f ** y_counts[r] * A[m - 1, max(r - 1, 0)], (m, r, N)
                 steps += 1
         assert steps == 21
+
+
+def test_level_walk_holds_one_point_count():
+    # the walk keeps level(m−1, ·) while it builds level(m, ·): to n = 200
+    # its peak is some 5 MiB, where every level of every point count held
+    # at once took 138 MiB
+    tracemalloc.start()
+    try:
+        for count, (_, levels, _) in enumerate(tutte._level_exponents(200, 4), 1):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(levels) == 200
+    assert peak < 40 << 20
 
 
 def test_recursion_trace_is_freed_without_the_cycle_collector():
