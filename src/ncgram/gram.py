@@ -209,18 +209,19 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
     above or below are the node pair u < v it links. Node pair u < v
     starts from the rows whose label, drawn above, links u and v, and the
     columns whose label, drawn below, links them, repeated in every row;
-    each node keeps only its nonempty pairs. Vertex elimination, k from
-    the top node down to 2·cut, sets C_ij |= C_ik & C_kj for the
-    neighbours i, j < k of k and never eliminates a terminal. Once every
-    node above v is eliminated, v is linked in a pair to a smaller node
-    exactly where it is connected to one (a path to one, cut at its first
-    node below v, runs above v): two terminals are linked where the other
-    nodes join them, and a non-terminal with no smaller neighbour is a
-    root, the smallest node of its component. At r > 0 a pair is flawed,
-    as in `_pair_exponent`, where a terminal link other than some i–i' is
-    set or an i–i' asked for is not; a flawless pair's terminals make cut
-    components, so its exponent is cut plus its non-terminal roots, at
-    most `points`.
+    each pair is kept once, nonempty, in the map of its larger node v,
+    C[v][u]. Vertex elimination, k from the top node down to 2·cut, sets
+    C[j][i] |= C[k][i] & C[k][j] for the neighbours i < j < k of k and
+    never eliminates a terminal; the nodes above k are gone by then, so
+    C[k] holds all of k's links. Once every node above v is eliminated,
+    v is linked in a pair to a smaller node exactly where it is connected
+    to one (a path to one, cut at its first node below v, runs above v):
+    two terminals are linked where the other nodes join them, and a
+    non-terminal with no smaller neighbour is a root, the smallest node of
+    its component. At r > 0 a pair is flawed, as in `_pair_exponent`,
+    where a terminal link other than some i–i' is set or an i–i' asked
+    for is not; a flawless pair's terminals make cut components, so its
+    exponent is cut plus its non-terminal roots, at most `points`.
 
     The non-roots are counted in bit planes (`_add_to_planes`): each
     non-terminal's mask of pairs where it has a smaller neighbour is added
@@ -264,18 +265,16 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
             for s, t in pairs:
                 fills[above[s], above[t]][row] = b"\xff" * row_bytes
         every_row = int.from_bytes((b"\x01" + bytes(row_bytes - 1)) * count, "little")
-        C: list[dict[int, int]] = [{} for _ in range(width)]  # node -> linked node -> mask
+        C: list[dict[int, int]] = [{} for _ in range(width)]  # node v -> linked u < v -> mask
         for u, v in fills.keys() | cols.keys():
             rows = int.from_bytes(fills.get((u, v), b""), "little")
-            C[u][v] = C[v][u] = rows | cols.get((u, v), 0) * every_row
+            C[v][u] = rows | cols.get((u, v), 0) * every_row
         for k in range(width - 1, terminals - 1, -1):
-            Ck = C[k]
-            linked = [u for u in Ck if u < k]  # no update here moves C[k]
-            for at, i in enumerate(linked):
-                Ci, Cik = C[i], Ck[i]
-                for j in linked[at + 1 :]:
-                    if via := Cik & Ck[j]:
-                        Ci[j] = C[j][i] = Ci.get(j, 0) | via
+            linked = sorted(C[k].items())  # i < j below, so C[j] holds the pair i, j
+            for at, (i, Cik) in enumerate(linked):
+                for j, Ckj in linked[at + 1 :]:
+                    if via := Cik & Ckj:
+                        C[j][i] = C[j].get(i, 0) | via
         zeros = int.from_bytes(("0" * length).encode(codec), "big")
 
         def lanewise(mask: int) -> int:
@@ -286,18 +285,17 @@ def _exponent_table(labels: tuple[Partition, ...], points: int, r: int = 0) -> t
         ones = lanewise((1 << length) - 1)
         planes: list[int] = []  # bit k of each pair's count of non-roots
         for v in range(terminals, width):
-            if smaller := reduce(or_, (m for u, m in C[v].items() if u < v), 0):
+            if smaller := reduce(or_, C[v].values(), 0):
                 _add_to_planes(planes, smaller)  # v is no root
         total = points * ones  # cut terminals and width − 2·cut others
         for k, plane in enumerate(planes):
             total -= lanewise(plane) << k
         if cut:  # flawed: a terminal link but i–i', or no i–i' where asked for
             flaw = 0
-            for u in range(terminals):
-                others = (m for v, m in C[u].items() if v < terminals and abs(v - u) != cut)
-                flaw |= reduce(or_, others, 0)
+            for v in range(terminals):
+                flaw |= reduce(or_, (m for u, m in C[v].items() if v - u != cut), 0)
             for i in range(cut - 1 + r % 2):  # i ~ i' is asked for
-                flaw |= C[i].get(cut + i, 0) ^ (1 << length) - 1
+                flaw |= C[cut + i].get(i, 0) ^ (1 << length) - 1
             total &= (ones - lanewise(flaw)) * ((1 << 8 * lane) - 1)
         data = total.to_bytes(lane * length, "little")
         starts = range(0, length, 8 * row_bytes)

@@ -262,7 +262,8 @@ def _enumerate(
     joining block u−1 ends its wait. The waiting blocks keep their places
     0..u−1 at the bottom of the stack, so the joins start at index u−1
     and need no test of block ids. In NC2 every open block waits for its
-    second point. Both rules are one cut, made where a branch is pushed:
+    second point, so the same rule lets a point join only the top of the
+    stack. The waits make one cut, made where a branch is pushed:
     it goes on only while no more blocks wait than positions remain
     after it. With the start held to the same cut, and in NC2 to an even
     count of the positions left over, no branch ends empty-handed.
@@ -289,8 +290,6 @@ def _enumerate(
         # the open blocks this position may join: stack[low], ..., stack[top]
         if every:
             low, top = 0, len(stack) - 1
-        elif pairs:  # an empty stack has no top to join
-            low, top = max(len(stack) - 1, 0), len(stack) - 1
         else:
             low = waiting - 1 if waiting else 0
             # with no room to spare, only taking block u−1 off the wait fits

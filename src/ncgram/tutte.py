@@ -7,7 +7,7 @@ block rewirings f and g produce column combinations that telescope the
 determinant down to 1×1 base cases. Everything is exact: the level
 quotients are powers of N and of the integers c_k = N^{deg β_k}·β_k(1/N)
 from the reversed Beraha polynomials β_k, so each level is a vector of
-exponents, and only the top one is multiplied out.
+exponents, the same at every N, and only the top one is multiplied out.
 
 Points of a pair (p, q) live on a graph: nodes 1..n carry p, nodes
 1'..n' carry q, and vertical edges join i to i'. Its components are
@@ -385,48 +385,40 @@ def recursion_det(n: int, N: int) -> int:
     return value
 
 
-def _level_exponents(n: int, N: int) -> Iterator[tuple[list[int], list[list[int]], list[dict]]]:
+def _level_exponents(n: int) -> Iterator[tuple[list[list[int]], list[int]]]:
     """Every det A(m,r), m ≤ n, as powers: a walk that yields, for m =
-    1..n, the bases, the exponents of level(m, r) at [r], and m's trace
-    steps.
+    1..n, the exponents of level(m, r) at [r] and m's #W(m, r) at [r].
 
-    Base 0 is N, and base k ≥ 1 the integer c_k = N^{deg β_k}·β_k(1/N). As
-    deg β_k = ⌊(k−1)/2⌋, the factor β_{r+3}(1/N)/β_{r+2}(1/N) of level r
-    is c_{r+3}/c_{r+2}, over N at even r, so every exponent is a sum of
-    strata counts, the same at any N. The trace lists the steps of the
-    top-down expansion, r ascending, the base case last; they are made in
-    the same descending walk as the exponents. The walk holds only the
-    point count below the one it builds.
+    Entry 0 is the power of N, and entry k ≥ 1 the power of the integer
+    c_k = N^{deg β_k}·β_k(1/N). As deg β_k = ⌊(k−1)/2⌋, the factor
+    β_{r+3}(1/N)/β_{r+2}(1/N) of level r is c_{r+3}/c_{r+2}, over N at even
+    r, so every exponent is a sum of strata counts, the same at any N: the
+    walk takes none. It holds only the point count below the one it builds.
     """
-    # c_k is β_k with its coefficients reversed, at N
-    bases = [N] + [IntPolynomial(beraha(k).coeffs[::-1]).evaluate(N) for k in range(1, n + 2)]
     # Bottom up, one point count m at a time: level(m, r) needs
     # level(m, r+1) and level(m-1, r-1), or level(m-1, 0) at r = 0.
     below: list[list[int]] = []  # exponents of level(m-1, r) for r = 0..m-2
     for m in range(1, n + 1):
         w_counts, y_counts = _strata_counts(m)
         value = [(m + 1) // 2] + [0] * (n + 1)
-        levels, steps = [value], []
+        levels = [value]
         for r in range(m - 2, -1, -1):
-            if bases[r + 2] == 0:
-                raise ArithmeticError(f"reversed Beraha value {r + 2} vanished at 1/{N}")
-            factor = Fraction(bases[r + 3], bases[r + 2] * N ** (1 - r % 2))
-            case, w = "odd" if r % 2 else "even" if r else "zero", w_counts[r + 1]
-            steps.append(dict(level_n=m, r=r, factor_beta=str(factor), exponent=w, B_case=case))
+            w = w_counts[r + 1]
             value = [a + b for a, b in zip(value, below[max(r - 1, 0)])]
             value[r + 3] += w
             value[r + 2] -= w
             if r % 2 == 0:  # N per Y(m,r) element from B, and the factor's 1/N
                 value[0] += y_counts[r] - w
             levels.append(value)
-        steps.reverse()
-        steps.append({"level_n": m, "r": m - 1, "base_value": str(N ** ((m + 1) // 2))})
         below = levels[::-1]
-        yield bases, below, steps
+        yield below, w_counts
 
 
 def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
-    """recursion_det plus the JSON-ready list of expansion steps.
+    """recursion_det plus the JSON-ready list of expansion steps: for each
+    point count m = 1..n, the level factors at r ascending, then the base
+    case. N enters here alone: `_level_exponents` walks the exponents,
+    the same at any N, and this forms their bases.
 
     A value that may have more than `gram.RECURSION_BIT_BUDGET` bits, by the
     Hadamard bound of the NC Gram matrix it equals, is refused with
@@ -436,7 +428,14 @@ def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
         raise ValueError("n must be positive")
     check_parameter(N, 4, "the recursion needs N >= 4: below, a reversed Beraha value can vanish")
     _check_det_bits(n, PartitionClass.NONCROSSING, N)
+    # c_k is β_k with its coefficients reversed, at N: c_k = V_{k−1}(N), whose
+    # roots lie in [0, 4), so every base is positive
+    bases = [N] + [IntPolynomial(beraha(k).coeffs[::-1]).evaluate(N) for k in range(1, n + 2)]
     trace: list[dict] = []
-    for bases, levels, steps in _level_exponents(n, N):
-        trace += steps
+    for m, (levels, w_counts) in enumerate(_level_exponents(n), 1):
+        for r in range(m - 1):
+            factor = Fraction(bases[r + 3], bases[r + 2] * N ** (1 - r % 2))
+            case, w = "odd" if r % 2 else "even" if r else "zero", w_counts[r + 1]
+            trace.append(dict(level_n=m, r=r, factor_beta=str(factor), exponent=w, B_case=case))
+        trace.append({"level_n": m, "r": m - 1, "base_value": str(N ** ((m + 1) // 2))})
     return power_product(zip(bases, levels[0])), trace

@@ -4,6 +4,7 @@ determinant recursion."""
 from __future__ import annotations
 
 import gc
+import inspect
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -29,7 +30,7 @@ from ncgram.partitions import (
     stacked_places,
     stacked_spreader,
 )
-from ncgram.polynomials import beraha, power_product
+from ncgram.polynomials import IntPolynomial, beraha, power_product
 from ncgram.tutte import (
     F_r_value,
     _strata_counts,
@@ -890,7 +891,7 @@ def test_recursion_exponents_match_the_pair_formula_exponents():
     # against Di Francesco's a_{n,i}. The power of N is C_n, that of V_i is
     # a_{n,i} for i ≥ 2, and V_1 = 1 (c_2) absorbs the rest.
     for n in range(1, 41):
-        for _, levels, _ in tutte._level_exponents(n, 4):
+        for levels, _ in tutte._level_exponents(n):
             exponents = levels[0]  # level(n, 0) once the walk ends
         a = difrancesco_exponents(n)
         catalan = comb(2 * n, n) // (n + 1)
@@ -909,8 +910,10 @@ def test_every_level_of_the_recursion_equals_its_determinant():
     # · det A(m, r+1), and det B(m, r) = f^{#Y(m, r)} · det A(m−1, max(r−1, 0))
     # with f = 1 at odd r and N otherwise
     for N in (4, 5):
+        # the bases formed here, not by recursion_trace: c_k is β_k reversed, at N
+        bases = [N] + [IntPolynomial(beraha(k).coeffs[::-1]).evaluate(N) for k in range(1, 9)]
         A = {}
-        for m, (bases, levels, _) in enumerate(tutte._level_exponents(7, N), 1):
+        for m, (levels, _) in enumerate(tutte._level_exponents(7), 1):
             assert len(levels) == m
             for r, exponents in enumerate(levels):
                 A[m, r] = determinant(build_A(m, r, N))
@@ -934,13 +937,28 @@ def test_level_walk_holds_one_point_count():
     # at once took 138 MiB
     tracemalloc.start()
     try:
-        for count, (_, levels, _) in enumerate(tutte._level_exponents(200, 4), 1):
+        for count, (levels, _) in enumerate(tutte._level_exponents(200), 1):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert count == len(levels) == 200
     assert peak < 40 << 20
+
+
+def test_level_walk_takes_no_parameter():
+    # every exponent is a sum of strata counts, the same at any N
+    assert list(inspect.signature(tutte._level_exponents).parameters) == ["n"]
+
+
+def test_every_recursion_base_is_positive_from_four_on():
+    # c_k, β_k with its coefficients reversed, is V_{k−1}, whose roots lie
+    # in [0, 4): shifted to x + 4 every coefficient is positive, so by
+    # Descartes' rule of signs no base of the recursion vanishes at N ≥ 4
+    x_plus_4 = IntPolynomial.x() + 4
+    for k in range(1, 202):
+        shifted = IntPolynomial(beraha(k).coeffs[::-1]).evaluate(x_plus_4)
+        assert shifted.coeffs and all(c > 0 for c in shifted.coeffs), k
 
 
 def test_recursion_trace_is_freed_without_the_cycle_collector():
