@@ -100,11 +100,11 @@ SYMBOLIC_BIT_BUDGET = 1 << 24
 #: integer matrix `determinant` or `rank` eliminates (`_check_entry_bits`,
 #: which reads the bound off the entries; it may refuse near the budget what
 #: the closed form admitted, never the other way round). It admits
-#: n = 12 at N = 4 by the recursion (2.7M bits: 0.1 s for the value and as
-#: much for its decimal text), and by elimination NC(7) at N = 10^300 (1.7M
-#: bits, 10 s) and NC(8) at 10^150 (3.2M bits, 229 s, 375 MiB); it refuses
-#: n = 13 at N = 4 (10.4M bits) and NC(8) at 10^200 (4.3M bits) (2-core AMD
-#: EPYC, Python 3.11).
+#: n = 12 at N = 4 by the recursion (2.7M bits by the bound, 1.6M in fact:
+#: 20 ms for the value and 55 ms for its decimal text), and by elimination
+#: NC(7) at N = 10^300 (1.7M bits, 10 s) and NC(8) at 10^150 (3.2M bits,
+#: 229 s, 375 MiB); it refuses n = 13 at N = 4 (10.4M bits) and NC(8) at
+#: 10^200 (4.3M bits) (2-core AMD EPYC, Python 3.11).
 RECURSION_BIT_BUDGET = 1 << 22
 
 

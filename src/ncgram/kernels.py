@@ -48,10 +48,14 @@ matrix needs no special case.
 
 Every determinant ends in the one exact finish, `polynomials.power_product`:
 each loop collects its factors as powers with exponent ±1 and hands them
-over once, at full rank. The product of the positive powers and that of
-the negative ones, the scale, are formed in balanced trees, so that the large multiplications
-pair numbers of about the same size, and divided once; that division
-must be exact, and `ArithmeticError` is raised if it is not.
+over once, at full rank. The finish shifts the powers of two out of every
+factor into one count and merges equal odd parts, so that equal factors
+on the two sides cancel before any product is formed. With every |e| = 1
+its square-and-multiply chain is one balanced tree per side: the product
+of the positive powers and that of the negative ones, the scale, are
+formed so that the large multiplications pair numbers of about the same
+size, and divided once; that division must be exact, and
+`ArithmeticError` is raised if it is not.
 
 Skipping zeros is what pays. Bareiss elimination (Math. Comp. 22, 1968)
 divides by the previous pivot, so every step rescales every remaining

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -267,3 +268,78 @@ def test_the_finish_pairs_factors_of_any_count():
         assert power_product(factors + [(k + 2, -1) for k in range(count)]) == 1
     assert power_product([(-1, 1)] * 3 + [(7, 2), (7, -1)]) == -7
     assert power_product([(5, 0), (0, 0)]) == 1
+
+
+# bases ±odd·2^k, each drawn with an exponent up to ±2^12 and again with one
+# that nearly cancels it, so that equal odd parts meet across the scale
+odd_times_power_of_two = st.builds(
+    lambda sign, odd, k: sign * (2 * odd + 1) << k,
+    st.sampled_from((1, -1)),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=12),
+)
+nearly_cancelling_powers = st.lists(
+    st.tuples(
+        odd_times_power_of_two,
+        st.integers(min_value=-(2**12), max_value=2**12),
+        st.integers(min_value=-3, max_value=3),
+    ),
+    max_size=6,
+).map(lambda drawn: [power for b, e, d in drawn for power in ((b, e), (b, d - e))])
+
+
+raw_powers = st.lists(
+    st.tuples(odd_times_power_of_two, st.integers(min_value=-(2**12), max_value=2**12)),
+    max_size=3,
+)
+
+
+@given(nearly_cancelling_powers, raw_powers)
+def test_the_chain_is_the_fraction_product_or_refuses(cancelling, raw):
+    # the shift of the twos, the merge of equal odd parts and the
+    # square-and-multiply chain give the product over ℚ where it is an
+    # integer, and refuse where it is not
+    powers = cancelling + raw
+    want = Fraction(1)
+    for base, e in powers:
+        want *= Fraction(base) ** e
+    if want.denominator == 1:
+        assert power_product(powers) == want
+    else:
+        with pytest.raises(ArithmeticError, match="scale"):
+            power_product(powers)
+
+
+def test_a_zero_base_is_refused_below_and_gives_zero_above():
+    # a zero base to a negative power divides by zero whatever else the
+    # list holds; otherwise one to a positive power gives 0, and one to
+    # the power 0 is ignored
+    for powers in ([(0, 1), (0, -1)], [(0, -1), (0, 2)], [(0, -1)], [(3, 2), (0, -3), (2, 1)]):
+        with pytest.raises(ZeroDivisionError):
+            power_product(powers)
+    assert power_product([(0, 2), (3, -1)]) == 0
+    assert power_product([(0, 1), (5, 3)]) == 0
+    assert power_product([(0, 0), (7, 1)]) == 7
+    assert power_product([(-4, 3), (2, -6)]) == -1
+    with pytest.raises(ArithmeticError, match="scale"):
+        power_product([(2, 1), (3, -1)])
+
+
+@pytest.mark.parametrize(
+    "powers, want",
+    [
+        ([(3**100, 10**4), (3**100, 1 - 10**4)], 3**100),
+        ([(2**64, 10**5), (2, 5 - 64 * 10**5)], 32),
+    ],
+    ids=["equal bases", "powers of two"],
+)
+def test_equal_bases_and_twos_cancel_before_any_power_is_formed(powers, want):
+    # forming each power on its own peaked at 1133 KiB and 3749 KiB here
+    tracemalloc.start()
+    try:
+        value = power_product(powers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == want
+    assert peak < 64 * 2**10
