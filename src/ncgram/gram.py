@@ -414,8 +414,10 @@ def _check_entry_bits(m: ExactMatrix) -> None:
     bits, by Hadamard's row bound read off the entries in integers: a minor
     on some of the m rows is at most ∏_i √ncols·max_j |a_ij| in size, which
     has at most Σ_i bit_length(max_j |a_ij|) + ⌈m·log₂(ncols)/2⌉ bits; the
-    second term is taken as half the bit length of ncols^m, rounded up."""
-    bits = sum(max(map(abs, row), default=0).bit_length() for row in m.entries)
+    second term is taken as half the bit length of ncols^m, rounded up.
+    Each max is read off the row's distinct values: a Gram or level row at
+    an integer N holds at most points + 1 of them."""
+    bits = sum(max(map(abs, set(row)), default=0).bit_length() for row in m.entries)
     bits += ((m.ncols**m.nrows).bit_length() + 1) // 2
     what = "bits of the matrix by its Hadamard bound:"
     refuse_past(RECURSION_BIT_BUDGET, what, lambda _: bits, range(1))

@@ -17,16 +17,19 @@ symmetric input to the upper-triangle loop, `_eliminate_upper`:
 - Row i stores only its columns j ≥ i, as T_i = d_i·S_i, where S_i is row
   i of the exact Schur complement over ℚ at the current step and d_i a
   positive integer scale, 1 on input.
-- Just before row k becomes the pivot row it is divided by its content c,
-  the gcd of its stored entries, so that S_k[k] = T_k[k]·c/d_k.
+- Just before row k becomes the pivot row, one scan finds its nonzero
+  columns j ≥ k; those entries alone are divided by their gcd c, the
+  row's content, so that S_k[k] = T_k[k]·c/d_k. Every update at pivot k
+  is driven by that list of columns.
 - The rows to update at pivot k are the nonzero columns i > k of pivot
   row k, since S_i[k] = S_k[i] by symmetry; no other row is looked at.
   Each multiplier is a/b = d_i·c·T_k[i] / (d_k·T_k[k]), read from the
-  pivot row. If it is an integer, row_i ← row_i − (a/b)·row_k over the
-  pivot row's nonzero columns j ≥ i only, and d_i stays. Otherwise, with
-  a/b in lowest terms, row_i ← (b·row_i − a·row_k)/e over every column
-  j ≥ i, where e = gcd(d_i·b, new row), and d_i ← d_i·b/e stays an
-  integer; a row that the update turns to zeros gets d_i = 1.
+  pivot row, in lowest terms. If b > 1, row i is first scaled,
+  row_i ← b·row_i over every column j ≥ i. Then, in either case,
+  row_i ← row_i − a·row_k over the pivot row's nonzero columns j ≥ i
+  only. After a scaling, e = gcd(d_i·b, row_i) is divided out and
+  d_i ← d_i·b/e stays an integer; a row that the update turns to zeros
+  gets d_i = 1. An integral multiplier leaves d_i as it is.
 - A zero pivot whose stored row is zero is skipped, which gives the rank
   of a semidefinite matrix. A zero pivot with a nonzero row is the one
   case this loop cannot take.
@@ -35,13 +38,14 @@ The determinant is ∏ S_k[k] = ∏ T_k[k]·c_k / ∏ d_k.
 
 Input that is not symmetric or not square, and a zero pivot with a
 nonzero row, take the row-swapping loop, `_eliminate_rows`, on a copy of
-the untouched input. It stores whole rows. A row is divided by its
-content just before it becomes the pivot row; a row i below the pivot
-row with a_ik = 0 is left untouched, and any other row is updated on the
-columns after k, with g = gcd(a_kk, a_ik), p = a_kk/g and q = a_ik/g:
-row_i ← row_i − q·row_k over the pivot row's nonzero columns when p = 1,
-and row_i ← (p·row_i − q·row_k)/c' over every column otherwise, c' the
-new row's content. Then det A = sign · ∏ pivots · ∏ c · ∏ c' / ∏ p. A
+the untouched input. It stores whole rows. Just before a row becomes
+the pivot row, one scan finds its nonzero columns, and those entries
+alone are divided by their content. A row i below the pivot row with
+a_ik = 0 is left untouched, and any other row is updated on the columns
+after k, with g = gcd(a_kk, a_ik), p = a_kk/g and q = a_ik/g: if p ≠ 1,
+row_i ← p·row_i over every column; then row_i ← row_i − q·row_k over the
+pivot row's nonzero columns; after a scaling the new row is divided by
+its content c'. Then det A = sign · ∏ pivots · ∏ c · ∏ c' / ∏ p. A
 column without a pivot is skipped, so this loop gives the rank of any
 matrix, square or not; zero rows are never divided, and a zero or empty
 matrix needs no special case.
@@ -62,14 +66,16 @@ divides by the previous pivot, so every step rescales every remaining
 row, zero multiplier or not, and each entry grows with the step count.
 Gram matrices, eliminated in label order, are mostly zero below and to
 the right of the pivot. On the 7-point Gram matrix at N = 4 (429 rows),
-the pivot rows' tails hold 9,809 nonzeros among 91,806 entries, so 9,809
-rows are updated; the row-swapping loop reads all 91,806 rows below the
-pivots to find them. The upper-triangle loop writes 0.32 million entries
-(0.29 million by sparse updates and 31,235 by its 552 dense updates),
-against 0.67 million and 706 dense updates for the row-swapping loop, and
-2.69 million if every update were dense. No entry computed has more than
-58 bits. On dense matrices the gcds make these loops slower than Bareiss;
-they are kernels for Gram and level matrices.
+the pivot rows' tails hold 9,809 nonzeros among 91,806 entries; each
+tail is read once, by the scan, so 9,809 rows are updated, and the
+row-swapping loop reads all 91,806 rows below the pivots to find them.
+The upper-triangle loop's subtractions write 0.29 million entries, and
+its 552 rescaled rows take 31,235 writes in the scaling pass and 13,266
+in the content pass; the row-swapping loop writes 0.58 million, and its
+706 rescaled rows 97,207 and 73,979. Every update written dense would be
+2.69 million. No entry computed has more than 58 bits, and none stored
+after an update more than 40. On dense matrices the gcds make these
+loops slower than Bareiss; they are kernels for Gram and level matrices.
 
 All arithmetic is on Python ints; `INTEGER_BACKEND` names that backend
 for benchmark records.
@@ -77,6 +83,7 @@ for benchmark records.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd
 from operator import eq
 
@@ -110,33 +117,34 @@ def _eliminate_upper(rows) -> tuple[int, int] | None:
     scale = [1] * n  # d_i: row i holds d_i·S_i until it becomes the pivot row
     factors = []  # (pivot·content, 1) and (scale, −1) for each pivot
     for k, rk in enumerate(rows):
-        c = gcd(*rk[k:])
+        cols = list(compress(range(k, n), rk[k:]))  # the nonzero columns j ≥ k
         if not rk[k]:
-            if c:
+            if cols:
                 return None
             continue  # a zero row and column: no pivot
+        c = gcd(*[rk[j] for j in cols])
         if c > 1:
-            rk[k:] = [x // c for x in rk[k:]]
+            for j in cols:
+                rk[j] //= c
         pivot = rk[k]  # S_k[k] = pivot·c/scale[k]
         factors += (pivot * c, 1), (scale[k], -1)
         per = scale[k] * pivot
-        nonzero = [(j, y) for j, y in enumerate(rk[k + 1 :], k + 1) if y]
+        nonzero = [(j, rk[j]) for j in cols[1:]]
         for t, (i, aki) in enumerate(nonzero):
             ri = rows[i]
             a = scale[i] * c * aki  # the multiplier is a/per
             q, r = divmod(a, per)
-            if not r:
-                for j, y in nonzero[t:]:
-                    ri[j] -= q * y
-                continue
-            g = gcd(a, per)
-            a, b = (a // g, per // g) if per > 0 else (-a // g, -per // g)
-            new = [b * x - a * y for x, y in zip(ri[i:], rk[i:])]
-            e = gcd(scale[i] * b, *new)
-            if e > 1:
-                new = [x // e for x in new]
-            ri[i:] = new
-            scale[i] = scale[i] * b // e
+            if r:
+                g = gcd(a, per)
+                q, b = (a // g, per // g) if per > 0 else (-a // g, -per // g)
+                ri[i:] = [b * x for x in ri[i:]]
+            for j, y in nonzero[t:]:
+                ri[j] -= q * y
+            if r:
+                e = gcd(scale[i] * b, *ri[i:])
+                if e > 1:
+                    ri[i:] = [x // e for x in ri[i:]]
+                scale[i] = scale[i] * b // e
     rank = len(factors) // 2
     if rank < n:
         return rank, 0
@@ -161,28 +169,29 @@ def _eliminate_rows(rows) -> tuple[int, int]:
             rows[row], rows[i] = rows[i], rows[row]
             factors.append((-1, 1))
         rk = rows[row]
-        c = gcd(*rk[col:])  # the columns before col are zero or never read again
+        # the nonzero columns; those before col are zero or never read again
+        cols = list(compress(range(col, ncols), rk[col:]))
+        c = gcd(*[rk[j] for j in cols])
         if c > 1:
-            rk[col:] = [x // c for x in rk[col:]]
+            for j in cols:
+                rk[j] //= c
         pivot = rk[col]
         factors.append((pivot * c, 1))
-        tail = rk[col + 1 :]
-        nonzero = [(j, y) for j, y in enumerate(tail, col + 1) if y]
+        nonzero = [(j, rk[j]) for j in cols[1:]]
         for ri in rows[row + 1 :]:
             aik = ri[col]
             if aik:
                 g = gcd(pivot, aik)
                 p, q = pivot // g, aik // g
-                if p == 1:
-                    for j, y in nonzero:
-                        ri[j] -= q * y
-                else:
-                    new = [p * x - q * y for x, y in zip(ri[col + 1 :], tail)]
-                    c = gcd(*new)
+                if p != 1:
+                    ri[col + 1 :] = [p * x for x in ri[col + 1 :]]
+                for j, y in nonzero:
+                    ri[j] -= q * y
+                if p != 1:
+                    c = gcd(*ri[col + 1 :])
                     if c > 1:
-                        new = [x // c for x in new]
+                        ri[col + 1 :] = [x // c for x in ri[col + 1 :]]
                         factors.append((c, 1))
-                    ri[col + 1 :] = new
                     factors.append((p, -1))
                 # ri[col] is never read again
         row += 1

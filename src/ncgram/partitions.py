@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .errors import RotationUndefined, ShapeError
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_DIGIT_BYTES = bytes.maketrans(bytes(range(len(_DIGITS))), _DIGITS.encode())
 
 
 class PartitionClass(Enum):
@@ -176,9 +177,9 @@ class Partition:
         return all(s == 2 for s in sizes)
 
     def to_text(self) -> str:
-        if self.block_count > len(_DIGITS):
+        if self.rgs and max(self.rgs) >= len(_DIGITS):  # a canonical RGS numbers its blocks 0, 1, …
             raise ValueError("too many blocks for the text encoding")
-        return f"{self.upper}|{self.lower}|{''.join(_DIGITS[b] for b in self.rgs)}"
+        return f"{self.upper}|{self.lower}|{bytes(self.rgs).translate(_DIGIT_BYTES).decode()}"
 
     def __repr__(self) -> str:
         return f"Partition({self.to_text()!r})"

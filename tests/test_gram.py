@@ -8,7 +8,7 @@ from fractions import Fraction
 from time import perf_counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ncgram.gram
@@ -363,6 +363,60 @@ def test_the_entry_read_counts_the_hadamard_row_bound(monkeypatch):
     for eliminate in (determinant, rank):
         with pytest.raises(BudgetError, match="Hadamard bound: 8 exceeds budget 7"):
             eliminate(m)
+
+
+def entry_bits_by_every_entry(m: ExactMatrix) -> int:
+    """Hadamard's row bound in bits as `_check_entry_bits` once read it, off
+    the absolute value of every entry of each row."""
+    bits = sum(max(map(abs, row), default=0).bit_length() for row in m.entries)
+    return bits + ((m.ncols**m.nrows).bit_length() + 1) // 2
+
+
+@st.composite
+def entry_matrices(draw, max_size=6):
+    """Integer matrices of small and seventy-bit entries of either sign, with
+    zero rows, rows of repeated values and rows whose entries all differ."""
+    nrows = draw(st.integers(min_value=1, max_value=max_size))
+    ncols = draw(st.integers(min_value=1, max_value=max_size))
+    value = st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=-(2**70), max_value=2**70))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("zero", "distinct", "any")))
+        if kind == "zero":
+            rows.append((0,) * ncols)
+        else:
+            rows.append(tuple(draw(st.lists(value, min_size=ncols, max_size=ncols, unique=kind == "distinct"))))
+    labels = tuple(map(Partition.singletons, range(max_size)))
+    return ExactMatrix(tuple(rows), labels[:nrows], labels[:ncols])
+
+
+@given(entry_matrices())
+@example(ExactMatrix(((-8, 1), (0, 3)), *[tuple(enumerate_partitions(2, NC))] * 2))
+def test_the_bit_check_refuses_exactly_where_every_entry_read_refused(m):
+    # the bound read off each row's distinct values is the same integer:
+    # admitted at a budget of that many bits, refused one bit below
+    bits = entry_bits_by_every_entry(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncgram.gram, "RECURSION_BIT_BUDGET", bits)
+        ncgram.gram._check_entry_bits(m)
+        patch.setattr(ncgram.gram, "RECURSION_BIT_BUDGET", bits - 1)
+        with pytest.raises(BudgetError, match=f"Hadamard bound: {bits} exceeds budget {bits - 1}$"):
+            ncgram.gram._check_entry_bits(m)
+
+
+def test_the_budget_examples_keep_their_outcomes(monkeypatch):
+    # the README's two entry-bound examples: A(7, 0) at 10^1000 refused, by
+    # the same message, and B(7, 1) at 10^1000 admitted to the kernel
+    monkeypatch.setattr(kernels, "det_exact", lambda rows: "eliminated")
+    monkeypatch.setattr(kernels, "rank_exact", lambda rows: "eliminated")
+    big = build_A(7, 0, 10**1000)
+    bits, budget = entry_bits_by_every_entry(big), ncgram.gram.RECURSION_BIT_BUDGET
+    with pytest.raises(BudgetError) as caught:
+        determinant(big)
+    assert str(caught.value) == f"bits of the matrix by its Hadamard bound: {bits} exceeds budget {budget}"
+    admitted = build_B(7, 1, 10**1000)
+    assert entry_bits_by_every_entry(admitted) <= budget
+    assert rank(admitted) == "eliminated"
 
 
 def test_every_door_to_the_kernel_checks_the_bits(monkeypatch):

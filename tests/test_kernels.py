@@ -1,8 +1,9 @@
 """The elimination kernel, checked against rational Gaussian elimination,
 against the two Bareiss kernels it replaced, against the dense-update loop
-it replaced after them, and against the row-swapping loop that every input
-took before symmetric input took the upper-triangle loop, all kept here as
-oracles."""
+it replaced after them, against the row-swapping loop that every input
+took before symmetric input took the upper-triangle loop, and against the
+upper-triangle loop as it was before each pivot row's nonzero columns were
+read once, all kept here as oracles."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from ncgram import kernels
 from ncgram.gram import build_gram, determinant
 from ncgram.kernels import det_exact, eliminate, rank_exact
 from ncgram.partitions import PartitionClass
-from ncgram.polynomials import IntPolynomial
+from ncgram.polynomials import IntPolynomial, power_product
 from ncgram.tutte import build_A, build_B
 
 
@@ -288,6 +289,50 @@ def eliminate_rows(rows) -> tuple[int, int]:
     return row, det
 
 
+def eliminate_upper(rows) -> tuple[int, int] | None:
+    """(rank, determinant) by the upper-triangle loop whose non-integral
+    multipliers rewrote every stored column of the row, which `eliminate`
+    ran on symmetric input before each pivot row's nonzero columns were
+    read once; copied as it was. None at a zero pivot whose row is not
+    zero; ``rows`` is left unchanged."""
+    n = len(rows)
+    rows = [list(row) for row in rows]
+    scale = [1] * n  # d_i: row i holds d_i·S_i until it becomes the pivot row
+    factors = []  # (pivot·content, 1) and (scale, −1) for each pivot
+    for k, rk in enumerate(rows):
+        c = gcd(*rk[k:])
+        if not rk[k]:
+            if c:
+                return None
+            continue  # a zero row and column: no pivot
+        if c > 1:
+            rk[k:] = [x // c for x in rk[k:]]
+        pivot = rk[k]  # S_k[k] = pivot·c/scale[k]
+        factors += (pivot * c, 1), (scale[k], -1)
+        per = scale[k] * pivot
+        nonzero = [(j, y) for j, y in enumerate(rk[k + 1 :], k + 1) if y]
+        for t, (i, aki) in enumerate(nonzero):
+            ri = rows[i]
+            a = scale[i] * c * aki  # the multiplier is a/per
+            q, r = divmod(a, per)
+            if not r:
+                for j, y in nonzero[t:]:
+                    ri[j] -= q * y
+                continue
+            g = gcd(a, per)
+            a, b = (a // g, per // g) if per > 0 else (-a // g, -per // g)
+            new = [b * x - a * y for x, y in zip(ri[i:], rk[i:])]
+            e = gcd(scale[i] * b, *new)
+            if e > 1:
+                new = [x // e for x in new]
+            ri[i:] = new
+            scale[i] = scale[i] * b // e
+    rank = len(factors) // 2
+    if rank < n:
+        return rank, 0
+    return n, power_product(factors)
+
+
 def copy(rows):
     return [list(row) for row in rows]
 
@@ -380,6 +425,37 @@ def test_symmetric_determinant_matches_rational_elimination(m):
     assert (rank, det) == eliminate_rows(copy(m))
     assert rank == rank_by_fractions(m)
     assert det == det_by_fractions(m)
+
+
+@settings(max_examples=400)
+@given(st.one_of(symmetric_matrices(), psd_products(), zero_diagonal_matrices()))
+@example([[1, 2, 0, 1], [2, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+@example([[5, 1], [1, 3]])
+def test_each_loop_matches_the_loop_it_replaced(m):
+    # the same (rank, det), or the same None where the upper-triangle loop
+    # gives up; a non-integral multiplier scales the row and then takes the
+    # sparse update of an integral one
+    before = copy(m)
+    assert kernels._eliminate_upper(m) == eliminate_upper(m)
+    assert m == before
+    assert kernels._eliminate_rows(copy(m)) == eliminate_rows(copy(m))
+
+
+def test_package_matrices_match_the_loops_they_replaced():
+    # every Gram matrix of every class and every level matrix A(n, r)
+    # through 6 points at N = 1, …, 5; below N = 4 some level matrices give
+    # the upper-triangle loop up, and `eliminate` takes the row swaps
+    cases = [build_gram(n, cls, N).entries for cls in PartitionClass for n in range(1, 7) for N in range(1, 6)]
+    cases += [build_A(n, r, N).entries for n in range(1, 7) for r in range(n) for N in range(1, 6)]
+    fell = 0
+    for m in cases:
+        upper = eliminate_upper(m)
+        assert kernels._eliminate_upper(m) == upper
+        rows = eliminate_rows(copy(m))
+        assert kernels._eliminate_rows(copy(m)) == rows
+        assert eliminate(m) == (upper or rows)
+        fell += upper is None
+    assert fell
 
 
 def test_symmetric_zero_pivot_falls_back_to_row_swaps():

@@ -212,6 +212,31 @@ def test_text_roundtrip_random(rgs):
     assert Partition.from_text(p.to_text()) == p
 
 
+def text_by_digit_join(p: Partition) -> str:
+    """`Partition.to_text` as it joined one digit per point."""
+    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+    if p.block_count > len(digits):
+        raise ValueError("too many blocks for the text encoding")
+    return f"{p.upper}|{p.lower}|{''.join(digits[b] for b in p.rgs)}"
+
+
+def test_text_is_the_digit_join():
+    cases = [p for n in range(9) for p in enumerate_partitions(n, ALL)]
+    cases += [p for n in range(11) for p in enumerate_partitions(n, NC)]
+    cases += [p for k, l in ((1, 1), (1, 4), (2, 3), (3, 3), (4, 2)) for p in partitions_of(k, l)]
+    cases += [Partition.singletons(36), Partition(3, 33, tuple(range(36))), Partition.one_block(50)]
+    for p in cases:
+        assert p.to_text() == text_by_digit_join(p)
+    # 37 blocks and more are refused, past 255 too, where no byte holds a block
+    for p in (Partition.singletons(37), Partition(2, 35, tuple(range(37))), Partition.singletons(300)):
+        with pytest.raises(ValueError) as expected:
+            text_by_digit_join(p)
+        with pytest.raises(ValueError) as caught:
+            p.to_text()
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == str(expected.value) == "too many blocks for the text encoding"
+
+
 def test_named_constructors():
     assert Partition.pair() == Partition(0, 2, (0, 0))
     assert Partition.identity(2) == Partition(2, 2, (0, 1, 0, 1))
