@@ -19,7 +19,8 @@ places the nodes of both): the canonical labels of its terminals decide
 the flaw, and the component count gives the exponent; it is also the
 table's oracle in the tests. With N given, the entries are the integers
 N^e, read one C call per row off one table of powers, `_powers`, which
-forms N^0..N^top by one multiplication each; with N = None
+forms N^0..N^top by one multiplication each, top the largest block count
+among the labels, which no loop count passes; with N = None
 the Gram matrix is symbolic, and its entries are the exponents e of the
 monomials X^e.
 
@@ -88,11 +89,12 @@ DET_DIMENSION_BUDGET = 2000
 #: integer a symbolic determinant eliminates, B·(D + 1) for m rows, with
 #: B = bit_length(m^m)//2 + 2 and D the Leibniz degree bound, checked after
 #: the exponent table is built; and the value of the pair formula
-#: `formulas.difrancesco_det`, Σ a_{n,i}·log₂U_i(N) read off its exponents
-#: before any power is formed. It admits NC(7) (2.4M bits), NC2(14) (4.8M),
-#: ALL(7) (10.2M) and the pair formula at n ≤ 12 for N ≤ 5 (5.7M at most),
-#: and refuses NC(8) (37.5M), NC2(16) (75M) and the pair formula at
-#: (13, 4) (18.6M bits; 5.0 s to form when it ran).
+#: `formulas.difrancesco_det`, Σ a·log₂base over its (base, exponent) list,
+#: N^{C_n} and each c_{i+1}(N²)^{a_{n,i}}, before any power is formed. It
+#: admits NC(7) (2.4M bits), NC2(14) (4.8M), ALL(7) (10.2M) and the pair
+#: formula at n ≤ 12 for N ≤ 5 (5.7M at most), and refuses NC(8) (37.5M),
+#: NC2(16) (75M) and the pair formula at (13, 4) (18.6M bits; 5.0 s to
+#: form when it ran).
 SYMBOLIC_BIT_BUDGET = 1 << 24
 
 #: Bits a numeric determinant may have by its Hadamard bound: a Gram matrix
@@ -355,12 +357,15 @@ def _table_matrix(
 
     Every Gram and level matrix is built here. With N None (level 0 only)
     the matrix is symbolic and holds the table itself; otherwise entry
-    (p, q) is N^e, and 0 where e is `_FLAW`.
+    (p, q) is N^e, and 0 where e is `_FLAW`. Every other e is the loop
+    count rl(q*, p), at most min(b(p), b(q)), since each component of the
+    pair graph holds a block of p and one of q; so the powers stop at the
+    largest block count among the labels, read off their RGS, not the table.
     """
     table = _exponent_table(labels, points, r)
     if N is None:
         return ExactMatrix(table, labels, labels, is_symbolic=True)
-    powers = _powers(N, points)
+    powers = _powers(N, max((max(p.rgs) + 1 for p in labels), default=0))
     powers[_FLAW] = 0  # no pair graph has 0 components
     return ExactMatrix(_read_powers(table, powers), labels, labels)
 

@@ -14,7 +14,9 @@ budgets.
 
 The square-root relation between the two families is mechanized by the
 substitution N = x², which turns it into a genuine polynomial identity
-over ℤ — see `check_beraha_chebyshev_relation`.
+over ℤ — see `check_beraha_chebyshev_relation`. It lets one function,
+`beraha_bases`, give the bases of both closed forms: the recursion reads
+the reversed Beraha values at N, and the pair formula at N².
 """
 
 from __future__ import annotations
@@ -165,6 +167,16 @@ _beraha_cache = [IntPolynomial(), IntPolynomial((1,))]  # β_0 = 0, β_1 = 1
 def beraha(n: int) -> IntPolynomial:
     """Reversed Beraha polynomial β_n: β_{n+1} = β_n − X·β_{n−1}."""
     return _family(_beraha_cache, 1, IntPolynomial.x(), n)
+
+
+def beraha_bases(m: int, x: int) -> list[int]:
+    """c_1(x), …, c_m(x): c_k is β_k with its coefficients reversed, which
+    is V_{k−1}, where U_i(δ) = δ^{i mod 2}·V_i(δ²). These are the bases of
+    both closed forms: Tutte's recursion reads them at N, and the pair
+    formula at N², since U_i(N) = N^{i mod 2}·c_{i+1}(N²)
+    (`check_beraha_chebyshev_relation`). The roots of every c_k lie in
+    [0, 4), so each value at x ≥ 4 is positive."""
+    return [IntPolynomial(beraha(k).coeffs[::-1]).evaluate(x) for k in range(1, m + 1)]
 
 
 _dilated_cache = [IntPolynomial((1,)), IntPolynomial.x()]  # U_0 = 1, U_1 = X

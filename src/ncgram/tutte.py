@@ -59,7 +59,7 @@ from .partitions import (
     join_labels,
     stacked_spreader,
 )
-from .polynomials import IntPolynomial, beraha, power_product
+from .polynomials import beraha, beraha_bases, power_product
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,9 @@ def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
     """recursion_det plus the JSON-ready list of expansion steps: for each
     point count m = 1..n, the level factors at r ascending, then the base
     case. N enters here alone: `_level_exponents` walks the exponents,
-    the same at any N, and this forms their bases.
+    the same at any N, and their bases are N and c_1(N), …, c_{n+1}(N),
+    read off `polynomials.beraha_bases`, whose values at N² are the bases
+    of the pair formula.
 
     A value that may have more than `gram.RECURSION_BIT_BUDGET` bits, by the
     Hadamard bound of the NC Gram matrix it equals, is refused with
@@ -428,9 +430,7 @@ def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
         raise ValueError("n must be positive")
     check_parameter(N, 4, "the recursion needs N >= 4: below, a reversed Beraha value can vanish")
     _check_det_bits(n, PartitionClass.NONCROSSING, N)
-    # c_k is β_k with its coefficients reversed, at N: c_k = V_{k−1}(N), whose
-    # roots lie in [0, 4), so every base is positive
-    bases = [N] + [IntPolynomial(beraha(k).coeffs[::-1]).evaluate(N) for k in range(1, n + 2)]
+    bases = [N, *beraha_bases(n + 1, N)]
     trace: list[dict] = []
     for m, (levels, w_counts) in enumerate(_level_exponents(n), 1):
         for r in range(m - 1):

@@ -15,9 +15,10 @@ from ncgram.formulas import (
     difrancesco_exponents,
 )
 from ncgram.gram import build_gram, determinant
-from ncgram.partitions import PartitionClass
+from ncgram.partitions import Partition, PartitionClass, enumerate_partitions
 from ncgram.polynomials import chebyshev_dilated, power_product
 
+NC = PartitionClass.NONCROSSING
 NC2 = PartitionClass.NONCROSSING_PAIRS
 
 
@@ -51,13 +52,55 @@ def test_negative_exponents_occur():
 
 
 def test_product_formula_matches_the_fraction_product():
-    # value·den == num is value == num/den, as U_i(N) ≠ 0 for N ≥ 2
-    for n in range(1, 13):
+    # value·den == num is value == num/den, as U_i(N) ≠ 0 for N ≥ 2; the
+    # formula reads its bases at N², so odd and large N meet big integers
+    cases = [(n, N) for n in range(1, 13) for N in (2, 3, 4, 5)]
+    cases += [(n, N) for n in range(1, 7) for N in (7, 2**61 - 1, 10**20)]
+    for n, N in cases:
+        value = difrancesco_det(n, N)
+        assert type(value) is int
+        num, den = difrancesco_parts(n, N)
+        assert value * den == num, (n, N)
+
+
+def fat(p: Partition) -> Partition:
+    """The pairing of 2n points that fattens p ∈ NC(n): point i becomes
+    2i − 1 and 2i, and each block b_1 < … < b_k of p becomes the pairs
+    {2b_j, 2b_{j+1} − 1}, cyclically."""
+    pairs = [
+        (2 * block[j], 2 * block[(j + 1) % len(block)] - 1)
+        for block in p.lower_blocks()
+        for j in range(len(block))
+    ]
+    return Partition.from_lower_blocks(2 * p.points, pairs)
+
+
+def test_fattening_maps_the_loop_counts_of_nc_onto_nc2():
+    # fat is a bijection NC(n) → NC2(2n) that does not keep enumeration
+    # order, and loops(fat p, fat q) = 2·rl(q*, p) − b(p) − b(q) + n (Chen
+    # and Przytycki, Commun. Contemp. Math. 2008); read off both symbolic
+    # Gram matrices, with no closed form
+    for n in range(1, 7):
+        labels = enumerate_partitions(n, NC)
+        where = {q: k for k, q in enumerate(enumerate_partitions(2 * n, NC2))}
+        index = [where[fat(p)] for p in labels]
+        assert sorted(index) == list(range(len(where))), n
+        loops, fat_loops = build_gram(n, NC).entries, build_gram(2 * n, NC2).entries
+        blocks = [p.block_count for p in labels]
+        for a, (p_blocks, row) in enumerate(zip(blocks, loops)):
+            for b, q_blocks in enumerate(blocks):
+                want = 2 * row[b] - p_blocks - q_blocks + n
+                assert fat_loops[index[a]][index[b]] == want, (n, a, b)
+
+
+def test_the_pair_determinant_is_the_nc_determinant_at_the_square():
+    # det G_NC2(2n)(N)·N^{C_n} = det G_NC(n)(N²), both by elimination: the
+    # identity the pair formula's reading at N² rests on
+    for n in range(1, 6):
+        catalan = len(enumerate_partitions(n, NC))
         for N in (2, 3, 4, 5):
-            value = difrancesco_det(n, N)
-            assert type(value) is int
-            num, den = difrancesco_parts(n, N)
-            assert value * den == num, (n, N)
+            pairs = determinant(build_gram(2 * n, NC2, N))
+            assert pairs * N**catalan == determinant(build_gram(n, NC, N * N)), (n, N)
 
 
 def test_power_product_divides_once_and_exactly():
@@ -114,7 +157,8 @@ def test_input_validation():
 
 
 def test_the_pair_formula_is_refused_before_any_power_is_formed():
-    # its bits, Σ a_{n′,i}·log₂U_i(N), at n′ = 1, 2, … pairs: (12, 5) has
+    # its bits, Σ a·log₂base over N^{C_n′} and each c_{i+1}(N²)^{a_{n′,i}},
+    # which is Σ a_{n′,i}·log₂U_i(N), at n′ = 1, 2, … pairs: (12, 5) has
     # 5.7M and is admitted, (13, 4) 18.6M, past SYMBOLIC_BIT_BUDGET, and
     # (20, 4) about 2.5·10^11, which the powers would have taken to form
     assert difrancesco_det(12, 5).bit_length() == 5_677_002

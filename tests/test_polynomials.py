@@ -14,6 +14,7 @@ from ncgram import polynomials
 from ncgram.polynomials import (
     IntPolynomial,
     beraha,
+    beraha_bases,
     beraha_nonzero_at,
     chebyshev_classical,
     chebyshev_dilated,
@@ -216,6 +217,18 @@ def test_beraha_chebyshev_relation_is_exact():
     assert report["status"] == "ok"
     assert report["failures"] == []
     assert report["checked"] == 30
+
+
+def test_the_closed_form_bases_are_the_chebyshev_values_at_the_square():
+    # U_i(x) = x^{i mod 2}·c_{i+1}(x²), with c_k the reversed Beraha values:
+    # the pair formula reads Tutte's bases at N²; and c_1..c_4 by hand
+    for x in (-3, 0, 1, 2, 5, 2**61 - 1, 10**20):
+        bases = beraha_bases(51, x * x)
+        assert len(bases) == 51
+        for i in range(51):
+            assert chebyshev_dilated(i).evaluate(x) == x ** (i % 2) * bases[i], (x, i)
+    assert beraha_bases(4, 7) == [1, 1, 6, 5]
+    assert beraha_bases(0, 7) == []
 
 
 def test_beraha_positive_at_quarter():

@@ -368,6 +368,48 @@ def test_every_determinant_ends_in_the_one_exact_finish():
     assert "kernels" not in _mentions(trees["polynomials.py"])
 
 
+def _coefficient_reversals(tree: ast.AST, scope: str = "<module>"):
+    """The innermost enclosing function of each `x.coeffs[::-1]`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _coefficient_reversals(node, node.name)
+            continue
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "coeffs"
+            and isinstance(node.slice, ast.Slice)
+            and ast.unparse(node.slice) == "::-1"
+        ):
+            yield scope
+        yield from _coefficient_reversals(node, scope)
+
+
+def test_one_function_evaluates_the_bases_of_both_closed_forms():
+    # the reversed Beraha values c_k are the bases of Tutte's recursion at N
+    # and of the pair formula at N², formed by `polynomials.beraha_bases`
+    # alone: no other function reverses a polynomial's coefficients, and
+    # the pair formula forms no U_i(N) and divides by no power of N
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    reversals = [
+        f"{name}:{scope}" for name, tree in trees.items() for scope in _coefficient_reversals(tree)
+    ]
+    assert reversals == ["polynomials.py:beraha_bases"]
+    readers = {
+        f"{name}:{scope}"
+        for name, tree in trees.items()
+        for scope, _ in _references(tree, {"beraha_bases"})
+        if scope != "<module>"
+    }
+    assert readers == {"tutte.py:recursion_trace", "formulas.py:powers"}
+    assert "chebyshev_dilated" not in _mentions(trees["formulas.py"])
+    assert not any(isinstance(node, ast.FloorDiv) for node in ast.walk(trees["formulas.py"]))
+    assert list(_coefficient_reversals(ast.parse("def f(): return p.coeffs[::-1]"))) == ["f"]
+
+
 def test_the_pair_graph_objects_and_tag_classes_are_gone_from_the_package():
     # a pair reaches its loop count through the join kernel alone, and the
     # structures are the paper's brackets (i,), (i, i + 1) and (0,)

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 from ncgram import tutte
 from ncgram.errors import BudgetError, ShapeError
 from ncgram.formulas import difrancesco_exponents
-from ncgram.gram import DET_DIMENSION_BUDGET, RECURSION_BIT_BUDGET, build_gram, determinant
+from ncgram.gram import (
+    DET_DIMENSION_BUDGET,
+    RECURSION_BIT_BUDGET,
+    _exponent_table,
+    build_gram,
+    determinant,
+)
 from ncgram.partitions import (
     Partition,
     PartitionClass,
@@ -393,13 +399,40 @@ def test_a_wide_top_level_builds_no_spread_table():
 
 
 def test_a_level_entry_far_past_the_points_forms_its_powers_once_each():
-    # the one entry of A(600, 599) is N^300; the powers up to N^600 are
-    # one multiplication each (0.6 s), where each power formed on its own
-    # took 14 s (2-core AMD EPYC)
+    # the one entry of A(600, 599) is N^300; the powers up to N^300, the
+    # block count of its one label, are one multiplication each, where each
+    # power formed on its own took 14 s; the powers up to the point count,
+    # N^600, peaked at 76 MiB, and those up to N^300 at 19 MiB (2-core AMD
+    # EPYC)
     N = 10**1000
     start = perf_counter()
-    assert build_A(600, 599, N).entries == ((N**300,),)
+    tracemalloc.start()
+    try:
+        entries = build_A(600, 599, N).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entries == ((N**300,),)
     assert perf_counter() - start < 10
+    assert peak < 1 << 25
+
+
+def test_no_level_entry_passes_the_block_counts_of_its_pair():
+    # every entry is the flaw or the loop count rl(q*, p), at most
+    # min(b(p), b(q)), so the powers a matrix forms stop at the largest
+    # block count among its labels; checked on every level table W(n, r)
+    # with n ≤ 8 and every class table with n ≤ 6
+    tables = [(tuple(w_stratum(n, r)), n, r) for n in range(1, 9) for r in range(n)]
+    tables += [
+        (tuple(enumerate_partitions(n, cls)), n, 0)
+        for n in range(1, 7)
+        for cls in PartitionClass
+    ]
+    for labels, n, r in tables:
+        table = _exponent_table(labels, n, r)
+        blocks = [max(p.rgs) + 1 for p in labels]
+        assert all(max(row) <= b for row, b in zip(table, blocks)), (n, r)
+        assert all(max(col) <= b for col, b in zip(zip(*table), blocks)), (n, r)
 
 
 def test_top_stratum_is_a_single_partition():
@@ -978,6 +1011,7 @@ def test_recursion_refuses_past_the_bit_budget_before_any_rational(monkeypatch):
 
     monkeypatch.setattr(tutte, "Fraction", no_rationals)
     monkeypatch.setattr(tutte, "beraha", no_rationals)
+    monkeypatch.setattr(tutte, "beraha_bases", no_rationals)
     for n, N in ((13, 4), (12, 9), (30, 4), (10**4, 5)):
         with pytest.raises(BudgetError):
             recursion_trace(n, N)
