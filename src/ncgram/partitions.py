@@ -313,15 +313,32 @@ def count_partitions(points: int, cls: PartitionClass = PartitionClass.ALL) -> i
     """len(enumerate_partitions(points, cls)) in closed form, enumerating
     nothing: the Bell number B_n for ALL, the Catalan number C_n for
     NONCROSSING, and C_{n/2} for NONCROSSING_PAIRS (0 at odd n)."""
+    return _class_sizes(points, cls)[0]
+
+
+def _class_sizes(points: int, cls: PartitionClass) -> tuple[int, int]:
+    """The class's size and its block total Σ_p b(p), in one closed-form
+    pass: C_k and C_k·(k+1)/2 for NONCROSSING, C_{k/2} and C_{k/2}·k/2
+    for NONCROSSING_PAIRS, and for ALL B_k and B_{k+1} − B_k, both read
+    off row k of the Bell triangle, which starts with B_k and ends with
+    B_{k+1}. Every class budget reads it, at the point counts of `_steps`."""
     _check_class(points, cls)
     if cls is PartitionClass.NONCROSSING_PAIRS:
-        return 0 if points % 2 else _catalan(points // 2)
+        count = 0 if points % 2 else _catalan(points // 2)
+        return count, count * (points // 2)
     if cls is PartitionClass.NONCROSSING:
-        return _catalan(points)
-    row = [1]  # the Bell triangle: row n starts with B_n and ends with B_{n+1}
+        count = _catalan(points)
+        return count, count * (points + 1) // 2
+    row = [1]
     for _ in range(points):
         row = list(accumulate(row, initial=row[-1]))
-    return row[0]
+    return row[0], row[-1] - row[0]
+
+
+def _steps(points: int, cls: PartitionClass) -> range:
+    """The point counts 0, 1, 2, … up to `points`, 2 at a time for pairs."""
+    step = 2 if cls is PartitionClass.NONCROSSING_PAIRS else 1
+    return range(points % step, points + 1, step)
 
 
 def _catalan(n: int) -> int:

@@ -16,7 +16,9 @@ The square-root relation between the two families is mechanized by the
 substitution N = x², which turns it into a genuine polynomial identity
 over ℤ — see `check_beraha_chebyshev_relation`. It lets one function,
 `beraha_bases`, give the bases of both closed forms: the recursion reads
-the reversed Beraha values at N, and the pair formula at N².
+the reversed Beraha values at N, and the pair formula at N². It is the
+one evaluation of the Beraha family: β_k(1/N) is c_k(N)/N^{⌊(k−1)/2⌋},
+which the column combination of `tutte` and `beraha_nonzero_at` read.
 """
 
 from __future__ import annotations
@@ -302,13 +304,13 @@ def _chain(powers: list[tuple[int, int]]) -> int:
 def beraha_nonzero_at(N: int, n_max: int) -> dict:
     """Evaluate β_n(1/N) exactly for 1 ≤ n ≤ n_max and report zeros.
 
-    For N ≥ 4 a zero would violate the root lemma, so the report status is a
+    β_n(1/N) is read as c_n(N)/N^{⌊(n−1)/2⌋}, off `beraha_bases`. For N ≥ 4
+    a zero would violate the root lemma, so the report status is a
     violation; for smaller N the values are recorded as diagnostics only
     (e.g. β_6(1/3) = 0 exactly).
     """
     check_parameter(N)
-    z = Fraction(1, N)
-    values = [beraha(n).evaluate(z) for n in range(1, n_max + 1)]
+    values = [Fraction(c, N ** ((n - 1) // 2)) for n, c in enumerate(beraha_bases(n_max, N), 1)]
     zeros = [n for n, v in zip(range(1, n_max + 1), values) if v == 0]
     guaranteed = N >= 4
     return {

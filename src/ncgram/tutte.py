@@ -49,7 +49,8 @@ from typing import Iterator
 
 from .errors import ShapeError, check_parameter, refuse_past
 from .gram import (
-    _FLAW, DET_DIMENSION_BUDGET, ExactMatrix, _check_det_bits, _pair_exponent, _table_matrix
+    _FLAW, DET_DIMENSION_BUDGET, ExactMatrix, _check_det_bits, _decimal_text, _pair_exponent,
+    _table_matrix,
 )
 from .partitions import (
     Partition,
@@ -59,7 +60,7 @@ from .partitions import (
     join_labels,
     stacked_spreader,
 )
-from .polynomials import beraha, beraha_bases, power_product
+from .polynomials import beraha_bases, power_product
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +333,10 @@ def F_r_value(p: Partition, q: Partition, r: int, N: int) -> Fraction:
 
     Satisfies (−1)^r · F_r(p,q) = β_{r+2}(z)·e_r(p,q) − β_{r+3}(z)·e_{r+1}(p,q);
     computed directly from the e_r values of the rewired partitions, never
-    from the structure classifier.
+    from the structure classifier. Column f_j weighs its entry by
+    β_{2j−1}(z)/N^{s−j+2}, and g_j by β_{2j}(z)/N^{s−j+1}; as β_k(1/N) =
+    c_k(N)/N^{⌊(k−1)/2⌋}, read off `polynomials.beraha_bases`, these are
+    c_{2j−1}/N^{s+1} and c_{2j}/N^s.
     """
     check_parameter(N)
     n = _check_pair(p, q)
@@ -341,13 +345,13 @@ def F_r_value(p: Partition, q: Partition, r: int, N: int) -> Fraction:
         raise ValueError("row partition is not in the level r stratum")
     if not in_W(q, r + 1):
         raise ValueError("column partition is not in the level r+1 stratum")
-    s, z, total = r // 2, Fraction(1, N), Fraction(0)
-    columns = [(1, f_manip(j, q, r), s - j + 2, 2 * j - 1) for j in range(1, s + 2)]
-    columns += [(-1, g_manip(j, q, r), s - j + 1, 2 * j) for j in range(1, s + 1 + r % 2)]
+    s, c, total = r // 2, beraha_bases(r + 1, N), Fraction(0)
+    columns = [(1, f_manip(j, q, r), s + 1, 2 * j - 1) for j in range(1, s + 2)]
+    columns += [(-1, g_manip(j, q, r), s, 2 * j) for j in range(1, s + 1 + r % 2)]
     for sign, column, power, k in columns:
         term = e_r(p, column, r, N)
         if term:
-            total += Fraction(sign * term, N**power) * beraha(k).evaluate(z)
+            total += Fraction(sign * term * c[k - 1], N**power)
     return total
 
 
@@ -431,11 +435,15 @@ def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
     check_parameter(N, 4, "the recursion needs N >= 4: below, a reversed Beraha value can vanish")
     _check_det_bits(n, PartitionClass.NONCROSSING, N)
     bases = [N, *beraha_bases(n + 1, N)]
+    factors = []  # the text of level r's factor, the same at every point count
+    for r in range(n - 1):
+        factor = Fraction(bases[r + 3], bases[r + 2] * N ** (1 - r % 2))
+        den = "" if factor.denominator == 1 else "/" + _decimal_text(factor.denominator)
+        factors.append(_decimal_text(factor.numerator) + den)
     trace: list[dict] = []
     for m, (levels, w_counts) in enumerate(_level_exponents(n), 1):
         for r in range(m - 1):
-            factor = Fraction(bases[r + 3], bases[r + 2] * N ** (1 - r % 2))
             case, w = "odd" if r % 2 else "even" if r else "zero", w_counts[r + 1]
-            trace.append(dict(level_n=m, r=r, factor_beta=str(factor), exponent=w, B_case=case))
-        trace.append({"level_n": m, "r": m - 1, "base_value": str(N ** ((m + 1) // 2))})
+            trace.append(dict(level_n=m, r=r, factor_beta=factors[r], exponent=w, B_case=case))
+        trace.append({"level_n": m, "r": m - 1, "base_value": _decimal_text(N ** ((m + 1) // 2))})
     return power_product(zip(bases, levels[0])), trace

@@ -253,14 +253,14 @@ def test_over_budget_verify_exits_before_the_recursion(capsys, monkeypatch):
 def test_recursion_of_ten_million_points_exits_from_small_counts(capsys, monkeypatch):
     # the Hadamard bound grows with the point count, so the first bound
     # past the budget refuses; C_{10^7} is never formed
-    real_count = gram.count_partitions
+    real_sizes = gram._class_sizes
 
-    def small_count(points, cls):
+    def small_sizes(points, cls):
         if points > 30:
             raise AssertionError(f"C_{points} was computed")
-        return real_count(points, cls)
+        return real_sizes(points, cls)
 
-    monkeypatch.setattr(gram, "count_partitions", small_count)
+    monkeypatch.setattr(gram, "_class_sizes", small_sizes)
     started = time.perf_counter()
     code, out, err = run(capsys, "recursion", "--points", "10000000", "--param", "4")
     assert time.perf_counter() - started < 1
@@ -386,6 +386,22 @@ def test_recursion_prints_values_past_the_str_digit_limit(capsys):
     num, _, den = json.loads(out)["det"].partition("/")
     value = Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1")))
     assert value == recursion_det(9, 4)
+
+
+def test_recursion_prints_trace_numbers_past_the_str_digit_limit(capsys):
+    # three points at N = 10^2200 pass the bit budget (73k bits by the
+    # Hadamard bound); the trace holds N² = 10^4400, of 4401 digits, and the
+    # level-0 factor (N − 1)/N
+    N = 10**2200
+    code, out, err = run(capsys, "recursion", "--points", "3", "--param", str(N))
+    assert code == 0, err
+    payload = json.loads(out)
+    bases = {step["level_n"]: step["base_value"] for step in payload["trace"] if "base_value" in step}
+    assert len(bases[3]) == 4401 and bases[3] == "1" + "0" * 4400
+    factors = [step["factor_beta"] for step in payload["trace"] if "factor_beta" in step]
+    assert factors[0] == factors[1] == "9" * 2200 + "/1" + "0" * 2200
+    value = int(decimal.Decimal(payload["det"]))
+    assert value == recursion_det(3, N)
 
 
 def test_recursion_rejects_parameter_three(capsys):

@@ -331,11 +331,12 @@ def test_symbolic_bit_budget_refuses_before_the_elimination(monkeypatch):
 
 @pytest.mark.parametrize("cls, top", [(NC, 10), (PartitionClass.NONCROSSING_PAIRS, 16), (ALL, 8)])
 def test_block_totals_match_the_enumerated_classes(cls, top):
-    # Σ_p b(p) in closed form, which the Hadamard bit bound of a numeric
-    # determinant multiplies by log₂N
+    # the class size and Σ_p b(p) in one closed-form pass; the Hadamard bit
+    # bound of a numeric determinant multiplies the second by log₂N
     for points in range(top + 1):
-        listed = sum(p.block_count for p in enumerate_partitions(points, cls))
-        assert ncgram.gram._block_total(points, cls) == listed
+        listed = enumerate_partitions(points, cls)
+        blocks = sum(p.block_count for p in listed)
+        assert ncgram.partitions._class_sizes(points, cls) == (len(listed), blocks)
 
 
 def test_numeric_bit_budget_refuses_from_the_hadamard_bound():

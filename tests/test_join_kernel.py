@@ -403,7 +403,7 @@ def test_exponent_tables_of_65536_points_sum_in_4_byte_lanes():
     labels = (Partition.singletons(n), Partition.one_block(n))
     for r, want in ((0, [[n, 1], [1, 1]]), (1, [[_FLAW, _FLAW], [_FLAW, 1]])):
         table = _exponent_table(labels, n, r)
-        assert all(row.typecode == "Q" for row in table)
+        assert all(row.typecode == "I" for row in table)
         assert [list(row) for row in table] == want
 
 

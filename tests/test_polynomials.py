@@ -231,6 +231,25 @@ def test_the_closed_form_bases_are_the_chebyshev_values_at_the_square():
     assert beraha_bases(0, 7) == []
 
 
+def _halved(i: int) -> IntPolynomial:
+    """V_i, where U_i(x) = x^{i mod 2}·V_i(x²): U_i's coefficients at the
+    powers of i's parity, read off `chebyshev_dilated`."""
+    return IntPolynomial(chebyshev_dilated(i).coeffs[i % 2 :: 2])
+
+
+def test_the_reversed_beraha_polynomials_are_the_halved_chebyshev_family():
+    # c_k = X^{deg β_k}·β_k(1/X), with deg β_k = ⌊(k−1)/2⌋, is V_{k−1} as a
+    # polynomial for k ≤ 50; and the values of `beraha_bases`, of degree at
+    # most 24 in x, are V_{k−1}(x) at 26 points, so they are that polynomial
+    for i in range(50):
+        assert _halved(i).evaluate(X * X).shift(i % 2) == chebyshev_dilated(i), i
+    for k in range(1, 51):
+        assert beraha(k).degree == (k - 1) // 2
+        assert IntPolynomial(beraha(k).coeffs[::-1]) == _halved(k - 1), k
+    for x in range(26):
+        assert beraha_bases(50, x) == [_halved(k - 1).evaluate(x) for k in range(1, 51)], x
+
+
 def test_beraha_positive_at_quarter():
     report = beraha_nonzero_at(4, 50)
     assert report["status"] == "ok"

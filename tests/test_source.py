@@ -404,10 +404,85 @@ def test_one_function_evaluates_the_bases_of_both_closed_forms():
         for scope, _ in _references(tree, {"beraha_bases"})
         if scope != "<module>"
     }
-    assert readers == {"tutte.py:recursion_trace", "formulas.py:powers"}
+    assert readers == {
+        "tutte.py:recursion_trace",
+        "tutte.py:F_r_value",
+        "formulas.py:powers",
+        "polynomials.py:beraha_nonzero_at",
+    }
     assert "chebyshev_dilated" not in _mentions(trees["formulas.py"])
     assert not any(isinstance(node, ast.FloorDiv) for node in ast.walk(trees["formulas.py"]))
     assert list(_coefficient_reversals(ast.parse("def f(): return p.coeffs[::-1]"))) == ["f"]
+
+
+def _beraha_evaluations(tree: ast.AST, scope: str = "<module>"):
+    """The innermost enclosing function of each `.evaluate(...)` call on a
+    polynomial built from a `beraha(...)` call."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _beraha_evaluations(node, node.name)
+            continue
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "evaluate"
+            and any(
+                isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "beraha"
+                for sub in ast.walk(node.func.value)
+            )
+        ):
+            yield scope
+        yield from _beraha_evaluations(node, scope)
+
+
+def test_only_the_base_function_evaluates_the_beraha_family():
+    # β_k(1/N) is c_k(N)/N^{⌊(k−1)/2⌋}, so the column combination and the
+    # zero report read the values of `beraha_bases` as every closed form
+    # does; no other function evaluates a Beraha polynomial, and tutte
+    # does not import the family
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    found = [f"{name}:{scope}" for name, tree in trees.items() for scope in _beraha_evaluations(tree)]
+    assert found == ["polynomials.py:beraha_bases"]
+    assert "beraha" not in _mentions(trees["tutte.py"])
+    assert list(_beraha_evaluations(ast.parse("def f(z): return beraha(3).evaluate(z)"))) == ["f"]
+
+
+def test_each_class_is_sized_in_one_place():
+    # a class's count and its block total are read off one closed-form
+    # pass, `partitions._class_sizes`, by the count and by both class
+    # budgets: gram defines no size, total or step function of its own and
+    # names no class member but build_gram's default
+    from ncgram.partitions import PartitionClass
+
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    gram = trees["gram.py"]
+    defined = [node.name for node in ast.walk(gram) if isinstance(node, ast.FunctionDef)]
+    assert [name for name in defined if re.search("step|size|total|count", name)] == []
+    members = {member.name for member in PartitionClass}
+    assert [scope for scope, _ in _references(gram, members)] == ["build_gram"]
+    constants = {node.value for node in ast.walk(gram) if isinstance(node, ast.Constant)}
+    assert constants & {member.value for member in PartitionClass} == set()
+    readers = {
+        f"{name}:{scope}"
+        for name, tree in trees.items()
+        for scope, _ in _references(tree, {"_class_sizes"})
+        if scope != "<module>"
+    }
+    assert readers == {
+        "partitions.py:count_partitions",
+        "gram.py:_check_class_budget",
+        "gram.py:_check_det_bits",
+    }
+    catalan = {
+        f"{name}:{scope}" for name, tree in trees.items() for scope, _ in _references(tree, {"_catalan"})
+    }
+    assert catalan == {"partitions.py:_class_sizes"}
 
 
 def test_the_pair_graph_objects_and_tag_classes_are_gone_from_the_package():

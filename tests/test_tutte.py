@@ -964,6 +964,24 @@ def test_every_level_of_the_recursion_equals_its_determinant():
         assert steps == 21
 
 
+def test_the_walk_multiplied_out_over_the_integer_polynomials_is_the_gram_determinant():
+    # Tutte's recursion as an identity in ℤ[X], not at sample points: the
+    # walk's level-0 vector over X, c_1(X), …, c_{n+1}(X), its negative
+    # powers divided out exactly, is the symbolic det G_NC(n) by elimination
+    X = IntPolynomial.x()
+    for n in range(1, 7):
+        bases = [X] + [IntPolynomial(beraha(k).coeffs[::-1]) for k in range(1, n + 2)]
+        for levels, _ in tutte._level_exponents(n):
+            pass
+        num = den = IntPolynomial((1,))
+        for base, e in zip(bases, levels[0]):
+            if e > 0:
+                num *= base**e
+            else:
+                den *= base**-e
+        assert num.divexact(den) == determinant(build_gram(n, NC, None)), n
+
+
 def test_level_walk_holds_one_point_count():
     # the walk keeps level(m−1, ·) while it builds level(m, ·): to n = 200
     # its peak is some 5 MiB, where every level of every point count held
@@ -1010,7 +1028,7 @@ def test_recursion_refuses_past_the_bit_budget_before_any_rational(monkeypatch):
         raise AssertionError("the recursion started")
 
     monkeypatch.setattr(tutte, "Fraction", no_rationals)
-    monkeypatch.setattr(tutte, "beraha", no_rationals)
+    monkeypatch.setattr("ncgram.polynomials.beraha", no_rationals)
     monkeypatch.setattr(tutte, "beraha_bases", no_rationals)
     for n, N in ((13, 4), (12, 9), (30, 4), (10**4, 5)):
         with pytest.raises(BudgetError):
