@@ -40,8 +40,9 @@ import sys
 import time
 
 from .errors import BudgetError, ShapeError
-from .gram import _check_class_budget, _decimal_text, build_gram, determinant, rank
+from .gram import _check_class_budget, build_gram, determinant, rank
 from .partitions import PartitionClass, iter_partitions
+from .polynomials import _decimal_text
 from .tensor_model import _partition_invariants, check_functor_laws
 from .tutte import recursion_trace
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from math import comb, log2
 
 from .errors import check_parameter, refuse_past
-from .gram import SYMBOLIC_BIT_BUDGET, _decimal_text, build_gram, determinant
+from .gram import SYMBOLIC_BIT_BUDGET, build_gram, determinant
 from .partitions import PartitionClass
-from .polynomials import beraha_bases, power_product
+from .polynomials import _decimal_text, beraha_bases, power_product
 
 
 def difrancesco_exponents(n: int) -> dict[int, int]:

@@ -55,8 +55,7 @@ import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
-from functools import cache, reduce
+from functools import reduce
 from itertools import accumulate, repeat
 from math import log2
 from operator import itemgetter, mul, or_
@@ -427,31 +426,6 @@ def _check_entry_bits(m: ExactMatrix) -> None:
     bits += ((m.ncols**m.nrows).bit_length() + 1) // 2
     what = "bits of the matrix by its Hadamard bound:"
     refuse_past(RECURSION_BIT_BUDGET, what, lambda _: bits, range(1))
-
-
-def _decimal_text(value: int) -> str:
-    """Decimal digits of an integer of any length, in time below quadratic.
-
-    A value of at most 2126 bits, below 2^2126 < 10^640, has at most 640
-    digits, the lowest limit `sys.set_int_max_str_digits` accepts, so str()
-    converts it under any limit: 0.14 µs for a five-digit integer, where the
-    split below takes 6.0 µs (2-core Intel Xeon, Python 3.11). Past that,
-    str() refuses integers of more than 4300 digits by default, and it and
-    Decimal() take time quadratic in the digits. So the value is split at a
-    power of two, and the halves, converted the same way, are joined by one
-    exact `decimal` multiplication, below quadratic in size."""
-    if value.bit_length() <= 2126:
-        return str(value)
-
-    def convert(n: int, w: int) -> Decimal:  # −2^w ≤ n < 2^w
-        if w <= 256:
-            return Decimal(n)
-        high, half = n >> w // 2, w // 2
-        return convert(n - (high << half), half) + convert(high, w - half) * power(half)
-
-    with localcontext(Context(MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])):
-        power = cache(Decimal(2).__pow__)  # each 2^w once, computed exactly
-        return str(convert(value, abs(value).bit_length()))
 
 
 def _check_class_budget(points: int, cls: PartitionClass, budget: int = DET_DIMENSION_BUDGET) -> None:

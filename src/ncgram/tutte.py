@@ -49,7 +49,7 @@ from typing import Iterator
 
 from .errors import ShapeError, check_parameter, refuse_past
 from .gram import (
-    _FLAW, DET_DIMENSION_BUDGET, ExactMatrix, _check_det_bits, _decimal_text, _pair_exponent,
+    _FLAW, DET_DIMENSION_BUDGET, ExactMatrix, _check_det_bits, _pair_exponent,
     _table_matrix,
 )
 from .partitions import (
@@ -60,7 +60,7 @@ from .partitions import (
     join_labels,
     stacked_spreader,
 )
-from .polynomials import beraha_bases, power_product
+from .polynomials import _decimal_text, _fraction_text, beraha_bases, power_product
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +437,7 @@ def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
     bases = [N, *beraha_bases(n + 1, N)]
     factors = []  # the text of level r's factor, the same at every point count
     for r in range(n - 1):
-        factor = Fraction(bases[r + 3], bases[r + 2] * N ** (1 - r % 2))
-        den = "" if factor.denominator == 1 else "/" + _decimal_text(factor.denominator)
-        factors.append(_decimal_text(factor.numerator) + den)
+        factors.append(_fraction_text(Fraction(bases[r + 3], bases[r + 2] * N ** (1 - r % 2))))
     trace: list[dict] = []
     for m, (levels, w_counts) in enumerate(_level_exponents(n), 1):
         for r in range(m - 1):

@@ -17,7 +17,6 @@ from ncgram.errors import BudgetError, ShapeError
 from ncgram.gram import (
     DET_DIMENSION_BUDGET,
     ExactMatrix,
-    _decimal_text,
     _powers,
     build_gram,
     determinant,
@@ -34,7 +33,7 @@ from ncgram.partitions import (
     iter_partitions,
     mirror,
 )
-from ncgram.polynomials import IntPolynomial
+from ncgram.polynomials import IntPolynomial, _decimal_text
 from ncgram.tensor_model import inner_product, vector_of
 from ncgram.tutte import build_A, build_B, recursion_det
 from test_kernels import det_bareiss, rank_by_fractions

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gc
 import math
+import pickle
 import time
+import tracemalloc
 import weakref
 from itertools import combinations
 from typing import Iterator
@@ -173,6 +177,14 @@ def test_a_row_size_that_is_not_an_int_is_refused(upper, lower):
         Partition(upper, lower, (0,) * int(upper + lower))
 
 
+@pytest.mark.parametrize("rgs", [(0.0, 1.0), (0, 1.0), (False, True), (0, True), (0, 0.5)])
+def test_an_rgs_entry_that_is_not_an_int_is_refused(rgs):
+    # Partition(0, 2, (0.0, 1.0)) once equalled and hashed as
+    # Partition(0, 2, (0, 1)), and then its repr and to_text raised
+    with pytest.raises(TypeError, match="RGS entries must be ints"):
+        Partition(0, 2, rgs)
+
+
 def test_from_blocks_roundtrip():
     p = Partition.from_lower_blocks(4, [[1, 3], [2], [4]])
     assert p.rgs == (0, 1, 0, 2)
@@ -317,6 +329,61 @@ def test_enumeration_result_is_freed_without_the_cycle_collector():
         assert first() is None
     finally:
         gc.enable()
+
+
+def _both_kinds() -> list[Partition]:
+    """A generated partition, and checked ones on one row and on two."""
+    return [enumerate_partitions(4, NC)[3], Partition(0, 4, (0, 0, 1, 1)), Partition.identity(2)]
+
+
+def test_partitions_keep_no_instance_dict():
+    for p in _both_kinds():
+        assert not hasattr(p, "__dict__")
+        assert weakref.ref(p)() is p
+
+
+@pytest.mark.parametrize("field", ["upper", "lower", "rgs"])
+def test_partitions_refuse_assignment(field):
+    for p in _both_kinds():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, field, getattr(p, field))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(p, field)
+
+
+def test_partitions_pickle_and_copy_as_equal_partitions():
+    for p in _both_kinds():
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        restored = [pickle.loads(pickle.dumps(p, protocol)) for protocol in protocols]
+        for q in [*restored, copy.copy(p), copy.deepcopy(p), copy.deepcopy([p, p])[1]]:
+            assert q == p and hash(q) == hash(p) and q.rgs == p.rgs
+            assert (q.upper, q.lower) == (p.upper, p.lower) and not hasattr(q, "__dict__")
+
+
+def test_a_non_canonical_pickle_is_refused_on_load():
+    # a partition loads through the checked constructor, so a forged
+    # payload is refused as the constructor refuses it
+    class Forged:
+        def __reduce__(self):
+            return Partition, (0, 2, (1, 0))
+
+    data = pickle.dumps(Forged())
+    with pytest.raises(ValueError, match="not in canonical form"):
+        pickle.loads(data)
+
+
+def test_an_enumerated_partition_retains_at_most_200_bytes():
+    # NC(10) is held whole by Tutte's strata; with an instance dict each
+    # partition retained 224.5 bytes, its RGS tuple and list slot included
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parts = enumerate_partitions(10, NC)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(parts) == 16796
+    assert retained / len(parts) < 200
 
 
 def test_enumeration_order_is_rgs_lex():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import factorial
@@ -261,6 +262,26 @@ def test_beraha_zero_detected_for_small_parameter():
     report = beraha_nonzero_at(3, 10)
     assert report["guaranteed"] is False
     assert 6 in report["zeros"]
+
+
+def test_beraha_values_are_written_past_the_digit_limit():
+    # β_60(1/N) at N = 10^150 is c_60(N)/N^29 with a 4350-digit reduced
+    # denominator, which str() refuses under the default 4300-digit limit;
+    # each text must still be the numerator, "/" and the denominator of the
+    # exact value
+    N = 10**150
+    values = beraha_nonzero_at(N, 60)["values"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n, text in enumerate(values, 1):
+            exact = beraha(n).evaluate(Fraction(1, N))
+            num, slash, den = text.partition("/")
+            assert Fraction(int(num), int(den) if slash else 1) == exact, n
+            assert text == str(exact), n
+        assert len(values) == 60 and len(values[-1].partition("/")[2]) == 4350
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

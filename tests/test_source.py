@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "ncgram"
 
 
@@ -24,6 +26,22 @@ def test_package_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_source_parses_at_the_python_floor():
+    # pyproject's requires-python is the oldest Python the package claims;
+    # syntax newer than it would fail only there, where no test runs
+    pyproject = (SOURCE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    assert found
+    floor = (int(found[1]), int(found[2]))
+    files = sorted(SOURCE.glob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
+    if floor < (3, 11):  # the check sees syntax past the floor: exception groups are 3.11
+        with pytest.raises(SyntaxError):
+            ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)
 
 
 def test_every_exported_name_resolves():
@@ -220,6 +238,14 @@ def test_only_the_one_generator_skips_the_canonical_check():
         )
     }
     assert found == {"partitions.py:_enumerate"}
+    # the slot setters it fills a partition through bypass the check too
+    setters = {"_set_upper", "_set_lower", "_set_rgs"}
+    found = {
+        f"{path.name}:{scope}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope, _ in _references(ast.parse(path.read_text(encoding="utf-8"), str(path)), setters)
+    }
+    assert found == {"partitions.py:<module>", "partitions.py:_generated"}
 
 
 def test_the_union_find_is_gone_from_the_package():
