@@ -68,10 +68,10 @@ from .partitions import (
     PartitionClass,
     _class_sizes,
     _steps,
+    block_masks,
     enumerate_partitions,
     join_labels,
     stacked_places,
-    stacked_spreader,
 )
 from .polynomials import IntPolynomial
 
@@ -342,8 +342,9 @@ def _pair_exponent(p: Partition, q: Partition, r: int = 0) -> int:
     back, the terminals make cut components, so the exponent is cut plus
     the terminal-free ones."""
     cut = _cut(r)
-    up, lo = stacked_spreader(p, cut, False), stacked_spreader(q, cut, True)
-    labels, count = join_labels(up, lo, p.points + cut, range(2 * cut))
+    up = block_masks(p.rgs, stacked_places(p.points, cut, False))
+    lo = block_masks(q.rgs, stacked_places(q.points, cut, True))
+    labels, count = join_labels(up, lo, range(2 * cut))
     ends = tuple(range(cut))
     if labels == ends + ends or (r and not r % 2 and labels == ends + ends[:-1] + (cut,)):
         return count - len(set(labels)) + cut

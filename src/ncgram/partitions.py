@@ -18,12 +18,11 @@ lexicographic order fixes the enumeration order everywhere in this package.
 Two partitions drawn on one set of nodes (stacked in a pair graph, or
 glued along a row in a composition) connect into the components of their
 join, and every loop count in the package is a number of such
-components. Blocks are bitmasks over the nodes. A `spreader` maps a mask
-to the union of the blocks that meet it, block by block, and
-`join_closure` grows a mask by the blocks of both partitions to a
-fixpoint, which is one or more whole components. `join_labels` walks
-the components and returns the canonical labels of the nodes asked for
-and their count: every read of one pair (a composition, a single matrix
+components. `block_masks` gives a partition's blocks as bitmasks over
+its nodes, and `join_labels` walks the join of two such lists: each
+component grows from its lowest node left by the blocks that meet it,
+and the walk returns the canonical labels of the nodes asked for and the
+component count. Every read of one pair (a composition, a single matrix
 entry and its flaw, a structure) is that one call plus a lookup. Every
 Gram and level table is filled by `gram`, all pairs at once, from the
 node pairs each block joins.
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from math import comb
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import RotationUndefined, ShapeError
 
@@ -263,7 +262,10 @@ def iter_partitions(
 
 
 def _check_class(points: int, cls: PartitionClass) -> None:
-    """Refuse a negative point count, and a class that is not a `PartitionClass` member."""
+    """Refuse a point count that is not a nonnegative int (bools are not
+    counts), and a class that is not a `PartitionClass` member."""
+    if type(points) is not int:
+        raise TypeError(f"point count must be an int, not {points!r}")
     if points < 0:
         raise ValueError("negative point count")
     if not isinstance(cls, PartitionClass):
@@ -356,7 +358,9 @@ def _class_sizes(points: int, cls: PartitionClass) -> tuple[int, int]:
 
 
 def _steps(points: int, cls: PartitionClass) -> range:
-    """The point counts 0, 1, 2, … up to `points`, 2 at a time for pairs."""
+    """The point counts 0, 1, 2, … up to `points`, 2 at a time for pairs,
+    of a count and class that `_check_class` admits."""
+    _check_class(points, cls)
     step = 2 if cls is PartitionClass.NONCROSSING_PAIRS else 1
     return range(points % step, points + 1, step)
 
@@ -416,56 +420,40 @@ def mirror(p: Partition) -> Partition:
     return Partition(p.upper, p.lower, _canonical(p.rgs[:k][::-1] + p.rgs[k:][::-1]))
 
 
-def spreader(rgs: Sequence[int], place: Sequence[int]) -> Callable[[int], int]:
-    """m ↦ the union of the blocks that meet m, one block at a time.
-
-    The blocks are those of the canonical RGS `rgs`, with position pos
-    drawn on node (bit) place[pos]; a node that no position is drawn on
-    counts as a block of its own, so every node of m stays in the result.
-    The blocks are disjoint, so adding one to m makes no other block meet m.
-    """
+def block_masks(rgs: Sequence[int], place: Sequence[int]) -> list[int]:
+    """The blocks of the canonical RGS `rgs` as bitmasks over nodes, block
+    b at index b, with position pos drawn on node (bit) place[pos]."""
     masks = [0] * (max(rgs) + 1 if rgs else 0)
     for node, b in zip(place, rgs):
         masks[b] |= 1 << node
-
-    def spread(m: int) -> int:
-        for block in masks:
-            if block & m:
-                m |= block
-        return m
-
-    return spread
-
-
-def join_closure(up: Callable[[int], int], lo: Callable[[int], int], m: int) -> int:
-    """The union of the components of the join of two partitions that meet m.
-
-    This is the package's loop-count kernel for one pair at a time, and
-    `join_labels` its one caller; no table runs on it. `up` and `lo` are
-    the spreaders of two partitions drawn on one set of nodes.
-    The mask grows by whole blocks of either partition until neither adds
-    a node: then it is a union of blocks of both, which is a union of
-    components of the join, and every node in it was reached from m.
-    """
-    m = lo(up(m))
-    while (grown := up(m)) != m:
-        m = lo(grown)
-    return m
+    return masks
 
 
 def join_labels(
-    up: Callable[[int], int], lo: Callable[[int], int], width: int, nodes: Sequence[int]
+    up: Sequence[int], lo: Sequence[int], nodes: Sequence[int]
 ) -> tuple[tuple[int, ...], int]:
-    """The components of the join on nodes 0..width-1, walked lowest node
-    first: the canonical (RGS) labels of `nodes`, in turn, by the
-    component each lies in (a node may be named twice), and the number
-    of components."""
-    wanted = 0
-    for node in nodes:
-        wanted |= 1 << node
-    index, count, rest = {}, 0, (1 << width) - 1
+    """The components of the join of two partitions, given as the
+    `block_masks` of each on one set of nodes, the union of their blocks:
+    the canonical (RGS) labels of `nodes`, in turn, by the component each
+    lies in (a node may be named twice), and the number of components.
+
+    This is the package's loop-count kernel for one pair at a time; no
+    table runs on it. Each component grows from its lowest node left by
+    whole blocks of either partition until no block adds a node: then it
+    is a union of blocks of both, which is a union of components of the
+    join, and every node in it was reached from that node.
+    """
+    blocks = [*up, *lo]
+    rest = sum(up) | sum(lo)  # the blocks of each partition are disjoint
+    wanted = sum(1 << node for node in set(nodes))
+    index, count = {}, 0
     while rest:
-        component = join_closure(up, lo, rest & -rest)
+        component, grown = 0, rest & -rest
+        while grown != component:
+            component = grown
+            for block in blocks:
+                if block & grown:
+                    grown |= block
         rest ^= component
         met = component & wanted
         while met:
@@ -486,12 +474,6 @@ def stacked_places(points: int, cut: int, below: bool) -> list[int]:
     return [i if i < cut and not below else cut + i for i in range(points)]
 
 
-def stacked_spreader(p: Partition, cut: int, below: bool) -> Callable[[int], int]:
-    """The `spreader` of a (0, n) partition drawn in a cut graph, on the
-    nodes of `stacked_places`."""
-    return spreader(p.rgs, stacked_places(p.points, cut, below))
-
-
 def compose(t: Partition, s: Partition) -> Composition:
     """Vertical composition t ∘ s (s on top), with loop count.
 
@@ -506,10 +488,8 @@ def compose(t: Partition, s: Partition) -> Composition:
     k, l, m = s.upper, s.lower, t.lower
     # Nodes 0..k-1 are the upper row of s, k..k+l-1 the glued middle row
     # and k+l..k+l+m-1 the lower row of t.
-    width = k + l + m
-    up = spreader(s.rgs, range(k + l))
-    lo = spreader(t.rgs, range(k, width))
-    outer, count = join_labels(up, lo, width, (*range(k), *range(k + l, width)))
+    up, lo = block_masks(s.rgs, range(k + l)), block_masks(t.rgs, range(k, k + l + m))
+    outer, count = join_labels(up, lo, (*range(k), *range(k + l, k + l + m)))
     return Composition(Partition(k, m, outer), count - len(set(outer)))
 
 

@@ -57,8 +57,9 @@ from .partitions import (
     PartitionClass,
     _canonical,
     _enumerate,
+    block_masks,
     join_labels,
-    stacked_spreader,
+    stacked_places,
 )
 from .polynomials import _decimal_text, _fraction_text, beraha_bases, power_product
 
@@ -76,7 +77,10 @@ def _check_pair(p: Partition, q: Partition) -> int:
 
 
 def _check_level(n: int, r: int, what: str, low: int = 0, high: int | None = None) -> None:
-    """Refuse a level r outside low ≤ r < high, where high is n unless given."""
+    """Refuse an n or r that is not an int (bools are not levels), and a
+    level r outside low ≤ r < high, where high is n unless given."""
+    if type(n) is not int or type(r) is not int:
+        raise TypeError(f"{what} level needs int n and r, not n={n!r}, r={r!r}")
     if not low <= r < (n if high is None else high):
         raise ValueError(f"{what} level r={r} out of range for n={n}")
 
@@ -293,9 +297,10 @@ def classify_structure(p: Partition, q: Partition, r: int) -> tuple[int, ...] | 
     _check_level(n, r, "structure", 0, n - 1)
     s, odd = r // 2, r % 2 == 1
     cut = s + 1
-    up, lo = stacked_spreader(p, cut, False), stacked_spreader(q, cut, True)
+    up = block_masks(p.rgs, stacked_places(n, cut, False))
+    lo = block_masks(q.rgs, stacked_places(n, cut, True))
     # 1..s+1, then the cut 1'..(s+1)', then (s+2)' at odd r, glued to s+2
-    labels, _ = join_labels(up, lo, n + cut, range(2 * cut + odd))
+    labels, _ = join_labels(up, lo, range(2 * cut + odd))
     return _structures(s, odd).get(labels)
 
 

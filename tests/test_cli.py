@@ -8,6 +8,8 @@ import functools
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -707,3 +709,73 @@ def test_checks_survive_stripped_asserts():
     coeffs = run_optimised("gram", "--points", "4", "--symbolic", "--det")["det"]
     for N in (4, 5):
         assert IntPolynomial(coeffs).evaluate(N) == recursion_det(4, N)
+
+
+# ---------------------------------------------------------------------------
+# the oldest supported Python
+
+#: Runs each job of argv lists given as JSON through `main` in one process
+#: and prints each exit status and stdout, as JSON.
+_JOBS_SCRIPT = """
+import contextlib, io, json, sys
+from ncgram.cli import main
+done = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    done.append([status, out.getvalue()])
+print(json.dumps(done))
+"""
+
+
+def _interpreter(major: int, minor: int) -> str | None:
+    """A `pythonX.Y` that runs as that version: the one on PATH, or else
+    one that pyenv installed under $PYENV_ROOT/versions (pyenv's shim on
+    PATH runs only the versions it is told to)."""
+    name = f"python{major}.{minor}"
+    found = [shutil.which(name)]
+    if "PYENV_ROOT" in os.environ:
+        versions = sorted(Path(os.environ["PYENV_ROOT"]).glob("versions/*/bin"))
+        found += [shutil.which(name, path=str(folder)) for folder in versions]
+    probe = "import sys; print(*sys.version_info[:2])"
+    for executable in filter(None, found):
+        done = subprocess.run([executable, "-c", probe], capture_output=True, text=True, timeout=60)
+        if done.stdout.split() == [str(major), str(minor)]:
+            return executable
+    return None
+
+
+def test_the_cli_prints_the_same_at_the_python_floor():
+    # pyproject's requires-python is the oldest Python the package claims;
+    # where that interpreter is installed, five jobs across the subcommands
+    # print what they print on the running one
+    root = Path(cli.__file__).resolve().parents[2]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    assert found
+    executable = _interpreter(int(found[1]), int(found[2]))
+    if executable is None:
+        pytest.skip(f"no working python{found[1]}.{found[2]} found")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    jobs = json.dumps([
+        ["enumerate", "--points", "5"],
+        ["gram", "--points", "4", "--param", "4", "--det"],
+        ["gram", "--points", "3", "--symbolic", "--det"],
+        ["recursion", "--points", "6", "--param", "5"],
+        ["laws", "--param", "2", "--max-points", "1"],
+    ])
+
+    def run_jobs(python: str) -> list:
+        done = subprocess.run(
+            [python, "-c", _JOBS_SCRIPT, jobs], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    at_floor, here = run_jobs(executable), run_jobs(sys.executable)
+    assert [status for status, _ in here] == [0] * 5
+    assert all(out for _, out in here)
+    for (floor_status, floor_out), (status, out) in zip(at_floor, here):
+        assert floor_status == status
+        assert floor_out.encode() == out.encode()

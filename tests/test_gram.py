@@ -71,6 +71,25 @@ def test_a_class_given_as_anything_but_a_member_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize("points", [4.0, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda points: build_gram(points, NC),
+        lambda points: build_gram(points, ALL, 4),
+        lambda points: recursion_det(points, 4),
+    ],
+    ids=["symbolic-gram", "gram", "recursion"],
+)
+def test_a_point_count_that_is_not_an_int_is_refused_before_the_budget(call, points):
+    # the budgets step point counts up through the class check: a float
+    # once stopped in a bare `range`, and recursion_det(True, 4) returned
+    # the value at one point
+    with pytest.raises(TypeError) as caught:
+        call(points)
+    assert str(caught.value) == f"point count must be an int, not {points!r}"
+
+
 def test_two_point_matrix_by_hand():
     m = build_gram(2, NC, 4)
     pair = Partition.pair()

@@ -2,36 +2,37 @@
 
 `block_forest`, `PairForest` and the forest versions of `compose` and of
 the level-r entry are the package's earlier loop-count kernel, kept here
-unchanged as oracles for `spreader`, `join_closure`, `join_labels` and
-the bit-sliced exponent table. `_exponent_row`, the package's earlier
-pair kernel, which read each component's terminals against a set of
-allowed masks, is kept here unchanged as well: it checks the tables row
-by row, and the label reads of `_pair_exponent`.
+unchanged as oracles for `join_labels` and the bit-sliced exponent
+table. `spreader` and `join_closure`, the closures that `join_labels`
+walked before it grew each component over the block masks itself, are
+kept here unchanged too, as its oracle. `_exponent_row`, the package's
+earlier pair kernel, which read each component's terminals against a set
+of allowed masks on those closures, is kept here unchanged as well: it
+checks the tables row by row, and the label reads of `_pair_exponent`.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 from array import array
-from typing import Sequence
+from typing import Callable, Sequence
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ncgram.gram
 import ncgram.partitions
+import ncgram.tutte
 from ncgram.gram import _FLAW, _cut, _exponent_table, _pair_exponent
 from ncgram.partitions import (
     Partition,
     PartitionClass,
     _canonical,
+    block_masks,
     compose,
     enumerate_partitions,
-    join_closure,
     join_labels,
-    spreader,
     stacked_places,
-    stacked_spreader,
 )
 from ncgram.tutte import build_A, e_r, has_r_flaw, w_stratum
 
@@ -129,6 +130,67 @@ def oracle_table(labels: Sequence[Partition], n: int, r: int) -> list[list[int]]
 
 
 # ---------------------------------------------------------------------------
+# the closure oracle
+
+
+def spreader(rgs: Sequence[int], place: Sequence[int]) -> Callable[[int], int]:
+    """m ↦ the union of the blocks that meet m, one block at a time.
+
+    The blocks are those of the canonical RGS `rgs`, with position pos
+    drawn on node (bit) place[pos]; a node that no position is drawn on
+    counts as a block of its own, so every node of m stays in the result.
+    The blocks are disjoint, so adding one to m makes no other block meet m.
+    """
+    masks = [0] * (max(rgs) + 1 if rgs else 0)
+    for node, b in zip(place, rgs):
+        masks[b] |= 1 << node
+
+    def spread(m: int) -> int:
+        for block in masks:
+            if block & m:
+                m |= block
+        return m
+
+    return spread
+
+
+def join_closure(up: Callable[[int], int], lo: Callable[[int], int], m: int) -> int:
+    """The union of the components of the join of two partitions that meet m.
+
+    `up` and `lo` are the spreaders of two partitions drawn on one set of
+    nodes. The mask grows by whole blocks of either partition until
+    neither adds a node: then it is a union of blocks of both, which is a
+    union of components of the join, and every node in it was reached
+    from m.
+    """
+    m = lo(up(m))
+    while (grown := up(m)) != m:
+        m = lo(grown)
+    return m
+
+
+def closure_labels(
+    up: Callable[[int], int], lo: Callable[[int], int], width: int, nodes: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
+    """The components of the join on nodes 0..width-1, walked lowest node
+    first by `join_closure`: the canonical labels of `nodes` by the
+    component each lies in, and the number of components."""
+    wanted = 0
+    for node in nodes:
+        wanted |= 1 << node
+    index, count, rest = {}, 0, (1 << width) - 1
+    while rest:
+        component = join_closure(up, lo, rest & -rest)
+        rest ^= component
+        met = component & wanted
+        while met:
+            index[met & -met] = count
+            met &= met - 1
+        count += 1
+    return _canonical(index[1 << node] for node in nodes), count
+
+
+# ---------------------------------------------------------------------------
 # the kernel on arbitrary node sets
 
 # 8/9 and 16/17 nodes lie on either side of one and two bytes of mask
@@ -149,11 +211,6 @@ def rgs_of(draw, width: int) -> tuple[int, ...]:
 def rgs_pairs(draw):
     width = draw(WIDTHS)
     return draw(rgs_of(width)), draw(rgs_of(width))
-
-
-def block_masks(rgs: tuple[int, ...]) -> list[int]:
-    """Each block of an RGS as a bitmask over its positions."""
-    return [sum(1 << pos for pos, b in enumerate(rgs) if b == block) for block in set(rgs)]
 
 
 def forest_components(first: tuple[int, ...], second: tuple[int, ...]) -> list[int]:
@@ -189,9 +246,12 @@ def test_join_labels_match_the_forest(pair):
     # down, checks the canonical numbering of a subset in another order
     first, second = pair
     width = len(first)
-    up, lo = spreader(first, range(width)), spreader(second, range(width))
+    up, lo = block_masks(first, range(width)), block_masks(second, range(width))
+    spread_up, spread_lo = spreader(first, range(width)), spreader(second, range(width))
     for nodes in (range(width), range(width - 1, width // 2 - 1, -1)):
-        assert join_labels(up, lo, width, nodes) == forest_labels(first, second, nodes)
+        want = forest_labels(first, second, nodes)
+        assert join_labels(up, lo, nodes) == want
+        assert closure_labels(spread_up, spread_lo, width, nodes) == want
 
 
 def test_join_labels_take_a_node_more_than_once():
@@ -200,8 +260,8 @@ def test_join_labels_take_a_node_more_than_once():
     nodes = [*stacked_places(6, 2, False), *stacked_places(6, 2, True)]
     assert len(nodes) == 12 and len(set(nodes)) == 8
     first, second = (0, 1, 0, 2, 2, 1, 3, 1), (0, 0, 1, 2, 1, 3, 3, 4)
-    up, lo = spreader(first, range(8)), spreader(second, range(8))
-    assert join_labels(up, lo, 8, nodes) == forest_labels(first, second, nodes)
+    up, lo = block_masks(first, range(8)), block_masks(second, range(8))
+    assert join_labels(up, lo, nodes) == forest_labels(first, second, nodes)
 
 
 @given(rgs_pairs(), st.data())
@@ -219,7 +279,19 @@ def test_spread_is_the_union_of_the_blocks_met(pair, data):
     first, _ = pair
     width = len(first)
     m = data.draw(st.integers(0, (1 << width) - 1))
-    assert spreader(first, range(width))(m) == sum(b for b in block_masks(first) if b & m)
+    assert spreader(first, range(width))(m) == sum(b for b in block_masks(first, range(width)) if b & m)
+
+
+@given(rgs_pairs(), st.randoms(use_true_random=False))
+def test_block_masks_draw_each_block_on_its_nodes(pair, rng):
+    # block b at index b, each position on the node it is placed at
+    first, _ = pair
+    place = rng.sample(range(2 * len(first)), len(first))
+    want = [
+        sum(1 << node for node, b in zip(place, first) if b == block)
+        for block in range(len(set(first)))
+    ]
+    assert block_masks(first, place) == want
 
 
 def test_spread_treats_undrawn_nodes_as_singletons():
@@ -310,6 +382,12 @@ def _exponent_row(up, lows, points: int, r: int) -> bytearray | array:
         else:
             row[b] = count
     return row
+
+
+def stacked_spreader(p: Partition, cut: int, below: bool) -> Callable[[int], int]:
+    """The `spreader` of a (0, n) partition drawn in a cut graph, on the
+    nodes of `stacked_places`."""
+    return spreader(p.rgs, stacked_places(p.points, cut, below))
 
 
 def row_kernel_table(labels: Sequence[Partition], n: int, r: int) -> list:
@@ -409,12 +487,13 @@ def test_exponent_tables_of_65536_points_sum_in_4_byte_lanes():
 
 def test_no_table_reaches_the_pair_kernel(monkeypatch):
     # every table is bit-sliced at any width, so a wide top level builds
-    # with the pair kernel and the join closure both gone
+    # with the pair kernel and the single-pair walk both gone
     def no_pair_kernel(*args):
         raise AssertionError("a table was filled pair by pair")
 
     monkeypatch.setattr(ncgram.gram, "_pair_exponent", no_pair_kernel)
-    monkeypatch.setattr(ncgram.partitions, "join_closure", no_pair_kernel)
+    for module in (ncgram.partitions, ncgram.gram, ncgram.tutte):
+        monkeypatch.setattr(module, "join_labels", no_pair_kernel)
     assert build_A(300, 298, 4).nrows == 300
     blocks = (range(600), [0] * 600, [i // 2 for i in range(600)])
     labels = tuple(Partition(0, 600, tuple(rgs)) for rgs in blocks)

@@ -185,6 +185,27 @@ def test_an_rgs_entry_that_is_not_an_int_is_refused(rgs):
         Partition(0, 2, rgs)
 
 
+@pytest.mark.parametrize("points", [2.0, 0.0, True, False])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda points: enumerate_partitions(points, NC),
+        lambda points: enumerate_partitions(points, ALL),
+        lambda points: iter_partitions(points, PartitionClass.NONCROSSING_PAIRS),
+        lambda points: count_partitions(points),
+        lambda points: count_partitions(points, NC),
+    ],
+    ids=["enumerate-nc", "enumerate-all", "iter-nc2", "count-all", "count-nc"],
+)
+def test_a_point_count_that_is_not_an_int_is_refused(call, points):
+    # the generator skips the checked constructor, so enumerate_partitions(
+    # 2.0, NC) once listed Partition('0|2.0|00'), whose text does not parse
+    # back, and count_partitions(True) returned 1
+    with pytest.raises(TypeError) as caught:
+        call(points)
+    assert str(caught.value) == f"point count must be an int, not {points!r}"
+
+
 def test_from_blocks_roundtrip():
     p = Partition.from_lower_blocks(4, [[1, 3], [2], [4]])
     assert p.rgs == (0, 1, 0, 2)

@@ -1,0 +1,176 @@
+"""The refusals and plain reads that no other test reaches, one case each.
+
+Each case takes the test's fixtures and returns a call with what it must
+give: an exception type and its message, or the value (a status) it
+returns when the expected type is None.
+"""
+
+from __future__ import annotations
+
+import json
+import runpy
+import sys
+import warnings
+
+import pytest
+
+from ncgram import cli, polynomials
+from ncgram.errors import ShapeError
+from ncgram.gram import build_gram
+from ncgram.partitions import Partition, is_noncrossing, refines
+from ncgram.polynomials import IntPolynomial, check_beraha_chebyshev_relation
+from ncgram.tensor_model import express_in_bounded_basis, reconstruct, vector_of
+from ncgram.tutte import F_r_value, build_A, component_shift, e_r, f_manip
+
+TWO_ROW = Partition.identity(1)  # one upper point joined to one lower point
+ROW = Partition.from_lower_blocks(5, [[1, 3], [2, 4], [5]])  # in W(5, 1)
+
+
+def _run_cli_as_main(monkeypatch):
+    # `python -m ncgram.cli` runs the module under the name __main__, whose
+    # guard exits with main's status; the module is already imported here
+    monkeypatch.setattr(sys, "argv", ["ncgram", "enumerate", "--points", "2"])
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("ncgram.cli", run_name="__main__")
+
+    return run, SystemExit, "0"
+
+
+def _blank_cache_lines(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    path.write_text("\n" + json.dumps({"key": "k", "det": "12"}) + "\n   \n", encoding="utf-8")
+
+    def read():
+        entries = cli._read_cache(str(path))
+        return entries, capsys.readouterr().err
+
+    return read, None, ({"k": "12"}, "")
+
+
+def _short_cache_write(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    monkeypatch.setattr(cli.os, "write", lambda fd, data: len(data) - 1)
+    monkeypatch.setattr(cli.time, "time", lambda: 0)
+    size = len(json.dumps({"key": "k", "det": "12", "ts": 0}) + "\n")
+    return (
+        lambda: cli._append_cache(str(path), "k", "12"),
+        OSError,
+        f"cache: short write to {path} ({size - 1} of {size} bytes)",
+    )
+
+
+def _param_below_one(capsys):
+    def run():
+        status = cli.main(["gram", "--points", "3", "--param", "0"])
+        return status, capsys.readouterr().err
+
+    return run, None, (cli.EXIT_USAGE, "error: --param must be a positive integer\n")
+
+
+def _planted_beraha_family(monkeypatch):
+    # a wrong β_3 must show as a lemma violation at j = 3 alone
+    beraha = polynomials.beraha
+    monkeypatch.setattr(polynomials, "beraha", lambda j: beraha(j) + (j == 3))
+    return (
+        lambda: check_beraha_chebyshev_relation(5),
+        None,
+        {"checked": 5, "status": "lemma-violation", "failures": [3]},
+    )
+
+
+def _reconstruct_skips_zero(monkeypatch):
+    # a zero coefficient adds nothing, not even its vector's support
+    pair, singletons = Partition.pair(), Partition.singletons(2)
+    return (
+        lambda: reconstruct({pair: 0, singletons: 1}, 2),
+        None,
+        vector_of(singletons, 2).entries,
+    )
+
+
+CASES = {
+    "cli-main-guard": _run_cli_as_main,
+    "cli-cache-blank-lines": _blank_cache_lines,
+    "cli-cache-short-write": _short_cache_write,
+    "cli-param-below-one": _param_below_one,
+    "gram-evaluate-integer-matrix": lambda: (
+        lambda: build_gram(2, N=4).evaluate(4), ShapeError, "matrix is already over the integers"
+    ),
+    "gram-no-points": lambda: (lambda: build_gram(0), ValueError, "points must be >= 1"),
+    "partition-negative-row": lambda: (
+        lambda: Partition(-1, 1, ()), ValueError, "negative row size"
+    ),
+    "partition-lower-blocks-two-rows": lambda: (
+        TWO_ROW.lower_blocks, ShapeError, "lower_blocks is only defined on (0, n) partitions"
+    ),
+    "partition-noncrossing-two-rows": lambda: (
+        lambda: is_noncrossing(TWO_ROW), ShapeError, "crossing test is defined on (0, n) partitions"
+    ),
+    "partition-refines-shapes": lambda: (
+        lambda: refines(TWO_ROW, Partition.singletons(2)), ShapeError, "refinement needs equal shapes"
+    ),
+    "partition-repr": lambda: (lambda: repr(Partition.pair()), None, "Partition('0|2|00')"),
+    "polynomial-inexact-in-loop": lambda: (
+        # x over 2x: the leading quotient 1/2 is not an integer
+        lambda: IntPolynomial([0, 1]).divexact(IntPolynomial([0, 2])),
+        ValueError,
+        "inexact polynomial division",
+    ),
+    "polynomial-repr": lambda: (lambda: repr(IntPolynomial([1, 0, -2])), None, "IntPolynomial([1, 0, -2])"),
+    "beraha-chebyshev-no-j": lambda: (
+        lambda: check_beraha_chebyshev_relation(0), ValueError, "j_max must be >= 1"
+    ),
+    "beraha-chebyshev-planted-failure": _planted_beraha_family,
+    "tensor-vector-two-rows": lambda: (
+        lambda: vector_of(TWO_ROW, 2), ShapeError, "vector form needs a partition with no upper points"
+    ),
+    "tensor-expansion-two-rows": lambda: (
+        lambda: express_in_bounded_basis(TWO_ROW, 2),
+        ShapeError,
+        "expansion needs a partition with no upper points",
+    ),
+    "tensor-reconstruct-zero-coefficient": _reconstruct_skips_zero,
+    "tutte-pair-two-rows": lambda: (
+        lambda: e_r(TWO_ROW, TWO_ROW, 0, 4), ShapeError, "pair graphs need (0, n) partitions"
+    ),
+    "tutte-pair-point-counts": lambda: (
+        lambda: e_r(Partition.singletons(2), Partition.singletons(3), 0, 4),
+        ShapeError,
+        "pair graphs need equal point counts",
+    ),
+    "tutte-level-matrix-no-points": lambda: (lambda: build_A(0, 0, 4), ValueError, "n must be positive"),
+    "tutte-rewire-two-rows": lambda: (
+        lambda: f_manip(1, Partition.identity(2), 0),
+        ShapeError,
+        "manipulations are defined on (0, n) partitions",
+    ),
+    "tutte-shift-kind": lambda: (
+        lambda: component_shift(ROW, ROW, 1, "h", 1), ValueError, "kind must be 'f' or 'g'"
+    ),
+    "tutte-column-row-stratum": lambda: (
+        lambda: F_r_value(Partition.singletons(5), ROW, 1, 4),
+        ValueError,
+        "row partition is not in the level r stratum",
+    ),
+    "tutte-column-column-stratum": lambda: (
+        lambda: F_r_value(ROW, Partition.singletons(5), 1, 4),
+        ValueError,
+        "column partition is not in the level r+1 stratum",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_each_refusal_gives_its_type_and_message(case, request):
+    fixtures = case.__code__.co_varnames[: case.__code__.co_argcount]
+    call, error, want = case(*(request.getfixturevalue(name) for name in fixtures))
+    if error is None:
+        assert call() == want
+        return
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == want

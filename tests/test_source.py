@@ -336,8 +336,11 @@ def test_one_powers_table_serves_every_matrix():
 
 def test_one_labelled_walk_reaches_the_join_closure():
     # a composition, a single entry with its flaw and a structure each read
-    # the canonical component labels of one `join_labels` walk, so no other
-    # walk over the join's components exists
+    # the canonical component labels of one `join_labels` walk over the
+    # `block_masks` of the pair, so no other walk over the join's
+    # components exists; the walk grows each component itself, on the
+    # nodes the blocks cover, and takes no width (the closures it
+    # replaced live on only as test oracles, tests/test_join_kernel.py)
     def callers(name: str) -> list[str]:
         return sorted(
             f"{path.name}:{scope}"
@@ -348,9 +351,16 @@ def test_one_labelled_walk_reaches_the_join_closure():
             if scope != "<module>"
         )
 
-    assert callers("join_closure") == ["partitions.py:join_labels"]
     readers = ["gram.py:_pair_exponent", "partitions.py:compose", "tutte.py:classify_structure"]
     assert callers("join_labels") == readers
+    assert sorted(set(callers("block_masks"))) == readers  # once for each partition
+    tree = ast.parse((SOURCE / "partitions.py").read_text(encoding="utf-8"))
+    (walk,) = (
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "join_labels"
+    )
+    assert [arg.arg for arg in walk.args.args] == ["up", "lo", "nodes"]
 
 
 def test_every_determinant_ends_in_the_one_exact_finish():
@@ -530,6 +540,9 @@ def test_the_pair_graph_objects_and_tag_classes_are_gone_from_the_package():
         "component_labels",
         "_node_pairs",
         "_exact_quotient",
+        "spreader",
+        "join_closure",
+        "stacked_spreader",
     )
     found = [
         f"{path.name}:{lineno} {name}"

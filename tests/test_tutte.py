@@ -28,13 +28,13 @@ from ncgram.gram import (
 from ncgram.partitions import (
     Partition,
     PartitionClass,
+    block_masks,
     compose,
     enumerate_partitions,
     involution,
     join_labels,
     kernel,
     stacked_places,
-    stacked_spreader,
 )
 from ncgram.polynomials import IntPolynomial, beraha, power_product
 from ncgram.tutte import (
@@ -132,9 +132,8 @@ def kernel_labels(p: Partition, q: Partition, keep_from: int) -> tuple[int, ...]
     node order and numbered canonically: the first keep_from - 1 verticals
     are cut, so q's points there are nodes of their own."""
     n, cut = p.lower, keep_from - 1
-    up, lo = stacked_spreader(p, cut, False), stacked_spreader(q, cut, True)
-    nodes = [*stacked_places(n, cut, False), *stacked_places(n, cut, True)]
-    labels, _ = join_labels(up, lo, n + cut, nodes)
+    above, below = stacked_places(n, cut, False), stacked_places(n, cut, True)
+    labels, _ = join_labels(block_masks(p.rgs, above), block_masks(q.rgs, below), [*above, *below])
     return labels
 
 
@@ -385,9 +384,9 @@ def test_the_top_level_matrix_of_thirty_points_lists_one_label():
 
 
 def test_a_wide_top_level_builds_no_spread_table():
-    # A(1000, 999) is one label on a cut graph of 1000 + 500 nodes, which
-    # its spreaders grow block by block: a table per 8-bit chunk peaked at
-    # 14.6 MiB, growing with the square of the width
+    # A(1000, 999) is one label on a cut graph of 1000 + 500 nodes: a
+    # spread table per 8-bit chunk of its masks peaked at 14.6 MiB,
+    # growing with the square of the width
     tracemalloc.start()
     try:
         entries = build_A(1000, 999, 4).entries
@@ -1142,6 +1141,38 @@ def test_every_level_check_keeps_its_bounds_and_message():
     assert len(w_stratum(4, 4)) == 0 and w_stratum(4, 0) == enumerate_partitions(4, NC)
     assert classify_structure(p, q, 3) == classify_structure(p, q, 3)
     assert F_r_value(p, q, 1, 4) == F_r_value(p, q, 1, 4)
+
+
+@pytest.mark.parametrize("points, bad", [(4.0, 1.0), (True, True)])
+def test_every_level_check_refuses_a_level_that_is_not_an_int(points, bad):
+    # the strata reach the generator past the checked constructor:
+    # w_stratum(3.0, 1) once listed Partition('0|3.0|…') and build_A(3.0,
+    # 1, 4) stopped in a `range` of the budget; in_W keeps its own check
+    q = lower(5, [[1, 4], [2, 5], [3]])
+    p = lower(5, [[1, 3], [2, 4], [5]])
+    refused = [
+        (lambda: w_stratum(points, 1), "stratum", points, 1),
+        (lambda: w_stratum(4, bad), "stratum", 4, bad),
+        (lambda: y_stratum(points, 0), "stratum", points, 0),
+        (lambda: y_stratum(4, bad), "stratum", 4, bad),
+        (lambda: in_Y(q, bad), "stratum", 5, bad),
+        (lambda: e_r(p, q, bad, 4), "flaw", 5, bad),
+        (lambda: has_r_flaw(p, q, bad), "flaw", 5, bad),
+        (lambda: build_A(points, 1, 4), "level", points, 1),
+        (lambda: build_A(4, bad, 4), "level", 4, bad),
+        (lambda: build_B(points, 1, 4), "level", points, 1),
+        (lambda: build_B(4, bad, 4), "level", 4, bad),
+        (lambda: f_manip(1, q, bad), "manipulation", 5, bad),
+        (lambda: g_manip(1, q, bad), "manipulation", 5, bad),
+        (lambda: classify_structure(p, q, bad), "structure", 5, bad),
+        (lambda: component_shift(p, q, bad, "f", 1), "manipulation", 5, bad),
+        (lambda: F_r_value(p, q, bad, 4), "column", 5, bad),
+    ]
+    for call, what, n, r in refused:
+        with pytest.raises(TypeError) as caught:
+            call()
+        assert str(caught.value) == f"{what} level needs int n and r, not n={n!r}, r={r!r}"
+    assert w_stratum(4, 1) == [p for p in enumerate_partitions(4, NC) if in_W(p, 1)]
 
 
 def test_the_trace_lists_each_point_count_ascending_then_its_base():
