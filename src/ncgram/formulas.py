@@ -19,6 +19,12 @@ from .partitions import PartitionClass
 from .polynomials import _decimal_text, beraha_bases, power_product
 
 
+def _check_pairs(n) -> None:
+    """Refuse a pair count that is not an int; bools are not counts."""
+    if type(n) is not int:
+        raise TypeError(f"pair count must be an int, not {n!r}")
+
+
 def difrancesco_exponents(n: int) -> dict[int, int]:
     """a_{n,i} = C(2n, n−i) − 2·C(2n, n−i−1) + C(2n, n−i−2), i = 1..n,
     read as C(2n, n+i) − 2·C(2n, n+i+1) + C(2n, n+i+2), where a bottom
@@ -27,6 +33,7 @@ def difrancesco_exponents(n: int) -> dict[int, int]:
     Some are negative: a_{8,1} = −208, and a_{n,2} < 0 for 18 ≤ n ≤ 40
     (a_{18,2} = −31,635,810).
     """
+    _check_pairs(n)
     if n < 1:
         raise ValueError("n must be positive")
     m = 2 * n
@@ -52,6 +59,7 @@ def difrancesco_det(n: int, N: int) -> int:
     the same (base, exponent) list at n′ = 1, 2, …, n pairs, is refused with
     BudgetError before any power is formed.
     """
+    _check_pairs(n)
     check_parameter(N, 2, "N must be at least 2")
 
     def powers(pairs: int) -> list[tuple[int, int]]:
@@ -67,6 +75,7 @@ def difrancesco_det(n: int, N: int) -> int:
 
 def difrancesco_check(n: int, N: int) -> dict:
     """Compare the closed form against the direct exact determinant."""
+    _check_pairs(n)
     direct = determinant(build_gram(2 * n, PartitionClass.NONCROSSING_PAIRS, N))
     formula = difrancesco_det(n, N)
     return {

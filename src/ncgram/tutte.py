@@ -23,16 +23,21 @@ exponent table as the Gram matrix, which is level 0.
 
 The strata form a chain W(n,0) ⊇ W(n,1) ⊇ … ⊇ W(n,n−1) ⊋ W(n,n) = ∅,
 with Y(n,r) = W(n,r) \\ W(n,r+1), so each partition sits at one level.
-Membership is read off the RGS prefix alone. With r = 2s or 2s+1, a
-canonical RGS has rgs[s] = s exactly when its first s+1 points lie in
-pairwise different blocks, which are then the blocks 0..s; point j+1 is
-not a singleton when block j occurs again after position s. So `in_W`
-reads s+1 positions and then looks for the s + (r mod 2) blocks
-j < s + (r mod 2) in the rest, and p ∈ Y(n,r) iff p ∈ W(n,r) and
-p ∉ W(n,r+1). The strata are never filtered out of NC(0,n): the
-package's one partition generator lists W(n,r) from the prefix its RGS
-must start with, so a small stratum costs little however large NC(0,n)
-is.
+Membership is one number, the level of p, the largest r with p ∈ W(n,r).
+With r = 2s or 2s+1, a canonical RGS has rgs[s] = s exactly when its
+first s+1 points lie in pairwise different blocks, which are then the
+blocks 0..s; point j+1 is not a singleton when block j occurs again
+later. So with a the number of leading points with rgs[i] = i and b the
+number of leading blocks 0, 1, … among them that occur again after
+point a, the level is 2a − 1 when b = a ≥ 1 and 2b otherwise, and
+p ∈ W(n,r) iff r ≤ level, p ∈ Y(n,r) iff r = level. Sorting a class into
+strata asks `in_W` about each partition at every r in turn, so `in_W`
+keeps the level of the last partition it read, matched by identity, and
+reads each RGS once per run of questions; the memo holds that one
+partition alive and no other. The strata are never filtered out of
+NC(0,n): the package's one partition generator lists W(n,r) from the
+prefix its RGS must start with, so a small stratum costs little however
+large NC(0,n) is.
 
 The case table of the recursion classifies the cut graph of a pair by its
 components on the leftmost nodes 1..s+1, 1'..t' into three structures,
@@ -89,31 +94,53 @@ def _check_level(n: int, r: int, what: str, low: int = 0, high: int | None = Non
 # strata
 
 
+def _level(rgs: tuple[int, ...]) -> int:
+    """The largest r with the partition of this (0, n) RGS in W(n,r).
+
+    a counts the leading points in pairwise different blocks (rgs[i] = i),
+    b the leading blocks 0, 1, … among them that occur again after point a.
+    The level is 2a − 1 when b = a ≥ 1, and 2b otherwise.
+    """
+    a = 0
+    for block in rgs:
+        if block != a:
+            break
+        a += 1
+    rest = rgs[a:]
+    b = 0
+    while b < a and b in rest:
+        b += 1
+    return 2 * a - 1 if b == a and a else 2 * b
+
+
+# (partition, n, level) of the last partition `in_W` was asked about,
+# matched by identity; only `in_W` replaces it, always whole.
+_last_level: tuple[object, int, int] = (object(), 0, 0)
+
+
 def in_W(p: Partition, r: int) -> bool:
-    """Leftmost-point stratum test.
+    """Leftmost-point stratum test: p ∈ W(n,r) iff r ≤ the level of p.
 
     r = 2s: the s leftmost points are non-singletons and the s+1 leftmost
     lie in pairwise different blocks. r = 2s+1: the s+1 leftmost points are
     non-singletons in pairwise different blocks. r = 0 is no condition,
-    r = n is empty. Only the prefix is read; see the module docstring.
+    r = n is empty. The level is 2a − 1 when all a leading points with
+    rgs[i] = i are non-singletons, and 2b when only the first b are
+    (`_level`). It is read at the first question about p and kept, matched
+    by identity, for the questions about the same object that follow; the
+    memo holds the last partition asked about alive and no other.
     """
-    if p.upper:
-        raise ShapeError("strata are defined on (0, n) partitions")
-    n = p.lower
+    global _last_level
+    last = _last_level
+    if last[0] is not p:
+        if p.upper:
+            raise ShapeError("strata are defined on (0, n) partitions")
+        last = _last_level = (p, p.lower, _level(p.rgs))
+    n = last[1]
     # inline, not `_check_level`: sorting a class into strata calls this per partition
     if not 0 <= r <= n:
         raise ValueError(f"stratum level r={r} out of range for n={n}")
-    if r == 0:
-        return True
-    s = r // 2
-    rgs = p.rgs
-    if r == n or rgs[s] != s:
-        return False
-    rest = rgs[s + 1 :]
-    for j in range(s + r % 2):
-        if j not in rest:
-            return False
-    return True
+    return r <= last[2]
 
 
 def in_Y(p: Partition, r: int) -> bool:

@@ -156,6 +156,29 @@ def test_input_validation():
         difrancesco_det(2, 1)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, 4.0, 0.5])
+def test_a_pair_count_that_is_not_an_int_is_refused_before_any_work(n, monkeypatch):
+    # difrancesco_det(True, 4) returned 4 and difrancesco_check(True, 4)
+    # reported a match; difrancesco_det(2.0, 4) stopped in a `range`, and
+    # difrancesco_check(2.0, 4) was refused for the point count 4.0
+    def no_work(*args):
+        raise AssertionError("work began before the pair count was checked")
+
+    monkeypatch.setattr(formulas, "build_gram", no_work)
+    monkeypatch.setattr(formulas, "beraha_bases", no_work)
+    monkeypatch.setattr(formulas, "comb", no_work)
+    refused = [
+        lambda: difrancesco_exponents(n),
+        lambda: difrancesco_det(n, 4),
+        lambda: difrancesco_det(n, 1),  # before N's check too
+        lambda: difrancesco_check(n, 4),
+    ]
+    for call in refused:
+        with pytest.raises(TypeError) as caught:
+            call()
+        assert str(caught.value) == f"pair count must be an int, not {n!r}"
+
+
 def test_the_pair_formula_is_refused_before_any_power_is_formed():
     # its bits, Σ a·log₂base over N^{C_n′} and each c_{i+1}(N²)^{a_{n′,i}},
     # which is Σ a_{n′,i}·log₂U_i(N), at n′ = 1, 2, … pairs: (12, 5) has

@@ -248,6 +248,27 @@ def test_only_the_one_generator_skips_the_canonical_check():
     assert found == {"partitions.py:<module>", "partitions.py:_generated"}
 
 
+def test_only_in_W_touches_the_level_memo():
+    # the memo of the last partition's level is right only while the one
+    # function that reads it is also the only one that writes it, whole
+    found = {
+        f"{path.name}:{scope}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope, _ in _references(
+            ast.parse(path.read_text(encoding="utf-8"), str(path)), {"_last_level"}
+        )
+    }
+    assert found == {"tutte.py:<module>", "tutte.py:in_W"}
+    tutte = ast.parse((SOURCE / "tutte.py").read_text(encoding="utf-8"))
+    at_module = [
+        node.lineno
+        for node in tutte.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and "_last_level" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    ]
+    assert len(at_module) == 1  # its one definition
+
+
 def test_the_union_find_is_gone_from_the_package():
     # every loop count goes through the bitmask join kernel; the union-find
     # it replaced lives on only as a test oracle (tests/test_join_kernel.py)

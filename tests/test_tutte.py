@@ -5,11 +5,15 @@ from __future__ import annotations
 
 import gc
 import inspect
+import random
+import sys
+import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, log2
-from time import perf_counter
+from time import perf_counter, sleep
 
 import pytest
 from hypothesis import given
@@ -215,14 +219,63 @@ def stratum_level(p: Partition) -> int:
     return max(2 * a - 1, 0) if b == a else 2 * b
 
 
+def prefix_in_W(p: Partition, r: int) -> bool:
+    """The prefix test `in_W` answered every question with before it kept
+    the last partition's level: rgs[s] = s, then the s + (r mod 2) blocks
+    j < s + (r mod 2) looked for after position s. The oracle of the
+    kernel the level replaced."""
+    if r == 0:
+        return True
+    s = r // 2
+    rgs = p.rgs
+    if r == p.points or rgs[s] != s:
+        return False
+    rest = rgs[s + 1 :]
+    return all(j in rest for j in range(s + r % 2))
+
+
 def assert_strata_match_oracle(p: Partition) -> None:
     n = p.points
     member = [oracle_in_W(p, r) for r in range(n + 1)]
+    assert [prefix_in_W(p, r) for r in range(n + 1)] == member
     assert stratum_level(p) == max(r for r in range(n + 1) if member[r])
     for r in range(n + 1):
         assert in_W(p, r) == member[r]
     for r in range(n):
         assert in_Y(p, r) == (member[r] and not member[r + 1]) == (stratum_level(p) == r)
+
+
+def assert_every_order_matches_oracle(parts: list[Partition], seed: int) -> None:
+    """`in_W` and `in_Y` against `oracle_in_W`, and `prefix_in_W` and
+    `stratum_level` against it too, on every partition of one class at one
+    point count, at every r: one pass each asking the levels ascending,
+    descending and shuffled, so each partition's first question, the one
+    that reads its level, falls at a different r, and one pass alternating
+    the questions about two neighbours, so that every question reads a
+    level."""
+    n = parts[0].points
+    members = []
+    for p in parts:
+        member = [oracle_in_W(p, r) for r in range(n + 1)]
+        assert [prefix_in_W(p, r) for r in range(n + 1)] == member
+        assert stratum_level(p) == max(r for r in range(n + 1) if member[r])
+        members.append(member)
+    rng = random.Random(seed)
+    orders = [
+        lambda n: range(n + 1),
+        lambda n: range(n, -1, -1),
+        lambda n: rng.sample(range(n + 1), n + 1),
+    ]
+    for order in orders:
+        for p, member in zip(parts, members):
+            levels = list(order(n))
+            assert [in_W(p, r) for r in levels] == [member[r] for r in levels]
+            below = [r for r in levels if r < n]
+            assert [in_Y(p, r) for r in below] == [member[r] > member[r + 1] for r in below]
+    for (p, member), (q, other) in zip(zip(parts, members), zip(parts[1:], members[1:])):
+        for r in range(n + 1):
+            assert in_W(p, r) == member[r]
+            assert in_W(q, r) == other[r]
 
 
 def catalan_triangle_w(n: int, r: int) -> int:
@@ -237,16 +290,14 @@ def catalan_triangle_w(n: int, r: int) -> int:
 
 
 def test_levels_match_oracle_on_every_noncrossing_partition():
-    for n in range(11):
-        for p in enumerate_partitions(n, NC):
-            assert_strata_match_oracle(p)
+    for n in range(12):
+        assert_every_order_matches_oracle(enumerate_partitions(n, NC), n)
 
 
 def test_levels_match_oracle_on_every_partition():
-    # the prefix rule rests on the RGS normal form, not on noncrossing
-    for n in range(8):
-        for p in enumerate_partitions(n, PartitionClass.ALL):
-            assert_strata_match_oracle(p)
+    # the level rule rests on the RGS normal form, not on noncrossing
+    for n in range(9):
+        assert_every_order_matches_oracle(enumerate_partitions(n, PartitionClass.ALL), 100 + n)
 
 
 def test_strata_reject_partitions_with_an_upper_row():
@@ -257,6 +308,100 @@ def test_strata_reject_partitions_with_an_upper_row():
             in_W(p, r)
         with pytest.raises(ShapeError):
             in_Y(p, r)
+
+
+def test_the_level_memo_tells_partitions_apart_by_identity():
+    # two objects with one RGS answer alike, and a two-row partition built
+    # on a one-row partition's very RGS tuple is still refused
+    one, other = Partition(0, 5, (0, 1, 0, 1, 2)), Partition(0, 5, (0, 1, 0, 1, 2))
+    assert one == other and one is not other
+    upper = Partition(1, 4, one.rgs)
+    assert upper.rgs is one.rgs
+    for r in range(6):
+        assert in_W(one, r) == in_W(other, r) == in_W(one, r) == oracle_in_W(one, r)
+        for _ in range(2):  # a refused partition is refused again at once
+            with pytest.raises(ShapeError, match="strata are defined on"):
+                in_W(upper, r)
+        assert in_W(one, r) == oracle_in_W(one, r)
+        with pytest.raises(ShapeError):
+            in_Y(upper, min(r, 4))
+
+
+def test_a_refused_question_leaves_later_answers_right():
+    p = lower(6, [[1, 4], [2, 3], [5, 6]])  # level 3
+    q = lower(6, [[1], [2, 3, 4, 5, 6]])  # level 0
+    upper = Partition(1, 5, (0, 1, 0, 1, 2, 2))
+    expected = {x: [oracle_in_W(x, r) for r in range(7)] for x in (p, q)}
+    assert expected[p].count(True) == 4 and expected[q].count(True) == 1
+    refusals = [
+        (lambda: in_W(p, 7), ValueError, "stratum level r=7 out of range for n=6"),
+        (lambda: in_W(q, -1), ValueError, "stratum level r=-1 out of range for n=6"),
+        (lambda: in_W(upper, 2), ShapeError, "strata are defined on (0, n) partitions"),
+        (lambda: in_Y(p, 6), ValueError, "stratum level r=6 out of range for n=6"),
+    ]
+    for call, error, message in refusals:
+        for x in (p, q, p, p, q, q):
+            with pytest.raises(error) as caught:
+                call()
+            assert str(caught.value) == message
+            assert [in_W(x, r) for r in range(7)] == expected[x]
+            with pytest.raises(error):
+                call()  # refused again right after a hit
+            assert [in_W(x, r) for r in range(6, -1, -1)] == expected[x][::-1]
+
+
+def test_threads_sort_different_classes_at_once(monkeypatch):
+    # the memo is one tuple, read once into a local and replaced whole; four
+    # threads, more than the cores, and a level read that yields to another
+    # thread before it reads put a thread switch inside every miss
+    jobs = [enumerate_partitions(9, NC), enumerate_partitions(7, PartitionClass.ALL)]
+    jobs += [enumerate_partitions(8, NC), enumerate_partitions(6, PartitionClass.ALL)]
+    expected = [[stratum_level(p) for p in parts] for parts in jobs]
+    found: list[list[int]] = [[] for _ in jobs]
+    start = threading.Barrier(len(jobs))
+    read = tutte._level
+
+    def yielding_level(rgs):
+        sleep(0)
+        return read(rgs)
+
+    monkeypatch.setattr(tutte, "_level", yielding_level)
+
+    def sort(k: int) -> None:
+        start.wait()
+        for p in jobs[k]:
+            found[k].append(sum(in_W(p, r) for r in range(1, p.points + 1)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sort, args=(k,)) for k in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == expected
+
+
+def test_the_level_memo_keeps_only_the_last_partition_alive():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        first, second = Partition(0, 4, (0, 1, 0, 2)), Partition(0, 4, (0, 1, 2, 3))
+        first_ref, second_ref = weakref.ref(first), weakref.ref(second)
+        assert in_W(first, 1) and not in_W(second, 1)
+        del first
+        assert first_ref() is None  # freed by its count alone: no cycle holds it
+        del second
+        assert second_ref() is not None  # the memo holds the last partition asked about
+        assert in_W(Partition(0, 3, (0, 1, 0)), 1)
+        assert second_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @given(partitions())
