@@ -4,13 +4,13 @@ A partition p on (k, l) points acts on tensor legs: the matrix entry at
 (lower multi-index j, upper multi-index i) is 1 when (i, j) labels every
 block of p constantly, else 0. So the nonzero entries are the N^{b(p)}
 block-constant labellings, one value in [N] per block. A vector is the
-dict of its support, a map the set of its nonzero (row, col) cells, which
-`matrix_of` writes out densely and the structural laws (tensor,
-involution, composition with loop scaling) compare, at small N by brute
-force. The expansion of a vector over the partitions with at most N
-blocks is in closed form, by Möbius inversion over the groupings of its
-blocks, at most 10^6 of them. It is an oracle, not a production path:
-dense sizes are capped hard at N^legs ≤ 10^6.
+dict of its support, a map one int with a set bit for each nonzero (row,
+col) cell, which `matrix_of` writes out densely and the structural laws
+(tensor, involution, composition with loop scaling) compare, at small N
+by brute force. The expansion of a vector over the partitions with at
+most N blocks is in closed form, by Möbius inversion over the groupings
+of its blocks, at most 10^6 of them. It is an oracle, not a production
+path: dense sizes are capped hard at N^legs ≤ 10^6.
 
 Multi-indices are 1-based tuples over [N] = {1, …, N}, leftmost leg most
 significant in any flattened enumeration.
@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Iterator
 
 from .errors import ShapeError, check_parameter, refuse_past
@@ -44,14 +45,15 @@ DENSE_BUDGET = 10**6
 #: partitions up to max_points per row and S = Σ_{k,l} Bell(k+l)·N^(k+l)
 #: the entries of their matrices, dense laws compared S² entries over P²
 #: cases, at about 200 entries more per case: work 200·P² + S². The laws
-#: compare only the N^b(p) nonzero cells now, so this over-counts their
-#: work; it is kept, and with it the refusals. It admits N = 4 at max_points
-#: 2 (21M, 0.28 s; dense 1.0 s) and N = 1 at 3 (29M, 1.9 s, mostly diagram
-#: operations); it refuses N = 5 at 2 (116M, 2.0 s; dense 4.9 s), N = 2 at 3
-#: (326M, 5.9 s; dense 19.2 s) and, with it, N = 3 at 3 (31.5G) and every
-#: max_points from 4 on (N = 1 at 4: 9.3G), whose dense runs were stopped
-#: after 60–90 s (2-core AMD EPYC, Python 3.11, in-process, best of 3;
-#: the refused runs timed once).
+#: compare one int per map now, its N^b(p) nonzero cells as set bits, so
+#: this over-counts their work; it is kept, and with it the refusals. It
+#: admits N = 4 at max_points 2 (21M, 0.03–0.06 s; cell sets 0.58 s) and
+#: N = 1 at 3 (29M, 2.8–3.8 s, mostly diagram operations); it refuses N = 5
+#: at 2 (116M, 0.09 s; cell sets 3.3 s), N = 2 at 3 (326M, 3.6–4.1 s; cell
+#: sets 12.3 s) and, with it, N = 3 at 3 (31.5G) and every max_points from
+#: 4 on (N = 1 at 4: 9.3G), whose dense runs were stopped after 60–90 s on
+#: a 2-core AMD EPYC (2-core Intel Xeon, Python 3.11, in-process, best of 3
+#: in each of two runs; the refused runs timed once a run).
 LAWS_WORK_BUDGET = 10**8
 
 #: Groupings of q's blocks, Bell(b(q)), that `express_in_bounded_basis` may
@@ -71,6 +73,8 @@ class DenseTensor:
 
     def __post_init__(self) -> None:
         check_parameter(self.dimension_per_leg, 1, "dimension per leg must be positive")
+        if type(self.legs) is not int:  # bools are not counts
+            raise TypeError(f"leg count must be an int, not {self.legs!r}")
         if self.legs < 0:
             raise ValueError("leg count must be non-negative")
         _check_dense(self.dimension_per_leg, self.legs)
@@ -101,7 +105,7 @@ def delta_p(p: Partition, i: tuple[int, ...], j: tuple[int, ...]) -> int:
             f"labelling shape ({len(i)},{len(j)}) does not match partition ({p.upper},{p.lower})"
         )
     labels = i + j
-    if any(v < 1 for v in labels):
+    if any(type(v) is not int or v < 1 for v in labels):  # bools are not labels
         raise ValueError("labels must be positive integers")
     first: dict[int, int] = {}
     return int(all(first.setdefault(b, v) == v for b, v in zip(p.rgs, labels)))
@@ -134,32 +138,43 @@ def matrix_of(p: Partition, N: int) -> list[list[int]]:
 
     Row/column enumeration order is row-major over [N]^legs with the
     leftmost leg most significant. Zeros everywhere but at the N^{b(p)}
-    cells of `_cells`.
+    cells of `_support`, read off its binary digits row by row.
     """
     check_parameter(N)
     _check_dense(N, p.points)
-    out = [[0] * N**p.upper for _ in range(N**p.lower)]
-    for row, col in _cells(p, N):
-        out[row][col] = 1
-    return out
+    rows, cols = N**p.lower, N**p.upper
+    digits = f"{_support(p, N, cols, 1):0{rows * cols}b}"[::-1]
+    return [[*map(int, digits[r : r + cols])] for r in range(0, rows * cols, cols)]
 
 
-def _cells(p: Partition, N: int) -> frozenset[tuple[int, int]]:
-    """The (row, col) of each nonzero entry of the map of p. Block b has a
-    row weight, Σ N^(l−1−t) over its lower points t, and a column weight,
-    Σ N^(k−1−t) over its upper points t; label v on it adds v − 1 times
-    each, and each cell sums one label per block."""
+def _support(p: Partition, N: int, row_stride: int, col_stride: int, seed: int = 1) -> int:
+    """The nonzero cells of the map of p as one int: `seed` shifted by
+    row·row_stride + col·col_stride for each of its N^{b(p)} cells (row,
+    col), all ORed. Block b has a row weight, Σ N^(l−1−t) over its lower
+    points t, and a column weight, Σ N^(k−1−t) over its upper points t;
+    label v on it adds v − 1 times each, and each cell sums one label per
+    block. So each block ORs N − 1 copies of the cells so far into them,
+    each shifted by its weight once more; the strides must keep cells apart."""
     k, last = p.upper, p.points - 1
-    rows, cols = [0] * p.block_count, [0] * p.block_count
+    weights = [0] * p.block_count
     for pos, b in enumerate(p.rgs):
         if pos < k:
-            cols[b] += N ** (k - 1 - pos)
+            weights[b] += col_stride * N ** (k - 1 - pos)
         else:
-            rows[b] += N ** (last - pos)
-    cells = [(0, 0)]
-    for row, col in zip(rows, cols):
-        cells = [(r + v * row, c + v * col) for r, c in cells for v in range(N)]
-    return frozenset(cells)
+            weights[b] += row_stride * N ** (last - pos)
+    support = seed
+    for weight in weights:
+        shifted = support
+        for _ in range(N - 1):
+            shifted <<= weight
+            support |= shifted
+    return support
+
+
+def _slices(x: int, size: int, count: int) -> list[int]:
+    """x cut into `count` slices of `size` bits, the lowest first."""
+    mask = (1 << size) - 1
+    return [x >> (size * i) & mask for i in range(count)]
 
 
 def _partitions_up_to(max_points: int) -> list[Partition]:
@@ -178,8 +193,10 @@ def check_functor_laws(N: int, max_points: int) -> list[dict]:
     Law 1: the map of q ⊗ p is the Kronecker product of the maps.
     Law 2: the map of p* is the transpose.
     Law 3: N^{rl(q,p)} · map(q∘p) = map(q) · map(p) for composable pairs
-    (stated integrally to stay division-free). Each law compares `_cells`
-    and the result's shape (upper, lower), which cells alone do not fix.
+    (stated integrally to stay division-free). Each law compares the
+    result's shape (upper, lower), which its map alone does not fix, and
+    then two ints: the result's `_support`, and the operands' laid out at
+    strides that put each cell of the expected map on the result's bit.
 
     Returns one report dict per law with the first counterexample, if any.
     """
@@ -191,27 +208,44 @@ def check_functor_laws(N: int, max_points: int) -> list[dict]:
     _check_dense(N, 4 * max_points)
     _check_law_work(N, max_points)
     parts = _partitions_up_to(max_points)
-    cells = {p: _cells(p, N) for p in parts}
-    cols_of_row: dict[Partition, dict[int, list[int]]] = {p: {} for p in parts}
+    legs = range(max_points + 1)
+    # Kronecker: cells (a, c) of q and (b, d) of p give bit a·R_p·C_q·C_p +
+    # b·C_q·C_p + c·C_p + d of q ⊗ p, so p's cells, per C_q = N^k, seed q's.
+    seeds = {(p, k): _support(p, N, N ** (k + p.upper), 1) for p in parts for k in legs}
+    # Composition: map(q)·map(p) as one int of lanes of L bits, more than
+    # any count (C_q at most), entry (r, c) in lane r·C_p + c. Each cell
+    # (r, mid) of q adds row mid of p, a bit a lane, shifted r·C_p lanes up:
+    # column mid of q, a bit at lane r·C_p for each of its cells, times row
+    # mid of p adds the shifted rows of that column's cells at once.
+    lanes = [(N**k).bit_length() + 1 for k in legs]
+    p_rows, q_cols = {}, {}
     for p in parts:
-        for row, col in cells[p]:
-            cols_of_row[p].setdefault(row, []).append(col)
+        rows, cols = N**p.lower, N**p.upper
+        lane = lanes[p.lower]  # p as the right factor: its rows
+        p_rows[p] = _slices(_support(p, N, lane * cols, lane), lane * cols, rows)
+        for l in legs:  # p as the left factor of one with N^l columns: its columns
+            stride = lanes[p.upper] * N**l
+            q_cols[p, l] = _slices(_support(p, N, stride, stride * rows), stride * rows, cols)
     composed = {(q, p): compose(q, p) for q in parts for p in parts if p.lower == q.upper}
 
     def kron_holds(q: Partition, p: Partition) -> bool:
-        t, rows, cols = tensor(q, p), N**p.lower, N**p.upper
-        kron = {(a * rows + b, c * cols + d) for a, c in cells[q] for b, d in cells[p]}
-        return (t.upper, t.lower) == (q.upper + p.upper, q.lower + p.lower) and _cells(t, N) == kron
+        t, cols = tensor(q, p), N ** (q.upper + p.upper)
+        if (t.upper, t.lower) != (q.upper + p.upper, q.lower + p.lower):
+            return False
+        kron = _support(q, N, N**p.lower * cols, N**p.upper, seeds[p, q.upper])
+        return _support(t, N, cols, 1) == kron
 
     def transpose_holds(p: Partition) -> bool:
-        t, transposed = involution(p), {(col, row) for row, col in cells[p]}
-        return (t.upper, t.lower) == (p.lower, p.upper) and _cells(t, N) == transposed
+        t, rows = involution(p), N**p.lower
+        return (t.upper, t.lower) == (p.lower, p.upper) and _support(t, N, rows, 1) == _support(p, N, 1, rows)
 
     def product_holds(q: Partition, p: Partition, loops: int) -> bool:
-        t = composed[q, p][0]
-        counts = Counter((r, c) for r, mid in cells[q] for c in cols_of_row[p].get(mid, ()))
-        scaled = dict.fromkeys(_cells(t, N), N**loops)
-        return (t.upper, t.lower) == (p.upper, q.lower) and counts == scaled
+        t, lane = composed[q, p][0], lanes[q.upper]
+        if (t.upper, t.lower) != (p.upper, q.lower):
+            return False
+        scale = N ** min(loops, lane)  # ≥ 2^L, past every count, just when N^loops is
+        counts = sum(map(mul, q_cols[q, p.upper], p_rows[p]))
+        return scale < 1 << lane and counts == scale * _support(t, N, lane * N**p.upper, lane)
 
     fixed = {"N": N, "max_points": max_points}
     return [

@@ -503,12 +503,12 @@ def test_laws_refusals_are_pinned(capsys, param, max_points):
 @pytest.mark.parametrize("param, max_points", [(1000, 2), (2, 5), (2, 10**9)])
 def test_over_budget_laws_exit_before_any_matrix(capsys, monkeypatch, param, max_points):
     # the largest shape, q ⊗ p on 4·max_points legs, is refused first; the
-    # law checks read each map off `_cells`, so neither builder may run
+    # law checks read each map off `_support`, so neither builder may run
     def no_matrix(*args):
         raise AssertionError("a matrix was built")
 
     monkeypatch.setattr(tensor_model, "matrix_of", no_matrix)
-    monkeypatch.setattr(tensor_model, "_cells", no_matrix)
+    monkeypatch.setattr(tensor_model, "_support", no_matrix)
     code, out, err = run(capsys, "laws", "--param", str(param), "--max-points", str(max_points))
     assert code == 3
     assert out == ""

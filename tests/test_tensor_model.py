@@ -4,6 +4,7 @@ and the block-bounded basis expansion."""
 from __future__ import annotations
 
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -120,6 +121,14 @@ def test_delta_shape_and_label_validation():
         delta_p(p, (5, 6, 0), (3, 3, 7, 6, 3))
 
 
+@pytest.mark.parametrize("labels", [(1.5, 1.5), (True, True), (1, 1.0), (2, "2")])
+def test_delta_refuses_labels_that_are_not_ints(labels):
+    # (1.5, 1.5) and (True, True) labelled the pair constantly and gave 1
+    with pytest.raises(ValueError, match="labels must be positive integers"):
+        delta_p(Partition.pair(), (), labels)
+    assert delta_p(Partition.pair(), (), (2, 2)) == 1
+
+
 def test_delta_is_block_constancy():
     p = Partition.from_lower_blocks(3, [[1, 2], [3]])
     assert delta_p(p, (), (2, 2, 9)) == 1
@@ -212,6 +221,13 @@ def test_dense_tensor_refuses_a_negative_leg_count():
     with pytest.raises(ValueError, match="leg count must be non-negative"):
         tensor_model.DenseTensor(2, -1, {})
     assert tensor_model.DenseTensor(2, 0, {}).legs == 0
+
+
+@pytest.mark.parametrize("legs", [True, 1.5, 2.0, "2"])
+def test_dense_tensor_refuses_a_leg_count_that_is_not_an_int(legs):
+    # True passed as one leg, and 1.5 stopped in a bare TypeError of `range`
+    with pytest.raises(TypeError, match=f"leg count must be an int, not {legs!r}"):
+        tensor_model.DenseTensor(2, legs, {})
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +376,7 @@ def dense_functor_laws(N: int, max_points: int) -> list[dict]:
 def test_support_laws_match_the_dense_oracle(monkeypatch, name, broken):
     if name is not None:
         monkeypatch.setattr(tensor_model, name, broken)
-    for N, max_points in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
+    for N, max_points in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]:
         got, want = check_functor_laws(N, max_points), dense_functor_laws(N, max_points)
         if N == 1 and name == "involution":
             # at N = 1 every map is the 1×1 matrix [[1]], so the dense
@@ -402,6 +418,154 @@ def test_every_law_checks_the_shape(monkeypatch, law, name, broken, counterexamp
     dense = {r["law"]: r["status"] for r in dense_functor_laws(1, 1)}
     assert dense[law] == "pass"
     assert {r["law"]: r["status"] for r in dense_functor_laws(2, 1)}[law] == "fail"
+
+
+# the cell-set laws that the integer supports replaced, kept as their oracle
+
+
+def _cells(p: Partition, N: int) -> frozenset[tuple[int, int]]:
+    """The (row, col) of each nonzero entry of the map of p. Block b has a
+    row weight, Σ N^(l−1−t) over its lower points t, and a column weight,
+    Σ N^(k−1−t) over its upper points t; label v on it adds v − 1 times
+    each, and each cell sums one label per block."""
+    k, last = p.upper, p.points - 1
+    rows, cols = [0] * p.block_count, [0] * p.block_count
+    for pos, b in enumerate(p.rgs):
+        if pos < k:
+            cols[b] += N ** (k - 1 - pos)
+        else:
+            rows[b] += N ** (last - pos)
+    cells = [(0, 0)]
+    for row, col in zip(rows, cols):
+        cells = [(r + v * row, c + v * col) for r, c in cells for v in range(N)]
+    return frozenset(cells)
+
+
+def cell_functor_laws(N: int, max_points: int) -> list[dict]:
+    """The three law reports from the cell sets of `_cells`. The diagram
+    operations are looked up on `tensor_model`, so a test that breaks one
+    there breaks it here too."""
+    check_parameter(N)
+    parts = tensor_model._partitions_up_to(max_points)
+    cells = {p: _cells(p, N) for p in parts}
+    cols_of_row: dict[Partition, dict[int, list[int]]] = {p: {} for p in parts}
+    for p in parts:
+        for row, col in cells[p]:
+            cols_of_row[p].setdefault(row, []).append(col)
+    composed = {(q, p): tensor_model.compose(q, p) for q in parts for p in parts if p.lower == q.upper}
+
+    def kron_holds(q: Partition, p: Partition) -> bool:
+        t, rows, cols = tensor_model.tensor(q, p), N**p.lower, N**p.upper
+        kron = {(a * rows + b, c * cols + d) for a, c in cells[q] for b, d in cells[p]}
+        return (t.upper, t.lower) == (q.upper + p.upper, q.lower + p.lower) and _cells(t, N) == kron
+
+    def transpose_holds(p: Partition) -> bool:
+        t, transposed = tensor_model.involution(p), {(col, row) for row, col in cells[p]}
+        return (t.upper, t.lower) == (p.lower, p.upper) and _cells(t, N) == transposed
+
+    def product_holds(q: Partition, p: Partition, loops: int) -> bool:
+        t = composed[q, p][0]
+        counts = Counter((r, c) for r, mid in cells[q] for c in cols_of_row[p].get(mid, ()))
+        scaled = dict.fromkeys(_cells(t, N), N**loops)
+        return (t.upper, t.lower) == (p.upper, q.lower) and counts == scaled
+
+    fixed = {"N": N, "max_points": max_points}
+    return [
+        tensor_model._run_law("tensor", [dict(q=q, p=p) for q in parts for p in parts], kron_holds, **fixed),
+        tensor_model._run_law("involution", [dict(p=p) for p in parts], transpose_holds, **fixed),
+        tensor_model._run_law(
+            "composition",
+            [dict(q=q, p=p, loops=loops) for (q, p), (_, loops) in composed.items()],
+            product_holds,
+            **fixed,
+        ),
+    ]
+
+
+def _support_bits(support: int) -> list[int]:
+    """The indices of the set bits of `support`, the lowest first."""
+    return [i for i, digit in enumerate(reversed(f"{support:b}")) if digit == "1"]
+
+
+def test_support_is_the_cell_set_at_any_strides():
+    # bit for bit, for every partition with k, l ≤ 2 at N ≤ 4: at the
+    # matrix's own strides, transposed, and spread out over a seed of two
+    # bits, as the tensor and composition laws lay supports out
+    for p in tensor_model._partitions_up_to(2):
+        for N in range(1, 5):
+            rows, cols = N**p.lower, N**p.upper
+            cells = _cells(p, N)
+            assert len(cells) == N**p.block_count
+            support = tensor_model._support(p, N, cols, 1)
+            assert {divmod(i, cols) for i in _support_bits(support)} == cells, (p, N)
+            transposed = tensor_model._support(p, N, 1, rows)
+            assert {divmod(i, rows)[::-1] for i in _support_bits(transposed)} == cells, (p, N)
+            spread = tensor_model._support(p, N, 5 * cols, 5, seed=0b1001)
+            want = sum(0b1001 << (5 * (r * cols + c)) for r, c in cells)
+            assert spread == want, (p, N)
+
+
+def test_matrix_of_is_written_from_the_cells():
+    # every partition with at most 2 points per row at N ≤ 4 gives the
+    # matrix that the cell sets wrote
+    for p in tensor_model._partitions_up_to(2):
+        for N in range(1, 5):
+            want = [[0] * N**p.upper for _ in range(N**p.lower)]
+            for row, col in _cells(p, N):
+                want[row][col] = 1
+            assert matrix_of(p, N) == want, (p, N)
+
+
+def _compose_with_64_extra_loops(t, s):
+    composed, loops = compose(t, s)
+    return composed, loops + 64
+
+
+def _compose_with_a_billion_extra_loops(t, s):
+    composed, loops = compose(t, s)
+    return composed, loops + 10**9
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        (None, None),
+        ("tensor", _swapped_tensor),
+        ("involution", _identity_involution),
+        ("compose", _compose_with_extra_loop),
+        ("compose", _compose_with_64_extra_loops),
+    ],
+    ids=["intact", "tensor", "involution", "composition", "composition-64"],
+)
+def test_support_laws_match_the_cell_oracle(monkeypatch, name, broken):
+    if name is not None:
+        monkeypatch.setattr(tensor_model, name, broken)
+    for N in range(1, 5):
+        for max_points in (1, 2):
+            assert check_functor_laws(N, max_points) == cell_functor_laws(N, max_points), (N, max_points)
+
+
+def test_composition_law_fails_past_every_lane_at_n_two(monkeypatch):
+    # 2^64 extra exceeds every lane of the count sum, which holds at most
+    # C_q ≤ 2^4; at N = 1 every power is 1 and the law holds
+    monkeypatch.setattr(tensor_model, "compose", _compose_with_64_extra_loops)
+    for max_points in (1, 2):
+        assert check_functor_laws(1, max_points)[2]["status"] == "pass"
+        report = check_functor_laws(2, max_points)[2]
+        assert report["status"] == "fail"
+        assert report["counterexample"]["loops"] >= 64
+
+
+def test_composition_law_never_forms_a_huge_loop_power(monkeypatch):
+    # N^(10^9) has 10^9 bits at N = 2; the law fails on the lane width alone
+    monkeypatch.setattr(tensor_model, "compose", _compose_with_a_billion_extra_loops)
+    started = time.perf_counter()
+    reports = [check_functor_laws(N, 1)[2] for N in (2, 3, 4)]
+    assert time.perf_counter() - started < 0.5
+    assert [r["status"] for r in reports] == ["fail"] * 3
+    assert all(r["counterexample"]["loops"] >= 10**9 for r in reports)
+    assert check_functor_laws(1, 2) == cell_functor_laws(1, 2)
+
 
 def _count_plus_one(points, cls):
     return count_partitions(points, cls) + 1
