@@ -118,6 +118,8 @@ class Partition:
                 if row not in rows:
                     raise ValueError(f"unknown row {row!r}")
                 size, first = rows[row]
+                if type(index) is not int:  # bools are not indices
+                    raise TypeError(f"{row} index must be an int, not {index!r}")
                 if not 1 <= index <= size:
                     raise ValueError(f"{row} index {index} out of range")
                 pos = first + index - 1
@@ -135,8 +137,13 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> Partition:
-        k, l, rgs = text.split("|")
-        return cls(int(k), int(l), tuple(_DIGITS.index(c) for c in rgs))
+        """Read `to_text`'s "k|l|rgs", the RGS in base-36 digits."""
+        try:
+            k, l, rgs = text.split("|")
+            shape, labels = (int(k), int(l)), tuple(_DIGITS.index(c) for c in rgs)
+        except ValueError:
+            raise ValueError(f"not a partition text: {text!r}") from None
+        return cls(*shape, labels)
 
     @classmethod
     def empty(cls) -> Partition:

@@ -164,6 +164,8 @@ class IntPolynomial:
 
 def _family(cache: list[IntPolynomial], a, b, n: int) -> IntPolynomial:
     """P_n of P_{k+1} = a·P_k − b·P_{k−1}, a and b polynomials or ints, extending `cache`."""
+    if type(n) is not int:  # bools are not indices
+        raise TypeError(f"n must be an int, not {n!r}")
     if n < 0:
         raise ValueError("n must be non-negative")
     while len(cache) <= n:
@@ -318,6 +320,10 @@ def beraha_nonzero_at(N: int, n_max: int) -> dict:
     (e.g. β_6(1/3) = 0 exactly).
     """
     check_parameter(N)
+    if type(n_max) is not int:  # bools are not counts
+        raise TypeError(f"n_max must be an int, not {n_max!r}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, not {n_max}")
     values = [Fraction(c, N ** ((n - 1) // 2)) for n, c in enumerate(beraha_bases(n_max, N), 1)]
     zeros = [n for n, v in zip(range(1, n_max + 1), values) if v == 0]
     guaranteed = N >= 4

@@ -40,21 +40,15 @@ from .polynomials import IntPolynomial
 
 DENSE_BUDGET = 10**6
 
-#: Work `check_functor_laws` may take, counted in dense matrix entries, of
-#: which its tensor law reads the most. With P = Σ_{k,l} Bell(k+l) the
-#: partitions up to max_points per row and S = Σ_{k,l} Bell(k+l)·N^(k+l)
-#: the entries of their matrices, dense laws compared S² entries over P²
-#: cases, at about 200 entries more per case: work 200·P² + S². The laws
-#: compare one int per map now, its N^b(p) nonzero cells as set bits, so
-#: this over-counts their work; it is kept, and with it the refusals. It
-#: admits N = 4 at max_points 2 (21M, 0.03–0.06 s; cell sets 0.58 s) and
-#: N = 1 at 3 (29M, 2.8–3.8 s, mostly diagram operations); it refuses N = 5
-#: at 2 (116M, 0.09 s; cell sets 3.3 s), N = 2 at 3 (326M, 3.6–4.1 s; cell
-#: sets 12.3 s) and, with it, N = 3 at 3 (31.5G) and every max_points from
-#: 4 on (N = 1 at 4: 9.3G), whose dense runs were stopped after 60–90 s on
-#: a 2-core AMD EPYC (2-core Intel Xeon, Python 3.11, in-process, best of 3
-#: in each of two runs; the refused runs timed once a run).
-LAWS_WORK_BUDGET = 10**8
+#: Law cases `check_functor_laws` may run: the P² tensor cases for its P
+#: partitions with at most max_points points a row, more than either other
+#: law has. Each case compares supports of at most DENSE_BUDGET bits, which
+#: `_check_dense` bounds on the 4·max_points legs of q ⊗ p, so the two
+#: budgets admit max_points 1 to 3 (P = 5, 34 and 381) up to the corners
+#: N = 31 at 1 (0.02 s), N = 5 at 2 (0.1 s) and N = 3 at 3 (16–18 s), and
+#: refuse every max_points from 4 on (P² over 7.2M) from a few Bell numbers
+#: (2-core Intel Xeon, Python 3.11, in-process, `laws` through the CLI).
+LAWS_CASE_BUDGET = 10**6
 
 #: Groupings of q's blocks, Bell(b(q)), that `express_in_bounded_basis` may
 #: list. For `singletons(b)` at N = 4 it took 0.10, 0.46 and 2.2 s at b = 9,
@@ -206,7 +200,7 @@ def check_functor_laws(N: int, max_points: int) -> list[dict]:
     # The largest map is that of q ⊗ p for two (max_points, max_points)
     # partitions, so refuse before any is built.
     _check_dense(N, 4 * max_points)
-    _check_law_work(N, max_points)
+    _check_law_cases(max_points)
     parts = _partitions_up_to(max_points)
     legs = range(max_points + 1)
     # Kronecker: cells (a, c) of q and (b, d) of p give bit a·R_p·C_q·C_p +
@@ -306,17 +300,16 @@ def _run_law(law: str, cases: list[dict], holds, **fixed) -> dict:
     return report
 
 
-def _check_law_work(N: int, max_points: int) -> None:
-    """Refuse a law run past LAWS_WORK_BUDGET before any partition is listed,
-    from its work up to 0, 1, 2, … points k + l, over which P and S (see
-    LAWS_WORK_BUDGET) sum: a huge max_points costs a few small Bell numbers."""
+def _check_law_cases(max_points: int) -> None:
+    """Refuse a law run past LAWS_CASE_BUDGET before any partition is listed,
+    from P² over the (k, l) with k + l up to 0, 1, 2, … points: a huge
+    max_points costs a few small Bell numbers."""
 
-    def work(top: int) -> int:  # over the (k, l) with k + l = t ≤ top and k, l ≤ max_points
+    def cases(top: int) -> int:  # over the (k, l) with k + l = t ≤ top and k, l ≤ max_points
         shapes = [min(t, 2 * max_points - t) + 1 for t in range(top + 1)]
-        sizes = [shape * count_partitions(t, PartitionClass.ALL) for t, shape in enumerate(shapes)]
-        return 200 * sum(sizes) ** 2 + sum(size * N**t for t, size in enumerate(sizes)) ** 2
+        return sum(shape * count_partitions(t, PartitionClass.ALL) for t, shape in enumerate(shapes)) ** 2
 
-    refuse_past(LAWS_WORK_BUDGET, "law work", work, range(2 * max_points + 1))
+    refuse_past(LAWS_CASE_BUDGET, "law cases", cases, range(2 * max_points + 1))
 
 
 def express_in_bounded_basis(q: Partition, N: int) -> dict[Partition, int]:

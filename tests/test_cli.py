@@ -428,8 +428,9 @@ def test_laws_default_bounds_pass(capsys):
 
 
 #: SHA-256 of `laws` stdout, JSON and CSV, for every admitted
-#: (--param, --max-points) with N in 1..5 and max-points in 1..3; the rest
-#: of that grid is refused with these messages on stderr.
+#: (--param, --max-points) with N in 1..5 and max-points in 1..3 but the
+#: two slow ones, (2, 3) and (3, 3), 4 and 17 s; the rest of that grid and
+#: max-points 4 are refused with these messages on stderr.
 _LAWS_DIGESTS = {
     (1, 1): (
         "857acb6d7370d49840ad6826400482dd44fbb229a5452400359ac054f28b14b9",
@@ -471,12 +472,15 @@ _LAWS_DIGESTS = {
         "3a44c98e30594833494966e995db292244b813cdd2cec1a1277fcc2d404a8332",
         "6de9130305005a14d9a033038c5170906d2c8ec3a726485f2922a5e102756ab4",
     ),
+    (5, 2): (
+        "0de7ca811e4ae8073e46de1c7cd69518047a5f15d161c2ef0558dce269f9e7f4",
+        "93a9cebf32fe83bf0254d0f040ab127bc5ffe8cd6e5b7bdf62f77afcb62de4ca",
+    ),
 }
 _LAWS_REFUSALS = {
-    (2, 3): "error: resource budget exceeded: law work 325870641 exceeds budget 100000000",
-    (3, 3): "error: resource budget exceeded: law work over 877649124 exceeds budget 100000000",
+    (1, 4): "error: resource budget exceeded: law cases over 7155625 exceeds budget 1000000",
+    (2, 4): "error: resource budget exceeded: law cases over 7155625 exceeds budget 1000000",
     (4, 3): "error: resource budget exceeded: dense size of 4^12: over 1048576 exceeds budget 1000000",
-    (5, 2): "error: resource budget exceeded: law work 116568996 exceeds budget 100000000",
     (5, 3): "error: resource budget exceeded: dense size of 5^12: over 1953125 exceeds budget 1000000",
 }
 
@@ -515,10 +519,10 @@ def test_over_budget_laws_exit_before_any_matrix(capsys, monkeypatch, param, max
     assert f"dense size of {param}^{4 * max_points}:" in err
 
 
-@pytest.mark.parametrize("param, max_points", [(1, 4), (2, 4), (3, 3), (1, 10**9)])
+@pytest.mark.parametrize("param, max_points", [(1, 4), (2, 4), (1, 10**9)])
 def test_over_budget_law_work_exits_before_any_partition(capsys, monkeypatch, param, max_points):
     # these pass the dense budget but would run for minutes to hours; the
-    # work is estimated from a few small Bell numbers, never Bell(2·10^9)
+    # cases are counted from a few small Bell numbers, never Bell(2·10^9)
     def no_listing(*args):
         raise AssertionError("a partition was listed")
 
@@ -536,17 +540,25 @@ def test_over_budget_law_work_exits_before_any_partition(capsys, monkeypatch, pa
     assert time.perf_counter() - started < 1
     assert code == 3
     assert out == ""
-    assert "law work" in err and "exceeds budget" in err
+    assert "law cases" in err and "exceeds budget" in err
 
 
 def test_law_work_budget_admits_the_documented_runs():
-    # the README's and the benchmark's laws jobs run; N = 5 at 2 points
-    # (5 s) and N = 2 at 3 points (18 s) are refused
-    for param, max_points in ((2, 2), (3, 2), (4, 2), (1, 3), (3, 1), (2, 1)):
-        tensor_model._check_law_work(param, max_points)
-    for param, max_points in ((5, 2), (2, 3)):
-        with pytest.raises(BudgetError, match="law work"):
-            tensor_model._check_law_work(param, max_points)
+    # the README's and the benchmark's laws jobs run, and so do the largest
+    # N the dense budget admits at 1 to 3 points, N = 31 at 1 (0.02 s),
+    # N = 5 at 2 (0.1 s) and N = 3 at 3 (16–18 s); every max_points from 4 on
+    # is refused on its case count alone
+    admitted = ((2, 2), (3, 2), (4, 2), (1, 3), (3, 1), (2, 1), (31, 1), (5, 2), (2, 3), (3, 3))
+    for param, max_points in admitted:
+        tensor_model._check_dense(param, 4 * max_points)
+        tensor_model._check_law_cases(max_points)
+    for param, max_points in ((1, 4), (2, 4)):
+        tensor_model._check_dense(param, 4 * max_points)
+        with pytest.raises(BudgetError, match="^law cases over 7155625 exceeds budget 1000000$"):
+            tensor_model._check_law_cases(max_points)
+    for param, max_points in ((32, 1), (6, 2), (4, 3)):  # one past each corner
+        with pytest.raises(BudgetError, match=f"^dense size of {param}\\^{4 * max_points}:"):
+            tensor_model._check_dense(param, 4 * max_points)
 
 
 # ---------------------------------------------------------------------------

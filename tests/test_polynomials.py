@@ -264,6 +264,28 @@ def test_beraha_zero_detected_for_small_parameter():
     assert 6 in report["zeros"]
 
 
+def test_each_family_takes_an_int_index_only():
+    # 2.5 once stopped in a list index error, and True, an int subclass,
+    # returned the n = 1 polynomial
+    for family in (beraha, chebyshev_dilated, chebyshev_classical):
+        for n in (2.5, 2.0, True, "2"):
+            with pytest.raises(TypeError, match=f"^n must be an int, not {n!r}$"):
+                family(n)
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            family(-1)
+
+
+def test_beraha_report_takes_a_non_negative_int_n_max_only():
+    # -3 once reported "ok" on no values, and 2.5 stopped in range()
+    for n_max in (2.5, 2.0, True, "2"):
+        with pytest.raises(TypeError, match=f"^n_max must be an int, not {n_max!r}$"):
+            beraha_nonzero_at(4, n_max)
+    with pytest.raises(ValueError, match="^n_max must be non-negative, not -3$"):
+        beraha_nonzero_at(4, -3)
+    report = beraha_nonzero_at(4, 0)
+    assert (report["n_max"], report["zeros"], report["values"], report["status"]) == (0, [], [], "ok")
+
+
 def test_beraha_values_are_written_past_the_digit_limit():
     # β_60(1/N) at N = 10^150 is c_60(N)/N^29 with a 4350-digit reduced
     # denominator, which str() refuses under the default 4300-digit limit;

@@ -113,6 +113,25 @@ CASES = {
         lambda: refines(TWO_ROW, Partition.singletons(2)), ShapeError, "refinement needs equal shapes"
     ),
     "partition-repr": lambda: (lambda: repr(Partition.pair()), None, "Partition('0|2|00')"),
+    # True was read as index 1, and 1.0 stopped in a list index error
+    "partition-blocks-bool-index": lambda: (
+        lambda: Partition.from_blocks(0, 2, [[("lower", True), ("lower", 2)]]),
+        TypeError,
+        "lower index must be an int, not True",
+    ),
+    "partition-blocks-float-index": lambda: (
+        lambda: Partition.from_blocks(0, 2, [[("lower", 1.0), ("lower", 2)]]),
+        TypeError,
+        "lower index must be an int, not 1.0",
+    ),
+    # a missing field and a digit past the alphabet once leaked unpacking
+    # and str.index messages
+    "partition-text-two-fields": lambda: (
+        lambda: Partition.from_text("0|2"), ValueError, "not a partition text: '0|2'"
+    ),
+    "partition-text-bad-digit": lambda: (
+        lambda: Partition.from_text("0|2|0Z"), ValueError, "not a partition text: '0|2|0Z'"
+    ),
     "polynomial-inexact-in-loop": lambda: (
         # x over 2x: the leading quotient 1/2 is not an integer
         lambda: IntPolynomial([0, 1]).divexact(IntPolynomial([0, 2])),
