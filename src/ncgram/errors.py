@@ -1,4 +1,7 @@
-"""Shared exception types, the one refusal rule, and the one check of N."""
+"""Shared exception types and the three shared rules: `refuse_past`, the one
+refusal rule of every budget; `check_parameter`, the one check of the loop
+parameter N; and `check_count`, the one check of every count, index and
+level argument."""
 
 
 class ShapeError(ValueError):
@@ -35,3 +38,14 @@ def check_parameter(N, least: int | None = 1, message: str = "N must be positive
         raise ValueError(f"N must be an integer, not {type(N).__name__}")
     if least is not None and N < least:
         raise ValueError(message)
+
+
+def check_count(value, what: str, least: int | None = 0) -> None:
+    """Raise TypeError unless `value`, a count, index or level, is an int, and
+    ValueError if it is below `least`, unless that is None. A bool is refused,
+    though `bool` is an int. Ranges that depend on another argument are
+    checked at their own sites."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, not {value}")

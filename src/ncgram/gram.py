@@ -62,7 +62,7 @@ from operator import itemgetter, mul, or_
 from typing import Sequence
 
 from . import kernels
-from .errors import ShapeError, check_parameter, refuse_past
+from .errors import ShapeError, check_count, check_parameter, refuse_past
 from .partitions import (
     Partition,
     PartitionClass,
@@ -385,8 +385,7 @@ def build_gram(
     listed (`_check_class_budget`), and so does a numeric N whose
     determinant may have more than RECURSION_BIT_BUDGET bits (`_check_det_bits`).
     """
-    if points < 1:
-        raise ValueError("points must be >= 1")
+    check_count(points, "point count", 1)
     if N is not None:
         check_parameter(N)
     _check_class_budget(points, cls)

@@ -36,7 +36,7 @@ from itertools import accumulate
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import RotationUndefined, ShapeError
+from .errors import RotationUndefined, ShapeError, check_count
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_BYTES = bytes.maketrans(bytes(range(len(_DIGITS))), _DIGITS.encode())
@@ -93,12 +93,10 @@ class Partition:
     def __post_init__(self) -> None:
         if not isinstance(self.rgs, tuple):
             raise TypeError(f"RGS must be a tuple, not {type(self.rgs).__name__}")
-        if type(self.upper) is not int or type(self.lower) is not int:
-            raise TypeError(f"row sizes must be ints, not ({self.upper!r}, {self.lower!r})")
+        check_count(self.upper, "upper row size")
+        check_count(self.lower, "lower row size")
         if not {int}.issuperset(map(type, self.rgs)):
             raise TypeError(f"RGS entries must be ints, not {self.rgs!r}")
-        if self.upper < 0 or self.lower < 0:
-            raise ValueError("negative row size")
         if len(self.rgs) != self.upper + self.lower:
             raise ValueError("RGS length does not match point count")
         if self.rgs != _canonical(self.rgs):
@@ -111,6 +109,8 @@ class Partition:
         cls, upper: int, lower: int, blocks: Iterable[Iterable[PointLabel | tuple[str, int]]]
     ) -> Partition:
         """Build from explicit blocks of (row, index) labels; must cover all points."""
+        check_count(upper, "upper row size")
+        check_count(lower, "lower row size")
         ids = [-1] * (upper + lower)
         rows = {"upper": (upper, 0), "lower": (lower, upper)}  # row -> (size, first position)
         for b, block in enumerate(blocks):
@@ -118,8 +118,7 @@ class Partition:
                 if row not in rows:
                     raise ValueError(f"unknown row {row!r}")
                 size, first = rows[row]
-                if type(index) is not int:  # bools are not indices
-                    raise TypeError(f"{row} index must be an int, not {index!r}")
+                check_count(index, f"{row} index", None)
                 if not 1 <= index <= size:
                     raise ValueError(f"{row} index {index} out of range")
                 pos = first + index - 1
@@ -152,6 +151,7 @@ class Partition:
     @classmethod
     def identity(cls, n: int) -> Partition:
         """id^{⊗n} ∈ P(n,n): ui joined to li."""
+        check_count(n, "row size")
         return cls(n, n, tuple(range(n)) + tuple(range(n)))
 
     @classmethod
@@ -162,10 +162,12 @@ class Partition:
     @classmethod
     def singletons(cls, n: int) -> Partition:
         """The all-singletons partition on (0, n)."""
+        check_count(n, "point count")
         return cls(0, n, tuple(range(n)))
 
     @classmethod
     def one_block(cls, n: int) -> Partition:
+        check_count(n, "point count")
         return cls(0, n, (0,) * n)
 
     # -- structure ---------------------------------------------------------
@@ -269,12 +271,9 @@ def iter_partitions(
 
 
 def _check_class(points: int, cls: PartitionClass) -> None:
-    """Refuse a point count that is not a nonnegative int (bools are not
-    counts), and a class that is not a `PartitionClass` member."""
-    if type(points) is not int:
-        raise TypeError(f"point count must be an int, not {points!r}")
-    if points < 0:
-        raise ValueError("negative point count")
+    """Refuse a point count that is not a nonnegative int, and a class that
+    is not a `PartitionClass` member."""
+    check_count(points, "point count")
     if not isinstance(cls, PartitionClass):
         raise TypeError(f"partition class must be a PartitionClass, not {cls!r}")
 

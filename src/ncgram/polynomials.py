@@ -36,7 +36,7 @@ from functools import cache
 from math import prod
 from typing import Iterable
 
-from .errors import check_parameter
+from .errors import check_count, check_parameter
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,7 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> IntPolynomial:
-        if e < 0:
-            raise ValueError("negative exponent")
+        check_count(e, "exponent")
         result = IntPolynomial((1,))
         base = self
         while e:
@@ -116,8 +115,7 @@ class IntPolynomial:
 
     def shift(self, k: int) -> IntPolynomial:
         """Multiply by X^k, for k ≥ 0."""
-        if k < 0:
-            raise ValueError("negative shift")
+        check_count(k, "shift")
         if self.is_zero():
             return self
         return IntPolynomial((0,) * k + self.coeffs)
@@ -164,10 +162,7 @@ class IntPolynomial:
 
 def _family(cache: list[IntPolynomial], a, b, n: int) -> IntPolynomial:
     """P_n of P_{k+1} = a·P_k − b·P_{k−1}, a and b polynomials or ints, extending `cache`."""
-    if type(n) is not int:  # bools are not indices
-        raise TypeError(f"n must be an int, not {n!r}")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    check_count(n, "n")
     while len(cache) <= n:
         cache.append(a * cache[-1] - b * cache[-2])
     return cache[n]
@@ -188,6 +183,7 @@ def beraha_bases(m: int, x: int) -> list[int]:
     formula at N², since U_i(N) = N^{i mod 2}·c_{i+1}(N²)
     (`check_beraha_chebyshev_relation`). The roots of every c_k lie in
     [0, 4), so each value at x ≥ 4 is positive."""
+    check_count(m, "m")
     return [IntPolynomial(beraha(k).coeffs[::-1]).evaluate(x) for k in range(1, m + 1)]
 
 
@@ -223,8 +219,7 @@ def check_beraha_chebyshev_relation(j_max: int) -> dict:
     x^{2s}·β_j(x^{−2}) = U_{j−1}(x). Since deg β_j ≤ s both left sides are
     polynomials in x; the check is exact coefficient equality.
     """
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+    check_count(j_max, "j_max", 1)
     failures = []
     for j in range(1, j_max + 1):
         s = j // 2
@@ -320,10 +315,7 @@ def beraha_nonzero_at(N: int, n_max: int) -> dict:
     (e.g. β_6(1/3) = 0 exactly).
     """
     check_parameter(N)
-    if type(n_max) is not int:  # bools are not counts
-        raise TypeError(f"n_max must be an int, not {n_max!r}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, not {n_max}")
+    check_count(n_max, "n_max")
     values = [Fraction(c, N ** ((n - 1) // 2)) for n, c in enumerate(beraha_bases(n_max, N), 1)]
     zeros = [n for n, v in zip(range(1, n_max + 1), values) if v == 0]
     guaranteed = N >= 4

@@ -24,7 +24,7 @@ from itertools import product
 from operator import mul
 from typing import Iterator
 
-from .errors import ShapeError, check_parameter, refuse_past
+from .errors import ShapeError, check_count, check_parameter, refuse_past
 from .partitions import (
     Partition,
     PartitionClass,
@@ -67,10 +67,7 @@ class DenseTensor:
 
     def __post_init__(self) -> None:
         check_parameter(self.dimension_per_leg, 1, "dimension per leg must be positive")
-        if type(self.legs) is not int:  # bools are not counts
-            raise TypeError(f"leg count must be an int, not {self.legs!r}")
-        if self.legs < 0:
-            raise ValueError("leg count must be non-negative")
+        check_count(self.legs, "leg count")
         _check_dense(self.dimension_per_leg, self.legs)
 
 
@@ -99,8 +96,8 @@ def delta_p(p: Partition, i: tuple[int, ...], j: tuple[int, ...]) -> int:
             f"labelling shape ({len(i)},{len(j)}) does not match partition ({p.upper},{p.lower})"
         )
     labels = i + j
-    if any(type(v) is not int or v < 1 for v in labels):  # bools are not labels
-        raise ValueError("labels must be positive integers")
+    for v in labels:
+        check_count(v, "label", 1)
     first: dict[int, int] = {}
     return int(all(first.setdefault(b, v) == v for b, v in zip(p.rgs, labels)))
 
@@ -195,8 +192,7 @@ def check_functor_laws(N: int, max_points: int) -> list[dict]:
     Returns one report dict per law with the first counterexample, if any.
     """
     check_parameter(N)
-    if not isinstance(max_points, int) or isinstance(max_points, bool) or max_points < 1:
-        raise ValueError(f"max_points must be a positive integer, not {max_points!r}")
+    check_count(max_points, "max_points", 1)
     # The largest map is that of q ⊗ p for two (max_points, max_points)
     # partitions, so refuse before any is built.
     _check_dense(N, 4 * max_points)

@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from .errors import ShapeError, check_parameter, refuse_past
+from .errors import ShapeError, check_count, check_parameter, refuse_past
 from .gram import (
     _FLAW, DET_DIMENSION_BUDGET, ExactMatrix, _check_det_bits, _pair_exponent,
     _table_matrix,
@@ -82,10 +82,10 @@ def _check_pair(p: Partition, q: Partition) -> int:
 
 
 def _check_level(n: int, r: int, what: str, low: int = 0, high: int | None = None) -> None:
-    """Refuse an n or r that is not an int (bools are not levels), and a
-    level r outside low ≤ r < high, where high is n unless given."""
-    if type(n) is not int or type(r) is not int:
-        raise TypeError(f"{what} level needs int n and r, not n={n!r}, r={r!r}")
+    """Refuse an n or r that is not an int, and a level r outside
+    low ≤ r < high, where high is n unless given."""
+    check_count(n, "point count", None)
+    check_count(r, f"{what} level r", None)
     if not low <= r < (n if high is None else high):
         raise ValueError(f"{what} level r={r} out of range for n={n}")
 
@@ -191,8 +191,7 @@ def e_r(p: Partition, q: Partition, r: int, N: int) -> int:
 
 
 def _check_level_matrix(n: int, r: int, N: int) -> None:
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_count(n, "point count", 1)
     _check_level(n, r, "level")
     check_parameter(N)
 
@@ -250,6 +249,7 @@ def _rewire(q: Partition, r: int, i: int, merge: bool) -> Partition:
         raise ValueError("partition is not in the level r+1 stratum")
     s, odd = r // 2, r % 2 == 1
     limit = s if merge and not odd else s + 1
+    check_count(i, "i", None)
     if not 1 <= i <= limit:
         raise ValueError(f"i={i} out of range 1..{limit}")
     orig = q.rgs
@@ -462,8 +462,7 @@ def recursion_trace(n: int, N: int) -> tuple[int, list[dict]]:
     Hadamard bound of the NC Gram matrix it equals, is refused with
     BudgetError before any arithmetic on it.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_count(n, "point count", 1)
     check_parameter(N, 4, "the recursion needs N >= 4: below, a reversed Beraha value can vanish")
     _check_det_bits(n, PartitionClass.NONCROSSING, N)
     bases = [N, *beraha_bases(n + 1, N)]

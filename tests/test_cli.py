@@ -504,6 +504,15 @@ def test_laws_refusals_are_pinned(capsys, param, max_points):
         assert (code, out, err) == (3, "", _LAWS_REFUSALS[param, max_points] + "\n")
 
 
+@pytest.mark.parametrize("max_points", [0, -1])
+def test_laws_below_one_point_is_a_usage_error_with_the_count_rule_text(capsys, max_points):
+    # argparse makes every count an int, so no argv reaches the rule's
+    # TypeError, which main does not catch; its ValueError exits 2
+    code, out, err = run(capsys, "laws", "--max-points", str(max_points))
+    assert (code, out) == (2, "")
+    assert err == f"error: max_points must be at least 1, not {max_points}\n"
+
+
 @pytest.mark.parametrize("param, max_points", [(1000, 2), (2, 5), (2, 10**9)])
 def test_over_budget_laws_exit_before_any_matrix(capsys, monkeypatch, param, max_points):
     # the largest shape, q ⊗ p on 4·max_points legs, is refused first; the

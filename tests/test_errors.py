@@ -1,5 +1,6 @@
 """The one refusal rule: `refuse_past` steps a job's sizes up to the first
-one past its budget; and the one check of the loop parameter N."""
+one past its budget; the one check of the loop parameter N; and the one
+check of a count, index or level, `check_count`."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncgram.errors import BudgetError, refuse_past
+from ncgram.errors import BudgetError, check_count, refuse_past
 from ncgram.formulas import difrancesco_check, difrancesco_det
 from ncgram.gram import build_gram
 from ncgram.partitions import Partition, PartitionClass
@@ -104,6 +105,31 @@ def test_law_checks_take_a_positive_integer_max_points_only():
     # True once ran the max-points-1 suite and reported "max_points": true,
     # and a float failed with a TypeError deep inside the budget checks
     assert check_functor_laws(2, 1)[0]["max_points"] == 1
-    for max_points in (True, 1.0, 1.5, Fraction(3, 2), "1", 0, -1):
-        with pytest.raises(ValueError, match="max_points must be a positive integer"):
+    for max_points in (True, 1.0, 1.5, Fraction(3, 2), "1"):
+        with pytest.raises(TypeError) as caught:
             check_functor_laws(2, max_points)
+        assert str(caught.value) == f"max_points must be an int, not {max_points!r}"
+    for max_points in (0, -1):
+        with pytest.raises(ValueError) as caught:
+            check_functor_laws(2, max_points)
+        assert str(caught.value) == f"max_points must be at least 1, not {max_points}"
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, 0.5, Fraction(2), "2", None])
+def test_the_count_rule_refuses_every_value_that_is_not_an_int(value):
+    # a bool is an int subclass, and 2.0 and Fraction(2) equal 2, but none
+    # of them is a count
+    for least in (0, 1, None):
+        with pytest.raises(TypeError) as caught:
+            check_count(value, "point count", least)
+        assert str(caught.value) == f"point count must be an int, not {value!r}"
+
+
+def test_the_count_rule_refuses_an_int_below_its_floor_only():
+    for value in (0, 1, 5, 10**30):
+        assert check_count(value, "point count") is None
+    assert check_count(-(10**30), "level r", None) is None  # no floor
+    for value, least in ((-1, 0), (0, 1), (-(10**30), 0), (4, 5)):
+        with pytest.raises(ValueError) as caught:
+            check_count(value, "leg count", least)
+        assert str(caught.value) == f"leg count must be at least {least}, not {value}"

@@ -173,8 +173,10 @@ def test_a_list_rgs_is_refused():
 def test_a_row_size_that_is_not_an_int_is_refused(upper, lower):
     # Partition(0.0, 2, (0, 0)) once equalled Partition(0, 2, (0, 0)) but
     # wrote '0.0|2|00', which from_text refuses; True wrote 'True|1|00'
-    with pytest.raises(TypeError, match="row sizes must be ints"):
+    row, value = ("lower", lower) if repr(upper) == "0" else ("upper", upper)  # the one not an int
+    with pytest.raises(TypeError) as caught:
         Partition(upper, lower, (0,) * int(upper + lower))
+    assert str(caught.value) == f"{row} row size must be an int, not {value!r}"
 
 
 @pytest.mark.parametrize("rgs", [(0.0, 1.0), (0, 1.0), (False, True), (0, True), (0, 0.5)])

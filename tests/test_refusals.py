@@ -16,11 +16,12 @@ import pytest
 
 from ncgram import cli, polynomials
 from ncgram.errors import ShapeError
+from ncgram.formulas import difrancesco_check, difrancesco_det, difrancesco_exponents
 from ncgram.gram import build_gram
-from ncgram.partitions import Partition, is_noncrossing, refines
-from ncgram.polynomials import IntPolynomial, check_beraha_chebyshev_relation
+from ncgram.partitions import Partition, enumerate_partitions, is_noncrossing, refines
+from ncgram.polynomials import IntPolynomial, beraha_bases, check_beraha_chebyshev_relation
 from ncgram.tensor_model import express_in_bounded_basis, reconstruct, vector_of
-from ncgram.tutte import F_r_value, build_A, component_shift, e_r, f_manip
+from ncgram.tutte import F_r_value, build_A, build_B, component_shift, e_r, f_manip, recursion_trace
 
 TWO_ROW = Partition.identity(1)  # one upper point joined to one lower point
 ROW = Partition.from_lower_blocks(5, [[1, 3], [2, 4], [5]])  # in W(5, 1)
@@ -91,6 +92,17 @@ def _reconstruct_skips_zero(monkeypatch):
     )
 
 
+def _count_refusals(name, call, what, least=0):
+    """A bool, a float and the floor minus one, each refused by the count rule."""
+    return {
+        f"{name}-bool": lambda: (lambda: call(True), TypeError, f"{what} must be an int, not True"),
+        f"{name}-float": lambda: (lambda: call(2.0), TypeError, f"{what} must be an int, not 2.0"),
+        f"{name}-below-floor": lambda: (
+            lambda: call(least - 1), ValueError, f"{what} must be at least {least}, not {least - 1}"
+        ),
+    }
+
+
 CASES = {
     "cli-main-guard": _run_cli_as_main,
     "cli-cache-blank-lines": _blank_cache_lines,
@@ -99,10 +111,29 @@ CASES = {
     "gram-evaluate-integer-matrix": lambda: (
         lambda: build_gram(2, N=4).evaluate(4), ShapeError, "matrix is already over the integers"
     ),
-    "gram-no-points": lambda: (lambda: build_gram(0), ValueError, "points must be >= 1"),
-    "partition-negative-row": lambda: (
-        lambda: Partition(-1, 1, ()), ValueError, "negative row size"
+    "gram-no-points": lambda: (
+        lambda: build_gram(0), ValueError, "point count must be at least 1, not 0"
     ),
+    "partition-negative-row": lambda: (
+        lambda: Partition(-1, 1, ()), ValueError, "upper row size must be at least 0, not -1"
+    ),
+    "partition-negative-lower-row": lambda: (
+        lambda: Partition(0, -1, ()), ValueError, "lower row size must be at least 0, not -1"
+    ),
+    "partition-enumerate-negative-points": lambda: (
+        lambda: enumerate_partitions(-1), ValueError, "point count must be at least 0, not -1"
+    ),
+    # a float count once stopped in a sequence error in from_blocks and
+    # one_block, and in a bare `range` in identity and singletons
+    **_count_refusals(
+        "partition-blocks-upper", lambda k: Partition.from_blocks(k, 0, []), "upper row size"
+    ),
+    **_count_refusals(
+        "partition-blocks-lower", lambda l: Partition.from_blocks(0, l, []), "lower row size"
+    ),
+    **_count_refusals("partition-identity", Partition.identity, "row size"),
+    **_count_refusals("partition-singletons", Partition.singletons, "point count"),
+    **_count_refusals("partition-one-block", Partition.one_block, "point count"),
     "partition-lower-blocks-two-rows": lambda: (
         TWO_ROW.lower_blocks, ShapeError, "lower_blocks is only defined on (0, n) partitions"
     ),
@@ -139,8 +170,29 @@ CASES = {
         "inexact polynomial division",
     ),
     "polynomial-repr": lambda: (lambda: repr(IntPolynomial([1, 0, -2])), None, "IntPolynomial([1, 0, -2])"),
+    # X ** True once gave X, and 2.0 and a negative power or shift passed
+    # unchecked or with a text of their own
+    **_count_refusals("polynomial-power", IntPolynomial.x().__pow__, "exponent"),
+    **_count_refusals("polynomial-shift", IntPolynomial.x().shift, "shift"),
+    # a negative m once gave [], True gave [1], and 2.5 stopped in `range`
+    **_count_refusals("beraha-bases", lambda m: beraha_bases(m, 4), "m"),
     "beraha-chebyshev-no-j": lambda: (
-        lambda: check_beraha_chebyshev_relation(0), ValueError, "j_max must be >= 1"
+        lambda: check_beraha_chebyshev_relation(0), ValueError, "j_max must be at least 1, not 0"
+    ),
+    "beraha-chebyshev-bool-j": lambda: (
+        lambda: check_beraha_chebyshev_relation(True), TypeError, "j_max must be an int, not True"
+    ),
+    "beraha-chebyshev-float-j": lambda: (
+        lambda: check_beraha_chebyshev_relation(2.0), TypeError, "j_max must be an int, not 2.0"
+    ),
+    "formula-exponents-no-pairs": lambda: (
+        lambda: difrancesco_exponents(0), ValueError, "pair count must be at least 1, not 0"
+    ),
+    "formula-det-no-pairs": lambda: (
+        lambda: difrancesco_det(0, 4), ValueError, "pair count must be at least 1, not 0"
+    ),
+    "formula-check-no-pairs": lambda: (
+        lambda: difrancesco_check(0, 4), ValueError, "pair count must be at least 1, not 0"
     ),
     "beraha-chebyshev-planted-failure": _planted_beraha_family,
     "tensor-vector-two-rows": lambda: (
@@ -160,11 +212,26 @@ CASES = {
         ShapeError,
         "pair graphs need equal point counts",
     ),
-    "tutte-level-matrix-no-points": lambda: (lambda: build_A(0, 0, 4), ValueError, "n must be positive"),
+    "tutte-level-matrix-no-points": lambda: (
+        lambda: build_A(0, 0, 4), ValueError, "point count must be at least 1, not 0"
+    ),
+    "tutte-corner-matrix-no-points": lambda: (
+        lambda: build_B(0, 0, 4), ValueError, "point count must be at least 1, not 0"
+    ),
+    "tutte-recursion-no-points": lambda: (
+        lambda: recursion_trace(0, 4), ValueError, "point count must be at least 1, not 0"
+    ),
     "tutte-rewire-two-rows": lambda: (
         lambda: f_manip(1, Partition.identity(2), 0),
         ShapeError,
         "manipulations are defined on (0, n) partitions",
+    ),
+    # True once rewired as i = 1, and 1.0 stopped in a bare `range`
+    "tutte-rewire-bool-index": lambda: (
+        lambda: f_manip(True, ROW, 0), TypeError, "i must be an int, not True"
+    ),
+    "tutte-rewire-float-index": lambda: (
+        lambda: f_manip(1.0, ROW, 0), TypeError, "i must be an int, not 1.0"
     ),
     "tutte-shift-kind": lambda: (
         lambda: component_shift(ROW, ROW, 1, "h", 1), ValueError, "kind must be 'f' or 'g'"

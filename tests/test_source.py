@@ -149,6 +149,52 @@ def test_only_the_one_refusal_rule_raises_the_budget_error():
     assert found == ["errors.py:refuse_past"]
 
 
+def _int_type_tests(tree: ast.AST, scope: str = "<module>"):
+    """The innermost enclosing function of each `type(x) is int`, `type(x)
+    is not int` (or == and != in their place) and `isinstance(x, bool)`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _int_type_tests(node, node.name)
+            continue
+        if isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops
+        ):
+            operands = [node.left, *node.comparators]
+            if any(
+                isinstance(x, ast.Call) and getattr(x.func, "id", None) == "type" for x in operands
+            ) and any(isinstance(x, ast.Name) and x.id == "int" for x in operands):
+                yield scope
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and any(isinstance(x, ast.Name) and x.id == "bool" for x in ast.walk(node.args[1]))
+        ):
+            yield scope
+        yield from _int_type_tests(node, scope)
+
+
+def test_only_the_shared_rules_test_for_an_int():
+    # a count, index or level is checked by `errors.check_count` and N by
+    # `errors.check_parameter`, so no call site tests for an int, or
+    # refuses a bool, by a rule and a message of its own
+    found = sorted(
+        f"{path.name}:{scope}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope in _int_type_tests(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    )
+    assert found == ["errors.py:check_count", "errors.py:check_parameter"]
+    planted = [
+        "def f(n): return type(n) is int",
+        "def f(n): return type(n) is not int",
+        "def f(n): return int != type(n)",
+        "def f(n): return isinstance(n, bool)",
+        "def f(n): return isinstance(n, (float, bool))",
+    ]
+    assert [list(_int_type_tests(ast.parse(code))) for code in planted] == [["f"]] * len(planted)
+    assert list(_int_type_tests(ast.parse("def f(n): return isinstance(n, int)"))) == []
+
+
 def _appends(tree: ast.AST, scope: str = "<module>"):
     """(innermost enclosing function, receiver) for each `name.append(...)`."""
     for node in ast.iter_child_nodes(tree):

@@ -117,15 +117,18 @@ def test_delta_shape_and_label_validation():
     p = worked_example_partition()
     with pytest.raises(ShapeError):
         delta_p(p, (5, 6), (3, 3, 7, 6, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^label must be at least 1, not 0$"):
         delta_p(p, (5, 6, 0), (3, 3, 7, 6, 3))
 
 
 @pytest.mark.parametrize("labels", [(1.5, 1.5), (True, True), (1, 1.0), (2, "2")])
 def test_delta_refuses_labels_that_are_not_ints(labels):
-    # (1.5, 1.5) and (True, True) labelled the pair constantly and gave 1
-    with pytest.raises(ValueError, match="labels must be positive integers"):
+    # (1.5, 1.5) and (True, True) labelled the pair constantly and gave 1;
+    # the first label that is not an int is refused, which in each case
+    # prints as the last label does
+    with pytest.raises(TypeError) as caught:
         delta_p(Partition.pair(), (), labels)
+    assert str(caught.value) == f"label must be an int, not {labels[-1]!r}"
     assert delta_p(Partition.pair(), (), (2, 2)) == 1
 
 
@@ -218,7 +221,7 @@ def test_dense_budget_refuses_from_small_powers():
 def test_dense_tensor_refuses_a_negative_leg_count():
     # N^e for no e in the empty step range of −1 legs, so the budget check
     # alone let it through
-    with pytest.raises(ValueError, match="leg count must be non-negative"):
+    with pytest.raises(ValueError, match="^leg count must be at least 0, not -1$"):
         tensor_model.DenseTensor(2, -1, {})
     assert tensor_model.DenseTensor(2, 0, {}).legs == 0
 

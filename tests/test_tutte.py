@@ -1316,7 +1316,10 @@ def test_every_level_check_refuses_a_level_that_is_not_an_int(points, bad):
     for call, what, n, r in refused:
         with pytest.raises(TypeError) as caught:
             call()
-        assert str(caught.value) == f"{what} level needs int n and r, not n={n!r}, r={r!r}"
+        if n is points:
+            assert str(caught.value) == f"point count must be an int, not {points!r}"
+        else:
+            assert str(caught.value) == f"{what} level r must be an int, not {r!r}"
     assert w_stratum(4, 1) == [p for p in enumerate_partitions(4, NC) if in_W(p, 1)]
 
 
