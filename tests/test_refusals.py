@@ -170,8 +170,8 @@ CASES = {
         "inexact polynomial division",
     ),
     "polynomial-repr": lambda: (lambda: repr(IntPolynomial([1, 0, -2])), None, "IntPolynomial([1, 0, -2])"),
-    # X ** True once gave X, and 2.0 and a negative power or shift passed
-    # unchecked or with a text of their own
+    # X ** True once gave X, ** 2.0 and .shift(2.0) stopped in bare operand
+    # and sequence errors, and a negative power or shift had its own text
     **_count_refusals("polynomial-power", IntPolynomial.x().__pow__, "exponent"),
     **_count_refusals("polynomial-shift", IntPolynomial.x().shift, "shift"),
     # a negative m once gave [], True gave [1], and 2.5 stopped in `range`
